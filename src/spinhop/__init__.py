@@ -6,7 +6,6 @@ entanglement generation and quantum state transfer, with a CLI that emits
 deterministic CSV tables.
 """
 
-from . import backend
 from .analysis import (
     ConservationReport,
     DeviationReport,
@@ -69,7 +68,6 @@ __all__ = [
     "TimeGrid",
     "analytic_period",
     "analytic_two_site",
-    "backend",
     "build_effective_hamiltonian",
     "build_hamiltonian",
     "build_hopping",

@@ -8,7 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import TimeGrid, evolve_on_grid, hamiltonian_for, observables
+from .dynamics import (
+    TimeGrid,
+    _log_negativity,
+    evolve_on_grid,
+    hamiltonian_for,
+    observables,
+)
 from .model import BasisLayout, ModelSpec
 
 _OBSERVABLE_GAP_FIELDS = ("p_up", "f_plus", "f_minus", "logneg", "f2")
@@ -28,10 +34,7 @@ def log_negativity(rho12, validate: bool = True) -> float:
         smallest = float(linalg.hermitian_eigensystem(rho).eigenvalues[0])
         if smallest < -1e-9:
             raise ValueError(f"density matrix has negative eigenvalue {smallest}")
-    trace_norm = linalg.trace_norm_hermitian(
-        linalg.partial_transpose(rho, (2, 2), "A")
-    )
-    return max(0.0, float(np.log2(trace_norm)))
+    return _log_negativity(rho)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .dynamics import (
     analytic_two_site,
     run_trajectory,
 )
-from .model import BasisLayout, ModelSpec, encode_state
+from .model import _STATIC_PRESETS, BasisLayout, ModelSpec, encode_state
 
 PROBABILITY_TOL = 1e-9
 
@@ -63,8 +63,6 @@ _INITIAL_KEYS = {"site", "e_spin", "static"}
 _RUN_KEYS = {"hamiltonian", "t_max", "n_points"}
 _OUTPUT_KEYS = {"path", "columns"}
 _COMPARE_KEYS = {"ratios"}
-
-_STATIC_TOKENS = ("up-up", "up-down", "down-up", "down-down", "psi-plus", "psi-minus")
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if e_spin not in ("up", "down"):
         raise ConfigError(f"initial.e_spin must be 'up' or 'down', got {e_spin!r}")
     static = initial.get("static")
-    if static not in _STATIC_TOKENS:
+    presets = tuple(_STATIC_PRESETS)  # a tuple: JSON lists are unhashable
+    if static not in presets:
         raise ConfigError(
-            f"initial.static must be one of {_STATIC_TOKENS}, got {static!r}"
+            f"initial.static must be one of {presets}, got {static!r}"
         )
 
     run = raw.get("run", {})

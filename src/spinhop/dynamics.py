@@ -94,6 +94,15 @@ def _sz_weights(n_sites: int) -> np.ndarray:
     return w
 
 
+def _log_negativity(rho12) -> float:
+    """Base-2 logarithmic negativity of a two-qubit operator, clamped at zero
+    from below against numerical noise."""
+    trace_norm = linalg.trace_norm_hermitian(
+        linalg.partial_transpose(rho12, (2, 2), "A")
+    )
+    return max(0.0, float(np.log2(trace_norm)))
+
+
 def observables(state, layout: BasisLayout, t: float = 0.0, hamiltonian=None) -> ObservableRecord:
     """All observables of a pure state; the static-pair density matrix is
     obtained by partial trace over the site and mobile-spin factors."""
@@ -103,9 +112,6 @@ def observables(state, layout: BasisLayout, t: float = 0.0, hamiltonian=None) ->
     prob = np.abs(psi.reshape(layout.n_sites, 2, 4)) ** 2
     rho = np.outer(psi, psi.conj())
     rho12 = linalg.partial_trace(rho, [layout.n_sites, 2, 2, 2], keep=(2, 3))
-    trace_norm = linalg.trace_norm_hermitian(
-        linalg.partial_transpose(rho12, (2, 2), "A")
-    )
     energy = math.nan
     if hamiltonian is not None:
         energy = float(np.real(psi.conj() @ (hamiltonian @ psi)))
@@ -115,7 +121,7 @@ def observables(state, layout: BasisLayout, t: float = 0.0, hamiltonian=None) ->
         p_up=float(prob[:, 0, :].sum()),
         f_plus=float(np.real(_PSI_PLUS.conj() @ rho12 @ _PSI_PLUS)),
         f_minus=float(np.real(_PSI_MINUS.conj() @ rho12 @ _PSI_MINUS)),
-        logneg=max(0.0, float(np.log2(trace_norm))),
+        logneg=_log_negativity(rho12),
         f2=float(rho12[2, 2].real),
         sz_total=float(_sz_weights(layout.n_sites) @ prob.reshape(-1)),
         s12_sq=float(np.real(np.trace(rho12 @ S12_SQ_4))),

@@ -1,10 +1,9 @@
 """Dense complex linear algebra sized for Hilbert dimensions up to a few dozen.
 
 Matrices and state vectors are plain ``complex128`` numpy arrays.  The
-Hermitian eigensolver is a cyclic Jacobi iteration with complex plane
-rotations (compiled kernel when built, pure Python otherwise; see
-``spinhop.backend``); unitary propagation runs through the spectral
-decomposition, never through a series expansion.
+Hermitian eigensolver is LAPACK's ``eigh`` (through ``numpy.linalg``).
+Unitary propagation runs through the spectral decomposition, never through
+a series expansion.
 """
 
 from __future__ import annotations
@@ -14,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
-
 # Hermiticity acceptance: max|M - M^H| <= HERMITIAN_RTOL * max|M|
 HERMITIAN_RTOL = 1e-12
-# Jacobi convergence: off-diagonal Frobenius norm <= JACOBI_TOL * ||H||_F
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -42,10 +36,13 @@ def hermiticity_defect(m) -> float:
 
 
 def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
-    """Raise ``ValueError`` with the max-asymmetry diagnostic if not Hermitian."""
+    """Raise ``ValueError`` with the max-asymmetry diagnostic if not Hermitian,
+    or if any entry is NaN or infinite."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has NaN or infinite entries")
     defect = hermiticity_defect(m)
     scale = float(np.abs(m).max())
     if defect > rtol * max(scale, 1e-300):
@@ -65,27 +62,15 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermitian_eigensystem(m) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    The iteration stops once the off-diagonal Frobenius norm drops below
-    ``JACOBI_TOL * ||H||_F``, capped at ``JACOBI_MAX_SWEEPS`` sweeps.
     Degenerate eigenvalues come with an arbitrary orthonormal basis of the
     eigenspace; callers must not rely on any particular choice.
     """
     m = np.asarray(m, dtype=complex)
     assert_hermitian(m)
-    a = np.array(m, dtype=np.complex128, order="C")
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128, order="C")
-    tol = JACOBI_TOL * float(np.sqrt((np.abs(a) ** 2).sum()))
-    sweeps = backend.jacobi_sweeps(a, v, tol, JACOBI_MAX_SWEEPS)
-    if sweeps < 0:
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return Eigensystem(w[order], np.ascontiguousarray(v[:, order]))
+    w, v = np.linalg.eigh(m)
+    return Eigensystem(w, v)
 
 
 def propagate(state, eig: Eigensystem, t: float) -> np.ndarray:

@@ -114,6 +114,8 @@ class TestParseConfig:
     def test_static_preset_validation(self):
         with pytest.raises(ConfigError, match="initial.static"):
             parse_config(json.dumps(_config(initial={"static": "sideways"})))
+        with pytest.raises(ConfigError, match="initial.static"):
+            parse_config(json.dumps(_config(initial={"static": ["up-up"]})))
 
     def test_column_selection_validation(self):
         good = _config(output={"columns": ["F_plus", "P_up"]})

@@ -1,4 +1,4 @@
-"""Linear-algebra core: Jacobi eigensolver, propagation, reduced operators."""
+"""Linear-algebra core: eigensolver, propagation, reduced operators."""
 
 import numpy as np
 import pytest
@@ -77,6 +77,15 @@ class TestHermitianEigensystem:
     def test_rejects_non_hermitian_with_diagnostic(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match=r"max\|M - M\^H\|"):
+            hermitian_eigensystem(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # inf - inf is NaN and NaN compares false, so the asymmetry test
+        # alone would let these through
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
             hermitian_eigensystem(m)
 
     def test_zero_matrix(self):
