@@ -17,8 +17,8 @@ from .analysis import (
 from .dynamics import (
     HAMILTONIAN_KINDS,
     AnalyticSolution,
-    ObservableRecord,
     TimeGrid,
+    Trajectory,
     analytic_period,
     analytic_two_site,
     doublet_leakage,
@@ -63,9 +63,9 @@ __all__ = [
     "Eigensystem",
     "HAMILTONIAN_KINDS",
     "ModelSpec",
-    "ObservableRecord",
     "SpinOperatorSet",
     "TimeGrid",
+    "Trajectory",
     "analytic_period",
     "analytic_two_site",
     "build_effective_hamiltonian",

@@ -10,6 +10,7 @@ import numpy as np
 from . import linalg
 from .dynamics import (
     TimeGrid,
+    Trajectory,
     _log_negativity,
     evolve_on_grid,
     hamiltonian_for,
@@ -34,7 +35,7 @@ def log_negativity(rho12, validate: bool = True) -> float:
         smallest = float(linalg.hermitian_eigensystem(rho).eigenvalues[0])
         if smallest < -1e-9:
             raise ValueError(f"density matrix has negative eigenvalue {smallest}")
-    return _log_negativity(rho)
+    return float(_log_negativity(rho))
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,19 @@ class ConservationReport:
     s12_sq_drift: float
 
 
-def conservation_monitor(records) -> ConservationReport:
+def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
     """Drift of norm, energy, total S_z and the squared total static spin."""
-    if not records:
+    if not len(trajectory):
         raise ValueError("empty trajectory")
 
-    def drift(name):
-        series = np.array([getattr(r, name) for r in records], dtype=float)
+    def drift(series):
         return float(np.abs(series - series[0]).max())
 
     return ConservationReport(
-        norm_drift=drift("norm"),
-        energy_drift=drift("energy"),
-        sz_drift=drift("sz_total"),
-        s12_sq_drift=drift("s12_sq"),
+        norm_drift=drift(trajectory.norm),
+        energy_drift=drift(trajectory.energy),
+        sz_drift=drift(trajectory.sz_total),
+        s12_sq_drift=drift(trajectory.s12_sq),
     )
 
 
@@ -86,6 +86,8 @@ def compare_exact_effective(
     """
     if variant is None:
         variant = "two_site" if spec.n_sites == 2 else "three_site_middle_start"
+    if spec.j_ref == 0.0:
+        raise ValueError("coupling scale is zero; eta/J is undefined")
     layout = BasisLayout(spec.n_sites)
     grid = grid or TimeGrid()
     times = grid.times()
@@ -95,36 +97,25 @@ def compare_exact_effective(
     states_eff = evolve_on_grid(h_eff, initial, times)
 
     if variant == "three_site_middle_start":
-        dims = [layout.n_sites, 2, 2, 2]
-        fidelity = np.empty(len(times))
-        for i in range(len(times)):
-            rho_ex = linalg.partial_trace(
-                np.outer(states_exact[i], states_exact[i].conj()), dims, keep=(1, 2, 3)
-            )
-            rho_ef = linalg.partial_trace(
-                np.outer(states_eff[i], states_eff[i].conj()), dims, keep=(1, 2, 3)
-            )
-            # the effective spin state stays pure, so Tr[rho rho'] is the fidelity
-            fidelity[i] = float(np.real(np.trace(rho_ex @ rho_ef)))
+        # Tr[rho rho'] of the site-reduced spin states, sum_xy |<ex[x]|ef[y]>|^2;
+        # the effective spin state stays pure, so this is the fidelity
+        split = (len(times), layout.n_sites, 8)
+        overlaps = np.einsum(
+            "txa,tya->txy", states_exact.reshape(split).conj(), states_eff.reshape(split)
+        )
+        fidelity = (np.abs(overlaps) ** 2).sum(axis=(1, 2))
     else:
         fidelity = np.abs(np.einsum("ij,ij->i", states_exact.conj(), states_eff)) ** 2
 
-    rec_exact = [observables(s, layout) for s in states_exact]
-    rec_eff = [observables(s, layout) for s in states_eff]
-    gaps = {}
-    for label, pos in zip(("P1", "P2", "P0"), (0, layout.n_sites - 1, 1)):
-        if label == "P0" and layout.n_sites == 2:
-            continue
-        a = np.array([r.p_site[pos] for r in rec_exact])
-        b = np.array([r.p_site[pos] for r in rec_eff])
-        gaps[label] = float(np.abs(a - b).max())
+    exact = observables(states_exact, layout)
+    eff = observables(states_eff, layout)
+    site_gap = np.abs(exact.p_site - eff.p_site).max(axis=0)
+    # P1, P2: the outer sites; P0: the middle one, on three sites only
+    labels = ("P1", "P2", "P0")[: layout.n_sites]
+    gaps = {label: float(site_gap[pos]) for label, pos in zip(labels, (0, -1, 1))}
     for name in _OBSERVABLE_GAP_FIELDS:
-        a = np.array([getattr(r, name) for r in rec_exact])
-        b = np.array([getattr(r, name) for r in rec_eff])
-        gaps[name] = float(np.abs(a - b).max())
+        gaps[name] = float(np.abs(getattr(exact, name) - getattr(eff, name)).max())
 
-    if spec.j_ref == 0.0:
-        raise ValueError("coupling scale is zero; eta/J is undefined")
     return DeviationReport(
         eta_over_j=spec.eta / spec.j_ref,
         max_state_infidelity=float((1.0 - fidelity).max()),
@@ -153,19 +144,13 @@ def estimate_period(times, values, threshold: float = 0.75, min_amplitude: float
         raise ValueError("oscillation amplitude below noise floor")
     level = v.min() + threshold * amplitude
 
-    above = v >= level
-    runs = []
-    i = 0
+    # first and last index of every run of samples at or above the level
+    edges = np.diff((v >= level).astype(np.int8), prepend=0, append=0)
+    runs = [
+        [int(i), int(j)]
+        for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1)
+    ]
     n = v.size
-    while i < n:
-        if above[i]:
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            runs.append([i, j])
-            i = j + 1
-        else:
-            i += 1
     # fast ripples can split a peak at its edges; merge runs separated by
     # gaps much shorter than the inter-peak distance
     if len(runs) > 1:

@@ -32,19 +32,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import compare_exact_effective
+from .analysis import _OBSERVABLE_GAP_FIELDS, compare_exact_effective
 from .dynamics import (
     HAMILTONIAN_KINDS,
     TimeGrid,
     analytic_two_site,
     run_trajectory,
 )
-from .model import _STATIC_PRESETS, BasisLayout, ModelSpec, encode_state
+from .model import _STATIC_PRESETS, EFFECTIVE_VARIANTS, BasisLayout, ModelSpec, encode_state
 
 PROBABILITY_TOL = 1e-9
 
@@ -92,6 +93,14 @@ def _check_keys(block, allowed, where):
         )
 
 
+def _finite(value) -> bool:
+    """Whether a number is finite; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(block, key, where, default=None, minimum=None):
     if key not in block:
         if default is None:
@@ -100,10 +109,20 @@ def _number(block, key, where, default=None, minimum=None):
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     value = float(value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
     return value
+
+
+def _ratios(values, where) -> tuple:
+    """eta/J ratios, each a positive finite number."""
+    for r in values:
+        if isinstance(r, bool) or not isinstance(r, (int, float)) or not (r > 0 and _finite(r)):
+            raise ConfigError(f"{where} entries must be positive and finite, got {r!r}")
+    return tuple(float(r) for r in values)
 
 
 def _resolve_couplings(model):
@@ -159,7 +178,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"model.n_sites must be 2 or 3, got {n_sites}")
     eta = _number(model, "eta", "model", minimum=0.0)
     j_xy, j_z = _resolve_couplings(model)
-    spec = ModelSpec(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
+    try:
+        spec = ModelSpec(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     initial = raw.get("initial")
     if initial is None:
@@ -191,7 +213,7 @@ def parse_config(text: str) -> ScenarioConfig:
             f"run.hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}"
         )
     if hamiltonian != "exact":
-        needed = 2 if hamiltonian == "two_site" else 3
+        needed = EFFECTIVE_VARIANTS[hamiltonian]
         if n_sites != needed:
             raise ConfigError(
                 f"run.hamiltonian {hamiltonian!r} requires n_sites == {needed}"
@@ -228,10 +250,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if ratios is not None:
         if not isinstance(ratios, list) or not ratios:
             raise ConfigError("compare.ratios must be a non-empty list of numbers")
-        for r in ratios:
-            if isinstance(r, bool) or not isinstance(r, (int, float)) or r <= 0:
-                raise ConfigError(f"compare.ratios entries must be positive, got {r!r}")
-        ratios = tuple(float(r) for r in ratios)
+        ratios = _ratios(ratios, "compare.ratios")
 
     return ScenarioConfig(
         spec=spec,
@@ -250,55 +269,71 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# CSV column -> (Trajectory field, lattice position of a site population,
+# whether it is a probability), in simulate column order.  P1 and P2 are the
+# outer sites, P0 the middle one (three sites only).
+_COLUMNS = {
+    "t": ("t", None, False),
+    "P1": ("p_site", 0, True),
+    "P2": ("p_site", -1, True),
+    "P0": ("p_site", 1, True),
+    "P_up": ("p_up", None, True),
+    "F_plus": ("f_plus", None, True),
+    "F_minus": ("f_minus", None, True),
+    "logneg": ("logneg", None, False),
+    "F2": ("f2", None, True),
+    "Sz": ("sz_total", None, False),
+    "S12sq": ("s12_sq", None, False),
+    "norm": ("norm", None, False),
+}
+
+
 def _simulate_columns(n_sites: int):
-    cols = ["t", "P1", "P2"]
-    if n_sites == 3:
-        cols.append("P0")
-    cols += ["P_up", "F_plus", "F_minus", "logneg", "F2", "Sz", "S12sq", "norm"]
+    return [c for c in _COLUMNS if c != "P0" or n_sites == 3]
+
+
+def _column(trajectory, name):
+    field, position, _ = _COLUMNS[name]
+    values = getattr(trajectory, field)
+    return values if position is None else values[:, position]
+
+
+def _gap_key(name):
+    """Key of a column in ``DeviationReport.max_observable_gap``."""
+    field, position, _ = _COLUMNS[name]
+    return field if position is None else name
+
+
+def _validated_columns(trajectory, n_sites: int) -> dict:
+    """Every simulate column as an array, probabilities clamped into [0, 1].
+
+    Raises ``NumericalInvariantError`` at the first grid point where the
+    norm, the sum of the site populations or a probability is off by more
+    than ``PROBABILITY_TOL``, naming the first of these checks that fails
+    there.
+    """
+    cols = {c: _column(trajectory, c) for c in _simulate_columns(n_sites)}
+    p_total = sum(cols[c] for c in cols if _COLUMNS[c][1] is not None)
+    probabilities = [c for c in cols if _COLUMNS[c][2]]
+    tol = PROBABILITY_TOL
+    # (message, values, failing points), in the order a point's checks are reported
+    checks = [
+        ("norm drifted to {!r}", cols["norm"], np.abs(cols["norm"] - 1.0) > tol),
+        ("site populations sum to {!r}", p_total, np.abs(p_total - 1.0) > tol),
+    ] + [
+        (c + " = {!r} outside [0, 1]", cols[c], ~((-tol <= cols[c]) & (cols[c] <= 1.0 + tol)))
+        for c in probabilities
+    ]
+    failed = np.array([bad for _, _, bad in checks])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        message, values, _ = checks[int(failed[:, i].argmax())]
+        raise NumericalInvariantError(
+            message.format(float(values[i])) + f" at t = {float(cols['t'][i])}"
+        )
+    for c in probabilities:
+        cols[c] = np.clip(cols[c], 0.0, 1.0)
     return cols
-
-
-_PROBABILITY_COLUMNS = {"P1", "P2", "P0", "P_up", "F_plus", "F_minus", "F2"}
-
-
-def _record_values(record, n_sites: int) -> dict:
-    vals = {
-        "t": record.t,
-        "P1": record.p_site[0],
-        "P2": record.p_site[-1],
-        "P_up": record.p_up,
-        "F_plus": record.f_plus,
-        "F_minus": record.f_minus,
-        "logneg": record.logneg,
-        "F2": record.f2,
-        "Sz": record.sz_total,
-        "S12sq": record.s12_sq,
-        "norm": record.norm,
-    }
-    if n_sites == 3:
-        vals["P0"] = record.p_site[1]
-    return vals
-
-
-def _validate_and_clamp(vals: dict) -> dict:
-    if abs(vals["norm"] - 1.0) > PROBABILITY_TOL:
-        raise NumericalInvariantError(
-            f"norm drifted to {vals['norm']!r} at t = {vals['t']}"
-        )
-    p_total = sum(vals[c] for c in ("P1", "P2", "P0") if c in vals)
-    if abs(p_total - 1.0) > PROBABILITY_TOL:
-        raise NumericalInvariantError(
-            f"site populations sum to {p_total!r} at t = {vals['t']}"
-        )
-    out = dict(vals)
-    for col in _PROBABILITY_COLUMNS & set(vals):
-        v = vals[col]
-        if not (-PROBABILITY_TOL <= v <= 1.0 + PROBABILITY_TOL):
-            raise NumericalInvariantError(
-                f"{col} = {v!r} outside [0, 1] at t = {vals['t']}"
-            )
-        out[col] = min(1.0, max(0.0, v))
-    return out
 
 
 def _write_csv(path: str, header, rows):
@@ -313,23 +348,16 @@ def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
     path = out_path or config.out_path
     if path is None:
         raise ConfigError("no output path: set output.path or pass --out")
-    records = run_trajectory(
+    trajectory = run_trajectory(
         config.spec, config.hamiltonian, config.initial_state(), config.grid
     )
-    n_sites = config.spec.n_sites
-    columns = _simulate_columns(n_sites)
+    values = _validated_columns(trajectory, config.spec.n_sites)
+    columns = list(values)
     if config.columns is not None:
         columns = ["t"] + [c for c in columns if c != "t" and c in config.columns]
-    table = []
-    for record in records:
-        vals = _validate_and_clamp(_record_values(record, n_sites))
-        table.append([vals[c] for c in columns])
-    _write_csv(path, columns, table)
-    data = np.asarray(table)
-    for k, name in enumerate(columns):
-        if name == "t":
-            continue
-        print(f"{name}: min={_fmt(data[:, k].min())} max={_fmt(data[:, k].max())}")
+    _write_csv(path, columns, np.column_stack([values[c] for c in columns]))
+    for name in columns[1:]:
+        print(f"{name}: min={_fmt(values[name].min())} max={_fmt(values[name].max())}")
     return path
 
 
@@ -347,21 +375,22 @@ def cmd_compare(
     j = config.spec.j_ref
     if j == 0.0:
         raise ConfigError("compare needs a nonzero coupling")
-    gap_cols = ["P1", "P2"] + (["P0"] if config.spec.n_sites == 3 else [])
-    gap_cols += ["p_up", "f_plus", "f_minus", "logneg", "f2"]
-    header = ["eta_over_j", "max_state_infidelity"] + [
-        "gap_" + {"p_up": "P_up", "f_plus": "F_plus", "f_minus": "F_minus",
-                  "logneg": "logneg", "f2": "F2"}.get(c, c)
-        for c in gap_cols
+    gap_cols = [
+        c for c in _simulate_columns(config.spec.n_sites)
+        if _COLUMNS[c][0] in ("p_site", *_OBSERVABLE_GAP_FIELDS)
     ]
+    header = ["eta_over_j", "max_state_infidelity"] + ["gap_" + c for c in gap_cols]
     initial = config.initial_state()
     rows = []
     for ratio in ratios:
-        spec = dataclasses.replace(config.spec, eta=ratio * j)
+        try:
+            spec = dataclasses.replace(config.spec, eta=ratio * j)
+        except ValueError as exc:  # ratio * J overflowed
+            raise ConfigError(f"eta/J = {ratio}: {exc}") from None
         report = compare_exact_effective(spec, initial, config.grid, variant=variant)
         rows.append(
             [report.eta_over_j, report.max_state_infidelity]
-            + [report.max_observable_gap[c] for c in gap_cols]
+            + [report.max_observable_gap[_gap_key(c)] for c in gap_cols]
         )
     _write_csv(path, header, rows)
     for row in rows:
@@ -427,9 +456,10 @@ def main(argv=None) -> int:
             ratios = None
             if args.ratios:
                 try:
-                    ratios = tuple(float(r) for r in args.ratios.split(","))
+                    ratios = [float(r) for r in args.ratios.split(",")]
                 except ValueError:
                     raise ConfigError(f"bad --ratios value {args.ratios!r}") from None
+                ratios = _ratios(ratios, "--ratios")
             cmd_compare(config, ratios=ratios, out_path=args.out)
         elif args.command == "analytic":
             cmd_analytic(config, out_path=args.out)

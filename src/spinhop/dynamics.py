@@ -1,17 +1,17 @@
 """Time evolution and observable extraction.
 
 Trajectories are computed exactly through the spectral decomposition of the
-(exact or effective) Hamiltonian; every grid point gets an
-:class:`ObservableRecord` bundling site populations, the mobile-spin-up
+(exact or effective) Hamiltonian.  A :class:`Trajectory` holds one array per
+observable over the whole time grid: site populations, the mobile-spin-up
 probability, the triplet/singlet fidelities of the static pair, its
 logarithmic negativity, the excitation-transfer fidelity and the conserved
-quantities.  Closed-form two-level solutions for the strong-hopping spin
-dynamics are provided for cross-checking.
+quantities, all computed from the stack of states in one vectorised pass.
+Closed-form two-level solutions for the strong-hopping spin dynamics are
+provided for cross-checking.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .model import (
+    EFFECTIVE_VARIANTS,
     S12_SQ_4,
     SQRT2,
     BasisLayout,
@@ -28,15 +29,13 @@ from .model import (
     encode_state,
 )
 
-HAMILTONIAN_KINDS = (
-    "exact",
-    "two_site",
-    "three_site_projector",
-    "three_site_middle_start",
-)
+HAMILTONIAN_KINDS = ("exact", *EFFECTIVE_VARIANTS)
 
 _PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
 _PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / SQRT2
+_SZ = np.array([0.5, -0.5])  # up, down
+# total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
+_SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
 
 # spin part of |up>|down down> and |down>|psi+> in the 8-dim spin space
 _DOUBLET_UP = np.zeros(8, dtype=complex)
@@ -54,8 +53,8 @@ class TimeGrid:
     n_points: int = 2001
 
     def __post_init__(self):
-        if not (self.t_max > 0.0):
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not (0.0 < self.t_max < math.inf):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
 
@@ -63,69 +62,70 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_points)
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    """Per-time-point observable bundle.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Observables over a time grid, one array per quantity.
 
-    ``p_site`` lists site populations in lattice order (left to right);
-    ``energy`` is NaN when no Hamiltonian was supplied.
+    Each field has the grid as its leading axis; ``p_site`` is
+    ``(T, n_sites)`` with the sites in lattice order (left to right).
+    ``energy`` is NaN when no Hamiltonian was supplied.  Built from a single
+    state instead of a stack, the fields have no grid axis.
     """
 
-    t: float
-    p_site: tuple
-    p_up: float
-    f_plus: float
-    f_minus: float
-    logneg: float
-    f2: float
-    sz_total: float
-    s12_sq: float
-    norm: float
-    energy: float = math.nan
+    t: np.ndarray
+    p_site: np.ndarray
+    p_up: np.ndarray
+    f_plus: np.ndarray
+    f_minus: np.ndarray
+    logneg: np.ndarray
+    f2: np.ndarray
+    sz_total: np.ndarray
+    s12_sq: np.ndarray
+    norm: np.ndarray
+    energy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
-@functools.lru_cache(maxsize=None)
-def _sz_weights(n_sites: int) -> np.ndarray:
-    layout = BasisLayout(n_sites)
-    w = np.empty(layout.dim)
-    for i in range(layout.dim):
-        _, e, s1, s2 = layout.decode(i)
-        w[i] = 0.5 * (1 - 2 * e) + 0.5 * (1 - 2 * s1) + 0.5 * (1 - 2 * s2)
-    return w
-
-
-def _log_negativity(rho12) -> float:
-    """Base-2 logarithmic negativity of a two-qubit operator, clamped at zero
-    from below against numerical noise."""
+def _log_negativity(rho12):
+    """Base-2 logarithmic negativity of a two-qubit operator, or of each of a
+    stack of them, clamped at zero from below against numerical noise."""
     trace_norm = linalg.trace_norm_hermitian(
         linalg.partial_transpose(rho12, (2, 2), "A")
     )
-    return max(0.0, float(np.log2(trace_norm)))
+    return np.maximum(0.0, np.log2(trace_norm))
 
 
-def observables(state, layout: BasisLayout, t: float = 0.0, hamiltonian=None) -> ObservableRecord:
-    """All observables of a pure state; the static-pair density matrix is
-    obtained by partial trace over the site and mobile-spin factors."""
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (layout.dim,):
+def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Trajectory:
+    """All observables of a pure state ``(D,)`` or of a stack of them
+    ``(T, D)`` sampled at ``times``, in one vectorised pass.
+
+    The static-pair density matrix is the partial trace over the site and
+    mobile-spin factors, contracted straight from the amplitudes, so no
+    ``D x D`` density matrix is ever formed.
+    """
+    psi = np.asarray(states, dtype=complex)
+    if psi.shape[-1:] != (layout.dim,):
         raise ValueError(f"state shape {psi.shape} does not match layout dim {layout.dim}")
-    prob = np.abs(psi.reshape(layout.n_sites, 2, 4)) ** 2
-    rho = np.outer(psi, psi.conj())
-    rho12 = linalg.partial_trace(rho, [layout.n_sites, 2, 2, 2], keep=(2, 3))
-    energy = math.nan
+    grid = psi.shape[:-1]
+    prob = np.abs(psi.reshape(grid + (layout.n_sites, 2, 4))) ** 2
+    pair = psi.reshape(grid + (2 * layout.n_sites, 4))
+    rho12 = np.einsum("...ka,...kb->...ab", pair, pair.conj())
+    energy = np.full(grid, math.nan)
     if hamiltonian is not None:
-        energy = float(np.real(psi.conj() @ (hamiltonian @ psi)))
-    return ObservableRecord(
-        t=float(t),
-        p_site=tuple(float(x) for x in prob.sum(axis=(1, 2))),
-        p_up=float(prob[:, 0, :].sum()),
-        f_plus=float(np.real(_PSI_PLUS.conj() @ rho12 @ _PSI_PLUS)),
-        f_minus=float(np.real(_PSI_MINUS.conj() @ rho12 @ _PSI_MINUS)),
+        energy = np.einsum("...i,...i->...", psi.conj(), psi @ np.transpose(hamiltonian)).real
+    return Trajectory(
+        t=np.broadcast_to(np.asarray(times, dtype=float), grid),
+        p_site=prob.sum(axis=(-2, -1)),
+        p_up=prob[..., 0, :].sum(axis=(-2, -1)),
+        f_plus=np.einsum("a,...ab,b->...", _PSI_PLUS.conj(), rho12, _PSI_PLUS).real,
+        f_minus=np.einsum("a,...ab,b->...", _PSI_MINUS.conj(), rho12, _PSI_MINUS).real,
         logneg=_log_negativity(rho12),
-        f2=float(rho12[2, 2].real),
-        sz_total=float(_sz_weights(layout.n_sites) @ prob.reshape(-1)),
-        s12_sq=float(np.real(np.trace(rho12 @ S12_SQ_4))),
-        norm=float(np.linalg.norm(psi)),
+        f2=rho12[..., 2, 2].real,
+        sz_total=prob.reshape(grid + (layout.n_sites, 8)).sum(axis=-2) @ _SZ_SPIN,
+        s12_sq=np.einsum("...ab,ba->...", rho12, S12_SQ_4).real,
+        norm=np.linalg.norm(psi, axis=-1),
         energy=energy,
     )
 
@@ -134,7 +134,7 @@ def hamiltonian_for(spec: ModelSpec, kind: str) -> np.ndarray:
     """Exact or effective Hamiltonian selected by name."""
     if kind == "exact":
         return build_hamiltonian(spec)
-    if kind in HAMILTONIAN_KINDS:
+    if kind in EFFECTIVE_VARIANTS:
         return build_effective_hamiltonian(spec, kind)
     raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
 
@@ -153,7 +153,7 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
 
 
 def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
-    """Evolve ``initial`` and return one :class:`ObservableRecord` per grid point."""
+    """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
     grid = grid or TimeGrid()
     layout = BasisLayout(spec.n_sites)
     initial = np.asarray(initial, dtype=complex)
@@ -166,11 +166,7 @@ def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGr
         raise ValueError(f"initial state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     h = hamiltonian_for(spec, hamiltonian_kind)
     times = grid.times()
-    states = evolve_on_grid(h, initial, times)
-    return [
-        observables(states[i], layout, t=times[i], hamiltonian=h)
-        for i in range(len(times))
-    ]
+    return observables(evolve_on_grid(h, initial, times), layout, times, h)
 
 
 def qst_trajectory(spec: ModelSpec, hamiltonian_kind: str = "exact", grid: TimeGrid | None = None):

@@ -19,36 +19,43 @@ HERMITIAN_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Spectral decomposition H = V diag(w) V^H with eigenvalues ascending."""
+    """Spectral decomposition H = V diag(w) V^H with eigenvalues ascending.
+
+    For a stack of matrices both arrays carry the same leading stack axes.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary; column k belongs to eigenvalues[k]
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvalues.shape[-1]
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entry of ``|M - M^H|``."""
+def hermiticity_defect(m) -> np.ndarray:
+    """Largest entry of ``|M - M^H|``, one per matrix of a stack."""
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    return np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
 
 
 def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
-    """Raise ``ValueError`` with the max-asymmetry diagnostic if not Hermitian,
-    or if any entry is NaN or infinite."""
+    """Raise ``ValueError`` with the max-asymmetry diagnostic if a matrix, or
+    any matrix of a stack ``(..., n, n)``, is not Hermitian or has a NaN or
+    infinite entry.  Each matrix is held to its own scale."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has NaN or infinite entries")
     defect = hermiticity_defect(m)
-    scale = float(np.abs(m).max())
-    if defect > rtol * max(scale, 1e-300):
+    scale = np.abs(m).max(axis=(-2, -1))
+    bad = defect > rtol * np.maximum(scale, 1e-300)
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender
+        where = f" at stack index {tuple(int(i) for i in k)}" if k else ""
         raise ValueError(
-            f"matrix is not Hermitian: max|M - M^H| = {defect:.3e} "
-            f"exceeds {rtol:.1e} * max|M| = {rtol * scale:.3e}"
+            f"matrix{where} is not Hermitian: max|M - M^H| = {defect[k]:.3e} "
+            f"exceeds {rtol:.1e} * max|M| = {rtol * scale[k]:.3e}"
         )
 
 
@@ -62,7 +69,8 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermitian_eigensystem(m) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    ``(..., n, n)``, eigenvalues ascending.
 
     Degenerate eigenvalues come with an arbitrary orthonormal basis of the
     eigenspace; callers must not rely on any particular choice.
@@ -113,24 +121,26 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 
 
 def partial_transpose(rho, dims, part) -> np.ndarray:
-    """Partial transpose of a bipartite operator over subsystem ``"A"`` or ``"B"``."""
+    """Partial transpose of a bipartite operator, or of each operator of a
+    stack ``(..., d, d)``, over subsystem ``"A"`` or ``"B"``."""
     rho = np.asarray(rho, dtype=complex)
     d_a, d_b = (int(d) for d in dims)
-    if rho.shape != (d_a * d_b, d_a * d_b):
+    d = d_a * d_b
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
         raise ValueError(
             f"matrix shape {rho.shape} inconsistent with bipartite dims {(d_a, d_b)}"
         )
-    work = rho.reshape(d_a, d_b, d_a, d_b)
+    work = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b))
     if part == "A":
-        work = work.transpose(2, 1, 0, 3)
+        work = np.swapaxes(work, -4, -2)
     elif part == "B":
-        work = work.transpose(0, 3, 2, 1)
+        work = np.swapaxes(work, -3, -1)
     else:
         raise ValueError(f"part must be 'A' or 'B', got {part!r}")
-    return work.reshape(d_a * d_b, d_a * d_b)
+    return work.reshape(rho.shape)
 
 
-def trace_norm_hermitian(m) -> float:
-    """Sum of the absolute eigenvalues of a Hermitian matrix."""
-    eig = hermitian_eigensystem(m)
-    return float(np.abs(eig.eigenvalues).sum())
+def trace_norm_hermitian(m):
+    """Sum of the absolute eigenvalues of a Hermitian matrix, one per matrix
+    of a stack."""
+    return np.abs(hermitian_eigensystem(m).eigenvalues).sum(axis=-1)

@@ -41,7 +41,8 @@ S12_SQ_4 = np.array(
     dtype=complex,
 )
 
-EFFECTIVE_VARIANTS = ("two_site", "three_site_projector", "three_site_middle_start")
+# effective Hamiltonian variant -> the lattice size it is built for
+EFFECTIVE_VARIANTS = {"two_site": 2, "three_site_projector": 3, "three_site_middle_start": 3}
 
 _STATIC_PRESETS = {
     "up-up": np.array([1, 0, 0, 0], dtype=complex),
@@ -72,8 +73,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.n_sites not in (2, 3):
             raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
-        if not (self.eta >= 0.0):
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not (0.0 <= self.eta < math.inf):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (math.isfinite(self.j_xy) and math.isfinite(self.j_z)):
+            raise ValueError(f"couplings must be finite, got j_xy={self.j_xy}, j_z={self.j_z}")
         if self.attachments is None:
             object.__setattr__(self, "attachments", {0: 1, self.n_sites - 1: 2})
         att = dict(self.attachments)
@@ -272,8 +275,8 @@ def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
     kinetic term.
     """
     if variant not in EFFECTIVE_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; valid: {EFFECTIVE_VARIANTS}")
-    needed = 2 if variant == "two_site" else 3
+        raise ValueError(f"unknown variant {variant!r}; valid: {tuple(EFFECTIVE_VARIANTS)}")
+    needed = EFFECTIVE_VARIANTS[variant]
     if spec.n_sites != needed:
         raise ValueError(f"variant {variant!r} requires n_sites = {needed}")
     hop = build_hopping(spec)

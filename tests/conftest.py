@@ -37,7 +37,6 @@ def _build(name):
     layout = BasisLayout(spec.n_sites)
     grid = TimeGrid()
     initial = encode_state(layout, site, e_spin, static)
-    records = run_trajectory(spec, kind, initial, grid)
     return SimpleNamespace(
         spec=spec,
         kind=kind,
@@ -45,7 +44,7 @@ def _build(name):
         grid=grid,
         initial=initial,
         times=grid.times(),
-        records=records,
+        trajectory=run_trajectory(spec, kind, initial, grid),
     )
 
 

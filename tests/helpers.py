@@ -13,13 +13,9 @@ BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def series(records, name):
-    """Column of an ObservableRecord list as a float array."""
-    return np.array([getattr(r, name) for r in records], dtype=float)
-
-
-def site_population(records, position):
-    return np.array([r.p_site[position] for r in records], dtype=float)
+def series(trajectory, name):
+    """One field of a Trajectory as a float array."""
+    return np.asarray(getattr(trajectory, name), dtype=float)
 
 
 def random_hermitian(rng, n, scale=1.0):

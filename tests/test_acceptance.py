@@ -43,9 +43,9 @@ def _ok(n, text):
 
 def test_criterion_1_xy_strong_hopping(traj):
     run = traj("xy10_exact")
-    f_plus = series(run.records, "f_plus")
-    f_minus = series(run.records, "f_minus")
-    logneg = series(run.records, "logneg")
+    f_plus = series(run.trajectory, "f_plus")
+    f_minus = series(run.trajectory, "f_minus")
+    logneg = series(run.trajectory, "logneg")
     assert f_minus.max() <= 0.02
     assert f_plus.max() >= 0.98
     assert logneg[int(f_plus.argmax())] >= 0.98
@@ -62,14 +62,14 @@ def test_criterion_1_xy_strong_hopping(traj):
 
 
 def test_criterion_2_xy_intermediate_regime(traj):
-    f_minus = series(traj("xy1_exact").records, "f_minus")
+    f_minus = series(traj("xy1_exact").trajectory, "f_minus")
     assert f_minus.max() > 0.3
     _ok(2, f"XY eta/J=1: max F-={f_minus.max():.4f} > 0.3")
 
 
 def test_criterion_3_heisenberg_strong_hopping(traj):
     run = traj("heis10_exact")
-    f_plus = series(run.records, "f_plus")
+    f_plus = series(run.trajectory, "f_plus")
     assert f_plus.max() == pytest.approx(8.0 / 9.0, abs=0.02)
     period = estimate_period(run.times, f_plus)
     target = 16.0 * math.pi / 3.0
@@ -82,8 +82,8 @@ def test_criterion_3_heisenberg_strong_hopping(traj):
 
 
 def test_criterion_4_quantum_state_transfer(traj):
-    f2_xy = series(traj("qst_xy20").records, "f2")
-    f2_heis = series(traj("qst_heis20").records, "f2")
+    f2_xy = series(traj("qst_xy20").trajectory, "f2")
+    f2_heis = series(traj("qst_heis20").trajectory, "f2")
     assert f2_xy.max() >= 0.99
     assert 0.70 <= f2_heis.max() <= 0.77
     _ok(
@@ -98,8 +98,8 @@ def test_criterion_5_effective_matches_analytic(traj):
     for name, kind in (("xy10_eff", "xy"), ("heis10_eff", "heisenberg")):
         run = traj(name)
         sol = analytic_two_site(kind, run.times)
-        gap_up = np.abs(series(run.records, "p_up") - sol.p_up).max()
-        gap_down = np.abs(series(run.records, "f_plus") - sol.p_down).max()
+        gap_up = np.abs(series(run.trajectory, "p_up") - sol.p_up).max()
+        gap_down = np.abs(series(run.trajectory, "f_plus") - sol.p_down).max()
         assert gap_up <= 1e-9
         assert gap_down <= 1e-9
         worst = max(worst, gap_up, gap_down)
@@ -108,14 +108,14 @@ def test_criterion_5_effective_matches_analytic(traj):
 
 def test_criterion_6_conservation_suite(traj):
     for name in ("xy1_exact", "xy10_exact", "heis10_exact", "qst_xy20", "mid3_exact"):
-        report = conservation_monitor(traj(name).records)
-        energy_scale = max(1.0, abs(traj(name).records[0].energy))
+        report = conservation_monitor(traj(name).trajectory)
+        energy_scale = max(1.0, abs(traj(name).trajectory.energy[0]))
         assert report.norm_drift <= 1e-9
         assert report.energy_drift <= 1e-9 * energy_scale
         assert report.sz_drift <= 1e-9
     for name in ("xy10_eff", "heis10_eff", "mid3_chain", "mid3_proj"):
-        assert conservation_monitor(traj(name).records).s12_sq_drift <= 1e-9
-    drift = conservation_monitor(traj("xy1_exact").records).s12_sq_drift
+        assert conservation_monitor(traj(name).trajectory).s12_sq_drift <= 1e-9
+    drift = conservation_monitor(traj("xy1_exact").trajectory).s12_sq_drift
     assert drift > 0.1
     _ok(
         6,
@@ -125,9 +125,9 @@ def test_criterion_6_conservation_suite(traj):
 
 
 def test_criterion_7_three_site_middle_start(traj):
-    chain = series(traj("mid3_chain").records, "f_plus")
-    middle = series(traj("mid3_exact").records, "f_plus")
-    side = series(traj("side3_exact").records, "f_plus")
+    chain = series(traj("mid3_chain").trajectory, "f_plus")
+    middle = series(traj("mid3_exact").trajectory, "f_plus")
+    side = series(traj("side3_exact").trajectory, "f_plus")
     times = traj("mid3_exact").times
     mid_gap = np.abs(middle - chain).max()
     side_gap = np.abs(side - chain).max()
@@ -150,8 +150,7 @@ def test_criterion_8_motional_decoupling():
     spec = ModelSpec.xy(10.0)
     grid = TimeGrid(t_max=math.pi, n_points=2001)
     initial = encode_state(BasisLayout(2), 1, "up", "down-down")
-    records = run_trajectory(spec, "exact", initial, grid)
-    p1 = np.array([r.p_site[0] for r in records])
+    p1 = run_trajectory(spec, "exact", initial, grid).p_site[:, 0]
     deviation = np.abs(p1 - np.cos(spec.eta * grid.times()) ** 2).max()
     assert deviation <= 0.05
     _ok(

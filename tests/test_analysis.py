@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinhop import analysis
 from spinhop.analysis import (
     compare_exact_effective,
     conservation_monitor,
@@ -75,19 +76,19 @@ class TestLogNegativity:
 
 class TestConservationMonitor:
     def test_effective_two_site_conserves_total_static_spin(self, traj):
-        report = conservation_monitor(traj("xy10_eff").records)
+        report = conservation_monitor(traj("xy10_eff").trajectory)
         assert report.s12_sq_drift <= 1e-9
 
     def test_exact_trajectories_conserve_norm_and_sz(self, traj):
         for name in ("xy1_exact", "xy10_exact", "heis10_exact"):
-            report = conservation_monitor(traj(name).records)
+            report = conservation_monitor(traj(name).trajectory)
             assert report.norm_drift <= 1e-9
             assert report.sz_drift <= 1e-9
-            assert report.energy_drift <= 1e-9 * max(1.0, abs(traj(name).records[0].energy))
+            assert report.energy_drift <= 1e-9 * max(1.0, abs(traj(name).trajectory.energy[0]))
 
     def test_exact_intermediate_regime_breaks_s12(self, traj):
         # singlet admixture at eta/J = 1, consistent with the large F- there
-        report = conservation_monitor(traj("xy1_exact").records)
+        report = conservation_monitor(traj("xy1_exact").trajectory)
         assert report.s12_sq_drift > 0.1
 
     def test_empty_trajectory_rejected(self):
@@ -142,6 +143,16 @@ class TestCompareExactEffective:
         assert report.max_state_infidelity <= 0.10
 
 
+    def test_zero_coupling_rejected_before_evolving(self, monkeypatch):
+        def evolve(*args):
+            raise AssertionError("evolved before checking the coupling scale")
+
+        monkeypatch.setattr(analysis, "evolve_on_grid", evolve)
+        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
+        with pytest.raises(ValueError, match="coupling scale is zero"):
+            compare_exact_effective(ModelSpec(n_sites=2, eta=10.0), psi)
+
+
 class TestEstimatePeriod:
     def test_synthetic_cosine_squared(self):
         t = TimeGrid().times()
@@ -151,13 +162,13 @@ class TestEstimatePeriod:
 
     def test_exact_xy_strong_hopping_period(self, traj):
         run = traj("xy10_exact")
-        period = estimate_period(run.times, series(run.records, "f_plus"))
+        period = estimate_period(run.times, series(run.trajectory, "f_plus"))
         target = 2.0 * SQRT2 * math.pi
         assert abs(period - target) / target <= 0.02
 
     def test_exact_heisenberg_strong_hopping_period(self, traj):
         run = traj("heis10_exact")
-        period = estimate_period(run.times, series(run.records, "f_plus"))
+        period = estimate_period(run.times, series(run.trajectory, "f_plus"))
         target = 16.0 * math.pi / 3.0
         assert abs(period - target) / target <= 0.02
 

@@ -16,7 +16,7 @@ from spinhop.cli import (
     main,
     parse_config,
 )
-from spinhop.dynamics import ObservableRecord
+from spinhop.dynamics import Trajectory
 
 SQRT2 = math.sqrt(2.0)
 
@@ -40,6 +40,20 @@ def _write(tmp_path, cfg, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+_SANE_POINT = dict(
+    t=0.0, p_site=(1.0, 0.0), p_up=1.0, f_plus=0.0, f_minus=0.0, logneg=0.0,
+    f2=0.0, sz_total=-0.5, s12_sq=2.0, norm=1.0, energy=math.nan,
+)
+
+
+def _trajectory(n=1, **fields):
+    """An ``n``-point two-site Trajectory of sane values; a keyword gives the
+    values of one field at every point, as a list."""
+    values = {name: [value] * n for name, value in _SANE_POINT.items()}
+    values.update(fields)
+    return Trajectory(**{name: np.array(v, dtype=float) for name, v in values.items()})
 
 
 def _read_csv(path):
@@ -369,19 +383,76 @@ class TestMainExitCodes:
         capsys.readouterr()
 
     def test_numerical_invariant_violation_is_3(self, tmp_path, capsys, monkeypatch):
-        broken = ObservableRecord(
-            t=0.0, p_site=(0.7, 0.1), p_up=0.5, f_plus=0.0, f_minus=0.0,
-            logneg=0.0, f2=0.0, sz_total=-0.5, s12_sq=2.0, norm=0.8,
-        )
-        monkeypatch.setattr(cli, "run_trajectory", lambda *a, **k: [broken])
+        broken = _trajectory(p_site=[(0.7, 0.1)], p_up=[0.5], norm=[0.8])
+        monkeypatch.setattr(cli, "run_trajectory", lambda *a, **k: broken)
         path = _write(tmp_path, _config(run={"n_points": 11}))
         assert main(["simulate", path, "--out", str(tmp_path / "x.csv")]) == 3
         assert "invariant" in capsys.readouterr().err
 
-    def test_validate_and_clamp_raises_on_bad_probability(self):
-        bad = ObservableRecord(
-            t=0.0, p_site=(1.2, -0.2), p_up=0.5, f_plus=0.0, f_minus=0.0,
-            logneg=0.0, f2=0.0, sz_total=-0.5, s12_sq=2.0, norm=1.0,
+    def test_bad_probability_raises_invariant_error(self):
+        bad = _trajectory(p_site=[(1.2, -0.2)], p_up=[0.5])
+        message = r"P1 = 1\.2 outside \[0, 1\] at t = 0\.0"
+        with pytest.raises(NumericalInvariantError, match=message):
+            cli._validated_columns(bad, 2)
+
+    def test_invariant_error_names_the_first_failing_point(self):
+        bad = _trajectory(
+            3,
+            t=[0.0, 0.5, 1.0],
+            norm=[1.0, 0.8, 1.0],
+            p_up=[0.5, 0.5, 1.5],
+            p_site=[(1.0, 0.0), (1.0, 0.0), (0.5, 0.5)],
         )
-        with pytest.raises(NumericalInvariantError):
-            cli._validate_and_clamp(cli._record_values(bad, 2))
+        with pytest.raises(NumericalInvariantError, match=r"^norm drifted to 0\.8 at t = 0\.5$"):
+            cli._validated_columns(bad, 2)
+        later = _trajectory(2, t=[0.0, 0.5], p_up=[0.5, 1.5])
+        message = r"^P_up = 1\.5 outside \[0, 1\] at t = 0\.5$"
+        with pytest.raises(NumericalInvariantError, match=message):
+            cli._validated_columns(later, 2)
+        drifted = _trajectory(2, t=[0.0, 0.25], p_site=[(1.0, 0.0), (0.5, 0.25)])
+        message = r"^site populations sum to 0\.75 at t = 0\.25$"
+        with pytest.raises(NumericalInvariantError, match=message):
+            cli._validated_columns(drifted, 2)
+
+    def test_probabilities_within_tolerance_are_clamped(self):
+        noisy = _trajectory(p_site=[(1.0 + 1e-12, -1e-12)], p_up=[1.0 + 1e-12], f2=[-1e-12])
+        values = cli._validated_columns(noisy, 2)
+        assert values["P1"][0] == 1.0
+        assert values["P2"][0] == 0.0
+        assert values["P_up"][0] == 1.0
+        assert values["F2"][0] == 0.0
+        assert values["t"][0] == 0.0
+
+    @pytest.mark.parametrize(
+        "command, overrides, flags",
+        [
+            ("simulate", {"model": {"eta": math.nan}}, ()),
+            ("simulate", {"model": {"eta": math.inf}}, ()),
+            ("simulate", {"model": {"eta": "HUGE"}}, ()),
+            ("simulate", {"model": {"eta": 10**400}}, ()),
+            ("simulate", {"model": {"j": math.nan}}, ()),
+            ("simulate", {"model": {"preset": "custom", "j_xy": math.nan}}, ()),
+            ("simulate", {"run": {"t_max": math.inf}}, ()),
+            ("compare", {"compare": {"ratios": [math.nan]}}, ()),
+            ("compare", {}, ("--ratios", "nan")),
+            ("compare", {}, ("--ratios", "1,inf")),
+            ("compare", {}, ("--ratios", "1e400")),
+            ("compare", {"model": {"j": 1e10}}, ("--ratios", "1e300")),
+        ],
+        ids=[
+            "eta-nan", "eta-inf", "eta-1e400", "eta-huge-int", "j-nan", "custom-j_xy-nan",
+            "t_max-inf", "config-ratio-nan", "flag-ratio-nan", "flag-ratio-inf",
+            "flag-ratio-1e400", "eta-overflows",
+        ],
+    )
+    def test_non_finite_number_is_2(self, tmp_path, capsys, command, overrides, flags):
+        # "HUGE" stands for the literal 1e400, which JSON parsing turns into inf
+        cfg = _config(**overrides)
+        cfg["run"]["n_points"] = 11
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg).replace('"HUGE"', "1e400"))
+        argv = [command, str(path), "--out", str(tmp_path / "x.csv"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()

@@ -1,14 +1,16 @@
 """Trajectories, observables and closed-form strong-hopping solutions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinhop.dynamics import (
+    HAMILTONIAN_KINDS,
     AnalyticSolution,
-    ObservableRecord,
     TimeGrid,
+    Trajectory,
     analytic_period,
     analytic_two_site,
     doublet_leakage,
@@ -18,10 +20,23 @@ from spinhop.dynamics import (
     qst_trajectory,
     run_trajectory,
 )
-from spinhop.model import BasisLayout, ModelSpec, encode_state, motional_hopping
+from spinhop.model import (
+    EFFECTIVE_VARIANTS,
+    BasisLayout,
+    ModelSpec,
+    encode_state,
+    motional_hopping,
+)
 from spinhop.linalg import hermitian_eigensystem
 
-from helpers import series
+from helpers import (
+    BELL_MINUS,
+    BELL_PLUS,
+    partial_trace_oracle_keep_last_two,
+    random_hermitian,
+    random_state,
+    series,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +54,11 @@ class TestTimeGrid:
             TimeGrid(t_max=0.0)
         with pytest.raises(ValueError, match="n_points"):
             TimeGrid(n_points=1)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_rejects_non_finite_t_max(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            TimeGrid(t_max=t_max)
 
 
 class TestObservables:
@@ -81,29 +101,74 @@ class TestObservables:
         with pytest.raises(ValueError, match="layout dim"):
             observables(np.ones(16), BasisLayout(3))
 
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_stack_matches_single_states(self, n_sites):
+        rng = np.random.default_rng(60 + n_sites)
+        layout = BasisLayout(n_sites)
+        h = random_hermitian(rng, layout.dim)
+        states = np.array([random_state(rng, layout.dim) for _ in range(6)])
+        times = np.linspace(0.0, 2.5, len(states))
+        stack = observables(states, layout, times, h)
+        assert len(stack) == len(states)
+        for i, psi in enumerate(states):
+            single = observables(psi, layout, times[i], h)
+            for field in dataclasses.fields(Trajectory):
+                a = getattr(stack, field.name)[i]
+                b = getattr(single, field.name)
+                assert np.shape(a) == np.shape(b)
+                assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_stack_matches_brute_force_static_pair_reduction(self, n_sites):
+        rng = np.random.default_rng(70 + n_sites)
+        layout = BasisLayout(n_sites)
+        states = np.array([random_state(rng, layout.dim) for _ in range(6)])
+        stack = observables(states, layout)
+        for i, psi in enumerate(states):
+            rho12 = partial_trace_oracle_keep_last_two(
+                np.outer(psi, psi.conj()), (n_sites, 2, 2, 2)
+            )
+            f_minus = np.real(BELL_MINUS.conj() @ rho12 @ BELL_MINUS)
+            assert stack.f_plus[i] == pytest.approx(
+                np.real(BELL_PLUS.conj() @ rho12 @ BELL_PLUS), abs=1e-14
+            )
+            assert stack.f_minus[i] == pytest.approx(f_minus, abs=1e-14)
+            assert stack.f2[i] == pytest.approx(rho12[2, 2].real, abs=1e-14)
+            # (S1 + S2)^2 is 2 on the triplet and 0 on the singlet
+            assert stack.s12_sq[i] == pytest.approx(
+                2.0 * (np.trace(rho12).real - f_minus), abs=1e-14
+            )
+            pt = rho12.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+            logneg = max(0.0, np.log2(np.abs(np.linalg.eigvalsh(pt)).sum()))
+            assert stack.logneg[i] == pytest.approx(logneg, abs=1e-14)
+
+
+def test_hamiltonian_kinds_are_exact_and_the_effective_variants():
+    assert HAMILTONIAN_KINDS == ("exact", *EFFECTIVE_VARIANTS)
+
 
 class TestRunTrajectory:
     def test_first_record_matches_initial_observables(self, traj):
         run = traj("xy10_exact")
         direct = observables(run.initial, run.layout)
-        first = run.records[0]
-        assert first.t == 0.0
+        trajectory = run.trajectory
+        assert trajectory.t[0] == 0.0
         # the t=0 state is spectrally reconstructed, so only machine-level noise
-        assert first.p_site == pytest.approx(direct.p_site, abs=1e-12)
-        assert first.f_plus == pytest.approx(direct.f_plus, abs=1e-12)
-        assert first.norm == pytest.approx(direct.norm, abs=1e-12)
+        assert trajectory.p_site[0] == pytest.approx(direct.p_site, abs=1e-12)
+        assert trajectory.f_plus[0] == pytest.approx(direct.f_plus, abs=1e-12)
+        assert trajectory.norm[0] == pytest.approx(direct.norm, abs=1e-12)
 
     def test_intermediate_regime_builds_singlet_weight(self, traj):
-        fm = series(traj("xy1_exact").records, "f_minus")
+        fm = series(traj("xy1_exact").trajectory, "f_minus")
         assert fm.max() > 0.3
 
     def test_strong_hopping_stays_in_triplet_sector(self, traj):
-        records = traj("xy10_exact").records
-        assert series(records, "f_plus").max() >= 0.98
-        assert series(records, "f_minus").max() <= 0.02
+        trajectory = traj("xy10_exact").trajectory
+        assert series(trajectory, "f_plus").max() >= 0.98
+        assert series(trajectory, "f_minus").max() <= 0.02
 
     def test_heisenberg_strong_hopping_max_transfer(self, traj):
-        fp = series(traj("heis10_exact").records, "f_plus")
+        fp = series(traj("heis10_exact").trajectory, "f_plus")
         assert fp.max() == pytest.approx(8.0 / 9.0, abs=0.02)
 
     def test_rejects_unnormalized_initial(self):
@@ -119,8 +184,9 @@ class TestRunTrajectory:
 
     def test_record_count_and_times(self, traj):
         run = traj("xy10_exact")
-        assert len(run.records) == run.grid.n_points
-        assert [r.t for r in run.records] == pytest.approx(run.times)
+        assert len(run.trajectory) == run.grid.n_points
+        assert run.trajectory.p_site.shape == (run.grid.n_points, 2)
+        assert run.trajectory.t == pytest.approx(run.times)
 
 
 class TestAnalyticTwoSite:
@@ -181,29 +247,29 @@ class TestAnalyticPeriod:
 
 class TestQstTrajectory:
     def test_starts_with_zero_transfer(self, traj):
-        assert traj("qst_xy20").records[0].f2 == pytest.approx(0.0, abs=1e-14)
+        assert traj("qst_xy20").trajectory.f2[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_xy_transfer_is_nearly_perfect(self, traj):
-        records = traj("qst_xy20").records
-        f2 = series(records, "f2")
+        trajectory = traj("qst_xy20").trajectory
+        f2 = series(trajectory, "f2")
         assert f2.max() >= 0.99
-        t_peak = records[int(f2.argmax())].t
+        t_peak = trajectory.t[int(f2.argmax())]
         assert abs(t_peak - SQRT2 * math.pi) <= 0.2
 
     def test_heisenberg_transfer_is_capped(self, traj):
-        assert series(traj("qst_heis20").records, "f2").max() <= 0.77
+        assert series(traj("qst_heis20").trajectory, "f2").max() <= 0.77
 
 
 class TestInvariants:
     @pytest.mark.parametrize("name", ["xy1_exact", "xy10_exact", "heis10_exact", "mid3_exact"])
     def test_norm_energy_sz_conserved(self, traj, name):
-        records = traj(name).records
-        norm = series(records, "norm")
+        trajectory = traj(name).trajectory
+        norm = series(trajectory, "norm")
         assert np.abs(norm - 1.0).max() <= 1e-9
-        energy = series(records, "energy")
+        energy = series(trajectory, "energy")
         scale = max(1.0, np.abs(energy[0]))
         assert np.abs(energy - energy[0]).max() <= 1e-9 * scale
-        sz = series(records, "sz_total")
+        sz = series(trajectory, "sz_total")
         assert np.abs(sz - sz[0]).max() <= 1e-9
 
     def test_effective_trajectory_stays_in_doublet(self, traj):
@@ -219,8 +285,8 @@ class TestInvariants:
     def test_effective_dynamics_reproduces_analytic(self, traj, name, kind):
         run = traj(name)
         sol = analytic_two_site(kind, run.times)
-        assert np.abs(series(run.records, "p_up") - sol.p_up).max() <= 1e-9
-        assert np.abs(series(run.records, "f_plus") - sol.p_down).max() <= 1e-9
+        assert np.abs(series(run.trajectory, "p_up") - sol.p_up).max() <= 1e-9
+        assert np.abs(series(run.trajectory, "f_plus") - sol.p_down).max() <= 1e-9
 
     def test_motional_decoupling_over_ten_hop_periods(self):
         # the return probability tracks the free-hopping law pointwise on a
@@ -229,8 +295,7 @@ class TestInvariants:
         spec = ModelSpec.xy(10.0)
         grid = TimeGrid(t_max=math.pi, n_points=2001)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
-        records = run_trajectory(spec, "exact", psi, grid)
-        p1 = np.array([r.p_site[0] for r in records])
+        p1 = run_trajectory(spec, "exact", psi, grid).p_site[:, 0]
         free = np.cos(spec.eta * grid.times()) ** 2
         assert np.abs(p1 - free).max() <= 0.05
 
@@ -246,17 +311,16 @@ class TestInvariants:
 
     def test_all_probabilities_in_range(self, traj):
         for name in ("xy1_exact", "heis10_exact", "mid3_exact"):
-            for rec in traj(name).records:
-                for value in (*rec.p_site, rec.p_up, rec.f_plus, rec.f_minus, rec.f2):
-                    assert -1e-9 <= value <= 1.0 + 1e-9
-                assert rec.logneg >= 0.0
-                assert sum(rec.p_site) == pytest.approx(1.0, abs=1e-9)
+            trajectory = traj(name).trajectory
+            for field in ("p_site", "p_up", "f_plus", "f_minus", "f2"):
+                values = getattr(trajectory, field)
+                assert np.all((-1e-9 <= values) & (values <= 1.0 + 1e-9))
+            assert np.all(trajectory.logneg >= 0.0)
+            assert np.abs(trajectory.p_site.sum(axis=1) - 1.0).max() <= 1e-9
 
 
-def test_observable_record_is_frozen():
-    rec = ObservableRecord(
-        t=0.0, p_site=(1.0, 0.0), p_up=1.0, f_plus=0.0, f_minus=0.0,
-        logneg=0.0, f2=0.0, sz_total=-0.5, s12_sq=2.0, norm=1.0,
-    )
+def test_trajectory_is_frozen():
+    layout = BasisLayout(2)
+    trajectory = observables(encode_state(layout, 1, "up", "down-down"), layout)
     with pytest.raises(AttributeError):
-        rec.t = 1.0
+        trajectory.t = 1.0

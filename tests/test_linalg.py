@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinhop.linalg import (
     Eigensystem,
+    assert_hermitian,
     hermitian_eigensystem,
     kron,
     partial_trace,
@@ -262,6 +263,51 @@ class TestTraceNormHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             trace_norm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestStacks:
+    """Every matrix of a stack (..., n, n) gets what it would get alone."""
+
+    def test_eigensystem_of_a_stack(self):
+        rng = np.random.default_rng(50)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        eig = hermitian_eigensystem(stack)
+        assert eig.dim == 4
+        for k in range(len(stack)):
+            assert np.allclose(eig.eigenvalues[k], np.linalg.eigvalsh(stack[k]), atol=1e-12)
+
+    def test_partial_transpose_and_trace_norm_of_a_stack(self):
+        rng = np.random.default_rng(51)
+        stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
+        for part in ("A", "B"):
+            pts = partial_transpose(stack, (2, 2), part)
+            assert pts.shape == stack.shape
+            norms = trace_norm_hermitian(pts)
+            assert norms.shape == (len(stack),)
+            for k in range(len(stack)):
+                assert np.array_equal(pts[k], partial_transpose(stack[k], (2, 2), part))
+                assert norms[k] == pytest.approx(trace_norm_hermitian(pts[k]), abs=1e-14)
+
+    def test_assert_hermitian_flags_the_one_bad_matrix(self):
+        stack = np.array([np.eye(4, dtype=complex)] * 4)
+        assert_hermitian(stack)
+        stack[2, 0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"stack index \(2,\) is not Hermitian"):
+            assert_hermitian(stack)
+
+    def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self):
+        # the asymmetry of the second matrix is tiny next to the first
+        # matrix's entries, but not next to its own
+        stack = np.array([1e6 * np.eye(2), np.eye(2)], dtype=complex)
+        stack[1, 0, 1] = 1e-8
+        with pytest.raises(ValueError, match=r"stack index \(1,\)"):
+            assert_hermitian(stack)
+
+    def test_rejects_non_square_trailing_axes(self):
+        with pytest.raises(ValueError, match="square"):
+            assert_hermitian(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="inconsistent"):
+            partial_transpose(np.zeros((3, 4, 5)), (2, 2), "A")
 
 
 def test_eigensystem_dataclass_dim():

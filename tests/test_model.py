@@ -41,6 +41,14 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="eta"):
             ModelSpec(n_sites=2, eta=-1.0)
 
+    @pytest.mark.parametrize(
+        "numbers",
+        [{"eta": np.nan}, {"eta": np.inf}, {"j_xy": np.nan}, {"j_z": -np.inf}],
+    )
+    def test_rejects_non_finite_numbers(self, numbers):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(**{"n_sites": 2, "eta": 1.0, **numbers})
+
     def test_rejects_bad_attachments(self):
         with pytest.raises(ValueError, match="attachments"):
             ModelSpec(n_sites=2, eta=1.0, attachments={0: 1, 1: 1})
@@ -293,11 +301,16 @@ class TestEffectiveHamiltonian:
             build_effective_hamiltonian(ModelSpec.xy(1.0, n_sites=3), "two_site")
         with pytest.raises(ValueError, match="unknown variant"):
             build_effective_hamiltonian(ModelSpec.xy(1.0), "adiabatic")
-        assert set(EFFECTIVE_VARIANTS) == {
-            "two_site",
-            "three_site_projector",
-            "three_site_middle_start",
+        assert EFFECTIVE_VARIANTS == {
+            "two_site": 2,
+            "three_site_projector": 3,
+            "three_site_middle_start": 3,
         }
+        for variant, n_sites in EFFECTIVE_VARIANTS.items():
+            spec = ModelSpec.xy(1.0, n_sites=n_sites)
+            assert build_effective_hamiltonian(spec, variant).shape == (8 * n_sites,) * 2
+            with pytest.raises(ValueError, match=f"requires n_sites = {n_sites}"):
+                build_effective_hamiltonian(ModelSpec.xy(1.0, n_sites=5 - n_sites), variant)
 
     def test_projector_variant_needs_hopping(self):
         with pytest.raises(ValueError, match="eta > 0"):
