@@ -336,11 +336,13 @@ def _validated_columns(trajectory, n_sites: int) -> dict:
     return cols
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, table):
+    """Header line, then one line per table row, each value as ``%.17g``."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = np.asarray(table, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write("".join(line % tuple(row) for row in rows))
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
@@ -414,8 +416,8 @@ def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
         solution = analytic_two_site(kind, times, j=j / 2.0)
     else:
         solution = analytic_two_site(kind, times, j=j)
-    rows = zip(times, solution.p_up, solution.p_down)
-    _write_csv(path, ["t", "alpha_up_sq", "alpha_down_sq"], rows)
+    table = np.column_stack((times, solution.p_up, solution.p_down))
+    _write_csv(path, ["t", "alpha_up_sq", "alpha_down_sq"], table)
     print(f"period={_fmt(solution.period)}")
     return path
 

@@ -11,10 +11,16 @@ are available in which the mobile spin couples to the *total* spin of the
 static pair: the two-site reduction (couplings halved), the three-site
 normal-mode-projector form, and the three-site middle-start reduction
 (couplings quartered).
+
+Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
+with fixed operators per lattice.  Those unit-coupling operators are built
+once per lattice size and attachment map and cached read-only; each builder
+call assembles a fresh matrix from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +61,13 @@ _STATIC_PRESETS = {
 _E_SPINS = {"up": 0, "down": 1}
 
 
+def _is_int(x) -> bool:
+    """An int, not a bool or a float that equals one: the Hamiltonian builders
+    cache on the lattice size and attachments, and ``0.0``, ``False`` and ``0``
+    would share a key."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Lattice size, hopping amplitude and spin-spin couplings.
@@ -71,7 +84,7 @@ class ModelSpec:
     attachments: dict = field(default=None)
 
     def __post_init__(self):
-        if self.n_sites not in (2, 3):
+        if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
             raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
         if not (0.0 <= self.eta < math.inf):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
@@ -80,6 +93,8 @@ class ModelSpec:
         if self.attachments is None:
             object.__setattr__(self, "attachments", {0: 1, self.n_sites - 1: 2})
         att = dict(self.attachments)
+        if not all(_is_int(x) for x in (*att, *att.values())):
+            raise ValueError(f"attachments must map integer sites to integer spins, got {att}")
         if sorted(att.values()) != [1, 2]:
             raise ValueError("attachments must pin static spins 1 and 2 exactly once")
         if any(s not in range(self.n_sites) for s in att) or len(att) != 2:
@@ -161,15 +176,6 @@ def _spin3(e_op, s1_op, s2_op):
     return np.kron(e_op, np.kron(s1_op, s2_op))
 
 
-_XY12 = (
-    _spin3(S_PLUS, S_MINUS, _I2)
-    + _spin3(S_PLUS, _I2, S_MINUS)
-    + _spin3(S_MINUS, S_PLUS, _I2)
-    + _spin3(S_MINUS, _I2, S_PLUS)
-)
-_Z12 = _spin3(S_Z, S_Z, _I2) + _spin3(S_Z, _I2, S_Z)
-
-
 @dataclass(frozen=True)
 class SpinOperatorSet:
     """Spin operators embedded in the full site ⊗ spin Hilbert space."""
@@ -216,47 +222,94 @@ def spin_operators(layout: BasisLayout) -> SpinOperatorSet:
     )
 
 
+def _adjacency(n_sites: int) -> np.ndarray:
+    """0/1 nearest-neighbour pattern of the lattice sites."""
+    return np.eye(n_sites, k=1, dtype=complex) + np.eye(n_sites, k=-1, dtype=complex)
+
+
+def _hop_amplitude(spec: ModelSpec) -> float:
+    return spec.eta if spec.n_sites == 2 else spec.eta / SQRT2
+
+
 def motional_hopping(spec: ModelSpec) -> np.ndarray:
     """Nearest-neighbour kinetic matrix on the lattice sites alone.
 
     The three-site bond is scaled by 1/sqrt(2) so that the kinetic spectrum
     is {-eta, 0, +eta} for either lattice size.
     """
-    n = spec.n_sites
-    amp = spec.eta if n == 2 else spec.eta / SQRT2
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        m[i, i + 1] = amp
-        m[i + 1, i] = amp
-    return m
+    return _hop_amplitude(spec) * _adjacency(spec.n_sites)
+
+
+# static spin k -> (XY, Ising) coupling of the mobile spin to it at unit
+# strength, on the 8-dim spin space
+_PAIR = {
+    1: (_spin3(S_PLUS, S_MINUS, _I2) + _spin3(S_MINUS, S_PLUS, _I2), _spin3(S_Z, S_Z, _I2)),
+    2: (_spin3(S_PLUS, _I2, S_MINUS) + _spin3(S_MINUS, _I2, S_PLUS), _spin3(S_Z, _I2, S_Z)),
+}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_terms(n_sites: int, attachments: tuple) -> dict:
+    """Read-only unit-coupling operators of one lattice, built once.
+
+    ``"hop"`` maps to the 0/1 hopping pattern ⊗ I8, and every Hamiltonian
+    kind of the lattice to the (XY, Ising) pair that ``j_xy`` and ``j_z``
+    multiply: the contact terms summed over the attached sites for
+    ``"exact"``, a motional weight ⊗ the collective coupling to the static
+    pair for each effective variant.  ``attachments`` is the sorted items of
+    ``ModelSpec.attachments``; a valid ``ModelSpec`` yields at most 8 keys.
+    """
+    eye = np.eye(n_sites, dtype=complex)
+    adjacency = _adjacency(n_sites)
+    contact = [np.zeros((8 * n_sites, 8 * n_sites), dtype=complex) for _ in range(2)]
+    for site, k in attachments:
+        for total, op in zip(contact, _PAIR[k]):
+            total += np.kron(np.diag(eye[site]), op)
+    collective = [a + b for a, b in zip(_PAIR[1], _PAIR[2])]
+    if n_sites == 2:
+        weights = {"two_site": 0.5 * eye}
+    else:
+        # weight 1/4 on the +-eta normal modes, 1/2 on the zero mode; the modes
+        # of eta * adjacency do not depend on eta > 0
+        eig = linalg.hermitian_eigensystem(adjacency)
+        phi0 = eig.eigenvectors[:, int(np.argmin(np.abs(eig.eigenvalues)))]
+        p0 = np.outer(phi0, phi0.conj())
+        weights = {
+            "three_site_projector": 0.25 * (eye - p0) + 0.5 * p0,
+            "three_site_middle_start": 0.25 * eye,
+        }
+    terms = {
+        "hop": _read_only(np.kron(adjacency, np.eye(8, dtype=complex))),
+        "exact": tuple(_read_only(op) for op in contact),
+    }
+    for variant, weight in weights.items():
+        terms[variant] = tuple(_read_only(np.kron(weight, op)) for op in collective)
+    return terms
+
+
+def _terms(spec: ModelSpec) -> dict:
+    return _lattice_terms(spec.n_sites, tuple(sorted(spec.attachments.items())))
+
+
+def _coupling(spec: ModelSpec, kind: str) -> np.ndarray:
+    xy, z = _terms(spec)[kind]
+    return spec.j_xy * xy + spec.j_z * z
 
 
 def build_hopping(spec: ModelSpec) -> np.ndarray:
     """Kinetic Hamiltonian on the full space (identity on all spin factors)."""
-    return np.kron(motional_hopping(spec), np.eye(8, dtype=complex))
-
-
-def _pair_block(j_xy, j_z, static_index):
-    """Mobile-spin coupling to one static spin, on the 8-dim spin space."""
-    if static_index == 1:
-        xy = _spin3(S_PLUS, S_MINUS, _I2) + _spin3(S_MINUS, S_PLUS, _I2)
-        zz = _spin3(S_Z, S_Z, _I2)
-    else:
-        xy = _spin3(S_PLUS, _I2, S_MINUS) + _spin3(S_MINUS, _I2, S_PLUS)
-        zz = _spin3(S_Z, _I2, S_Z)
-    return j_xy * xy + j_z * zz
+    return _hop_amplitude(spec) * _terms(spec)["hop"]
 
 
 def build_interaction(spec: ModelSpec) -> np.ndarray:
     """Contact interaction: at each attached site the mobile spin exchanges
     with the static spin pinned there (block diagonal in the site index)."""
-    n = spec.n_sites
-    v = np.zeros((8 * n, 8 * n), dtype=complex)
-    for site, k in sorted(spec.attachments.items()):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[site, site] = 1.0
-        v += np.kron(proj, _pair_block(spec.j_xy, spec.j_z, k))
-    return v
+    return _coupling(spec, "exact")
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -272,29 +325,17 @@ def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
     same structure at quarter strength (valid when the particle starts at the
     middle site).  ``three_site_projector``: full-strength collective coupling
     weighted by the normal-mode projector 1/4 (P+ + P-) + 1/2 P0 of the
-    kinetic term.
+    kinetic term.  The zero mode (1, 0, -1)/sqrt(2) and hence P0 are the same
+    for every eta > 0, so the weight is built once per lattice.
     """
     if variant not in EFFECTIVE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; valid: {tuple(EFFECTIVE_VARIANTS)}")
     needed = EFFECTIVE_VARIANTS[variant]
     if spec.n_sites != needed:
         raise ValueError(f"variant {variant!r} requires n_sites = {needed}")
-    hop = build_hopping(spec)
-    if variant == "two_site":
-        v = 0.5 * spec.j_xy * _XY12 + 0.5 * spec.j_z * _Z12
-        return hop + np.kron(np.eye(2, dtype=complex), v)
-    if variant == "three_site_middle_start":
-        v = 0.25 * spec.j_xy * _XY12 + 0.25 * spec.j_z * _Z12
-        return hop + np.kron(np.eye(3, dtype=complex), v)
-    # projector variant: weight 1/4 on the +-eta normal modes, 1/2 on the zero mode
-    if spec.eta <= 0.0:
+    if variant == "three_site_projector" and spec.eta <= 0.0:
         raise ValueError("three_site_projector requires eta > 0")
-    eig = linalg.hermitian_eigensystem(motional_hopping(spec))
-    phi0 = eig.eigenvectors[:, int(np.argmin(np.abs(eig.eigenvalues)))]
-    p0 = np.outer(phi0, phi0.conj())
-    p_eff = 0.25 * (np.eye(3, dtype=complex) - p0) + 0.5 * p0
-    v = spec.j_xy * _XY12 + spec.j_z * _Z12
-    return hop + np.kron(p_eff, v)
+    return build_hopping(spec) + _coupling(spec, variant)
 
 
 def static_pair_state(preset: str) -> np.ndarray:

@@ -70,3 +70,39 @@ def partial_trace_oracle_keep_last_two(rho, dims):
                             acc += rho[i, j]
                     out[s1 * d3 + s2, t1 * d3 + t2] = acc
     return out
+
+
+def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
+    """Hamiltonian of one kind by explicit Kronecker products, written out from
+    the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2)."""
+    i2 = np.eye(2)
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    sm = sp.T
+    sz = np.diag([0.5, -0.5])
+
+    def coupling(k):
+        # j_xy (s+ S_k- + s- S_k+) + j_z s_z S_k^z, the mobile spin with static spin k
+        def on(e, s):
+            return np.kron(e, np.kron(s, i2) if k == 1 else np.kron(i2, s))
+
+        return j_xy * (on(sp, sm) + on(sm, sp)) + j_z * on(sz, sz)
+
+    amp = eta if n_sites == 2 else eta / np.sqrt(2.0)
+    motion = np.zeros((n_sites, n_sites))
+    for x in range(n_sites - 1):
+        motion[x, x + 1] = motion[x + 1, x] = amp
+    h = np.kron(motion, np.eye(8)).astype(complex)
+    if kind == "exact":
+        for site, k in attachments.items():
+            at_site = np.zeros((n_sites, n_sites))
+            at_site[site, site] = 1.0
+            h = h + np.kron(at_site, coupling(k))
+        return h
+    zero_mode = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    p0 = np.outer(zero_mode, zero_mode)
+    weight = {
+        "two_site": 0.5 * np.eye(2),
+        "three_site_middle_start": 0.25 * np.eye(3),
+        "three_site_projector": 0.25 * (np.eye(3) - p0) + 0.5 * p0,
+    }[kind]
+    return h + np.kron(weight, coupling(1) + coupling(2))

@@ -259,6 +259,16 @@ class TestSimulate:
         assert blob.count(b"t,P1") == 1
         assert blob.endswith(b"\n")
 
+    def test_csv_values_match_per_value_format(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 - 2**-53, 1e16, 2001.0]
+        table = np.array([edge, edge[::-1]])
+        out = tmp_path / "edge.csv"
+        cli._write_csv(str(out), [f"c{i}" for i in range(len(edge))], table)
+        expected = ",".join(f"c{i}" for i in range(len(edge))) + "\n" + "".join(
+            ",".join(f"{x:.17g}" for x in row) + "\n" for row in (edge, edge[::-1])
+        )
+        assert out.read_bytes() == expected.encode()
+
     def test_missing_output_path(self):
         cfg = parse_config(json.dumps(_config()))
         with pytest.raises(ConfigError, match="output path"):

@@ -1,8 +1,12 @@
 """Model layer: basis layout, spin operators, exact and effective Hamiltonians."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from spinhop import linalg
+from spinhop.dynamics import hamiltonian_for
 from spinhop.linalg import hermitian_eigensystem, hermiticity_defect
 from spinhop.model import (
     EFFECTIVE_VARIANTS,
@@ -17,6 +21,8 @@ from spinhop.model import (
     spin_operators,
     static_pair_state,
 )
+
+from helpers import hamiltonian_oracle
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,6 +42,8 @@ class TestModelSpec:
     def test_rejects_bad_lattice_size(self):
         with pytest.raises(ValueError, match="n_sites"):
             ModelSpec(n_sites=4, eta=1.0)
+        with pytest.raises(ValueError, match="n_sites"):
+            ModelSpec(n_sites=2.0, eta=1.0, attachments={0: 1, 1: 2})
 
     def test_rejects_negative_hopping(self):
         with pytest.raises(ValueError, match="eta"):
@@ -54,6 +62,10 @@ class TestModelSpec:
             ModelSpec(n_sites=2, eta=1.0, attachments={0: 1, 1: 1})
         with pytest.raises(ValueError, match="sites"):
             ModelSpec(n_sites=2, eta=1.0, attachments={0: 1, 5: 2})
+        # a float or bool equals an int site or spin, and hashes alike
+        for att in ({0.0: 1, 1: 2}, {True: 1, 0: 2}, {0: 1.0, 1: 2}, {0: True, 1: 2}):
+            with pytest.raises(ValueError, match="attachments must map integer"):
+                ModelSpec(n_sites=2, eta=1.0, attachments=att)
 
     def test_default_attachments_pin_outer_sites(self):
         assert ModelSpec(n_sites=2, eta=1.0).attachments == {0: 1, 1: 2}
@@ -233,6 +245,74 @@ class TestBuildHamiltonian:
         assert np.allclose(
             np.linalg.eigvalsh(flipped), np.linalg.eigvalsh(h), atol=1e-12
         )
+
+
+def _every_lattice():
+    """Every (n_sites, attachments) a ModelSpec accepts."""
+    for n_sites in (2, 3):
+        for left, right in itertools.permutations(range(n_sites), 2):
+            yield n_sites, {left: 1, right: 2}
+
+
+def _kinds(n_sites):
+    return ("exact", *(v for v, n in EFFECTIVE_VARIANTS.items() if n == n_sites))
+
+
+class TestBuilderOracle:
+    @pytest.mark.parametrize("n_sites,attachments", list(_every_lattice()))
+    @pytest.mark.parametrize("j_xy,j_z", [(1.0, 0.0), (0.5, 1.0), (0.3, -0.7)])
+    def test_builders_match_kron_oracle(self, n_sites, attachments, j_xy, j_z):
+        for eta in (0.0, 1.0, 1e3):
+            spec = ModelSpec(n_sites, eta, j_xy, j_z, attachments)
+            for kind in _kinds(n_sites):
+                if kind == "three_site_projector" and eta == 0.0:
+                    continue  # rejected, see test_projector_variant_needs_hopping
+                h = hamiltonian_for(spec, kind)
+                ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
+                if kind == "three_site_projector":
+                    # the program takes the zero mode from an eigensolver
+                    assert np.abs(h - ref).max() <= 1e-15 * np.abs(ref).max()
+                else:
+                    assert np.array_equal(h, ref), (eta, kind)
+            contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, attachments, "exact")
+            assert np.array_equal(build_interaction(spec), contact)
+
+    def test_returned_matrices_are_fresh(self):
+        for n_sites, attachments in _every_lattice():
+            spec = ModelSpec(n_sites, 2.0, 0.5, 1.0, attachments)
+            builders = [build_hopping, build_interaction]
+            builders += [lambda s, k=k: hamiltonian_for(s, k) for k in _kinds(n_sites)]
+            for build in builders:
+                h = build(spec)
+                assert h.flags.writeable
+                before = h.copy()
+                h[:] = 7.0
+                assert np.array_equal(build(spec), before)
+
+    def test_builds_reuse_cached_terms(self, monkeypatch):
+        specs = [ModelSpec(n, 2.0, 0.5, 1.0, att) for n, att in _every_lattice()]
+
+        def build_every_kind():
+            for spec in specs:
+                for kind in _kinds(spec.n_sites):
+                    hamiltonian_for(spec, kind)
+                build_hopping(spec)
+                build_interaction(spec)
+
+        build_every_kind()  # fills the cache for every lattice
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "kron", counted(np.kron))
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", counted(linalg.hermitian_eigensystem))
+        build_every_kind()
+        assert calls == []
 
 
 class TestEffectiveHamiltonian:
