@@ -24,7 +24,9 @@ is the ratio eta/J).  Site labels are 1, 2 on two sites and 1, 0, 2 (left,
 middle, right) on three.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
-4 i/o failure.
+4 i/o failure.  A run whose energies or phases would overflow is a config
+error; an eigensolver that does not converge, or a closed form that is not
+finite, is a numerical-invariant violation.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .analysis import _OBSERVABLE_GAP_FIELDS, compare_exact_effective
 from .dynamics import (
     HAMILTONIAN_KINDS,
     TimeGrid,
+    analytic_period,
     analytic_two_site,
     run_trajectory,
 )
@@ -218,6 +221,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"run.hamiltonian {hamiltonian!r} requires n_sites == {needed}"
             )
+    if hamiltonian == "three_site_projector" and eta <= 0.0:
+        raise ConfigError("run.hamiltonian 'three_site_projector' requires model.eta > 0")
     t_max = _number(run, "t_max", "run", default=30.0)
     n_points = run.get("n_points", 2001)
     if isinstance(n_points, bool) or not isinstance(n_points, int):
@@ -265,6 +270,19 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
+def _check_energy_scale(spec: ModelSpec, grid: TimeGrid, where: str = "model"):
+    """Raise ``ConfigError`` unless the energies and phases of the evolution
+    stay floats.  ``scale = eta + |j_xy| + |j_z|`` bounds the spectral norm of
+    every Hamiltonian of ``spec``, twice it bounds every row sum of ``|H|``,
+    and ``scale * t_max`` bounds every phase E * t."""
+    scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
+    if not math.isfinite(2.0 * scale * max(grid.t_max, 1.0)):
+        raise ConfigError(
+            f"{where}: energy scale eta + |j_xy| + |j_z| = {scale!r} with "
+            f"t_max = {grid.t_max!r} overflows"
+        )
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -309,21 +327,23 @@ def _validated_columns(trajectory, n_sites: int) -> dict:
 
     Raises ``NumericalInvariantError`` at the first grid point where the
     norm, the sum of the site populations or a probability is off by more
-    than ``PROBABILITY_TOL``, naming the first of these checks that fails
-    there.
+    than ``PROBABILITY_TOL`` or NaN, or another column is not finite, naming
+    the first of these checks that fails there.
     """
     cols = {c: _column(trajectory, c) for c in _simulate_columns(n_sites)}
     p_total = sum(cols[c] for c in cols if _COLUMNS[c][1] is not None)
     probabilities = [c for c in cols if _COLUMNS[c][2]]
+    others = [c for c in cols if not _COLUMNS[c][2] and c != "norm"]
     tol = PROBABILITY_TOL
-    # (message, values, failing points), in the order a point's checks are reported
+    # (message, values, failing points), in the order a point's checks are
+    # reported; each is written so that NaN fails it
     checks = [
-        ("norm drifted to {!r}", cols["norm"], np.abs(cols["norm"] - 1.0) > tol),
-        ("site populations sum to {!r}", p_total, np.abs(p_total - 1.0) > tol),
+        ("norm drifted to {!r}", cols["norm"], ~(np.abs(cols["norm"] - 1.0) <= tol)),
+        ("site populations sum to {!r}", p_total, ~(np.abs(p_total - 1.0) <= tol)),
     ] + [
         (c + " = {!r} outside [0, 1]", cols[c], ~((-tol <= cols[c]) & (cols[c] <= 1.0 + tol)))
         for c in probabilities
-    ]
+    ] + [(c + " = {!r} is not finite", cols[c], ~np.isfinite(cols[c])) for c in others]
     failed = np.array([bad for _, _, bad in checks])
     if failed.any():
         i = int(failed.any(axis=0).argmax())
@@ -350,6 +370,7 @@ def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
     path = out_path or config.out_path
     if path is None:
         raise ConfigError("no output path: set output.path or pass --out")
+    _check_energy_scale(config.spec, config.grid)
     trajectory = run_trajectory(
         config.spec, config.hamiltonian, config.initial_state(), config.grid
     )
@@ -389,6 +410,9 @@ def cmd_compare(
             spec = dataclasses.replace(config.spec, eta=ratio * j)
         except ValueError as exc:  # ratio * J overflowed
             raise ConfigError(f"eta/J = {ratio}: {exc}") from None
+        if spec.eta == 0.0:
+            raise ConfigError(f"eta/J = {ratio}: ratio * J underflows to 0")
+        _check_energy_scale(spec, config.grid, f"eta/J = {ratio}")
         report = compare_exact_effective(spec, initial, config.grid, variant=variant)
         rows.append(
             [report.eta_over_j, report.max_state_infidelity]
@@ -405,20 +429,28 @@ def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
     path = out_path or config.out_path
     if path is None:
         raise ConfigError("no output path: set output.path or pass --out")
+    j = config.spec.j_ref
+    if j == 0.0:
+        raise ConfigError("analytic needs a nonzero coupling")
     kind = config.spec.coupling_kind()
     if kind == "custom":
         raise ConfigError("analytic solutions exist only for the xy/heisenberg presets")
     lattice = "two_site" if config.spec.n_sites == 2 else "three_site_middle_start"
+    period = analytic_period(kind, lattice, j)
+    if not math.isfinite(period):
+        raise NumericalInvariantError(f"closed-form period overflows (J = {j!r})")
     times = config.grid.times()
-    j = config.spec.j_ref
-    if lattice == "three_site_middle_start":
-        # quarter couplings instead of half: same closed form at half the rate
-        solution = analytic_two_site(kind, times, j=j / 2.0)
-    else:
-        solution = analytic_two_site(kind, times, j=j)
+    # quarter couplings instead of half: same closed form at half the rate
+    rate = j / 2.0 if lattice == "three_site_middle_start" else j
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are caught below
+        solution = analytic_two_site(kind, times, j=rate)
     table = np.column_stack((times, solution.p_up, solution.p_down))
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        t = float(times[int(finite.argmin())])
+        raise NumericalInvariantError(f"closed form is not finite at t = {t} (J = {j!r})")
     _write_csv(path, ["t", "alpha_up_sq", "alpha_down_sq"], table)
-    print(f"period={_fmt(solution.period)}")
+    print(f"period={_fmt(period)}")
     return path
 
 
@@ -468,7 +500,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalInvariantError as exc:
+    except (NumericalInvariantError, np.linalg.LinAlgError) as exc:  # or eigh did not converge
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

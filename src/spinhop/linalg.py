@@ -142,5 +142,7 @@ def partial_transpose(rho, dims, part) -> np.ndarray:
 
 def trace_norm_hermitian(m):
     """Sum of the absolute eigenvalues of a Hermitian matrix, one per matrix
-    of a stack."""
-    return np.abs(hermitian_eigensystem(m).eigenvalues).sum(axis=-1)
+    of a stack.  Only the eigenvalues are computed."""
+    m = np.asarray(m, dtype=complex)
+    assert_hermitian(m)
+    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)

@@ -137,7 +137,7 @@ class BasisLayout:
     n_sites: int
 
     def __post_init__(self):
-        if self.n_sites not in (2, 3):
+        if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
             raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
 
     @property

@@ -72,6 +72,20 @@ def partial_trace_oracle_keep_last_two(rho, dims):
     return out
 
 
+def log_negativity_oracle(rho12):
+    """Base-2 log-negativity of a two-qubit operator from the eigenvalues of
+    its partial transpose over the first qubit, clamped at zero."""
+    pt = np.asarray(rho12).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    return max(0.0, float(np.log2(np.abs(np.linalg.eigvalsh(pt)).sum())))
+
+
+def static_pair_stack(states, n_sites):
+    """Reduced states of the static pair, one per row of ``states``, by an
+    explicit sum over the site and mobile-spin index."""
+    split = np.asarray(states).reshape(len(states), 2 * n_sites, 4)
+    return np.einsum("tka,tkb->tab", split, split.conj())
+
+
 def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
     """Hamiltonian of one kind by explicit Kronecker products, written out from
     the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2)."""

@@ -3,13 +3,16 @@
 ``perfbench/`` checks every benchmark operation against stored references;
 these tests apply the same checks to the seed-1 ``param_scan`` specs and to
 two CLI runs, so an output change that would fail the benchmark fails here
-first.  The benchmark's modules are imported read-only (no bytecode is
-written next to them).
+first.  A guard also checks that none of the benchmark's inputs needs a 4x4
+eigensolve: their static-pair states are all X states, whose log-negativity
+is closed-form.  The benchmark's modules are imported read-only (no bytecode
+is written next to them).
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinhop
@@ -63,3 +66,29 @@ def test_cli_output_matches_stored_reference(bench, tmp_path, capsys, op):
     assert cli.main(workloads.cli_argv(op, out)) == 0
     capsys.readouterr()
     assert workloads.check_csv(out, workloads.cli_key(op), workloads.load_cli_reference()) is None
+
+
+def test_benchmark_inputs_need_no_4x4_eigensolve(bench, tmp_path, capsys, monkeypatch):
+    scan, workloads = bench
+    solved = []
+
+    def counted(fn):
+        def wrapper(m, *args, **kwargs):
+            solved.append(np.shape(m)[-1])
+            return fn(m, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    ops = [op for cli_ops in workloads.CLI_WORKLOADS.values() for op in cli_ops]
+    for op in ops:
+        assert cli.main(workloads.cli_argv(op, tmp_path / "out.csv")) == 0
+    capsys.readouterr()
+    grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
+    inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
+    for spec, kind, psi0 in inputs:
+        scan.run_op(spinhop, grid, spec, kind, psi0)
+    assert len(ops) == 8 and len(inputs) == 304
+    assert {16, 24} <= set(solved)  # the Hamiltonians' solves are seen
+    assert solved.count(4) == 0

@@ -1,10 +1,16 @@
 """Config parsing, CSV emission, summaries, determinism and exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhop import cli
 from spinhop.cli import (
@@ -16,7 +22,8 @@ from spinhop.cli import (
     main,
     parse_config,
 )
-from spinhop.dynamics import Trajectory
+from spinhop.dynamics import HAMILTONIAN_KINDS, Trajectory
+from spinhop.model import _STATIC_PRESETS, EFFECTIVE_VARIANTS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -424,6 +431,16 @@ class TestMainExitCodes:
         with pytest.raises(NumericalInvariantError, match=message):
             cli._validated_columns(drifted, 2)
 
+    def test_non_finite_values_raise_invariant_error(self):
+        message = r"^norm drifted to nan at t = 0\.5$"
+        with pytest.raises(NumericalInvariantError, match=message):
+            cli._validated_columns(_trajectory(2, t=[0.0, 0.5], norm=[1.0, math.nan]), 2)
+        for field, column in (("logneg", "logneg"), ("sz_total", "Sz"), ("s12_sq", "S12sq")):
+            bad = _trajectory(2, t=[0.0, 0.5], **{field: [0.0, math.inf]})
+            message = rf"^{column} = inf is not finite at t = 0\.5$"
+            with pytest.raises(NumericalInvariantError, match=message):
+                cli._validated_columns(bad, 2)
+
     def test_probabilities_within_tolerance_are_clamped(self):
         noisy = _trajectory(p_site=[(1.0 + 1e-12, -1e-12)], p_up=[1.0 + 1e-12], f2=[-1e-12])
         values = cli._validated_columns(noisy, 2)
@@ -466,3 +483,121 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestEdgeInputs:
+    """Inputs the program cannot run end in a documented exit code."""
+
+    def _main(self, tmp_path, command, cfg, *flags):
+        path = _write(tmp_path, cfg)
+        return main([command, path, "--out", str(tmp_path / "x.csv"), *flags])
+
+    def test_projector_without_hopping_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config(
+            model={"n_sites": 3, "eta": 0.0},
+            initial={"site": 0},
+            run={"hamiltonian": "three_site_projector", "n_points": 11},
+        )
+        with pytest.raises(ConfigError, match="requires model.eta > 0"):
+            parse_config(json.dumps(cfg))
+        assert self._main(tmp_path, "simulate", cfg) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    def test_analytic_without_coupling_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config(model={"preset": "custom"}, run={"n_points": 11})
+        assert self._main(tmp_path, "analytic", cfg) == 2
+        assert "analytic needs a nonzero coupling" in capsys.readouterr().err
+
+    def test_overflowing_energy_scale_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config(model={"preset": "heisenberg", "j": -1e308}, run={"n_points": 11})
+        assert self._main(tmp_path, "simulate", cfg) == 2
+        assert "overflows" in capsys.readouterr().err
+        cfg = _config(model={"j": 1e300}, run={"n_points": 11})
+        assert self._main(tmp_path, "compare", cfg, "--ratios", "1,1e7") == 2
+        assert "eta/J = 10000000.0: energy scale" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_compare_ratio_underflow_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config(model={"j": 1e-300}, run={"n_points": 11})
+        assert self._main(tmp_path, "compare", cfg, "--ratios", "1e-300") == 2
+        assert "underflows" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_an_invariant_violation(self, tmp_path, capsys, monkeypatch):
+        # LAPACK gives up on, e.g., eta = 1 next to j = 1e300
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert self._main(tmp_path, "simulate", _config(run={"n_points": 11})) == 3
+        assert capsys.readouterr().err == (
+            "numerical invariant violated: Eigenvalues did not converge\n"
+        )
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"preset": "heisenberg", "j": -1e308}, "closed form is not finite at t = 0.0"),
+            ({"j": 1e-310}, "closed-form period overflows"),
+        ],
+        ids=["j-times-t-overflows", "period-overflows"],
+    )
+    def test_non_finite_closed_form_is_an_invariant_violation(
+        self, tmp_path, capsys, model, message
+    ):
+        cfg = _config(model=model, run={"n_points": 11})
+        assert self._main(tmp_path, "analytic", cfg) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+_EXTREMES = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, -1e-300, 1e-10, 1e10, 1e300, -1e300,
+             1e308, -1e308, 1.7976931348623157e308]
+_NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+# half the draws come from values a run accepts, to get past the config checks
+_POSITIVE = st.one_of(
+    st.sampled_from([x for x in _EXTREMES if x > 0]), st.floats(1e-3, 1e3), _NUMBERS
+)
+
+
+@st.composite
+def _fuzz_configs(draw):
+    n_sites = draw(st.sampled_from([2, 3]))
+    preset = draw(st.sampled_from(["xy", "heisenberg", "custom"]))
+    model = {"n_sites": n_sites, "eta": draw(_POSITIVE), "preset": preset}
+    keys = ["j"] if preset != "custom" else ["j_xy", "j_z"]
+    keys += draw(st.lists(st.sampled_from(["j", "j_xy", "j_z"]), max_size=1))
+    model.update({k: draw(_NUMBERS) for k in keys})
+    kinds = [k for k in HAMILTONIAN_KINDS if k == "exact" or EFFECTIVE_VARIANTS[k] == n_sites]
+    cfg = {
+        "model": model,
+        "initial": {
+            "site": draw(st.sampled_from([1, 2, 0] if n_sites == 3 or draw(st.booleans()) else [1, 2])),
+            "e_spin": draw(st.sampled_from(["up", "down"])),
+            "static": draw(st.sampled_from(list(_STATIC_PRESETS))),
+        },
+        "run": {
+            "hamiltonian": draw(st.sampled_from(kinds if draw(st.booleans()) else HAMILTONIAN_KINDS)),
+            "t_max": draw(_POSITIVE),
+            "n_points": draw(st.integers(min_value=0, max_value=6)),
+        },
+        "compare": {"ratios": draw(st.lists(_POSITIVE, min_size=1, max_size=3))},
+    }
+    return draw(st.sampled_from(["simulate", "compare", "analytic"])), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_configs())
+def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
+    command, cfg = command_and_config
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            assert table.size and np.isfinite(table).all()

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from spinhop import dynamics, linalg
 from spinhop.dynamics import (
     HAMILTONIAN_KINDS,
+    X_TOL,
     AnalyticSolution,
     TimeGrid,
     Trajectory,
@@ -21,6 +23,7 @@ from spinhop.dynamics import (
     run_trajectory,
 )
 from spinhop.model import (
+    _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
     BasisLayout,
     ModelSpec,
@@ -32,10 +35,12 @@ from spinhop.linalg import hermitian_eigensystem
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
+    log_negativity_oracle,
     partial_trace_oracle_keep_last_two,
     random_hermitian,
     random_state,
     series,
+    static_pair_stack,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -138,9 +143,128 @@ class TestObservables:
             assert stack.s12_sq[i] == pytest.approx(
                 2.0 * (np.trace(rho12).real - f_minus), abs=1e-14
             )
-            pt = rho12.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-            logneg = max(0.0, np.log2(np.abs(np.linalg.eigvalsh(pt)).sum()))
-            assert stack.logneg[i] == pytest.approx(logneg, abs=1e-14)
+            assert stack.logneg[i] == pytest.approx(log_negativity_oracle(rho12), abs=1e-14)
+
+
+def _random_x_states(rng, n):
+    """Two-qubit density matrices with both kinds of X coherence: w between
+    uu and dd, z between ud and du, each up to its positivity limit."""
+    rho = np.zeros((n, 4, 4), dtype=complex)
+    diag = rng.dirichlet(np.ones(4), size=n)
+    rho[:, range(4), range(4)] = diag
+    for i, j in ((0, 3), (1, 2)):
+        limit = np.sqrt(diag[:, i] * diag[:, j])
+        rho[:, i, j] = limit * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        rho[:, j, i] = rho[:, i, j].conj()
+    return rho
+
+
+def _block_coupling(rng, n):
+    """Hermitian perturbations on the entries that couple {uu, dd} and
+    {ud, du}, each of unit Frobenius norm."""
+    e = np.zeros((n, 4, 4), dtype=complex)
+    for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+        e[:, i, j] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e[:, j, i] = e[:, i, j].conj()
+    return e / np.linalg.norm(e, axis=(1, 2))[:, None, None]
+
+
+@pytest.fixture
+def fallback_sizes(monkeypatch):
+    """Number of matrices of each call to the general trace-norm path."""
+    sizes = []
+    solve = linalg.trace_norm_hermitian
+
+    def counted(m):
+        sizes.append(len(m))
+        return solve(m)
+
+    monkeypatch.setattr(linalg, "trace_norm_hermitian", counted)
+    return sizes
+
+
+def _residue(rho12):
+    """2 ||E||_F / |tr rho12| of each matrix, E the block-coupling entries."""
+    mask = np.ones((4, 4), dtype=bool)
+    mask[np.ix_([0, 3], [0, 3])] = mask[np.ix_([1, 2], [1, 2])] = False
+    coupling = np.sqrt((np.abs(rho12[:, mask]) ** 2).sum(axis=-1))
+    return 2.0 * coupling / np.abs(np.trace(rho12, axis1=1, axis2=2))
+
+
+class TestClosedFormLogNegativity:
+    """S_z-conserving runs give X states, whose log-negativity is closed-form."""
+
+    def test_x_states_match_the_eigenvalue_oracle(self, fallback_sizes):
+        rng = np.random.default_rng(80)
+        rho = _random_x_states(rng, 200)
+        values = dynamics._log_negativity(rho)
+        assert values.shape == (200,)
+        assert fallback_sizes == []
+        for k in range(len(rho)):
+            assert abs(values[k] - log_negativity_oracle(rho[k])) <= 1e-14
+        assert values.max() > 0.5  # entangled states are among them
+
+    def test_bell_states_give_one(self, fallback_sizes):
+        phi = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / SQRT2
+        rho = np.einsum("ka,kb->kab", phi, phi.conj())
+        assert np.abs(dynamics._log_negativity(rho) - 1.0).max() <= 1e-15
+        assert dynamics._log_negativity(rho[2]) == pytest.approx(1.0, abs=1e-15)
+        assert fallback_sizes == []
+
+    def test_certified_below_the_tolerance_and_solved_above_it(self, fallback_sizes):
+        rng = np.random.default_rng(81)
+        n = 100
+        rho = _random_x_states(rng, n)
+        e = _block_coupling(rng, n)
+        # 2 ||E||_F = factor * X_TOL * tr(rho), with tr(rho) = 1
+        below = rho + 0.5 * 0.99 * X_TOL * e
+        above = rho + 0.5 * 1.01 * X_TOL * e
+        mixed = np.concatenate([below, above])
+        values = dynamics._log_negativity(mixed)
+        assert fallback_sizes == [n]  # exactly the matrices above the tolerance
+        for k in range(n):
+            assert abs(values[k] - log_negativity_oracle(below[k])) <= X_TOL / math.log(2)
+            assert abs(values[n + k] - log_negativity_oracle(above[k])) <= 1e-14
+
+    def test_superpositions_of_sz_sectors_take_the_eigensolver(self, fallback_sizes):
+        rng = np.random.default_rng(82)
+        states = np.array([random_state(rng, 16) for _ in range(50)])
+        rho = static_pair_stack(states, 2)
+        values = dynamics._log_negativity(rho)
+        assert fallback_sizes == [50]
+        for k in range(len(rho)):
+            assert abs(values[k] - log_negativity_oracle(rho[k])) <= 1e-14
+
+    def test_rejects_non_hermitian_and_non_finite_input(self):
+        bad = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        bad[1, 0, 1] = 0.1
+        with pytest.raises(ValueError, match=r"stack index \(1,\) is not Hermitian"):
+            dynamics._log_negativity(bad)
+        bad[1, 0, 1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            dynamics._log_negativity(bad)
+        with pytest.raises(ValueError, match="4x4"):
+            dynamics._log_negativity(np.eye(8))
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_every_preset_start_stays_an_x_state(self, n_sites):
+        layout = BasisLayout(n_sites)
+        times = TimeGrid(t_max=30.0, n_points=201).times()
+        kinds = [k for k in HAMILTONIAN_KINDS if k == "exact" or EFFECTIVE_VARIANTS[k] == n_sites]
+        worst = 0.0
+        for make in (ModelSpec.xy, ModelSpec.heisenberg):
+            for eta in (1.0, 1e3):
+                spec = make(eta, n_sites=n_sites)
+                for kind in kinds:
+                    h = hamiltonian_for(spec, kind)
+                    for site in layout.site_labels():
+                        for e_spin in ("up", "down"):
+                            for static in _STATIC_PRESETS:
+                                psi0 = encode_state(layout, site, e_spin, static)
+                                states = evolve_on_grid(h, psi0, times)
+                                worst = max(worst, _residue(static_pair_stack(states, n_sites)).max())
+        # the residue grows like eps * eta * t: ~2e-11 at eta/J = 1e3 and t = 30
+        assert worst <= 0.1 * X_TOL
 
 
 def test_hamiltonian_kinds_are_exact_and_the_effective_variants():

@@ -264,6 +264,21 @@ class TestTraceNormHermitian:
         with pytest.raises(ValueError):
             trace_norm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            trace_norm_hermitian(np.diag([1.0, np.inf]))
+
+    def test_computes_no_eigenvectors(self, monkeypatch):
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("eigenvectors requested")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+        rng = np.random.default_rng(42)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        norms = trace_norm_hermitian(stack)
+        for k in range(len(stack)):
+            assert norms[k] == pytest.approx(np.abs(np.linalg.eigvalsh(stack[k])).sum(), abs=1e-12)
+
 
 class TestStacks:
     """Every matrix of a stack (..., n, n) gets what it would get alone."""

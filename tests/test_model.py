@@ -119,6 +119,11 @@ class TestBasisLayout:
         with pytest.raises(ValueError):
             BasisLayout(5)
 
+    @pytest.mark.parametrize("n_sites", [3.0, 2.0, True, "3"])
+    def test_rejects_non_integer_lattice_size(self, n_sites):
+        with pytest.raises(ValueError, match="n_sites must be 2 or 3"):
+            BasisLayout(n_sites)
+
 
 class TestSpinOperators:
     @pytest.mark.parametrize("n_sites", [2, 3])
