@@ -34,7 +34,6 @@ from .linalg import (
     kron,
     partial_trace,
     partial_transpose,
-    propagate,
     trace_norm_hermitian,
 )
 from .model import (
@@ -86,7 +85,6 @@ __all__ = [
     "observables",
     "partial_trace",
     "partial_transpose",
-    "propagate",
     "qst_trajectory",
     "run_trajectory",
     "spin_operators",

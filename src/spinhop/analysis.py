@@ -32,7 +32,7 @@ def log_negativity(rho12, validate: bool = True) -> float:
         trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace is {trace}, expected 1")
-        smallest = float(linalg.hermitian_eigensystem(rho).eigenvalues[0])
+        smallest = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues only, ascending
         if smallest < -1e-9:
             raise ValueError(f"density matrix has negative eigenvalue {smallest}")
     return float(_log_negativity(rho))

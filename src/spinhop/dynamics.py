@@ -5,20 +5,26 @@ Trajectories are computed exactly through the spectral decomposition of the
 observable over the whole time grid: site populations, the mobile-spin-up
 probability, the triplet/singlet fidelities of the static pair, its
 logarithmic negativity, the excitation-transfer fidelity and the conserved
-quantities, all computed from the stack of states in one vectorised pass.
+quantities, all computed from the stack of states in one vectorised pass:
+one product of ``|psi|^2`` with a fixed weight matrix, one batched product
+for the static pair's reduced state and one linear map of that state.
 Closed-form two-level solutions for the strong-hopping spin dynamics are
 provided for cross-checking.
 
-Every Hamiltonian here conserves total S_z, and every start state that
-``encode_state`` builds has a definite S_z, so the static pair's reduced
-state never mixes the blocks {uu, dd} and {ud, du}: it is an "X state",
-whose log-negativity has a closed form.  That form is taken wherever it is
-certified to ``X_TOL`` (see :func:`_log_negativity`); any other matrix goes
-to the eigensolver.
+Every Hamiltonian here conserves total S_z, so it is block-diagonal in the
+S_z sectors, of n_sites * (1, 3, 3, 1) states.  :func:`evolve_on_grid`
+checks the whole matrix once and then solves only the sectors the start
+state occupies; a matrix that couples sectors is solved whole.  Every start
+state that ``encode_state`` builds has a definite S_z, so the static pair's
+reduced state never mixes the blocks {uu, dd} and {ud, du}: it is an
+"X state", whose log-negativity has a closed form.  That form is taken
+wherever it is certified to ``X_TOL`` (see :func:`_log_negativity`); any
+other matrix goes to the eigensolver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +37,7 @@ from .model import (
     SQRT2,
     BasisLayout,
     ModelSpec,
+    _read_only,
     build_effective_hamiltonian,
     build_hamiltonian,
     encode_state,
@@ -43,6 +50,20 @@ _PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / SQRT2
 _SZ = np.array([0.5, -0.5])  # up, down
 # total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
 _SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
+
+# |rho12>> (row-major, 16 entries) -> F+, F-, F2 and <(S1 + S2)^2>, as
+# <psi|rho|psi> = sum_ab psi_a* rho_ab psi_b and tr(rho S) = sum_ab rho_ab S_ba
+_PAIR_FUNCTIONALS = _read_only(
+    np.stack(
+        [
+            np.outer(_PSI_PLUS.conj(), _PSI_PLUS).ravel(),
+            np.outer(_PSI_MINUS.conj(), _PSI_MINUS).ravel(),
+            np.eye(16)[2 * 4 + 2],  # the (2, 2) entry
+            S12_SQ_4.T.ravel(),
+        ],
+        axis=1,
+    )
+)
 
 # Largest block coupling 2 ||E||_F / |tr rho12| at which _log_negativity
 # takes the closed X-state form (its error is then <= X_TOL / ln 2)
@@ -135,35 +156,56 @@ def _log_negativity(rho12):
     return np.maximum(0.0, np.log2(trace_norm)).reshape(rho.shape[:-2])
 
 
+@functools.lru_cache(maxsize=None)
+def _population_weights(n_sites: int) -> np.ndarray:
+    """``(D, n_sites + 3)`` weights: ``|psi|^2 @ W`` gives the site
+    populations, ``P_up``, total S_z and the squared norm."""
+    spin = np.arange(8 * n_sites) % 8
+    return _read_only(
+        np.column_stack(
+            [
+                np.kron(np.eye(n_sites), np.ones(8)).T,
+                spin < 4,  # mobile spin up
+                _SZ_SPIN[spin],
+                np.ones(8 * n_sites),
+            ]
+        )
+    )
+
+
 def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Trajectory:
     """All observables of a pure state ``(D,)`` or of a stack of them
     ``(T, D)`` sampled at ``times``, in one vectorised pass.
 
-    The static-pair density matrix is the partial trace over the site and
-    mobile-spin factors, contracted straight from the amplitudes, so no
-    ``D x D`` density matrix is ever formed.
+    Every observable but the log-negativity and the energy is a linear
+    functional of either ``|psi|^2`` or the static pair's reduced state, so
+    each family is one matrix product.  That reduced state is the partial
+    trace over the site and mobile-spin factors, contracted straight from the
+    amplitudes, so no ``D x D`` density matrix is ever formed.
     """
     psi = np.asarray(states, dtype=complex)
     if psi.shape[-1:] != (layout.dim,):
         raise ValueError(f"state shape {psi.shape} does not match layout dim {layout.dim}")
     grid = psi.shape[:-1]
-    prob = np.abs(psi.reshape(grid + (layout.n_sites, 2, 4))) ** 2
-    pair = psi.reshape(grid + (2 * layout.n_sites, 4))
-    rho12 = np.einsum("...ka,...kb->...ab", pair, pair.conj())
+    n = layout.n_sites
+    populations = np.abs(psi) ** 2 @ _population_weights(n)
+    pair = psi.reshape(grid + (2 * n, 4))
+    rho12 = np.swapaxes(pair, -1, -2) @ pair.conj()
+    pair_values = (rho12.reshape(grid + (16,)) @ _PAIR_FUNCTIONALS).real
     energy = np.full(grid, math.nan)
     if hamiltonian is not None:
         energy = np.einsum("...i,...i->...", psi.conj(), psi @ np.transpose(hamiltonian)).real
     return Trajectory(
         t=np.broadcast_to(np.asarray(times, dtype=float), grid),
-        p_site=prob.sum(axis=(-2, -1)),
-        p_up=prob[..., 0, :].sum(axis=(-2, -1)),
-        f_plus=np.einsum("a,...ab,b->...", _PSI_PLUS.conj(), rho12, _PSI_PLUS).real,
-        f_minus=np.einsum("a,...ab,b->...", _PSI_MINUS.conj(), rho12, _PSI_MINUS).real,
+        p_site=populations[..., :n],
+        p_up=populations[..., n],
+        f_plus=pair_values[..., 0],
+        f_minus=pair_values[..., 1],
         logneg=_log_negativity(rho12),
-        f2=rho12[..., 2, 2].real,
-        sz_total=prob.reshape(grid + (layout.n_sites, 8)).sum(axis=-2) @ _SZ_SPIN,
-        s12_sq=np.einsum("...ab,ba->...", rho12, S12_SQ_4).real,
-        norm=np.linalg.norm(psi, axis=-1),
+        f2=pair_values[..., 2],
+        sz_total=populations[..., n + 1],
+        s12_sq=pair_values[..., 3],
+        norm=np.sqrt(populations[..., n + 2]),
         energy=energy,
     )
 
@@ -177,17 +219,50 @@ def hamiltonian_for(spec: ModelSpec, kind: str) -> np.ndarray:
     raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
 
 
+@functools.lru_cache(maxsize=None)
+def _sz_sectors(dim: int):
+    """Basis order that sorts a ``dim``-dimensional space by total S_z, the
+    ``(start, stop)`` rows of the S_z sectors in that order, and the mask of
+    the entries that couple two sectors."""
+    sz = np.tile(_SZ_SPIN, dim // 8)
+    order = np.argsort(-sz, kind="stable")
+    edges = np.flatnonzero(np.diff(sz[order])) + 1
+    bounds = np.column_stack([np.append(0, edges), np.append(edges, dim)])
+    return _read_only(order), _read_only(bounds), _read_only(sz[:, None] != sz[None, :])
+
+
 def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
-    """States exp(-i H t)|initial> for every t, one per row."""
+    """States exp(-i H t)|initial> for every t, one per row.
+
+    H is checked whole (Hermitian, finite) once.  If it conserves total S_z
+    (no nonzero entry between two sectors), each sector the initial state
+    occupies is solved on its own and every other sector stays exactly
+    zero; otherwise, or when its dimension is no multiple of 8, the whole
+    matrix is the one block.
+    """
+    h = np.asarray(hamiltonian, dtype=complex)
     initial = np.asarray(initial, dtype=complex)
-    eig = linalg.hermitian_eigensystem(hamiltonian)
-    if initial.shape != (eig.dim,):
+    linalg.assert_hermitian(h)
+    dim = h.shape[-1]
+    if h.ndim != 2 or initial.shape != (dim,):
         raise ValueError(
-            f"initial state shape {initial.shape} does not match dimension {eig.dim}"
+            f"initial state shape {initial.shape} does not match dimension {dim} "
+            f"of the matrix of shape {h.shape}"
         )
-    c = eig.eigenvectors.conj().T @ initial
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), eig.eigenvalues))
-    return (phases * c) @ eig.eigenvectors.T
+    order, bounds, cross = _sz_sectors(dim) if dim % 8 == 0 else (None, None, None)
+    if cross is None or h[cross].any():
+        order, bounds = np.arange(dim), np.array([[0, dim]])
+    h = h[order[:, None], order]
+    psi = initial[order]
+    times = np.asarray(times, dtype=float).reshape(-1, 1)
+    states = np.zeros((len(times), dim), dtype=complex)
+    occupied = np.logical_or.reduceat(psi != 0, bounds[:, 0])
+    for start, stop in bounds[occupied]:
+        eig = linalg.hermitian_eigensystem(h[start:stop, start:stop], check=False)
+        phases = np.exp(-1j * times * eig.eigenvalues)
+        c = eig.eigenvectors.conj().T @ psi[start:stop]
+        states[:, order[start:stop]] = (phases * c) @ eig.eigenvectors.T
+    return states
 
 
 def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
@@ -251,11 +326,12 @@ def analytic_two_site(model_kind: str, t, j: float = 1.0) -> AnalyticSolution:
 
 
 def analytic_period(model_kind: str, lattice: str = "two_site", j: float = 1.0) -> float:
-    """Full oscillation period of the strong-hopping spin dynamics."""
+    """Full oscillation period of the strong-hopping spin dynamics, which
+    depends on the coupling only through |j|."""
     if model_kind == "xy":
-        base = 2.0 * SQRT2 * math.pi / j
+        base = 2.0 * SQRT2 * math.pi / abs(j)
     elif model_kind == "heisenberg":
-        base = 16.0 * math.pi / (3.0 * j)
+        base = 16.0 * math.pi / (3.0 * abs(j))
     else:
         raise ValueError(f"unknown model kind {model_kind!r}; valid: xy, heisenberg")
     if lattice == "two_site":

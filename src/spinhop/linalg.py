@@ -2,8 +2,6 @@
 
 Matrices and state vectors are plain ``complex128`` numpy arrays.  The
 Hermitian eigensolver is LAPACK's ``eigh`` (through ``numpy.linalg``).
-Unitary propagation runs through the spectral decomposition, never through
-a series expansion.
 """
 
 from __future__ import annotations
@@ -68,28 +66,20 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_eigensystem(m) -> Eigensystem:
+def hermitian_eigensystem(m, *, check: bool = True) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
     ``(..., n, n)``, eigenvalues ascending.
 
-    Degenerate eigenvalues come with an arbitrary orthonormal basis of the
-    eigenspace; callers must not rely on any particular choice.
+    ``check=False`` skips :func:`assert_hermitian`, for a diagonal block of a
+    matrix the caller has already checked whole.  Degenerate eigenvalues come
+    with an arbitrary orthonormal basis of the eigenspace; callers must not
+    rely on any particular choice.
     """
     m = np.asarray(m, dtype=complex)
-    assert_hermitian(m)
+    if check:
+        assert_hermitian(m)
     w, v = np.linalg.eigh(m)
     return Eigensystem(w, v)
-
-
-def propagate(state, eig: Eigensystem, t: float) -> np.ndarray:
-    """Evolve ``state`` by ``exp(-i H t)`` using the eigendecomposition of H."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (eig.dim,):
-        raise ValueError(
-            f"state has shape {state.shape}, eigensystem dimension is {eig.dim}"
-        )
-    phases = np.exp(-1j * eig.eigenvalues * float(t))
-    return eig.eigenvectors @ (phases * (eig.eigenvectors.conj().T @ state))
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

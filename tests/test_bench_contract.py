@@ -2,11 +2,12 @@
 
 ``perfbench/`` checks every benchmark operation against stored references;
 these tests apply the same checks to the seed-1 ``param_scan`` specs and to
-two CLI runs, so an output change that would fail the benchmark fails here
-first.  A guard also checks that none of the benchmark's inputs needs a 4x4
-eigensolve: their static-pair states are all X states, whose log-negativity
-is closed-form.  The benchmark's modules are imported read-only (no bytecode
-is written next to them).
+every CLI run, so an output change that would fail the benchmark fails here
+first.  A guard also checks what the benchmark's inputs solve: each
+Hamiltonian is checked whole once and solved only in its occupied total-S_z
+sectors, and no static-pair state needs a 4x4 eigensolve (they are all
+X states, whose log-negativity is closed-form).  The benchmark's modules are
+imported read-only (no bytecode is written next to them).
 """
 
 import sys
@@ -16,13 +17,12 @@ import numpy as np
 import pytest
 
 import spinhop
-from spinhop import cli
+from spinhop import analysis, cli, dynamics, linalg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def bench():
+def _import_bench():
     sys.path.insert(0, str(PERFBENCH))
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -35,8 +35,11 @@ def bench():
     return scan, workloads
 
 
-def test_param_scan_matches_stored_reference(bench):
-    scan, workloads = bench
+scan, workloads = _import_bench()
+CLI_OPS = [op for ops in workloads.CLI_WORKLOADS.values() for op in ops]
+
+
+def test_param_scan_matches_stored_reference():
     params = scan.draw_params(workloads.DEFAULT_SEED)
     reference = workloads.scan_reference(workloads.DEFAULT_SEED, params)
     grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
@@ -52,43 +55,42 @@ def test_param_scan_matches_stored_reference(bench):
     assert failed == []
 
 
-@pytest.mark.parametrize(
-    "op",
-    [
-        ("simulate", "configs/xy_weak_hopping.json", ()),
-        ("compare", "configs/three_site_middle_start.json", ("--ratios", "1,10,100")),
-    ],
-    ids=["simulate-xy_weak_hopping", "compare-three_site_middle_start"],
-)
-def test_cli_output_matches_stored_reference(bench, tmp_path, capsys, op):
-    _, workloads = bench
+@pytest.mark.parametrize("op", CLI_OPS, ids=[f"{op[0]}-{Path(op[1]).stem}" for op in CLI_OPS])
+def test_cli_output_matches_stored_reference(tmp_path, capsys, op):
     out = tmp_path / "out.csv"
     assert cli.main(workloads.cli_argv(op, out)) == 0
     capsys.readouterr()
     assert workloads.check_csv(out, workloads.cli_key(op), workloads.load_cli_reference()) is None
 
 
-def test_benchmark_inputs_need_no_4x4_eigensolve(bench, tmp_path, capsys, monkeypatch):
-    scan, workloads = bench
-    solved = []
+def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
+    solved, checked, evolved = [], [], []
 
-    def counted(fn):
+    def counted(fn, sizes):
         def wrapper(m, *args, **kwargs):
-            solved.append(np.shape(m)[-1])
+            sizes.append(np.shape(m)[-1])
             return fn(m, *args, **kwargs)
 
         return wrapper
 
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-    ops = [op for cli_ops in workloads.CLI_WORKLOADS.values() for op in cli_ops]
-    for op in ops:
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), solved))
+    monkeypatch.setattr(linalg, "assert_hermitian", counted(linalg.assert_hermitian, checked))
+    evolve = counted(dynamics.evolve_on_grid, evolved)
+    for module in (dynamics, analysis):
+        monkeypatch.setattr(module, "evolve_on_grid", evolve)
+    for op in CLI_OPS:
         assert cli.main(workloads.cli_argv(op, tmp_path / "out.csv")) == 0
     capsys.readouterr()
     grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
     inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
     for spec, kind, psi0 in inputs:
         scan.run_op(spinhop, grid, spec, kind, psi0)
-    assert len(ops) == 8 and len(inputs) == 304
-    assert {16, 24} <= set(solved)  # the Hamiltonians' solves are seen
+    assert len(CLI_OPS) == 8 and len(inputs) == 304
+    # the Hamiltonians' sector solves, n_sites * {1, 3}, are seen; none is whole
+    assert {2, 6, 3, 9} <= set(solved)
+    assert not {16, 24} & set(solved)
     assert solved.count(4) == 0
+    # each Hamiltonian is checked whole exactly once
+    full_size = [n for n in checked if n in (16, 24)]
+    assert len(evolved) > 304 and sorted(full_size) == sorted(evolved)

@@ -589,15 +589,22 @@ def _fuzz_configs(draw):
 @given(_fuzz_configs())
 def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
     command, cfg = command_and_config
-    err = io.StringIO()
+    out_text, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(cfg))
         out = Path(tmp) / "out.csv"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out", str(out)])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
         if code == 0:
             table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
             assert table.size and np.isfinite(table).all()
+        if code == 0 and command == "analytic":
+            (period,) = [
+                float(line.removeprefix("period="))
+                for line in out_text.getvalue().splitlines()
+                if line.startswith("period=")
+            ]
+            assert math.isfinite(period) and period > 0.0

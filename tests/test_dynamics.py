@@ -27,6 +27,7 @@ from spinhop.model import (
     EFFECTIVE_VARIANTS,
     BasisLayout,
     ModelSpec,
+    build_hamiltonian,
     encode_state,
     motional_hopping,
 )
@@ -35,6 +36,7 @@ from spinhop.linalg import hermitian_eigensystem
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
+    expm_series,
     log_negativity_oracle,
     partial_trace_oracle_keep_last_two,
     random_hermitian,
@@ -271,6 +273,102 @@ def test_hamiltonian_kinds_are_exact_and_the_effective_variants():
     assert HAMILTONIAN_KINDS == ("exact", *EFFECTIVE_VARIANTS)
 
 
+def _every_lattice_and_kind():
+    return [
+        (n_sites, kind)
+        for n_sites in (2, 3)
+        for kind in HAMILTONIAN_KINDS
+        if kind == "exact" or EFFECTIVE_VARIANTS[kind] == n_sites
+    ]
+
+
+def _whole_matrix_evolution(h, psi, times):
+    """exp(-i H t) psi for every t from one eigensolve of the whole matrix."""
+    w, v = np.linalg.eigh(h)
+    return (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)) @ v.T
+
+
+def _sz_of_basis(n_sites):
+    """Total S_z of each basis state, from its decoded spins (0 up, 1 down)."""
+    layout = BasisLayout(n_sites)
+    return np.array([sum(0.5 - s for s in layout.decode(i)[1:]) for i in range(layout.dim)])
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Dimension of every matrix handed to LAPACK's eigh."""
+    sizes = []
+    solve = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        sizes.append(np.shape(m)[-1])
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+class TestEvolveOnGrid:
+    @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
+    def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind, eigh_sizes):
+        rng = np.random.default_rng(90 + n_sites)
+        spec = ModelSpec(n_sites=n_sites, eta=3.1, j_xy=0.7, j_z=-1.3)
+        h = hamiltonian_for(spec, kind)
+        psi = random_state(rng, 8 * n_sites)
+        times = np.linspace(0.0, 5.0, 41)
+        states = evolve_on_grid(h, psi, times)
+        # every sector is occupied, and each is solved on its own
+        assert sorted(eigh_sizes) == [n_sites, n_sites, 3 * n_sites, 3 * n_sites]
+        assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
+        # the series loses digits to cancellation as |H t| grows: check it at t = 1
+        assert times[8] == 1.0
+        assert np.abs(states[8] - expm_series(h, 1.0) @ psi).max() <= 1e-10
+
+    def test_one_cross_sector_entry_evolves_whole_matrix(self, eigh_sizes):
+        layout = BasisLayout(2)
+        h = build_hamiltonian(ModelSpec.xy(2.0))
+        sz = _sz_of_basis(2)
+        i = layout.encode(0, 0, 1, 1)  # |up>|dd>, S_z = -1/2
+        j = layout.encode(1, 0, 0, 1)  # |up>|ud>, S_z = +1/2
+        assert sz[i] != sz[j]
+        h[i, j] = h[j, i] = 0.3
+        psi = encode_state(layout, 1, "up", "down-down")
+        times = np.linspace(0.0, 5.0, 41)
+        states = evolve_on_grid(h, psi, times)
+        assert eigh_sizes == [16]
+        assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
+        # the coupling carries weight out of the start's sector
+        assert (np.abs(states[:, sz != sz[i]]) ** 2).sum(axis=1).max() > 1e-3
+
+    @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
+    def test_bad_entry_in_an_unoccupied_sector_raises(self, bad):
+        layout = BasisLayout(3)
+        h = build_hamiltonian(ModelSpec.heisenberg(5.0, n_sites=3))
+        k = layout.encode(2, 0, 0, 0)  # |up>|uu>, S_z = +3/2
+        psi = encode_state(layout, 0, "down", "down-down")  # S_z = -3/2
+        assert psi[k] == 0
+        if bad == "nan":
+            h[k, k] = math.nan
+        else:
+            h[k, layout.encode(1, 0, 0, 0)] += 0.5
+        with pytest.raises(ValueError, match="NaN" if bad == "nan" else "not Hermitian"):
+            evolve_on_grid(h, psi, [0.0, 1.0])
+
+    @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
+    def test_definite_sz_start_solves_only_its_sector(self, n_sites, kind, eigh_sizes):
+        layout = BasisLayout(n_sites)
+        h = hamiltonian_for(ModelSpec.heisenberg(4.0, n_sites=n_sites), kind)
+        times = np.linspace(0.0, 5.0, 11)
+        for e_spin in ("up", "down"):
+            for static in _STATIC_PRESETS:
+                psi = encode_state(layout, layout.site_labels()[0], e_spin, static)
+                (sz,) = set(_sz_of_basis(n_sites)[psi != 0])
+                del eigh_sizes[:]
+                states = evolve_on_grid(h, psi, times)
+                assert eigh_sizes == [n_sites if abs(sz) == 1.5 else 3 * n_sites]
+                assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
+
+
 class TestRunTrajectory:
     def test_first_record_matches_initial_observables(self, traj):
         run = traj("xy10_exact")
@@ -361,6 +459,12 @@ class TestAnalyticPeriod:
 
     def test_scales_inversely_with_coupling(self):
         assert analytic_period("xy", "two_site", j=2.0) == pytest.approx(SQRT2 * math.pi)
+
+    @pytest.mark.parametrize("kind", ["xy", "heisenberg"])
+    @pytest.mark.parametrize("lattice", ["two_site", "three_site_middle_start"])
+    def test_negative_coupling_gives_the_same_period(self, kind, lattice):
+        # sin^2(j t / c) is even in j, so the cycle depends on |j| only
+        assert analytic_period(kind, lattice, j=-1.0) == analytic_period(kind, lattice, j=1.0)
 
     def test_unknown_labels(self):
         with pytest.raises(ValueError, match="model kind"):

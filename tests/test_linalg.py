@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinhop.dynamics import evolve_on_grid
 from spinhop.linalg import (
     Eigensystem,
     assert_hermitian,
@@ -12,7 +13,6 @@ from spinhop.linalg import (
     kron,
     partial_trace,
     partial_transpose,
-    propagate,
     trace_norm_hermitian,
 )
 
@@ -124,56 +124,54 @@ class TestHermitianEigensystem:
 
 
 class TestPropagate:
+    """Spectral propagation, through the library's one path: evolve_on_grid."""
+
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(11)
         m = random_hermitian(rng, 6)
         psi = random_state(rng, 6)
-        eig = hermitian_eigensystem(m)
-        assert np.allclose(propagate(psi, eig, 0.0), psi, atol=1e-12)
+        assert np.allclose(evolve_on_grid(m, psi, [0.0])[0], psi, atol=1e-12)
 
     def test_eigenstate_picks_up_phase(self):
         rng = np.random.default_rng(12)
-        eig = hermitian_eigensystem(random_hermitian(rng, 5))
+        m = random_hermitian(rng, 5)
+        w, v = np.linalg.eigh(m)
         k, t = 2, 0.77
-        out = propagate(eig.eigenvectors[:, k], eig, t)
-        expected = np.exp(-1j * eig.eigenvalues[k] * t) * eig.eigenvectors[:, k]
-        assert np.allclose(out, expected, atol=1e-12)
+        out = evolve_on_grid(m, v[:, k], [t])[0]
+        assert np.allclose(out, np.exp(-1j * w[k] * t) * v[:, k], atol=1e-12)
 
     def test_two_site_rabi_oscillation(self):
         # free hopping from |x=1>: return probability cos^2(eta t)
         eta = 1.0
         hop = eta * np.array([[0, 1], [1, 0]], dtype=complex)
-        eig = hermitian_eigensystem(hop)
         start = np.array([1, 0], dtype=complex)
-        for t in (0.3, 1.0, 2.5):
-            psi = propagate(start, eig, t)
+        times = [0.3, 1.0, 2.5]
+        for t, psi in zip(times, evolve_on_grid(hop, start, times)):
             assert abs(abs(psi[0]) ** 2 - np.cos(eta * t) ** 2) < 1e-12
-            # cross-check the propagator against the power series of exp(-iHt)
+            # cross-check against the power series of exp(-iHt)
             assert np.allclose(psi, expm_series(hop, t) @ start, atol=1e-12)
 
     def test_series_oracle_on_random_hamiltonian(self):
         rng = np.random.default_rng(13)
         m = random_hermitian(rng, 8)
         psi = random_state(rng, 8)
-        eig = hermitian_eigensystem(m)
         t = 0.9
-        assert np.allclose(propagate(psi, eig, t), expm_series(m, t) @ psi, atol=1e-10)
+        assert np.allclose(evolve_on_grid(m, psi, [t])[0], expm_series(m, t) @ psi, atol=1e-10)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31), t1=st.floats(-5, 5), t2=st.floats(-5, 5))
     def test_norm_preserved_and_composition(self, seed, t1, t2):
         rng = np.random.default_rng(seed)
-        eig = hermitian_eigensystem(random_hermitian(rng, 7))
+        m = random_hermitian(rng, 7)
         psi = random_state(rng, 7)
-        once = propagate(psi, eig, t1)
+        once = evolve_on_grid(m, psi, [t1])[0]
         assert abs(np.linalg.norm(once) - 1.0) <= 1e-10
-        twice = propagate(once, eig, t2)
-        assert np.abs(twice - propagate(psi, eig, t1 + t2)).max() <= 1e-9
+        twice = evolve_on_grid(m, once, [t2])[0]
+        assert np.abs(twice - evolve_on_grid(m, psi, [t1 + t2])[0]).max() <= 1e-9
 
     def test_dimension_mismatch(self):
-        eig = hermitian_eigensystem(np.eye(4))
         with pytest.raises(ValueError, match="dimension"):
-            propagate(np.ones(3), eig, 1.0)
+            evolve_on_grid(np.eye(4), np.ones(3), [1.0])
 
 
 class TestPartialTrace:
