@@ -331,7 +331,7 @@ def analytic_period(model_kind: str, lattice: str = "two_site", j: float = 1.0) 
     if model_kind == "xy":
         base = 2.0 * SQRT2 * math.pi / abs(j)
     elif model_kind == "heisenberg":
-        base = 16.0 * math.pi / (3.0 * abs(j))
+        base = (16.0 * math.pi / 3.0) / abs(j)  # 3 |j| alone can overflow to inf
     else:
         raise ValueError(f"unknown model kind {model_kind!r}; valid: xy, heisenberg")
     if lattice == "two_site":

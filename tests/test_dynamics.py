@@ -466,6 +466,12 @@ class TestAnalyticPeriod:
         # sin^2(j t / c) is even in j, so the cycle depends on |j| only
         assert analytic_period(kind, lattice, j=-1.0) == analytic_period(kind, lattice, j=1.0)
 
+    def test_largest_coupling_gives_a_positive_period(self):
+        # 3 * 1e308 overflows; the period must not collapse to 0
+        period = analytic_period("heisenberg", "three_site_middle_start", j=1e308)
+        assert period == pytest.approx(32.0 * math.pi / 3.0 / 1e308, rel=1e-15)
+        assert period > 0.0
+
     def test_unknown_labels(self):
         with pytest.raises(ValueError, match="model kind"):
             analytic_period("ising", "two_site")
