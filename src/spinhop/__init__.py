@@ -31,8 +31,6 @@ from .dynamics import (
 from .linalg import (
     Eigensystem,
     hermitian_eigensystem,
-    kron,
-    partial_trace,
     partial_transpose,
     trace_norm_hermitian,
 )
@@ -40,14 +38,12 @@ from .model import (
     EFFECTIVE_VARIANTS,
     BasisLayout,
     ModelSpec,
-    SpinOperatorSet,
     build_effective_hamiltonian,
     build_hamiltonian,
     build_hopping,
     build_interaction,
     encode_state,
     motional_hopping,
-    spin_operators,
     static_pair_state,
 )
 
@@ -62,7 +58,6 @@ __all__ = [
     "Eigensystem",
     "HAMILTONIAN_KINDS",
     "ModelSpec",
-    "SpinOperatorSet",
     "TimeGrid",
     "Trajectory",
     "analytic_period",
@@ -79,15 +74,12 @@ __all__ = [
     "evolve_on_grid",
     "hamiltonian_for",
     "hermitian_eigensystem",
-    "kron",
     "log_negativity",
     "motional_hopping",
     "observables",
-    "partial_trace",
     "partial_transpose",
     "qst_trajectory",
     "run_trajectory",
-    "spin_operators",
     "static_pair_state",
     "trace_norm_hermitian",
 ]

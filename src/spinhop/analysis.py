@@ -11,6 +11,7 @@ from . import linalg
 from .dynamics import (
     TimeGrid,
     Trajectory,
+    _checked_initial,
     _log_negativity,
     evolve_on_grid,
     hamiltonian_for,
@@ -21,20 +22,20 @@ from .model import BasisLayout, ModelSpec
 _OBSERVABLE_GAP_FIELDS = ("p_up", "f_plus", "f_minus", "logneg", "f2")
 
 
-def log_negativity(rho12, validate: bool = True) -> float:
+def log_negativity(rho12) -> float:
     """Logarithmic negativity (base 2) of a two-qubit density matrix,
-    clamped at zero from below against numerical noise."""
+    clamped at zero from below against numerical noise.  The matrix must be
+    Hermitian with unit trace and no eigenvalue below -1e-9."""
     rho = np.asarray(rho12, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if validate:
-        linalg.assert_hermitian(rho)
-        trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > 1e-9:
-            raise ValueError(f"density matrix trace is {trace}, expected 1")
-        smallest = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues only, ascending
-        if smallest < -1e-9:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest}")
+    linalg.assert_hermitian(rho)
+    trace = float(np.trace(rho).real)
+    if abs(trace - 1.0) > 1e-9:
+        raise ValueError(f"density matrix trace is {trace}, expected 1")
+    smallest = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues only, ascending
+    if smallest < -1e-9:
+        raise ValueError(f"density matrix has negative eigenvalue {smallest}")
     return float(_log_negativity(rho))
 
 
@@ -89,6 +90,7 @@ def compare_exact_effective(
     if spec.j_ref == 0.0:
         raise ValueError("coupling scale is zero; eta/J is undefined")
     layout = BasisLayout(spec.n_sites)
+    initial = _checked_initial(initial, layout)
     grid = grid or TimeGrid()
     times = grid.times()
     h_exact = hamiltonian_for(spec, "exact")

@@ -24,9 +24,9 @@ is the ratio eta/J).  Site labels are 1, 2 on two sites and 1, 0, 2 (left,
 middle, right) on three.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
-4 i/o failure.  A run whose energies or phases would overflow is a config
-error; an eigensolver that does not converge, or a closed form that is not
-finite, is a numerical-invariant violation.
+4 i/o failure.  A run whose energies or phases would overflow, or that does
+not fit in memory, is a config error; an eigensolver that does not converge,
+or a closed form that is not finite, is a numerical-invariant violation.
 """
 
 from __future__ import annotations
@@ -224,11 +224,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if hamiltonian == "three_site_projector" and eta <= 0.0:
         raise ConfigError("run.hamiltonian 'three_site_projector' requires model.eta > 0")
     t_max = _number(run, "t_max", "run", default=30.0)
-    n_points = run.get("n_points", 2001)
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ConfigError(f"run.n_points must be an integer, got {n_points!r}")
     try:
-        grid = TimeGrid(t_max=t_max, n_points=n_points)
+        grid = TimeGrid(t_max=t_max, n_points=run.get("n_points", 2001))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -499,6 +496,9 @@ def main(argv=None) -> int:
             cmd_analytic(config, out_path=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a time grid too long to hold
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except (NumericalInvariantError, np.linalg.LinAlgError) as exc:  # or eigh did not converge
         print(f"numerical invariant violated: {exc}", file=sys.stderr)

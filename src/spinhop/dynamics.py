@@ -37,6 +37,7 @@ from .model import (
     SQRT2,
     BasisLayout,
     ModelSpec,
+    _is_int,
     _read_only,
     build_effective_hamiltonian,
     build_hamiltonian,
@@ -90,8 +91,12 @@ class TimeGrid:
     def __post_init__(self):
         if not (0.0 < self.t_max < math.inf):
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        # an int no larger than an array size, so times() can build its array
+        if not (_is_int(self.n_points) and 2 <= self.n_points <= np.iinfo(np.intp).max):
+            raise ValueError(
+                f"n_points must be an integer in [2, {np.iinfo(np.intp).max}], "
+                f"got {self.n_points!r}"
+            )
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_points)
@@ -151,7 +156,7 @@ def _log_negativity(rho12):
     general = ~(2.0 * coupling <= X_TOL * np.abs(a + b + c + d))
     if general.any():
         trace_norm[general] = linalg.trace_norm_hermitian(
-            linalg.partial_transpose(flat[general], (2, 2), "A")
+            linalg.partial_transpose(flat[general])
         )
     return np.maximum(0.0, np.log2(trace_norm)).reshape(rho.shape[:-2])
 
@@ -265,10 +270,9 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
     return states
 
 
-def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
-    """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
-    grid = grid or TimeGrid()
-    layout = BasisLayout(spec.n_sites)
+def _checked_initial(initial, layout: BasisLayout) -> np.ndarray:
+    """``initial`` as a complex vector; ``ValueError`` unless it is a
+    normalised state of ``layout``."""
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (layout.dim,):
         raise ValueError(
@@ -277,6 +281,14 @@ def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGr
     nrm = float(np.linalg.norm(initial))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
+    return initial
+
+
+def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
+    """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
+    grid = grid or TimeGrid()
+    layout = BasisLayout(spec.n_sites)
+    initial = _checked_initial(initial, layout)
     h = hamiltonian_for(spec, hamiltonian_kind)
     times = grid.times()
     return observables(evolve_on_grid(h, initial, times), layout, times, h)
@@ -309,25 +321,26 @@ class AnalyticSolution:
 def analytic_two_site(model_kind: str, t, j: float = 1.0) -> AnalyticSolution:
     """Two-level solution of the halved-coupling chain on the doublet
     spanned by |up>|down down> and |down>|psi+>."""
+    period = analytic_period(model_kind, "two_site", j)  # checks the kind and j
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if model_kind == "xy":
         p_down = np.sin(j * times / SQRT2) ** 2
-    elif model_kind == "heisenberg":
-        p_down = (8.0 / 9.0) * np.sin(3.0 * j * times / 8.0) ** 2
     else:
-        raise ValueError(f"unknown model kind {model_kind!r}; valid: xy, heisenberg")
+        p_down = (8.0 / 9.0) * np.sin(3.0 * j * times / 8.0) ** 2
     return AnalyticSolution(
         kind=model_kind,
         times=times,
         p_up=1.0 - p_down,
         p_down=p_down,
-        period=analytic_period(model_kind, "two_site", j),
+        period=period,
     )
 
 
 def analytic_period(model_kind: str, lattice: str = "two_site", j: float = 1.0) -> float:
     """Full oscillation period of the strong-hopping spin dynamics, which
     depends on the coupling only through |j|."""
+    if not (j != 0.0 and math.isfinite(j)):
+        raise ValueError(f"coupling j must be finite and nonzero, got {j!r}")
     if model_kind == "xy":
         base = 2.0 * SQRT2 * math.pi / abs(j)
     elif model_kind == "heisenberg":

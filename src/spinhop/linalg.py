@@ -1,12 +1,13 @@
 """Dense complex linear algebra sized for Hilbert dimensions up to a few dozen.
 
-Matrices and state vectors are plain ``complex128`` numpy arrays.  The
-Hermitian eigensolver is LAPACK's ``eigh`` (through ``numpy.linalg``).
+Matrices and state vectors are plain ``complex128`` numpy arrays.  The module
+holds the Hermitian check, the Hermitian eigensolver (LAPACK's ``eigh``,
+through ``numpy.linalg``), the two-qubit partial transpose and the trace
+norm of a Hermitian matrix (eigenvalues only).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,6 @@ class Eigensystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary; column k belongs to eigenvalues[k]
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
 
 def hermiticity_defect(m) -> np.ndarray:
@@ -57,15 +54,6 @@ def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
         )
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two operators (dimensions multiply)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(a, b)
-
-
 def hermitian_eigensystem(m, *, check: bool = True) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
     ``(..., n, n)``, eigenvalues ascending.
@@ -82,52 +70,14 @@ def hermitian_eigensystem(m, *, check: bool = True) -> Eigensystem:
     return Eigensystem(w, v)
 
 
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Reduced operator after tracing out every subsystem not in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in tensor order; ``keep`` holds
-    the indices of the subsystems to retain (their relative order is kept).
-    """
+def partial_transpose(rho) -> np.ndarray:
+    """Partial transpose over the first qubit of a two-qubit operator, or of
+    each operator of a stack ``(..., 4, 4)``."""
     rho = np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    total = math.prod(dims)
-    if rho.shape != (total, total):
-        raise ValueError(
-            f"matrix shape {rho.shape} inconsistent with subsystem dims {dims}"
-        )
-    keep = sorted({int(k) for k in keep})
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    work = rho.reshape(dims + dims)
-    remaining = len(dims)
-    # trace the highest axis first so the lower axis indices stay valid
-    for i in reversed([i for i in range(len(dims)) if i not in keep]):
-        work = np.trace(work, axis1=i, axis2=i + remaining)
-        remaining -= 1
-    d_keep = math.prod(dims[k] for k in keep)
-    return work.reshape(d_keep, d_keep)
-
-
-def partial_transpose(rho, dims, part) -> np.ndarray:
-    """Partial transpose of a bipartite operator, or of each operator of a
-    stack ``(..., d, d)``, over subsystem ``"A"`` or ``"B"``."""
-    rho = np.asarray(rho, dtype=complex)
-    d_a, d_b = (int(d) for d in dims)
-    d = d_a * d_b
-    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
-        raise ValueError(
-            f"matrix shape {rho.shape} inconsistent with bipartite dims {(d_a, d_b)}"
-        )
-    work = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b))
-    if part == "A":
-        work = np.swapaxes(work, -4, -2)
-    elif part == "B":
-        work = np.swapaxes(work, -3, -1)
-    else:
-        raise ValueError(f"part must be 'A' or 'B', got {part!r}")
-    return work.reshape(rho.shape)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 operator or a stack of them, got shape {rho.shape}")
+    work = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.swapaxes(work, -4, -2).reshape(rho.shape)
 
 
 def trace_norm_hermitian(m):

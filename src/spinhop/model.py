@@ -14,8 +14,9 @@ normal-mode-projector form, and the three-site middle-start reduction
 
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed operators per lattice.  Those unit-coupling operators are built
-once per lattice size and attachment map and cached read-only; each builder
-call assembles a fresh matrix from them.
+from Kronecker products and the closed-form normal modes of the hopping (no
+eigensolve), once per lattice size and attachment map, and cached read-only;
+each builder call assembles a fresh matrix from them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import linalg
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,7 +63,7 @@ _E_SPINS = {"up": 0, "down": 1}
 def _is_int(x) -> bool:
     """An int, not a bool or a float that equals one: the Hamiltonian builders
     cache on the lattice size and attachments, and ``0.0``, ``False`` and ``0``
-    would share a key."""
+    would share a key; ``True`` would pass as site label 1."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -166,7 +165,7 @@ class BasisLayout:
     def site_index(self, label: int) -> int:
         """Lattice index of a labelled site."""
         labels = self.site_labels()
-        if label not in labels:
+        if not _is_int(label) or label not in labels:  # True == 1, but is no label
             raise ValueError(f"unknown site label {label!r}; valid: {labels}")
         return labels.index(label)
 
@@ -174,52 +173,6 @@ class BasisLayout:
 def _spin3(e_op, s1_op, s2_op):
     """Operator on the 8-dim spin space (mobile ⊗ static 1 ⊗ static 2)."""
     return np.kron(e_op, np.kron(s1_op, s2_op))
-
-
-@dataclass(frozen=True)
-class SpinOperatorSet:
-    """Spin operators embedded in the full site ⊗ spin Hilbert space."""
-
-    layout: BasisLayout
-    sigma_plus: np.ndarray
-    sigma_minus: np.ndarray
-    sigma_z: np.ndarray
-    s_plus: tuple
-    s_minus: tuple
-    s_z: tuple
-    sz_total: np.ndarray
-    s12_sq: np.ndarray
-    proj_e_up: np.ndarray
-    site_projectors: tuple
-
-
-def spin_operators(layout: BasisLayout) -> SpinOperatorSet:
-    """Build the embedded single-spin and collective operators."""
-    eye_sites = np.eye(layout.n_sites, dtype=complex)
-
-    def emb(e=_I2, s1=_I2, s2=_I2):
-        return np.kron(eye_sites, _spin3(e, s1, s2))
-
-    site_projs = []
-    for x in range(layout.n_sites):
-        p = np.zeros((layout.n_sites, layout.n_sites), dtype=complex)
-        p[x, x] = 1.0
-        site_projs.append(np.kron(p, np.eye(8, dtype=complex)))
-
-    sz_total = emb(e=S_Z) + emb(s1=S_Z) + emb(s2=S_Z)
-    return SpinOperatorSet(
-        layout=layout,
-        sigma_plus=emb(e=S_PLUS),
-        sigma_minus=emb(e=S_MINUS),
-        sigma_z=emb(e=S_Z),
-        s_plus=(emb(s1=S_PLUS), emb(s2=S_PLUS)),
-        s_minus=(emb(s1=S_MINUS), emb(s2=S_MINUS)),
-        s_z=(emb(s1=S_Z), emb(s2=S_Z)),
-        sz_total=sz_total,
-        s12_sq=np.kron(eye_sites, np.kron(_I2, S12_SQ_4)),
-        proj_e_up=emb(e=np.diag([1.0, 0.0]).astype(complex)),
-        site_projectors=tuple(site_projs),
-    )
 
 
 def _adjacency(n_sites: int) -> np.ndarray:
@@ -274,11 +227,10 @@ def _lattice_terms(n_sites: int, attachments: tuple) -> dict:
     if n_sites == 2:
         weights = {"two_site": 0.5 * eye}
     else:
-        # weight 1/4 on the +-eta normal modes, 1/2 on the zero mode; the modes
-        # of eta * adjacency do not depend on eta > 0
-        eig = linalg.hermitian_eigensystem(adjacency)
-        phi0 = eig.eigenvectors[:, int(np.argmin(np.abs(eig.eigenvalues)))]
-        p0 = np.outer(phi0, phi0.conj())
+        # weight 1/4 on the +-eta normal modes, 1/2 on the zero mode
+        # (1, 0, -1)/sqrt(2), which does not depend on eta > 0
+        phi0 = np.array([1.0, 0.0, -1.0]) / SQRT2
+        p0 = np.outer(phi0, phi0)
         weights = {
             "three_site_projector": 0.25 * (eye - p0) + 0.5 * p0,
             "three_site_middle_start": 0.25 * eye,

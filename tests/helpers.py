@@ -86,6 +86,21 @@ def static_pair_stack(states, n_sites):
     return np.einsum("tka,tkb->tab", split, split.conj())
 
 
+def collective_spin_oracle(n_sites):
+    """Total S_z and the squared total static spin (S_1 + S_2)^2 on the full
+    space, by explicit Kronecker products of the spin-1/2 matrices (site ⊗
+    mobile ⊗ static 1 ⊗ static 2)."""
+    i2 = np.eye(2)
+    spin = [np.array(m) / 2 for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+    def on(e=i2, s1=i2, s2=i2):
+        return np.kron(np.eye(n_sites), np.kron(e, np.kron(s1, s2)))
+
+    sz = spin[2]
+    static_total = [on(s1=s) + on(s2=s) for s in spin]
+    return on(e=sz) + on(s1=sz) + on(s2=sz), sum(s @ s for s in static_total)
+
+
 def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
     """Hamiltonian of one kind by explicit Kronecker products, written out from
     the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2)."""

@@ -20,7 +20,7 @@ from spinhop import (
     estimate_period,
     hermitian_eigensystem,
     log_negativity,
-    partial_trace,
+    observables,
     run_trajectory,
 )
 from spinhop.cli import main
@@ -169,13 +169,15 @@ def test_criterion_9_linear_algebra_properties():
         worst_recon = max(worst_recon, np.abs(recon - m).max() / np.abs(m).max())
     assert worst_recon <= 1e-9
 
+    # the program's static-pair reduction, read through F+ and F2, against
+    # the brute-force partial trace
     worst_pt = 0.0
     for _ in range(5):
         psi = random_state(rng, 16)
-        rho = np.outer(psi, psi.conj())
-        reduced = partial_trace(rho, [2, 2, 2, 2], keep=(2, 3))
-        oracle = partial_trace_oracle_keep_last_two(rho, (2, 2, 2, 2))
-        worst_pt = max(worst_pt, np.abs(reduced - oracle).max())
+        rho12 = partial_trace_oracle_keep_last_two(np.outer(psi, psi.conj()), (2, 2, 2, 2))
+        obs = observables(psi, BasisLayout(2))
+        f_plus = (BELL_PLUS.conj() @ rho12 @ BELL_PLUS).real
+        worst_pt = max(worst_pt, abs(obs.f_plus - f_plus), abs(obs.f2 - rho12[2, 2].real))
     assert worst_pt <= 1e-12
 
     bell_e = log_negativity(np.outer(BELL_PLUS, BELL_PLUS.conj()))

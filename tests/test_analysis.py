@@ -142,6 +142,13 @@ class TestCompareExactEffective:
         assert report.max_observable_gap["f_plus"] <= 0.05
         assert report.max_state_infidelity <= 0.10
 
+    def test_rejects_unnormalized_or_misshaped_start(self):
+        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
+        with pytest.raises(ValueError, match="not normalized"):
+            compare_exact_effective(ModelSpec.xy(10.0), 2 * psi)
+        three_site = encode_state(BasisLayout(3), 1, "up", "down-down")
+        with pytest.raises(ValueError, match="does not match layout dim 16"):
+            compare_exact_effective(ModelSpec.xy(10.0), three_site)
 
     def test_zero_coupling_rejected_before_evolving(self, monkeypatch):
         def evolve(*args):

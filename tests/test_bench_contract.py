@@ -6,10 +6,13 @@ every CLI run, so an output change that would fail the benchmark fails here
 first.  A guard also checks what the benchmark's inputs solve: each
 Hamiltonian is checked whole once and solved only in its occupied total-S_z
 sectors, and no static-pair state needs a 4x4 eigensolve (they are all
-X states, whose log-negativity is closed-form).  The benchmark's modules are
-imported read-only (no bytecode is written next to them).
+X states, whose log-negativity is closed-form).  Another guard checks that
+every function the traced pass wraps by name still exists, so a refactor that
+moves one fails here rather than in the benchmark.  The benchmark's modules
+are imported read-only (no bytecode is written next to them).
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -28,14 +31,15 @@ def _import_bench():
     sys.dont_write_bytecode = True
     try:
         import scan
+        import tracing
         import workloads
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(PERFBENCH))
-    return scan, workloads
+    return scan, tracing, workloads
 
 
-scan, workloads = _import_bench()
+scan, tracing, workloads = _import_bench()
 CLI_OPS = [op for ops in workloads.CLI_WORKLOADS.values() for op in ops]
 
 
@@ -94,3 +98,23 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
     # each Hamiltonian is checked whole exactly once
     full_size = [n for n in checked if n in (16, 24)]
     assert len(evolved) > 304 and sorted(full_size) == sorted(evolved)
+
+
+# traced targets whose code is gone; the benchmark still lists them
+RETIRED_TARGETS = {"spinhop.backend.jacobi_sweeps", "spinhop.linalg.partial_trace"}
+
+
+def _resolves(module, attr):
+    try:
+        return hasattr(importlib.import_module(module), attr)
+    except ImportError:
+        return False
+
+
+def test_traced_targets_resolve():
+    unresolved = {f"{mod}.{attr}" for mod, attr, *_ in tracing.TARGETS if not _resolves(mod, attr)}
+    assert sorted(unresolved - RETIRED_TARGETS) == []
+
+
+def test_public_names_resolve():
+    assert [name for name in spinhop.__all__ if not hasattr(spinhop, name)] == []

@@ -22,7 +22,7 @@ from spinhop.cli import (
     main,
     parse_config,
 )
-from spinhop.dynamics import HAMILTONIAN_KINDS, Trajectory
+from spinhop.dynamics import HAMILTONIAN_KINDS, TimeGrid, Trajectory
 from spinhop.model import _STATIC_PRESETS, EFFECTIVE_VARIANTS
 
 SQRT2 = math.sqrt(2.0)
@@ -533,6 +533,24 @@ class TestEdgeInputs:
             "numerical invariant violated: Eigenvalues did not converge\n"
         )
 
+    def test_grid_beyond_the_array_size_limit_is_a_config_error(self, tmp_path, capsys):
+        assert self._main(tmp_path, "simulate", _config(run={"n_points": 10**30})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n_points must be an integer in [2, ")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    def test_running_out_of_memory_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        def exhausted(grid):
+            raise MemoryError("Unable to allocate 7.28 EiB")
+
+        monkeypatch.setattr(TimeGrid, "times", exhausted)
+        flags = ("--ratios", "10") if command == "compare" else ()
+        assert self._main(tmp_path, command, _config(run={"n_points": 11}), *flags) == 2
+        assert capsys.readouterr().err == (
+            "config error: the run does not fit in memory: Unable to allocate 7.28 EiB\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "model, message",
         [
@@ -578,7 +596,8 @@ def _fuzz_configs(draw):
         "run": {
             "hamiltonian": draw(st.sampled_from(kinds if draw(st.booleans()) else HAMILTONIAN_KINDS)),
             "t_max": draw(_POSITIVE),
-            "n_points": draw(st.integers(min_value=0, max_value=6)),
+            # 10**30 is rejected before any array is sized from it
+            "n_points": draw(st.one_of(st.integers(min_value=0, max_value=6), st.just(10**30))),
         },
         "compare": {"ratios": draw(st.lists(_POSITIVE, min_size=1, max_size=3))},
     }

@@ -59,8 +59,11 @@ class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="t_max"):
             TimeGrid(t_max=0.0)
-        with pytest.raises(ValueError, match="n_points"):
-            TimeGrid(n_points=1)
+        # a float, a bool or more points than an array can hold would fail
+        # only later, when times() sizes its array
+        for n_points in (1, 3.0, True, 10**30, int(np.iinfo(np.intp).max) + 1):
+            with pytest.raises(ValueError, match="n_points must be an integer"):
+                TimeGrid(t_max=30.0, n_points=n_points)
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
     def test_rejects_non_finite_t_max(self, t_max):
@@ -558,3 +561,26 @@ def test_trajectory_is_frozen():
     trajectory = observables(encode_state(layout, 1, "up", "down-down"), layout)
     with pytest.raises(AttributeError):
         trajectory.t = 1.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: encode_state(BasisLayout(2), True, "up", "down-down"), "site label"),
+        (lambda: encode_state(BasisLayout(3), 1.0, "up", "down-down"), "site label"),
+        (lambda: analytic_period("xy", "two_site", j=0.0), "finite and nonzero"),
+        (lambda: analytic_period("heisenberg", "three_site_middle_start", j=0), "nonzero"),
+        (lambda: analytic_period("xy", "two_site", j=math.nan), "finite and nonzero"),
+        (lambda: analytic_two_site("xy", [0.0, 1.0], j=0.0), "finite and nonzero"),
+        (lambda: analytic_two_site("heisenberg", [0.0], j=math.inf), "finite and nonzero"),
+    ],
+    ids=[
+        "bool-site", "float-site", "xy-period-j0", "heisenberg-period-j0", "period-j-nan",
+        "two-site-j0", "two-site-j-inf",
+    ],
+)
+def test_library_edge_inputs_raise_value_error(call, message):
+    # True == 1 and 1.0 == 1 would pass as site label 1; j = 0 divided by
+    # zero, and a non-finite j gave a NaN or zero period
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,4 +1,5 @@
-"""Linear-algebra core: eigensolver, propagation, reduced operators."""
+"""Linear-algebra core: Hermitian check, eigensolver, propagation, two-qubit
+partial transpose and trace norm."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from spinhop.linalg import (
     Eigensystem,
     assert_hermitian,
     hermitian_eigensystem,
-    kron,
-    partial_trace,
     partial_transpose,
     trace_norm_hermitian,
 )
@@ -19,39 +18,12 @@ from spinhop.linalg import (
 from helpers import (
     BELL_PLUS,
     expm_series,
-    partial_trace_oracle_keep_last_two,
     random_density_matrix,
     random_hermitian,
     random_state,
 )
 
-I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-RAISING = np.array([[0, 1], [0, 0]], dtype=complex)
-
-
-class TestKron:
-    def test_identity_times_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_pauli_z_with_identity(self):
-        assert np.array_equal(kron(PAULI_Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_matches_bit_index_oracle(self):
-        # raising operator on the middle of three spins, all eight basis states
-        op = kron(kron(I2, RAISING), I2)
-        oracle = np.zeros((8, 8), dtype=complex)
-        for col in range(8):
-            bits = [(col >> 2) & 1, (col >> 1) & 1, col & 1]
-            if bits[1] == 1:  # middle spin down -> raised to up
-                row = bits[0] * 4 + 0 * 2 + bits[2]
-                oracle[row, col] = 1.0
-        assert np.array_equal(op, oracle)
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ValueError):
-            kron(np.ones(2), I2)
 
 
 class TestHermitianEigensystem:
@@ -174,73 +146,33 @@ class TestPropagate:
             evolve_on_grid(np.eye(4), np.ones(3), [1.0])
 
 
-class TestPartialTrace:
-    def test_product_state_reduces_to_factor(self):
-        rng = np.random.default_rng(21)
-        rho_a = random_density_matrix(rng, 3)
-        rho_b = random_density_matrix(rng, 4)
-        reduced = partial_trace(np.kron(rho_a, rho_b), [3, 4], keep=[0])
-        assert np.allclose(reduced, rho_a, atol=1e-12)
-
-    def test_bell_marginal_is_maximally_mixed(self):
-        rho = np.outer(BELL_PLUS, BELL_PLUS.conj())
-        reduced = partial_trace(rho, [2, 2], keep=[0])
-        assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
-
-    def test_matches_quadruple_loop_oracle(self):
-        rng = np.random.default_rng(22)
-        psi = random_state(rng, 16)
-        rho = np.outer(psi, psi.conj())
-        reduced = partial_trace(rho, [2, 2, 2, 2], keep=(2, 3))
-        oracle = partial_trace_oracle_keep_last_two(rho, (2, 2, 2, 2))
-        assert np.abs(reduced - oracle).max() < 1e-13
-
-    def test_trace_preserved_and_hermitian(self):
-        rng = np.random.default_rng(23)
-        rho = random_density_matrix(rng, 24)
-        reduced = partial_trace(rho, [3, 2, 2, 2], keep=(2, 3))
-        assert abs(np.trace(reduced).real - 1.0) <= 1e-10
-        assert np.abs(reduced - reduced.conj().T).max() < 1e-12
-
-    def test_inconsistent_dims_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            partial_trace(np.eye(6), [2, 2], keep=[0])
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            partial_trace(np.eye(4), [2, 2], keep=[])
-
-
 class TestPartialTranspose:
     def test_diagonal_unchanged(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        assert np.array_equal(partial_transpose(rho, (2, 2), "A"), rho)
+        assert np.array_equal(partial_transpose(rho), rho)
 
     def test_bell_state_eigenvalues(self):
         rho = np.outer(BELL_PLUS, BELL_PLUS.conj())
-        pt = partial_transpose(rho, (2, 2), "A")
+        pt = partial_transpose(rho)
         evals = np.sort(np.linalg.eigvalsh(pt))  # independent eigensolve oracle
         assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(31)
-        rho = random_density_matrix(rng, 6)
-        for part in ("A", "B"):
-            twice = partial_transpose(partial_transpose(rho, (2, 3), part), (2, 3), part)
-            assert np.array_equal(twice, rho)
+        rho = random_density_matrix(rng, 4)
+        assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(32)
         rho = random_density_matrix(rng, 4)
-        pt = partial_transpose(rho, (2, 2), "B")
+        pt = partial_transpose(rho)
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-14
         assert np.abs(pt - pt.conj().T).max() < 1e-14
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            partial_transpose(np.eye(5), (2, 2), "A")
-        with pytest.raises(ValueError, match="part"):
-            partial_transpose(np.eye(4), (2, 2), "C")
+        for bad in (np.eye(5), np.eye(6), np.ones(4)):
+            with pytest.raises(ValueError, match="4x4"):
+                partial_transpose(bad)
 
 
 class TestTraceNormHermitian:
@@ -255,7 +187,7 @@ class TestTraceNormHermitian:
 
     def test_partial_transpose_of_bell_state(self):
         rho = np.outer(BELL_PLUS, BELL_PLUS.conj())
-        pt = partial_transpose(rho, (2, 2), "A")
+        pt = partial_transpose(rho)
         assert trace_norm_hermitian(pt) == pytest.approx(2.0, abs=1e-10)
 
     def test_rejects_non_hermitian(self):
@@ -285,21 +217,20 @@ class TestStacks:
         rng = np.random.default_rng(50)
         stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
         eig = hermitian_eigensystem(stack)
-        assert eig.dim == 4
+        assert eig.eigenvalues.shape == (5, 4) and eig.eigenvectors.shape == (5, 4, 4)
         for k in range(len(stack)):
             assert np.allclose(eig.eigenvalues[k], np.linalg.eigvalsh(stack[k]), atol=1e-12)
 
     def test_partial_transpose_and_trace_norm_of_a_stack(self):
         rng = np.random.default_rng(51)
         stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
-        for part in ("A", "B"):
-            pts = partial_transpose(stack, (2, 2), part)
-            assert pts.shape == stack.shape
-            norms = trace_norm_hermitian(pts)
-            assert norms.shape == (len(stack),)
-            for k in range(len(stack)):
-                assert np.array_equal(pts[k], partial_transpose(stack[k], (2, 2), part))
-                assert norms[k] == pytest.approx(trace_norm_hermitian(pts[k]), abs=1e-14)
+        pts = partial_transpose(stack)
+        assert pts.shape == stack.shape
+        norms = trace_norm_hermitian(pts)
+        assert norms.shape == (len(stack),)
+        for k in range(len(stack)):
+            assert np.array_equal(pts[k], partial_transpose(stack[k]))
+            assert norms[k] == pytest.approx(trace_norm_hermitian(pts[k]), abs=1e-14)
 
     def test_assert_hermitian_flags_the_one_bad_matrix(self):
         stack = np.array([np.eye(4, dtype=complex)] * 4)
@@ -319,11 +250,11 @@ class TestStacks:
     def test_rejects_non_square_trailing_axes(self):
         with pytest.raises(ValueError, match="square"):
             assert_hermitian(np.zeros((3, 2, 4)))
-        with pytest.raises(ValueError, match="inconsistent"):
-            partial_transpose(np.zeros((3, 4, 5)), (2, 2), "A")
+        with pytest.raises(ValueError, match="4x4"):
+            partial_transpose(np.zeros((3, 4, 5)))
 
 
 def test_eigensystem_dataclass_dim():
     eig = hermitian_eigensystem(np.eye(3))
     assert isinstance(eig, Eigensystem)
-    assert eig.dim == 3
+    assert eig.eigenvalues.shape == (3,) and eig.eigenvectors.shape == (3, 3)
