@@ -23,6 +23,11 @@ Presets fix the couplings: ``xy`` means ``j_xy = j, j_z = 0`` and
 is the ratio eta/J).  Site labels are 1, 2 on two sites and 1, 0, 2 (left,
 middle, right) on three.
 
+The CLI checks the shape of the JSON (blocks, keys, number types, presets,
+columns, ratios); the library types check the values themselves
+(``ModelSpec``, ``encode_state``, ``hamiltonian_for``, ``TimeGrid``), and a
+value they reject is a config error that carries the library's message.
+
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 i/o failure.  A run whose energies or phases would overflow, or that does
 not fit in memory, is a config error; an eigensolver that does not converge,
@@ -42,13 +47,13 @@ import numpy as np
 
 from .analysis import _OBSERVABLE_GAP_FIELDS, compare_exact_effective
 from .dynamics import (
-    HAMILTONIAN_KINDS,
     TimeGrid,
     analytic_period,
     analytic_two_site,
+    hamiltonian_for,
     run_trajectory,
 )
-from .model import _STATIC_PRESETS, EFFECTIVE_VARIANTS, BasisLayout, ModelSpec, encode_state
+from .model import BasisLayout, ModelSpec, _finite, _read_only, encode_state
 
 PROBABILITY_TOL = 1e-9
 
@@ -69,21 +74,15 @@ _OUTPUT_KEYS = {"path", "columns"}
 _COMPARE_KEYS = {"ratios"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     spec: ModelSpec
-    site: int
-    e_spin: str
-    static: str
+    initial: np.ndarray  # the encoded start state, read-only
     hamiltonian: str
     grid: TimeGrid
     out_path: str | None
     columns: tuple | None
     ratios: tuple | None
-
-    def initial_state(self):
-        layout = BasisLayout(self.spec.n_sites)
-        return encode_state(layout, self.site, self.e_spin, self.static)
 
 
 def _check_keys(block, allowed, where):
@@ -96,15 +95,7 @@ def _check_keys(block, allowed, where):
         )
 
 
-def _finite(value) -> bool:
-    """Whether a number is finite; an int beyond the float range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _number(block, key, where, default=None, minimum=None):
+def _number(block, key, where, default=None):
     if key not in block:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in {where}")
@@ -114,16 +105,13 @@ def _number(block, key, where, default=None, minimum=None):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     if not _finite(value):
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return value
+    return float(value)
 
 
 def _ratios(values, where) -> tuple:
     """eta/J ratios, each a positive finite number."""
     for r in values:
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not (r > 0 and _finite(r)):
+        if not (_finite(r) and r > 0):
             raise ConfigError(f"{where} entries must be positive and finite, got {r!r}")
     return tuple(float(r) for r in values)
 
@@ -174,57 +162,29 @@ def parse_config(text: str) -> ScenarioConfig:
     if model is None:
         raise ConfigError("missing required block 'model'")
     _check_keys(model, _MODEL_KEYS, "model")
-    n_sites = model.get("n_sites")
-    if isinstance(n_sites, bool) or not isinstance(n_sites, int):
-        raise ConfigError(f"model.n_sites must be an integer, got {n_sites!r}")
-    if n_sites not in (2, 3):
-        raise ConfigError(f"model.n_sites must be 2 or 3, got {n_sites}")
-    eta = _number(model, "eta", "model", minimum=0.0)
+    eta = _number(model, "eta", "model")
     j_xy, j_z = _resolve_couplings(model)
-    try:
-        spec = ModelSpec(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     initial = raw.get("initial")
     if initial is None:
         raise ConfigError("missing required block 'initial'")
     _check_keys(initial, _INITIAL_KEYS, "initial")
-    layout = BasisLayout(n_sites)
-    site = initial.get("site")
-    if isinstance(site, bool) or not isinstance(site, int):
-        raise ConfigError(f"initial.site must be an integer, got {site!r}")
-    if site not in layout.site_labels():
-        raise ConfigError(
-            f"initial.site must be one of {layout.site_labels()}, got {site}"
-        )
-    e_spin = initial.get("e_spin", "up")
-    if e_spin not in ("up", "down"):
-        raise ConfigError(f"initial.e_spin must be 'up' or 'down', got {e_spin!r}")
-    static = initial.get("static")
-    presets = tuple(_STATIC_PRESETS)  # a tuple: JSON lists are unhashable
-    if static not in presets:
-        raise ConfigError(
-            f"initial.static must be one of {presets}, got {static!r}"
-        )
 
     run = raw.get("run", {})
     _check_keys(run, _RUN_KEYS, "run")
     hamiltonian = run.get("hamiltonian", "exact")
-    if hamiltonian not in HAMILTONIAN_KINDS:
-        raise ConfigError(
-            f"run.hamiltonian must be one of {HAMILTONIAN_KINDS}, got {hamiltonian!r}"
-        )
-    if hamiltonian != "exact":
-        needed = EFFECTIVE_VARIANTS[hamiltonian]
-        if n_sites != needed:
-            raise ConfigError(
-                f"run.hamiltonian {hamiltonian!r} requires n_sites == {needed}"
-            )
-    if hamiltonian == "three_site_projector" and eta <= 0.0:
-        raise ConfigError("run.hamiltonian 'three_site_projector' requires model.eta > 0")
     t_max = _number(run, "t_max", "run", default=30.0)
+
+    # the library types check every value; their message is the config error
     try:
+        spec = ModelSpec(n_sites=model.get("n_sites"), eta=eta, j_xy=j_xy, j_z=j_z)
+        state = encode_state(
+            BasisLayout(spec.n_sites),
+            initial.get("site"),
+            initial.get("e_spin", "up"),
+            initial.get("static"),
+        )
+        hamiltonian_for(spec, hamiltonian)
         grid = TimeGrid(t_max=t_max, n_points=run.get("n_points", 2001))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -238,7 +198,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if columns is not None:
         if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
             raise ConfigError("output.columns must be a list of column names")
-        valid = set(_simulate_columns(n_sites))
+        valid = set(_simulate_columns(spec.n_sites))
         for c in columns:
             if c not in valid:
                 raise ConfigError(
@@ -256,9 +216,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         spec=spec,
-        site=site,
-        e_spin=e_spin,
-        static=static,
+        initial=_read_only(state),
         hamiltonian=hamiltonian,
         grid=grid,
         out_path=out_path,
@@ -369,7 +327,7 @@ def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
         raise ConfigError("no output path: set output.path or pass --out")
     _check_energy_scale(config.spec, config.grid)
     trajectory = run_trajectory(
-        config.spec, config.hamiltonian, config.initial_state(), config.grid
+        config.spec, config.hamiltonian, config.initial, config.grid
     )
     values = _validated_columns(trajectory, config.spec.n_sites)
     columns = list(values)
@@ -400,7 +358,6 @@ def cmd_compare(
         if _COLUMNS[c][0] in ("p_site", *_OBSERVABLE_GAP_FIELDS)
     ]
     header = ["eta_over_j", "max_state_infidelity"] + ["gap_" + c for c in gap_cols]
-    initial = config.initial_state()
     rows = []
     for ratio in ratios:
         try:
@@ -410,7 +367,7 @@ def cmd_compare(
         if spec.eta == 0.0:
             raise ConfigError(f"eta/J = {ratio}: ratio * J underflows to 0")
         _check_energy_scale(spec, config.grid, f"eta/J = {ratio}")
-        report = compare_exact_effective(spec, initial, config.grid, variant=variant)
+        report = compare_exact_effective(spec, config.initial, config.grid, variant=variant)
         rows.append(
             [report.eta_over_j, report.max_state_infidelity]
             + [report.max_observable_gap[_gap_key(c)] for c in gap_cols]

@@ -37,7 +37,9 @@ from .model import (
     SQRT2,
     BasisLayout,
     ModelSpec,
+    _finite,
     _is_int,
+    _known,
     _read_only,
     build_effective_hamiltonian,
     build_hamiltonian,
@@ -83,14 +85,19 @@ _DOUBLET_DOWN[6] = 1.0 / SQRT2
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling of [0, t_max] (times in 1/J units)."""
+    """Uniform sampling of [0, t_max] (times in 1/J units).
+
+    ``t_max`` must be a positive finite real number (an int within the float
+    range, a float or a numpy real scalar, not a bool) and ``n_points`` an
+    int from 2 up to the largest array size.
+    """
 
     t_max: float = 30.0
     n_points: int = 2001
 
     def __post_init__(self):
-        if not (0.0 < self.t_max < math.inf):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        if not (_finite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"t_max must be a positive finite number, got {self.t_max!r}")
         # an int no larger than an array size, so times() can build its array
         if not (_is_int(self.n_points) and 2 <= self.n_points <= np.iinfo(np.intp).max):
             raise ValueError(
@@ -219,7 +226,7 @@ def hamiltonian_for(spec: ModelSpec, kind: str) -> np.ndarray:
     """Exact or effective Hamiltonian selected by name."""
     if kind == "exact":
         return build_hamiltonian(spec)
-    if kind in EFFECTIVE_VARIANTS:
+    if _known(kind, EFFECTIVE_VARIANTS):
         return build_effective_hamiltonian(spec, kind)
     raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _finite(x) -> bool:
+    """A finite real number: an int, a float or a numpy real scalar, not a
+    bool, and an int only within the float range."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _known(label, table) -> bool:
+    """Whether ``label`` is a string key of ``table``; a list or dict label
+    would make the lookup itself raise ``TypeError``."""
+    return isinstance(label, str) and label in table
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Lattice size, hopping amplitude and spin-spin couplings.
@@ -74,6 +92,10 @@ class ModelSpec:
     ``attachments`` maps lattice site index (0-based, left to right) to the
     static spin (1 or 2) pinned there; the default pins spin 1 at the
     leftmost and spin 2 at the rightmost site.
+
+    ``n_sites`` must be the int 2 or 3.  ``eta`` (>= 0), ``j_xy`` and
+    ``j_z`` must be finite real numbers: an int within the float range, a
+    float or a numpy real scalar; a bool, a string or ``None`` is rejected.
     """
 
     n_sites: int
@@ -84,11 +106,13 @@ class ModelSpec:
 
     def __post_init__(self):
         if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
-            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
-        if not (0.0 <= self.eta < math.inf):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not (math.isfinite(self.j_xy) and math.isfinite(self.j_z)):
-            raise ValueError(f"couplings must be finite, got j_xy={self.j_xy}, j_z={self.j_z}")
+            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites!r}")
+        if not (_finite(self.eta) and self.eta >= 0.0):
+            raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
+        if not (_finite(self.j_xy) and _finite(self.j_z)):
+            raise ValueError(
+                f"couplings must be finite numbers, got j_xy={self.j_xy!r}, j_z={self.j_z!r}"
+            )
         if self.attachments is None:
             object.__setattr__(self, "attachments", {0: 1, self.n_sites - 1: 2})
         att = dict(self.attachments)
@@ -280,7 +304,7 @@ def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
     kinetic term.  The zero mode (1, 0, -1)/sqrt(2) and hence P0 are the same
     for every eta > 0, so the weight is built once per lattice.
     """
-    if variant not in EFFECTIVE_VARIANTS:
+    if not _known(variant, EFFECTIVE_VARIANTS):
         raise ValueError(f"unknown variant {variant!r}; valid: {tuple(EFFECTIVE_VARIANTS)}")
     needed = EFFECTIVE_VARIANTS[variant]
     if spec.n_sites != needed:
@@ -292,12 +316,11 @@ def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
 
 def static_pair_state(preset: str) -> np.ndarray:
     """State of the static pair for a named preset."""
-    try:
-        return _STATIC_PRESETS[preset].copy()
-    except KeyError:
+    if not _known(preset, _STATIC_PRESETS):
         raise ValueError(
             f"unknown static-pair preset {preset!r}; valid: {sorted(_STATIC_PRESETS)}"
-        ) from None
+        )
+    return _STATIC_PRESETS[preset].copy()
 
 
 def encode_state(layout: BasisLayout, site: int, e_spin: str, static: str) -> np.ndarray:
@@ -307,7 +330,7 @@ def encode_state(layout: BasisLayout, site: int, e_spin: str, static: str) -> np
     ``"up"``/``"down"`` and ``static`` one of ``up-up``, ``up-down``,
     ``down-up``, ``down-down``, ``psi-plus``, ``psi-minus``.
     """
-    if e_spin not in _E_SPINS:
+    if not _known(e_spin, _E_SPINS):
         raise ValueError(f"unknown mobile-spin label {e_spin!r}; valid: up, down")
     mot = np.zeros(layout.n_sites, dtype=complex)
     mot[layout.site_index(site)] = 1.0

@@ -1,11 +1,12 @@
 """Entanglement measure, conservation reports, deviation metrics, periods."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spinhop import analysis
+from spinhop import analysis, linalg
 from spinhop.analysis import (
     compare_exact_effective,
     conservation_monitor,
@@ -72,6 +73,24 @@ class TestLogNegativity:
         indefinite = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             log_negativity(indefinite)
+        # the trace is checked after the value is taken: a zero matrix has
+        # trace norm 0, whose log2 must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trace is 0.0"):
+                log_negativity(np.zeros((4, 4)))
+
+    def test_hermiticity_is_checked_once(self, monkeypatch):
+        shapes = []
+
+        def counted(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return check(m, *args, **kwargs)
+
+        check = linalg.assert_hermitian
+        monkeypatch.setattr(linalg, "assert_hermitian", counted)
+        assert log_negativity(np.eye(4) / 4) == 0.0
+        assert shapes == [(4, 4)]
 
 
 class TestConservationMonitor:

@@ -22,8 +22,8 @@ from spinhop.cli import (
     main,
     parse_config,
 )
-from spinhop.dynamics import HAMILTONIAN_KINDS, TimeGrid, Trajectory
-from spinhop.model import _STATIC_PRESETS, EFFECTIVE_VARIANTS
+from spinhop.dynamics import HAMILTONIAN_KINDS, TimeGrid, Trajectory, hamiltonian_for
+from spinhop.model import _STATIC_PRESETS, EFFECTIVE_VARIANTS, BasisLayout, ModelSpec, encode_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,6 +72,10 @@ def _read_csv(path):
     return header, data
 
 
+def _state(site, e_spin, static):
+    return encode_state(BasisLayout(2), site, e_spin, static)
+
+
 class TestParseConfig:
     def test_minimal_strong_hopping_scenario(self):
         cfg = parse_config(json.dumps(_config()))
@@ -80,7 +84,7 @@ class TestParseConfig:
         assert (cfg.spec.j_xy, cfg.spec.j_z) == (1.0, 0.0)
         assert cfg.hamiltonian == "exact"
         assert cfg.grid.n_points == 601
-        psi = cfg.initial_state()
+        psi = cfg.initial
         assert psi[3] == 1.0  # |site 1, up, down down>
 
     def test_grid_defaults(self):
@@ -123,19 +127,19 @@ class TestParseConfig:
 
     def test_variant_lattice_mismatch(self):
         bad = _config(run={"hamiltonian": "three_site_middle_start"})
-        with pytest.raises(ConfigError, match="requires n_sites == 3"):
+        with pytest.raises(ConfigError, match="requires n_sites = 3"):
             parse_config(json.dumps(bad))
 
     def test_site_label_validation(self):
-        with pytest.raises(ConfigError, match="initial.site"):
+        with pytest.raises(ConfigError, match="unknown site label 0"):
             parse_config(json.dumps(_config(initial={"site": 0})))
         three = _config(model={"n_sites": 3}, initial={"site": 0})
-        assert parse_config(json.dumps(three)).site == 0
+        assert parse_config(json.dumps(three)).initial[8 + 3] == 1.0  # middle site
 
     def test_static_preset_validation(self):
-        with pytest.raises(ConfigError, match="initial.static"):
+        with pytest.raises(ConfigError, match="unknown static-pair preset 'sideways'"):
             parse_config(json.dumps(_config(initial={"static": "sideways"})))
-        with pytest.raises(ConfigError, match="initial.static"):
+        with pytest.raises(ConfigError, match=r"unknown static-pair preset \['up-up'\]"):
             parse_config(json.dumps(_config(initial={"static": ["up-up"]})))
 
     def test_column_selection_validation(self):
@@ -169,6 +173,45 @@ class TestParseConfig:
     def test_consistent_scale_keys_accepted(self):
         cfg = parse_config(json.dumps(_config(model={"j": 2.0, "j_xy": 2.0})))
         assert cfg.spec.j_xy == 2.0
+
+    @pytest.mark.parametrize(
+        "overrides, library",
+        [
+            ({"model": {"n_sites": 4}}, lambda: ModelSpec(4, 10.0, j_xy=1.0)),
+            ({"model": {"n_sites": "2"}}, lambda: ModelSpec("2", 10.0, j_xy=1.0)),
+            ({"model": {"eta": -1.0}}, lambda: ModelSpec(2, -1.0, j_xy=1.0)),
+            ({"initial": {"site": 0}}, lambda: _state(0, "up", "down-down")),
+            ({"initial": {"site": True}}, lambda: _state(True, "up", "down-down")),
+            ({"initial": {"e_spin": None}}, lambda: _state(1, None, "down-down")),
+            ({"initial": {"static": ["up-up"]}}, lambda: _state(1, "up", ["up-up"])),
+            (
+                {"run": {"hamiltonian": ["exact"]}},
+                lambda: hamiltonian_for(ModelSpec.xy(10.0), ["exact"]),
+            ),
+            (
+                {"run": {"hamiltonian": "three_site_middle_start"}},
+                lambda: hamiltonian_for(ModelSpec.xy(10.0), "three_site_middle_start"),
+            ),
+            (
+                {"model": {"n_sites": 3, "eta": 0}, "initial": {"site": 0},
+                 "run": {"hamiltonian": "three_site_projector"}},
+                lambda: hamiltonian_for(ModelSpec.xy(0.0, n_sites=3), "three_site_projector"),
+            ),
+            ({"run": {"t_max": -1.0}}, lambda: TimeGrid(t_max=-1.0, n_points=601)),
+            ({"run": {"n_points": True}}, lambda: TimeGrid(t_max=30.0, n_points=True)),
+        ],
+        ids=[
+            "n_sites-4", "n_sites-str", "eta-negative", "site-0", "site-bool", "e_spin-null",
+            "static-list", "hamiltonian-list", "variant-lattice", "projector-eta-0",
+            "t_max-negative", "n_points-bool",
+        ],
+    )
+    def test_semantic_errors_carry_the_library_message(self, overrides, library):
+        with pytest.raises(ValueError) as expected:
+            library()
+        with pytest.raises(ConfigError) as got:
+            parse_config(json.dumps(_config(**overrides)))
+        assert str(got.value) == str(expected.value)
 
 
 class TestSimulate:
@@ -498,7 +541,7 @@ class TestEdgeInputs:
             initial={"site": 0},
             run={"hamiltonian": "three_site_projector", "n_points": 11},
         )
-        with pytest.raises(ConfigError, match="requires model.eta > 0"):
+        with pytest.raises(ConfigError, match="three_site_projector requires eta > 0"):
             parse_config(json.dumps(cfg))
         assert self._main(tmp_path, "simulate", cfg) == 2
         assert capsys.readouterr().err.startswith("config error")
@@ -575,6 +618,11 @@ _NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allo
 _POSITIVE = st.one_of(
     st.sampled_from([x for x in _EXTREMES if x > 0]), st.floats(1e-3, 1e3), _NUMBERS
 )
+# fields whose values the library types check, not the CLI
+_LIBRARY_FIELDS = [
+    ("model", "n_sites"), ("model", "eta"), ("initial", "site"), ("initial", "e_spin"),
+    ("initial", "static"), ("run", "hamiltonian"), ("run", "t_max"), ("run", "n_points"),
+]
 
 
 @st.composite
@@ -601,13 +649,17 @@ def _fuzz_configs(draw):
         },
         "compare": {"ratios": draw(st.lists(_POSITIVE, min_size=1, max_size=3))},
     }
-    return draw(st.sampled_from(["simulate", "compare", "analytic"])), cfg
+    wrong = draw(st.booleans())
+    if wrong:  # a JSON value of the wrong type in a field the library checks
+        block, key = draw(st.sampled_from(_LIBRARY_FIELDS))
+        cfg[block][key] = draw(st.sampled_from([True, "1", [1], {}, None]))
+    return draw(st.sampled_from(["simulate", "compare", "analytic"])), cfg, wrong
 
 
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_configs())
 def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
-    command, cfg = command_and_config
+    command, cfg, wrong = command_and_config
     out_text, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -615,7 +667,7 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
         out = Path(tmp) / "out.csv"
         with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out", str(out)])
-        assert code in (0, 2, 3, 4)
+        assert code == 2 if wrong else code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
         if code == 0:
             table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)

@@ -65,10 +65,24 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="n_points must be an integer"):
                 TimeGrid(t_max=30.0, n_points=n_points)
 
-    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "t_max",
+        [
+            math.inf,
+            math.nan,
+            pytest.param(True, id="bool"),
+            pytest.param(10**400, id="huge-int"),
+            pytest.param("1", id="str"),
+            pytest.param([1.0], id="list"),
+        ],
+    )
     def test_rejects_non_finite_t_max(self, t_max):
-        with pytest.raises(ValueError, match="t_max"):
+        with pytest.raises(ValueError, match="t_max must be a positive finite number"):
             TimeGrid(t_max=t_max)
+
+    def test_accepts_ints_and_numpy_reals(self):
+        assert TimeGrid(t_max=3, n_points=4).times()[-1] == 3.0
+        assert TimeGrid(t_max=np.float32(0.5), n_points=2).times()[-1] == 0.5
 
 
 class TestObservables:

@@ -49,11 +49,19 @@ class TestModelSpec:
 
     @pytest.mark.parametrize(
         "numbers",
-        [{"eta": np.nan}, {"eta": np.inf}, {"j_xy": np.nan}, {"j_z": -np.inf}],
+        [{"eta": np.nan}, {"eta": np.inf}, {"j_xy": np.nan}, {"j_z": -np.inf},
+         # no finite real number either: a bool is an int, an int beyond
+         # the float range has no float value
+         {"eta": True}, {"j_xy": True}, {"eta": 10**400}, {"j_xy": 10**400},
+         {"j_z": -(10**400)}, {"eta": "1"}, {"j_z": "1"}, {"eta": None}],
     )
     def test_rejects_non_finite_numbers(self, numbers):
         with pytest.raises(ValueError, match="finite"):
             ModelSpec(**{"n_sites": 2, "eta": 1.0, **numbers})
+
+    def test_accepts_ints_and_numpy_reals(self):
+        spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
+        assert (spec.eta, spec.j_xy, spec.j_z) == (10, 0.5, 1)
 
     def test_rejects_bad_attachments(self):
         with pytest.raises(ValueError, match="attachments"):
@@ -403,3 +411,20 @@ class TestEncodeState:
             encode_state(layout, 1, "up", "down")
         with pytest.raises(ValueError, match="site label"):
             encode_state(layout, 3, "up", "down-down")
+
+    @pytest.mark.parametrize("label", [["up-up"], {}, None, True])
+    def test_unhashable_or_non_string_labels_are_value_errors(self, label):
+        layout = BasisLayout(2)
+        with pytest.raises(ValueError, match="mobile-spin"):
+            encode_state(layout, 1, label, "down-down")
+        with pytest.raises(ValueError, match="static-pair preset"):
+            encode_state(layout, 1, "up", label)
+        with pytest.raises(ValueError, match="static-pair preset"):
+            static_pair_state(label)
+        with pytest.raises(ValueError, match="site label"):
+            encode_state(layout, label, "up", "down-down")
+        spec = ModelSpec.xy(1.0)
+        with pytest.raises(ValueError, match="unknown hamiltonian kind"):
+            hamiltonian_for(spec, label)
+        with pytest.raises(ValueError, match="unknown variant"):
+            build_effective_hamiltonian(spec, label)
