@@ -53,16 +53,9 @@ def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
     """Drift of norm, energy, total S_z and the squared total static spin."""
     if not len(trajectory):
         raise ValueError("empty trajectory")
-
-    def drift(series):
-        return float(np.abs(series - series[0]).max())
-
-    return ConservationReport(
-        norm_drift=drift(trajectory.norm),
-        energy_drift=drift(trajectory.energy),
-        sz_drift=drift(trajectory.sz_total),
-        s12_sq_drift=drift(trajectory.s12_sq),
-    )
+    series = np.stack((trajectory.norm, trajectory.energy, trajectory.sz_total, trajectory.s12_sq))
+    drifts = np.maximum.reduce(np.abs(series - series[:, :1]), axis=-1)
+    return ConservationReport(*drifts.tolist())
 
 
 @dataclass(frozen=True)

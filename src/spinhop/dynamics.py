@@ -19,7 +19,9 @@ state that ``encode_state`` builds has a definite S_z, so the static pair's
 reduced state never mixes the blocks {uu, dd} and {ud, du}: it is an
 "X state", whose log-negativity has a closed form.  That form is taken
 wherever it is certified to ``X_TOL`` (see :func:`_log_negativity`); any
-other matrix goes to the eigensolver.
+other matrix goes to the eigensolver.  A short grid costs more in per-call
+overhead than in arithmetic, so a grid samples its times once and each
+check and reduction is one pass over its data.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ _PAIR_FUNCTIONALS = _read_only(
 # Largest block coupling 2 ||E||_F / |tr rho12| at which _log_negativity
 # takes the closed X-state form (its error is then <= X_TOL / ln 2)
 X_TOL = 1e-9
-# entries of rho12 that couple the blocks {uu, dd} and {ud, du}
-_COUPLING_ROWS = np.array([0, 0, 1, 2, 1, 2, 3, 3])
-_COUPLING_COLS = np.array([1, 2, 3, 3, 0, 0, 1, 2])
+# row-major flat entries of rho12: the diagonal, z = rho[1, 2], w = rho[0, 3], then
+# the 8 that couple the blocks {uu, dd} and {ud, du}
+_X_ENTRIES = np.array([0, 5, 10, 15, 6, 3, 1, 2, 7, 11, 4, 8, 13, 14])
 
 # spin part of |up>|down down> and |down>|psi+> in the 8-dim spin space
 _DOUBLET_UP = np.zeros(8, dtype=complex)
@@ -89,7 +91,8 @@ class TimeGrid:
 
     ``t_max`` must be a positive finite real number (an int within the float
     range, a float or a numpy real scalar, not a bool) and ``n_points`` an
-    int from 2 up to the largest array size.
+    int from 2 up to the largest array size.  :meth:`times` builds its
+    array once per grid and returns it read-only on every call.
     """
 
     t_max: float = 30.0
@@ -106,7 +109,14 @@ class TimeGrid:
             )
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_points)
+        return self._times
+
+    @functools.cached_property
+    def _times(self) -> np.ndarray:
+        return _read_only(np.linspace(0.0, self.t_max, self.n_points))
+
+    def __getstate__(self):  # a copy or an unpickled grid builds its own read-only times
+        return {"t_max": self.t_max, "n_points": self.n_points}
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,18 +162,18 @@ def _log_negativity(rho12):
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 operator or a stack of them, got shape {rho.shape}")
     linalg.assert_hermitian(rho)  # the partial transpose keeps Hermiticity
-    flat = rho.reshape(-1, 4, 4)
-    a, b, c, d = np.diagonal(flat, axis1=-2, axis2=-1).real.T
-    z = np.abs(flat[:, 1, 2])
-    w = np.abs(flat[:, 0, 3])
+    x = rho.reshape(-1, 16)[:, _X_ENTRIES]
+    a, b, c, d = x[:, :4].real.T
+    z, w = np.abs(x[:, 4:6]).T
     trace_norm = np.maximum(np.abs(a + d), np.hypot(a - d, 2.0 * z)) + np.maximum(
         np.abs(b + c), np.hypot(b - c, 2.0 * w)
     )
-    coupling = np.linalg.norm(flat[:, _COUPLING_ROWS, _COUPLING_COLS], axis=-1)
+    e = x[:, 6:]
+    coupling = np.sqrt(np.add.reduce((e.conj() * e).real, axis=-1))
     general = ~(2.0 * coupling <= X_TOL * np.abs(a + b + c + d))
     if general.any():
         trace_norm[general] = linalg.trace_norm_hermitian(
-            linalg.partial_transpose(flat[general])
+            linalg.partial_transpose(rho.reshape(-1, 4, 4)[general])
         )
     return np.maximum(0.0, np.log2(trace_norm)).reshape(rho.shape[:-2])
 
@@ -207,8 +217,9 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     energy = np.full(grid, math.nan)
     if hamiltonian is not None:
         energy = np.einsum("...i,...i->...", psi.conj(), psi @ np.transpose(hamiltonian)).real
+    t = np.asarray(times, dtype=float)
     return Trajectory(
-        t=np.broadcast_to(np.asarray(times, dtype=float), grid),
+        t=t if t.shape == grid and not t.flags.writeable else np.broadcast_to(t, grid),
         p_site=populations[..., :n],
         p_up=populations[..., n],
         f_plus=pair_values[..., 0],
@@ -233,14 +244,12 @@ def hamiltonian_for(spec: ModelSpec, kind: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _sz_sectors(dim: int):
-    """Basis order that sorts a ``dim``-dimensional space by total S_z, the
-    ``(start, stop)`` rows of the S_z sectors in that order, and the mask of
-    the entries that couple two sectors."""
+    """Basis indices of each total-S_z sector of a ``dim``-dimensional space
+    and the mask of the entries that couple two sectors."""
     sz = np.tile(_SZ_SPIN, dim // 8)
-    order = np.argsort(-sz, kind="stable")
-    edges = np.flatnonzero(np.diff(sz[order])) + 1
-    bounds = np.column_stack([np.append(0, edges), np.append(edges, dim)])
-    return _read_only(order), _read_only(bounds), _read_only(sz[:, None] != sz[None, :])
+    # not np.unique: with numpy 2.4 its first call adds ~1.6 MB to the peak RSS
+    sectors = tuple(_read_only(np.flatnonzero(sz == v)) for v in sorted(set(_SZ_SPIN)))
+    return sectors, _read_only(sz[:, None] != sz[None, :])
 
 
 def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
@@ -261,19 +270,18 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
             f"initial state shape {initial.shape} does not match dimension {dim} "
             f"of the matrix of shape {h.shape}"
         )
-    order, bounds, cross = _sz_sectors(dim) if dim % 8 == 0 else (None, None, None)
+    sectors, cross = _sz_sectors(dim) if dim % 8 == 0 else ((), None)
     if cross is None or h[cross].any():
-        order, bounds = np.arange(dim), np.array([[0, dim]])
-    h = h[order[:, None], order]
-    psi = initial[order]
+        sectors = (np.arange(dim),)
     times = np.asarray(times, dtype=float).reshape(-1, 1)
     states = np.zeros((len(times), dim), dtype=complex)
-    occupied = np.logical_or.reduceat(psi != 0, bounds[:, 0])
-    for start, stop in bounds[occupied]:
-        eig = linalg.hermitian_eigensystem(h[start:stop, start:stop], check=False)
-        phases = np.exp(-1j * times * eig.eigenvalues)
-        c = eig.eigenvectors.conj().T @ psi[start:stop]
-        states[:, order[start:stop]] = (phases * c) @ eig.eigenvectors.T
+    for idx in sectors:
+        psi = initial[idx]
+        if psi.any():  # an unoccupied sector stays exactly zero
+            eig = linalg.hermitian_eigensystem(h[idx[:, None], idx], check=False)
+            phases = np.exp(-1j * times * eig.eigenvalues)
+            c = eig.eigenvectors.conj().T @ psi
+            states[:, idx] = (phases * c) @ eig.eigenvectors.T
     return states
 
 
@@ -285,7 +293,7 @@ def _checked_initial(initial, layout: BasisLayout) -> np.ndarray:
         raise ValueError(
             f"initial state shape {initial.shape} does not match layout dim {layout.dim}"
         )
-    nrm = float(np.linalg.norm(initial))
+    nrm = math.sqrt(np.vdot(initial, initial).real)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return initial

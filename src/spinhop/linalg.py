@@ -8,6 +8,7 @@ norm of a Hermitian matrix (eigenvalues only).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class Eigensystem:
 def hermiticity_defect(m) -> np.ndarray:
     """Largest entry of ``|M - M^H|``, one per matrix of a stack."""
     m = np.asarray(m)
-    return np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
+    return np.maximum.reduce(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
 
 
 def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
@@ -40,10 +41,13 @@ def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # NaN and inf survive abs and max, so a finite scale means finite entries;
+    # a non-finite one may be a finite complex entry whose modulus overflows
+    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1))
+    largest = np.maximum.reduce(scale, axis=None, initial=0.0)
+    if not math.isfinite(largest) and not np.isfinite(m).all():
         raise ValueError("matrix has NaN or infinite entries")
     defect = hermiticity_defect(m)
-    scale = np.abs(m).max(axis=(-2, -1))
     bad = defect > rtol * np.maximum(scale, 1e-300)
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender

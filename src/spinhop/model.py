@@ -272,9 +272,11 @@ def _terms(spec: ModelSpec) -> dict:
     return _lattice_terms(spec.n_sites, tuple(sorted(spec.attachments.items())))
 
 
-def _coupling(spec: ModelSpec, kind: str) -> np.ndarray:
-    xy, z = _terms(spec)[kind]
-    return spec.j_xy * xy + spec.j_z * z
+def _assemble(spec: ModelSpec, kind: str) -> np.ndarray:
+    """``amp * hopping + (j_xy * XY + j_z * Ising)`` of one kind, one terms lookup."""
+    terms = _terms(spec)
+    xy, z = terms[kind]
+    return _hop_amplitude(spec) * terms["hop"] + (spec.j_xy * xy + spec.j_z * z)
 
 
 def build_hopping(spec: ModelSpec) -> np.ndarray:
@@ -285,12 +287,13 @@ def build_hopping(spec: ModelSpec) -> np.ndarray:
 def build_interaction(spec: ModelSpec) -> np.ndarray:
     """Contact interaction: at each attached site the mobile spin exchanges
     with the static spin pinned there (block diagonal in the site index)."""
-    return _coupling(spec, "exact")
+    xy, z = _terms(spec)["exact"]
+    return spec.j_xy * xy + spec.j_z * z
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Exact Hamiltonian: hopping plus contact interaction."""
-    return build_hopping(spec) + build_interaction(spec)
+    return _assemble(spec, "exact")
 
 
 def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
@@ -311,7 +314,7 @@ def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
         raise ValueError(f"variant {variant!r} requires n_sites = {needed}")
     if variant == "three_site_projector" and spec.eta <= 0.0:
         raise ValueError("three_site_projector requires eta > 0")
-    return build_hopping(spec) + _coupling(spec, variant)
+    return _assemble(spec, variant)
 
 
 def static_pair_state(preset: str) -> np.ndarray:
@@ -332,8 +335,7 @@ def encode_state(layout: BasisLayout, site: int, e_spin: str, static: str) -> np
     """
     if not _known(e_spin, _E_SPINS):
         raise ValueError(f"unknown mobile-spin label {e_spin!r}; valid: up, down")
-    mot = np.zeros(layout.n_sites, dtype=complex)
-    mot[layout.site_index(site)] = 1.0
-    e_vec = np.zeros(2, dtype=complex)
-    e_vec[_E_SPINS[e_spin]] = 1.0
-    return np.kron(mot, np.kron(e_vec, static_pair_state(static)))
+    offset = (layout.site_index(site) * 2 + _E_SPINS[e_spin]) * 4
+    state = np.zeros(layout.dim, dtype=complex)
+    state[offset : offset + 4] = static_pair_state(static)
+    return state

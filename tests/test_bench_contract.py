@@ -6,10 +6,12 @@ every CLI run, so an output change that would fail the benchmark fails here
 first.  A guard also checks what the benchmark's inputs solve: each
 Hamiltonian is checked whole once and solved only in its occupied total-S_z
 sectors, and no static-pair state needs a 4x4 eigensolve (they are all
-X states, whose log-negativity is closed-form).  Another guard checks that
-every function the traced pass wraps by name still exists, so a refactor that
-moves one fails here rather than in the benchmark.  The benchmark's modules
-are imported read-only (no bytecode is written next to them).
+X states, whose log-negativity is closed-form).  A count guard checks that
+the scan samples its grid once and checks each run's Hamiltonian and
+static-pair stack once each.  Another guard checks that every function the
+traced pass wraps by name still exists, so a refactor that moves one fails
+here rather than in the benchmark.  The benchmark's modules are imported
+read-only (no bytecode is written next to them).
 """
 
 import importlib
@@ -98,6 +100,36 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
     # each Hamiltonian is checked whole exactly once
     full_size = [n for n in checked if n in (16, 24)]
     assert len(evolved) > 304 and sorted(full_size) == sorted(evolved)
+
+
+def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
+    # counts calls, no timing: the scan's fixed per-run cost must not come
+    # back through resampling the grid, nor go by dropping a check
+    linspace, checked = [], []
+    sample = np.linspace
+
+    def counted_linspace(*args, **kwargs):
+        linspace.append(args)
+        return sample(*args, **kwargs)
+
+    check = linalg.assert_hermitian
+
+    def counted_check(m, *args, **kwargs):
+        checked.append(np.shape(m))
+        return check(m, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted_linspace)
+    monkeypatch.setattr(linalg, "assert_hermitian", counted_check)
+    grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
+    inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
+    assert len(inputs) == 304
+    for spec, kind, psi0 in inputs:
+        del checked[:]
+        scan.run_op(spinhop, grid, spec, kind, psi0)
+        dim = 8 * spec.n_sites
+        # the whole Hamiltonian, then the static pair's (T, 4, 4) stack
+        assert checked == [(dim, dim), (scan.N_POINTS, 4, 4)]
+    assert len(linspace) <= 1
 
 
 # traced targets whose code is gone; the benchmark still lists them

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ class TestTimeGrid:
     def test_accepts_ints_and_numpy_reals(self):
         assert TimeGrid(t_max=3, n_points=4).times()[-1] == 3.0
         assert TimeGrid(t_max=np.float32(0.5), n_points=2).times()[-1] == 0.5
+
+    def test_times_are_built_once_and_read_only(self):
+        grid = TimeGrid(t_max=7.5, n_points=301)
+        times = grid.times()
+        assert times.tobytes() == np.linspace(0.0, 7.5, 301).tobytes()
+        assert not times.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            times[1] = 0.0
+        assert grid.times() is times
+        for copy in (dataclasses.replace(grid), pickle.loads(pickle.dumps(grid))):
+            assert copy == grid and copy.times() is not times
+            assert copy.times().tobytes() == times.tobytes()
+            assert not copy.times().flags.writeable
 
 
 class TestObservables:
@@ -253,6 +267,8 @@ class TestClosedFormLogNegativity:
         assert fallback_sizes == [50]
         for k in range(len(rho)):
             assert abs(values[k] - log_negativity_oracle(rho[k])) <= 1e-14
+        solved = linalg.trace_norm_hermitian(linalg.partial_transpose(rho))
+        assert np.array_equal(values, np.maximum(0.0, np.log2(solved)))
 
     def test_rejects_non_hermitian_and_non_finite_input(self):
         bad = np.array([np.eye(4) / 4] * 3, dtype=complex)
@@ -420,6 +436,17 @@ class TestRunTrajectory:
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with pytest.raises(ValueError, match="hamiltonian kind"):
             run_trajectory(spec, "trotter", psi, TimeGrid(t_max=1.0, n_points=2))
+
+    def test_times_are_read_only(self):
+        grid = TimeGrid(t_max=1.0, n_points=5)
+        layout = BasisLayout(2)
+        psi = encode_state(layout, 1, "up", "down-down")
+        t = run_trajectory(ModelSpec.xy(1.0), "exact", psi, grid).t
+        assert t is grid.times() and not t.flags.writeable
+        # a caller's writable times come back as a read-only view
+        times = np.linspace(0.0, 1.0, 5)
+        t = observables(np.tile(psi, (5, 1)), layout, times).t
+        assert not t.flags.writeable and np.array_equal(t, times)
 
     def test_record_count_and_times(self, traj):
         run = traj("xy10_exact")

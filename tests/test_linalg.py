@@ -239,6 +239,29 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"stack index \(2,\) is not Hermitian"):
             assert_hermitian(stack)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(0.0, np.nan), np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, 0.0)],
+        ids=["nan-imag", "inf", "-inf", "inf-nan", "nan-real"],
+    )
+    def test_assert_hermitian_reports_any_non_finite_entry(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = bad  # also not Hermitian: the non-finite message wins
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            assert_hermitian(m)
+        stack = np.array([np.eye(3, dtype=complex)] * 4)
+        stack[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            assert_hermitian(stack)
+
+    def test_assert_hermitian_accepts_finite_entries_whose_modulus_overflows(self):
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 1] = complex(1.5e308, 1.5e308)  # |m[0, 1]| is inf, its parts are finite
+        m[1, 0] = m[0, 1].conjugate()
+        with np.errstate(over="ignore"):
+            assert_hermitian(m)
+            assert_hermitian(np.array([np.eye(2), m]))
+
     def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self):
         # the asymmetry of the second matrix is tiny next to the first
         # matrix's entries, but not next to its own

@@ -8,6 +8,7 @@ import pytest
 from spinhop.dynamics import hamiltonian_for
 from spinhop.linalg import hermitian_eigensystem, hermiticity_defect
 from spinhop.model import (
+    _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
     BasisLayout,
     ModelSpec,
@@ -402,6 +403,18 @@ class TestEncodeState:
         layout = BasisLayout(3)
         psi = encode_state(layout, 0, "up", "down-down")
         assert psi[layout.encode(1, 0, 1, 1)] == 1.0
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_every_start_state_equals_the_kron_product(self, n_sites):
+        layout = BasisLayout(n_sites)
+        starts = list(itertools.product(layout.site_labels(), ("up", "down"), _STATIC_PRESETS))
+        for site, e_spin, static in starts:
+            mot = np.eye(n_sites)[layout.site_index(site)]
+            e_vec = np.eye(2)[("up", "down").index(e_spin)]
+            expected = np.kron(mot, np.kron(e_vec, static_pair_state(static)))
+            psi = encode_state(layout, site, e_spin, static)
+            assert psi.dtype == complex and np.array_equal(psi, expected)  # -0.0 == 0.0
+        assert len(starts) == 12 * n_sites  # 60 start states over both lattices
 
     def test_invalid_labels(self):
         layout = BasisLayout(2)
