@@ -19,8 +19,7 @@ from .dynamics import (
     AnalyticSolution,
     TimeGrid,
     Trajectory,
-    analytic_period,
-    analytic_two_site,
+    analytic,
     doublet_leakage,
     evolve_on_grid,
     hamiltonian_for,
@@ -60,8 +59,7 @@ __all__ = [
     "ModelSpec",
     "TimeGrid",
     "Trajectory",
-    "analytic_period",
-    "analytic_two_site",
+    "analytic",
     "build_effective_hamiltonian",
     "build_hamiltonian",
     "build_hopping",

@@ -8,17 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    COLUMNS,
     TimeGrid,
     Trajectory,
-    _checked_initial,
+    _checked_run,
     _log_negativity,
+    column_names,
     evolve_on_grid,
     hamiltonian_for,
     observables,
 )
-from .model import BasisLayout, ModelSpec
-
-_OBSERVABLE_GAP_FIELDS = ("p_up", "f_plus", "f_minus", "logneg", "f2")
+from .model import ModelSpec
 
 
 def log_negativity(rho12) -> float:
@@ -60,7 +60,9 @@ def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Worst-case discrepancy between exact and effective evolution."""
+    """Worst-case discrepancy between exact and effective evolution.
+    ``max_observable_gap`` follows the compared columns of ``COLUMNS`` in
+    order, keyed by field or, for a site population, by column name."""
 
     eta_over_j: float
     max_state_infidelity: float
@@ -80,11 +82,8 @@ def compare_exact_effective(
     """
     if variant is None:
         variant = "two_site" if spec.n_sites == 2 else "three_site_middle_start"
-    if spec.j_ref == 0.0:
-        raise ValueError("coupling scale is zero; eta/J is undefined")
-    layout = BasisLayout(spec.n_sites)
-    initial = _checked_initial(initial, layout)
-    grid = grid or TimeGrid()
+    eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
+    layout, initial, grid = _checked_run(spec, initial, grid)
     times = grid.times()
     h_exact = hamiltonian_for(spec, "exact")
     h_eff = hamiltonian_for(spec, variant)
@@ -104,15 +103,15 @@ def compare_exact_effective(
 
     exact = observables(states_exact, layout)
     eff = observables(states_eff, layout)
-    site_gap = np.abs(exact.p_site - eff.p_site).max(axis=0)
-    # P1, P2: the outer sites; P0: the middle one, on three sites only
-    labels = ("P1", "P2", "P0")[: layout.n_sites]
-    gaps = {label: float(site_gap[pos]) for label, pos in zip(labels, (0, -1, 1))}
-    for name in _OBSERVABLE_GAP_FIELDS:
-        gaps[name] = float(np.abs(getattr(exact, name) - getattr(eff, name)).max())
+    gaps = {}
+    for name in column_names(layout.n_sites):
+        field, position, _, compared = COLUMNS[name]
+        if compared:
+            gap = np.abs(exact.column(name) - eff.column(name)).max()
+            gaps[field if position is None else name] = float(gap)
 
     return DeviationReport(
-        eta_over_j=spec.eta / spec.j_ref,
+        eta_over_j=eta_over_j,
         max_state_infidelity=float((1.0 - fidelity).max()),
         max_observable_gap=gaps,
         grid=grid,

@@ -23,10 +23,12 @@ Presets fix the couplings: ``xy`` means ``j_xy = j, j_z = 0`` and
 is the ratio eta/J).  Site labels are 1, 2 on two sites and 1, 0, 2 (left,
 middle, right) on three.
 
-The CLI checks the shape of the JSON (blocks, keys, number types, presets,
-columns, ratios); the library types check the values themselves
-(``ModelSpec``, ``encode_state``, ``hamiltonian_for``, ``TimeGrid``), and a
-value they reject is a config error that carries the library's message.
+The CLI reads the JSON: it checks the blocks, the keys, the JSON type of
+each number, the column names and the eta/J ratios.  The library checks the
+values and the preconditions of a run (``ModelSpec.from_preset``,
+``encode_state``, ``hamiltonian_for``, ``TimeGrid``, ``run_trajectory``,
+``compare_exact_effective``, ``ModelSpec.j_ref``), and a value or a run it
+rejects is a config error that carries the library's message.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 i/o failure.  A run whose energies or phases would overflow, or that does
@@ -37,6 +39,7 @@ or a closed form that is not finite, is a numerical-invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -45,14 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _OBSERVABLE_GAP_FIELDS, compare_exact_effective
-from .dynamics import (
-    TimeGrid,
-    analytic_period,
-    analytic_two_site,
-    hamiltonian_for,
-    run_trajectory,
-)
+from .analysis import compare_exact_effective
+from .dynamics import COLUMNS, TimeGrid, analytic, column_names, hamiltonian_for, run_trajectory
 from .model import BasisLayout, ModelSpec, _finite, _read_only, encode_state
 
 PROBABILITY_TOL = 1e-9
@@ -96,16 +93,12 @@ def _check_keys(block, allowed, where):
 
 
 def _number(block, key, where, default=None):
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``block[key]`` as given, or ``default`` if the key is absent;
+    ``ConfigError`` unless a given value is a JSON number."""
+    value = block.get(key, default)
+    if key in block and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not _finite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 def _ratios(values, where) -> tuple:
@@ -114,36 +107,6 @@ def _ratios(values, where) -> tuple:
         if not (_finite(r) and r > 0):
             raise ConfigError(f"{where} entries must be positive and finite, got {r!r}")
     return tuple(float(r) for r in values)
-
-
-def _resolve_couplings(model):
-    preset = model.get("preset", "custom")
-    if preset not in ("xy", "heisenberg", "custom"):
-        raise ConfigError(f"model.preset must be xy, heisenberg or custom, got {preset!r}")
-    if preset == "custom" and "j" in model:
-        raise ConfigError("model.j is only meaningful with the xy/heisenberg presets")
-    if preset == "xy":
-        j_z = _number(model, "j_z", "model", default=0.0)
-        if j_z != 0.0:
-            raise ConfigError("preset 'xy' requires j_z == 0")
-        j = _number(model, "j", "model", default=1.0)
-        j_xy = _number(model, "j_xy", "model", default=j)
-        if "j" in model and "j_xy" in model and j_xy != j:
-            raise ConfigError("preset 'xy': j and j_xy disagree; give one of them")
-        return j_xy, 0.0
-    if preset == "heisenberg":
-        j = _number(model, "j", "model", default=_number(model, "j_z", "model", default=1.0))
-        j_z = _number(model, "j_z", "model", default=j)
-        if "j" in model and "j_z" in model and j_z != j:
-            raise ConfigError("preset 'heisenberg': j and j_z disagree; give one of them")
-        j_xy = _number(model, "j_xy", "model", default=j_z / 2.0)
-        if abs(j_z - 2.0 * j_xy) > 1e-12 * max(1.0, abs(j_z)):
-            raise ConfigError("preset 'heisenberg' requires j_z == 2 * j_xy")
-        return j_xy, j_z
-    return (
-        _number(model, "j_xy", "model", default=0.0),
-        _number(model, "j_z", "model", default=0.0),
-    )
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -162,8 +125,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if model is None:
         raise ConfigError("missing required block 'model'")
     _check_keys(model, _MODEL_KEYS, "model")
-    eta = _number(model, "eta", "model")
-    j_xy, j_z = _resolve_couplings(model)
+    if "eta" not in model:
+        raise ConfigError("missing required key 'eta' in model")
+    numbers = {key: _number(model, key, "model") for key in ("eta", "j", "j_xy", "j_z")}
 
     initial = raw.get("initial")
     if initial is None:
@@ -175,9 +139,8 @@ def parse_config(text: str) -> ScenarioConfig:
     hamiltonian = run.get("hamiltonian", "exact")
     t_max = _number(run, "t_max", "run", default=30.0)
 
-    # the library types check every value; their message is the config error
-    try:
-        spec = ModelSpec(n_sites=model.get("n_sites"), eta=eta, j_xy=j_xy, j_z=j_z)
+    with _config_errors():  # the library checks every value
+        spec = ModelSpec.from_preset(model.get("preset", "custom"), model.get("n_sites"), **numbers)
         state = encode_state(
             BasisLayout(spec.n_sites),
             initial.get("site"),
@@ -186,8 +149,6 @@ def parse_config(text: str) -> ScenarioConfig:
         )
         hamiltonian_for(spec, hamiltonian)
         grid = TimeGrid(t_max=t_max, n_points=run.get("n_points", 2001))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     output = raw.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "output")
@@ -198,7 +159,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if columns is not None:
         if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
             raise ConfigError("output.columns must be a list of column names")
-        valid = set(_simulate_columns(spec.n_sites))
+        valid = set(column_names(spec.n_sites))
         for c in columns:
             if c not in valid:
                 raise ConfigError(
@@ -225,56 +186,35 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _check_energy_scale(spec: ModelSpec, grid: TimeGrid, where: str = "model"):
-    """Raise ``ConfigError`` unless the energies and phases of the evolution
-    stay floats.  ``scale = eta + |j_xy| + |j_z|`` bounds the spectral norm of
-    every Hamiltonian of ``spec``, twice it bounds every row sum of ``|H|``,
-    and ``scale * t_max`` bounds every phase E * t."""
-    scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
-    if not math.isfinite(2.0 * scale * max(grid.t_max, 1.0)):
-        raise ConfigError(
-            f"{where}: energy scale eta + |j_xy| + |j_z| = {scale!r} with "
-            f"t_max = {grid.t_max!r} overflows"
-        )
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# CSV column -> (Trajectory field, lattice position of a site population,
-# whether it is a probability), in simulate column order.  P1 and P2 are the
-# outer sites, P0 the middle one (three sites only).
-_COLUMNS = {
-    "t": ("t", None, False),
-    "P1": ("p_site", 0, True),
-    "P2": ("p_site", -1, True),
-    "P0": ("p_site", 1, True),
-    "P_up": ("p_up", None, True),
-    "F_plus": ("f_plus", None, True),
-    "F_minus": ("f_minus", None, True),
-    "logneg": ("logneg", None, False),
-    "F2": ("f2", None, True),
-    "Sz": ("sz_total", None, False),
-    "S12sq": ("s12_sq", None, False),
-    "norm": ("norm", None, False),
-}
+@contextlib.contextmanager
+def _config_errors(prefix: str = ""):
+    """Turn a value or a run the library rejects into a ``ConfigError`` that
+    carries its message; ``LinAlgError``, a ``ValueError`` too, passes."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from None
 
 
-def _simulate_columns(n_sites: int):
-    return [c for c in _COLUMNS if c != "P0" or n_sites == 3]
+def _out_path(config: ScenarioConfig, out_path: str | None) -> str:
+    path = out_path or config.out_path
+    if path is None:
+        raise ConfigError("no output path: set output.path or pass --out")
+    return path
 
 
-def _column(trajectory, name):
-    field, position, _ = _COLUMNS[name]
-    values = getattr(trajectory, field)
-    return values if position is None else values[:, position]
-
-
-def _gap_key(name):
-    """Key of a column in ``DeviationReport.max_observable_gap``."""
-    field, position, _ = _COLUMNS[name]
-    return field if position is None else name
+def _coupling(config: ScenarioConfig, command: str) -> float:
+    """The energy unit J, which ``ModelSpec.j_ref`` finds only when nonzero."""
+    try:
+        return config.spec.j_ref
+    except ValueError:
+        raise ConfigError(f"{command} needs a nonzero coupling") from None
 
 
 def _validated_columns(trajectory, n_sites: int) -> dict:
@@ -285,10 +225,10 @@ def _validated_columns(trajectory, n_sites: int) -> dict:
     than ``PROBABILITY_TOL`` or NaN, or another column is not finite, naming
     the first of these checks that fails there.
     """
-    cols = {c: _column(trajectory, c) for c in _simulate_columns(n_sites)}
-    p_total = sum(cols[c] for c in cols if _COLUMNS[c][1] is not None)
-    probabilities = [c for c in cols if _COLUMNS[c][2]]
-    others = [c for c in cols if not _COLUMNS[c][2] and c != "norm"]
+    cols = {c: trajectory.column(c) for c in column_names(n_sites)}
+    p_total = sum(cols[c] for c in cols if COLUMNS[c][1] is not None)
+    probabilities = [c for c in cols if COLUMNS[c][2]]
+    others = [c for c in cols if not COLUMNS[c][2] and c != "norm"]
     tol = PROBABILITY_TOL
     # (message, values, failing points), in the order a point's checks are
     # reported; each is written so that NaN fails it
@@ -322,13 +262,11 @@ def _write_csv(path: str, header, table):
 
 def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
     """Run one scenario, write the observable CSV, print per-column extrema."""
-    path = out_path or config.out_path
-    if path is None:
-        raise ConfigError("no output path: set output.path or pass --out")
-    _check_energy_scale(config.spec, config.grid)
-    trajectory = run_trajectory(
-        config.spec, config.hamiltonian, config.initial, config.grid
-    )
+    path = _out_path(config, out_path)
+    with _config_errors("model: "):  # an energy scale that overflows
+        trajectory = run_trajectory(
+            config.spec, config.hamiltonian, config.initial, config.grid
+        )
     values = _validated_columns(trajectory, config.spec.n_sites)
     columns = list(values)
     if config.columns is not None:
@@ -343,34 +281,24 @@ def cmd_compare(
     config: ScenarioConfig, ratios=None, out_path: str | None = None
 ) -> str:
     """Exact-vs-effective deviation table, one row per eta/J ratio."""
-    path = out_path or config.out_path
-    if path is None:
-        raise ConfigError("no output path: set output.path or pass --out")
+    path = _out_path(config, out_path)
     ratios = tuple(ratios) if ratios is not None else config.ratios
     if not ratios:
         raise ConfigError("no ratios: set compare.ratios or pass --ratios")
     variant = None if config.hamiltonian == "exact" else config.hamiltonian
-    j = config.spec.j_ref
-    if j == 0.0:
-        raise ConfigError("compare needs a nonzero coupling")
-    gap_cols = [
-        c for c in _simulate_columns(config.spec.n_sites)
-        if _COLUMNS[c][0] in ("p_site", *_OBSERVABLE_GAP_FIELDS)
-    ]
+    j = _coupling(config, "compare")
+    # the report's gaps come in table order, as these columns do
+    gap_cols = [c for c in column_names(config.spec.n_sites) if COLUMNS[c][3]]
     header = ["eta_over_j", "max_state_infidelity"] + ["gap_" + c for c in gap_cols]
     rows = []
     for ratio in ratios:
-        try:
+        with _config_errors(f"eta/J = {ratio}: "):  # ratio * J or the energy scale overflows
             spec = dataclasses.replace(config.spec, eta=ratio * j)
-        except ValueError as exc:  # ratio * J overflowed
-            raise ConfigError(f"eta/J = {ratio}: {exc}") from None
-        if spec.eta == 0.0:
-            raise ConfigError(f"eta/J = {ratio}: ratio * J underflows to 0")
-        _check_energy_scale(spec, config.grid, f"eta/J = {ratio}")
-        report = compare_exact_effective(spec, config.initial, config.grid, variant=variant)
+            if spec.eta == 0.0:
+                raise ValueError("ratio * J underflows to 0")
+            report = compare_exact_effective(spec, config.initial, config.grid, variant=variant)
         rows.append(
-            [report.eta_over_j, report.max_state_infidelity]
-            + [report.max_observable_gap[_gap_key(c)] for c in gap_cols]
+            [report.eta_over_j, report.max_state_infidelity, *report.max_observable_gap.values()]
         )
     _write_csv(path, header, rows)
     for row in rows:
@@ -380,31 +308,23 @@ def cmd_compare(
 
 def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
     """Closed-form strong-hopping probabilities on the configured grid."""
-    path = out_path or config.out_path
-    if path is None:
-        raise ConfigError("no output path: set output.path or pass --out")
-    j = config.spec.j_ref
-    if j == 0.0:
-        raise ConfigError("analytic needs a nonzero coupling")
+    path = _out_path(config, out_path)
+    j = _coupling(config, "analytic")
     kind = config.spec.coupling_kind()
     if kind == "custom":
         raise ConfigError("analytic solutions exist only for the xy/heisenberg presets")
     lattice = "two_site" if config.spec.n_sites == 2 else "three_site_middle_start"
-    period = analytic_period(kind, lattice, j)
-    if not math.isfinite(period):
-        raise NumericalInvariantError(f"closed-form period overflows (J = {j!r})")
-    times = config.grid.times()
-    # quarter couplings instead of half: same closed form at half the rate
-    rate = j / 2.0 if lattice == "three_site_middle_start" else j
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are caught below
-        solution = analytic_two_site(kind, times, j=rate)
-    table = np.column_stack((times, solution.p_up, solution.p_down))
+        solution = analytic(kind, lattice, config.grid.times(), j)
+    if not math.isfinite(solution.period):
+        raise NumericalInvariantError(f"closed-form period overflows (J = {j!r})")
+    table = np.column_stack((solution.times, solution.p_up, solution.p_down))
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        t = float(times[int(finite.argmin())])
+        t = float(solution.times[int(finite.argmin())])
         raise NumericalInvariantError(f"closed form is not finite at t = {t} (J = {j!r})")
     _write_csv(path, ["t", "alpha_up_sq", "alpha_down_sq"], table)
-    print(f"period={_fmt(period)}")
+    print(f"period={_fmt(solution.period)}")
     return path
 
 

@@ -90,9 +90,9 @@ class TimeGrid:
     """Uniform sampling of [0, t_max] (times in 1/J units).
 
     ``t_max`` must be a positive finite real number (an int within the float
-    range, a float or a numpy real scalar, not a bool) and ``n_points`` an
-    int from 2 up to the largest array size.  :meth:`times` builds its
-    array once per grid and returns it read-only on every call.
+    range, a float or a numpy real scalar, not a bool; stored as a float) and
+    ``n_points`` an int from 2 up to the largest array size.  :meth:`times`
+    builds its array once per grid and returns it read-only on every call.
     """
 
     t_max: float = 30.0
@@ -101,6 +101,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (_finite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be a positive finite number, got {self.t_max!r}")
+        object.__setattr__(self, "t_max", float(self.t_max))
         # an int no larger than an array size, so times() can build its array
         if not (_is_int(self.n_points) and 2 <= self.n_points <= np.iinfo(np.intp).max):
             raise ValueError(
@@ -143,6 +144,37 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def column(self, name: str) -> np.ndarray:
+        """The values of one column of :data:`COLUMNS`."""
+        field, position, _, _ = COLUMNS[name]
+        values = getattr(self, field)
+        return values if position is None else values[..., position]
+
+
+# Column name -> (Trajectory field, lattice position of a site population,
+# whether it is a probability, whether compare_exact_effective reports its
+# gap), in the order of the simulate CSV.  P1 and P2 are the outer sites, P0
+# the middle one (three sites only).
+COLUMNS = {
+    "t": ("t", None, False, False),
+    "P1": ("p_site", 0, True, True),
+    "P2": ("p_site", -1, True, True),
+    "P0": ("p_site", 1, True, True),
+    "P_up": ("p_up", None, True, True),
+    "F_plus": ("f_plus", None, True, True),
+    "F_minus": ("f_minus", None, True, True),
+    "logneg": ("logneg", None, False, True),
+    "F2": ("f2", None, True, True),
+    "Sz": ("sz_total", None, False, False),
+    "S12sq": ("s12_sq", None, False, False),
+    "norm": ("norm", None, False, False),
+}
+
+
+def column_names(n_sites: int) -> list:
+    """The columns of a trajectory on ``n_sites`` sites, in table order."""
+    return [c for c in COLUMNS if c != "P0" or n_sites == 3]
 
 
 def _log_negativity(rho12):
@@ -285,25 +317,39 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
     return states
 
 
-def _checked_initial(initial, layout: BasisLayout) -> np.ndarray:
-    """``initial`` as a complex vector; ``ValueError`` unless it is a
-    normalised state of ``layout``."""
+def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
+    """The layout, the start state as a complex vector and the grid of a run
+    of ``spec``; ``ValueError`` unless ``initial`` is a finite, normalised
+    state of the lattice and the run's energies and phases stay floats.
+
+    ``scale = eta + |j_xy| + |j_z|`` bounds the spectral norm of every
+    Hamiltonian of ``spec``, twice it bounds every row sum of ``|H|``, and
+    ``scale * t_max`` bounds every phase E * t.
+    """
+    layout = BasisLayout(spec.n_sites)
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (layout.dim,):
         raise ValueError(
             f"initial state shape {initial.shape} does not match layout dim {layout.dim}"
         )
+    if not np.isfinite(initial).all():
+        raise ValueError("initial state has NaN or infinite entries")
     nrm = math.sqrt(np.vdot(initial, initial).real)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"initial state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
-    return initial
+    grid = grid or TimeGrid()
+    scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
+    if not math.isfinite(2.0 * scale * max(grid.t_max, 1.0)):
+        raise ValueError(
+            f"energy scale eta + |j_xy| + |j_z| = {scale!r} with "
+            f"t_max = {grid.t_max!r} overflows"
+        )
+    return layout, initial, grid
 
 
 def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
     """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
-    grid = grid or TimeGrid()
-    layout = BasisLayout(spec.n_sites)
-    initial = _checked_initial(initial, layout)
+    layout, initial, grid = _checked_run(spec, initial, grid)
     h = hamiltonian_for(spec, hamiltonian_kind)
     times = grid.times()
     return observables(evolve_on_grid(h, initial, times), layout, times, h)
@@ -333,41 +379,37 @@ class AnalyticSolution:
     period: float
 
 
-def analytic_two_site(model_kind: str, t, j: float = 1.0) -> AnalyticSolution:
-    """Two-level solution of the halved-coupling chain on the doublet
-    spanned by |up>|down down> and |down>|psi+>."""
-    period = analytic_period(model_kind, "two_site", j)  # checks the kind and j
+def analytic(model_kind: str, lattice: str, t, j: float) -> AnalyticSolution:
+    """Two-level solution of the strong-hopping spin chain on the doublet
+    spanned by |up>|down down> and |down>|psi+>, sampled at ``t``.
+
+    On ``"two_site"`` the chain's couplings are halved.  On
+    ``"three_site_middle_start"`` they are quartered: the same closed form at
+    half the rate, so twice the period.  The period depends on the coupling
+    only through |j|.
+    """
+    if not (j != 0.0 and math.isfinite(j)):
+        raise ValueError(f"coupling j must be finite and nonzero, got {j!r}")
+    if model_kind == "xy":
+        period = 2.0 * SQRT2 * math.pi / abs(j)
+    elif model_kind == "heisenberg":
+        period = (16.0 * math.pi / 3.0) / abs(j)  # 3 |j| alone can overflow to inf
+    else:
+        raise ValueError(f"unknown model kind {model_kind!r}; valid: xy, heisenberg")
+    if lattice == "three_site_middle_start":
+        # from j itself: j / 2 underflows to 0 at the smallest couplings
+        period, j = 2.0 * period, j / 2.0
+    elif lattice != "two_site":
+        raise ValueError(
+            f"unknown lattice {lattice!r}; valid: two_site, three_site_middle_start"
+        )
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if model_kind == "xy":
         p_down = np.sin(j * times / SQRT2) ** 2
     else:
         p_down = (8.0 / 9.0) * np.sin(3.0 * j * times / 8.0) ** 2
     return AnalyticSolution(
-        kind=model_kind,
-        times=times,
-        p_up=1.0 - p_down,
-        p_down=p_down,
-        period=period,
-    )
-
-
-def analytic_period(model_kind: str, lattice: str = "two_site", j: float = 1.0) -> float:
-    """Full oscillation period of the strong-hopping spin dynamics, which
-    depends on the coupling only through |j|."""
-    if not (j != 0.0 and math.isfinite(j)):
-        raise ValueError(f"coupling j must be finite and nonzero, got {j!r}")
-    if model_kind == "xy":
-        base = 2.0 * SQRT2 * math.pi / abs(j)
-    elif model_kind == "heisenberg":
-        base = (16.0 * math.pi / 3.0) / abs(j)  # 3 |j| alone can overflow to inf
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}; valid: xy, heisenberg")
-    if lattice == "two_site":
-        return base
-    if lattice == "three_site_middle_start":
-        return 2.0 * base  # couplings quarter instead of halve on three sites
-    raise ValueError(
-        f"unknown lattice {lattice!r}; valid: two_site, three_site_middle_start"
+        kind=model_kind, times=times, p_up=1.0 - p_down, p_down=p_down, period=period
     )
 
 

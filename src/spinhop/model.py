@@ -85,6 +85,15 @@ def _known(label, table) -> bool:
     return isinstance(label, str) and label in table
 
 
+def _given(name, value, default):
+    """A preset coupling as a float, or ``default`` when it is not given."""
+    if value is None:
+        return default
+    if not _finite(value):
+        raise ValueError(f"model.{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Lattice size, hopping amplitude and spin-spin couplings.
@@ -96,6 +105,7 @@ class ModelSpec:
     ``n_sites`` must be the int 2 or 3.  ``eta`` (>= 0), ``j_xy`` and
     ``j_z`` must be finite real numbers: an int within the float range, a
     float or a numpy real scalar; a bool, a string or ``None`` is rejected.
+    They are stored as floats.
     """
 
     n_sites: int
@@ -113,6 +123,8 @@ class ModelSpec:
             raise ValueError(
                 f"couplings must be finite numbers, got j_xy={self.j_xy!r}, j_z={self.j_z!r}"
             )
+        for name in ("eta", "j_xy", "j_z"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.attachments is None:
             object.__setattr__(self, "attachments", {0: 1, self.n_sites - 1: 2})
         att = dict(self.attachments)
@@ -124,19 +136,55 @@ class ModelSpec:
             raise ValueError(f"attachment sites must be two distinct sites, got {att}")
 
     @classmethod
+    def from_preset(cls, preset, n_sites, eta, j=None, j_xy=None, j_z=None, attachments=None):
+        """A spec from a coupling preset and the couplings given with it
+        (``None``: not given).  ``"xy"``: ``j_xy = j`` (default 1), ``j_z = 0``;
+        ``"heisenberg"``: ``j_z = j = 2 j_xy`` (default 1); ``"custom"``:
+        ``j_xy``, ``j_z`` as given (default 0) and no ``j``.  Two given
+        couplings that fix one value must agree.  Messages name config keys."""
+        if not _known(preset, ("xy", "heisenberg", "custom")):
+            raise ValueError(f"model.preset must be xy, heisenberg or custom, got {preset!r}")
+        if preset == "custom":
+            if j is not None:
+                raise ValueError("model.j is only meaningful with the xy/heisenberg presets")
+            j_xy, j_z = _given("j_xy", j_xy, 0.0), _given("j_z", j_z, 0.0)
+        elif preset == "xy":
+            if _given("j_z", j_z, 0.0) != 0.0:
+                raise ValueError("preset 'xy' requires j_z == 0")
+            scale = _given("j", j, 1.0)
+            value = _given("j_xy", j_xy, scale)
+            if j is not None and j_xy is not None and value != scale:
+                raise ValueError("preset 'xy': j and j_xy disagree; give one of them")
+            j_xy, j_z = value, 0.0
+        else:
+            z = _given("j_z", j_z, 1.0)
+            scale = _given("j", j, z)
+            if j is not None and j_z is not None and z != scale:
+                raise ValueError("preset 'heisenberg': j and j_z disagree; give one of them")
+            j_z = z if j_z is not None else scale
+            j_xy = _given("j_xy", j_xy, j_z / 2.0)
+            if abs(j_z - 2.0 * j_xy) > 1e-12 * max(1.0, abs(j_z)):
+                raise ValueError("preset 'heisenberg' requires j_z == 2 * j_xy")
+        return cls(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z, attachments=attachments)
+
+    @classmethod
     def xy(cls, eta, j=1.0, n_sites=2, attachments=None):
         """Pure isotropic-XY coupling of strength ``j``."""
-        return cls(n_sites=n_sites, eta=eta, j_xy=j, j_z=0.0, attachments=attachments)
+        return cls.from_preset("xy", n_sites, eta, j=j, attachments=attachments)
 
     @classmethod
     def heisenberg(cls, eta, j=1.0, n_sites=2, attachments=None):
         """Heisenberg coupling of strength ``j`` (``j_z = 2 j_xy = j``)."""
-        return cls(n_sites=n_sites, eta=eta, j_xy=j / 2.0, j_z=j, attachments=attachments)
+        return cls.from_preset("heisenberg", n_sites, eta, j=j, attachments=attachments)
 
     @property
     def j_ref(self) -> float:
-        """Energy unit J: the Ising coupling when present, else the XY one."""
-        return self.j_z if self.j_z != 0.0 else self.j_xy
+        """Energy unit J: the Ising coupling when present, else the XY one.
+        ``ValueError`` when both are zero, for eta/J is then undefined."""
+        j = self.j_z if self.j_z != 0.0 else self.j_xy
+        if j == 0.0:
+            raise ValueError("coupling scale is zero; eta/J is undefined")
+        return j
 
     def coupling_kind(self) -> str:
         """"xy", "heisenberg" or "custom"."""
@@ -166,21 +214,6 @@ class BasisLayout:
     @property
     def dim(self) -> int:
         return 8 * self.n_sites
-
-    def encode(self, site: int, e_spin: int, s1: int, s2: int) -> int:
-        if not (0 <= site < self.n_sites):
-            raise ValueError(f"site index {site} out of range")
-        if any(s not in (0, 1) for s in (e_spin, s1, s2)):
-            raise ValueError("spins must be encoded as 0 (up) or 1 (down)")
-        return ((site * 2 + e_spin) * 2 + s1) * 2 + s2
-
-    def decode(self, index: int):
-        if not (0 <= index < self.dim):
-            raise ValueError(f"index {index} out of range for dim {self.dim}")
-        index, s2 = divmod(index, 2)
-        index, s1 = divmod(index, 2)
-        site, e_spin = divmod(index, 2)
-        return site, e_spin, s1, s2
 
     def site_labels(self):
         """Site labels in lattice order (left to right)."""

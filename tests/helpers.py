@@ -13,6 +13,26 @@ BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
+def encode(layout, site, e_spin, s1, s2):
+    """Composite index ((site*2 + e)*2 + s1)*2 + s2 of a basis state of
+    ``layout``, spins encoded up -> 0, down -> 1."""
+    if not (0 <= site < layout.n_sites):
+        raise ValueError(f"site index {site} out of range")
+    if any(s not in (0, 1) for s in (e_spin, s1, s2)):
+        raise ValueError("spins must be encoded as 0 (up) or 1 (down)")
+    return ((site * 2 + e_spin) * 2 + s1) * 2 + s2
+
+
+def decode(layout, index):
+    """(site, e_spin, s1, s2) of a composite index of ``layout``."""
+    if not (0 <= index < layout.dim):
+        raise ValueError(f"index {index} out of range for dim {layout.dim}")
+    index, s2 = divmod(index, 2)
+    index, s1 = divmod(index, 2)
+    site, e_spin = divmod(index, 2)
+    return site, e_spin, s1, s2
+
+
 def series(trajectory, name):
     """One field of a Trajectory as a float array."""
     return np.asarray(getattr(trajectory, name), dtype=float)

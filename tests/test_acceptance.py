@@ -24,7 +24,7 @@ from spinhop import (
     run_trajectory,
 )
 from spinhop.cli import main
-from spinhop.dynamics import analytic_two_site
+from spinhop.dynamics import analytic
 
 from helpers import (
     BELL_PLUS,
@@ -97,7 +97,7 @@ def test_criterion_5_effective_matches_analytic(traj):
     worst = 0.0
     for name, kind in (("xy10_eff", "xy"), ("heis10_eff", "heisenberg")):
         run = traj(name)
-        sol = analytic_two_site(kind, run.times)
+        sol = analytic(kind, "two_site", run.times, 1.0)
         gap_up = np.abs(series(run.trajectory, "p_up") - sol.p_up).max()
         gap_down = np.abs(series(run.trajectory, "f_plus") - sol.p_down).max()
         assert gap_up <= 1e-9

@@ -169,6 +169,32 @@ class TestCompareExactEffective:
         with pytest.raises(ValueError, match="does not match layout dim 16"):
             compare_exact_effective(ModelSpec.xy(10.0), three_site)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_initial_entry(self, bad):
+        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
+        psi[0] = bad
+        with pytest.raises(ValueError, match="^initial state has NaN or infinite entries$"):
+            compare_exact_effective(ModelSpec.xy(10.0), psi)
+
+    def test_rejects_an_overflowing_energy_scale_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a Hamiltonian before checking the energy scale")
+
+        monkeypatch.setattr(analysis, "hamiltonian_for", build)
+        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(ValueError, match=r"^energy scale .* = inf with t_max = 30\.0"):
+                compare_exact_effective(ModelSpec.xy(1e308, j=1e308), psi)
+
+    def test_gaps_follow_the_compared_columns(self):
+        psi = encode_state(BasisLayout(3), 0, "up", "down-down")
+        grid = TimeGrid(t_max=5.0, n_points=51)
+        report = compare_exact_effective(ModelSpec.xy(10.0, n_sites=3), psi, grid)
+        assert list(report.max_observable_gap) == [
+            "P1", "P2", "P0", "p_up", "f_plus", "f_minus", "logneg", "f2"
+        ]
+
     def test_zero_coupling_rejected_before_evolving(self, monkeypatch):
         def evolve(*args):
             raise AssertionError("evolved before checking the coupling scale")

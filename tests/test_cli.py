@@ -199,11 +199,21 @@ class TestParseConfig:
             ),
             ({"run": {"t_max": -1.0}}, lambda: TimeGrid(t_max=-1.0, n_points=601)),
             ({"run": {"n_points": True}}, lambda: TimeGrid(t_max=30.0, n_points=True)),
+            ({"model": {"eta": math.nan}}, lambda: ModelSpec.xy(math.nan)),
+            ({"model": {"eta": 10**400}}, lambda: ModelSpec.xy(10**400)),
+            ({"run": {"t_max": math.inf}}, lambda: TimeGrid(t_max=math.inf, n_points=601)),
+            ({"model": {"preset": "ising"}}, lambda: ModelSpec.from_preset("ising", 2, 10.0)),
+            (
+                {"model": {"preset": "custom", "j": 1.0}},
+                lambda: ModelSpec.from_preset("custom", 2, 10.0, j=1.0),
+            ),
+            ({"model": {"j": math.nan}}, lambda: ModelSpec.xy(10.0, j=math.nan)),
         ],
         ids=[
             "n_sites-4", "n_sites-str", "eta-negative", "site-0", "site-bool", "e_spin-null",
             "static-list", "hamiltonian-list", "variant-lattice", "projector-eta-0",
-            "t_max-negative", "n_points-bool",
+            "t_max-negative", "n_points-bool", "eta-nan", "eta-huge-int", "t_max-inf",
+            "preset-unknown", "custom-with-j", "j-nan",
         ],
     )
     def test_semantic_errors_carry_the_library_message(self, overrides, library):
@@ -551,6 +561,11 @@ class TestEdgeInputs:
         assert self._main(tmp_path, "analytic", cfg) == 2
         assert "analytic needs a nonzero coupling" in capsys.readouterr().err
 
+    def test_compare_without_coupling_is_a_config_error(self, tmp_path, capsys):
+        cfg = _config(model={"preset": "custom"}, run={"n_points": 11})
+        assert self._main(tmp_path, "compare", cfg, "--ratios", "10") == 2
+        assert capsys.readouterr().err == "config error: compare needs a nonzero coupling\n"
+
     def test_overflowing_energy_scale_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "heisenberg", "j": -1e308}, run={"n_points": 11})
         assert self._main(tmp_path, "simulate", cfg) == 2
@@ -599,8 +614,10 @@ class TestEdgeInputs:
         [
             ({"preset": "heisenberg", "j": -1e308}, "closed form is not finite at t = 0.0"),
             ({"j": 1e-310}, "closed-form period overflows"),
+            # j / 2 underflows to 0 on three sites; the period still overflows
+            ({"n_sites": 3, "j": 5e-324}, "closed-form period overflows (J = 5e-324)"),
         ],
-        ids=["j-times-t-overflows", "period-overflows"],
+        ids=["j-times-t-overflows", "period-overflows", "three-site-period-overflows"],
     )
     def test_non_finite_closed_form_is_an_invariant_violation(
         self, tmp_path, capsys, model, message

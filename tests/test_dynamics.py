@@ -3,19 +3,21 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from spinhop import dynamics, linalg
 from spinhop.dynamics import (
+    COLUMNS,
     HAMILTONIAN_KINDS,
     X_TOL,
     AnalyticSolution,
     TimeGrid,
     Trajectory,
-    analytic_period,
-    analytic_two_site,
+    analytic,
+    column_names,
     doublet_leakage,
     evolve_on_grid,
     hamiltonian_for,
@@ -37,6 +39,8 @@ from spinhop.linalg import hermitian_eigensystem
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
+    decode,
+    encode,
     expm_series,
     log_negativity_oracle,
     partial_trace_oracle_keep_last_two,
@@ -324,7 +328,7 @@ def _whole_matrix_evolution(h, psi, times):
 def _sz_of_basis(n_sites):
     """Total S_z of each basis state, from its decoded spins (0 up, 1 down)."""
     layout = BasisLayout(n_sites)
-    return np.array([sum(0.5 - s for s in layout.decode(i)[1:]) for i in range(layout.dim)])
+    return np.array([sum(0.5 - s for s in decode(layout, i)[1:]) for i in range(layout.dim)])
 
 
 @pytest.fixture
@@ -361,8 +365,8 @@ class TestEvolveOnGrid:
         layout = BasisLayout(2)
         h = build_hamiltonian(ModelSpec.xy(2.0))
         sz = _sz_of_basis(2)
-        i = layout.encode(0, 0, 1, 1)  # |up>|dd>, S_z = -1/2
-        j = layout.encode(1, 0, 0, 1)  # |up>|ud>, S_z = +1/2
+        i = encode(layout, 0, 0, 1, 1)  # |up>|dd>, S_z = -1/2
+        j = encode(layout, 1, 0, 0, 1)  # |up>|ud>, S_z = +1/2
         assert sz[i] != sz[j]
         h[i, j] = h[j, i] = 0.3
         psi = encode_state(layout, 1, "up", "down-down")
@@ -377,13 +381,13 @@ class TestEvolveOnGrid:
     def test_bad_entry_in_an_unoccupied_sector_raises(self, bad):
         layout = BasisLayout(3)
         h = build_hamiltonian(ModelSpec.heisenberg(5.0, n_sites=3))
-        k = layout.encode(2, 0, 0, 0)  # |up>|uu>, S_z = +3/2
+        k = encode(layout, 2, 0, 0, 0)  # |up>|uu>, S_z = +3/2
         psi = encode_state(layout, 0, "down", "down-down")  # S_z = -3/2
         assert psi[k] == 0
         if bad == "nan":
             h[k, k] = math.nan
         else:
-            h[k, layout.encode(1, 0, 0, 0)] += 0.5
+            h[k, encode(layout, 1, 0, 0, 0)] += 0.5
         with pytest.raises(ValueError, match="NaN" if bad == "nan" else "not Hermitian"):
             evolve_on_grid(h, psi, [0.0, 1.0])
 
@@ -431,6 +435,30 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match="not normalized"):
             run_trajectory(spec, "exact", np.ones(16), TimeGrid(t_max=1.0, n_points=2))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_rejects_a_non_finite_initial_entry(self, bad):
+        # abs(nan - 1) > tol is False: the norm test alone let a NaN through
+        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
+        psi[5] = bad
+        with pytest.raises(ValueError, match="^initial state has NaN or infinite entries$"):
+            run_trajectory(ModelSpec.xy(1.0), "exact", psi, TimeGrid(t_max=1.0, n_points=2))
+
+    def test_rejects_an_overflowing_energy_scale_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a Hamiltonian before checking the energy scale")
+
+        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
+        message = (
+            r"^energy scale eta \+ \|j_xy\| \+ \|j_z\| = inf with t_max = 30\.0 overflows$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(ValueError, match=message):
+                run_trajectory(ModelSpec.xy(1e308, j=1e308), "exact", psi)
+            monkeypatch.setattr(dynamics, "hamiltonian_for", build)
+            with pytest.raises(ValueError, match="overflows"):
+                run_trajectory(ModelSpec.xy(1.0), "exact", psi, TimeGrid(t_max=1e308))
+
     def test_rejects_unknown_kind(self):
         spec = ModelSpec.xy(1.0)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
@@ -455,72 +483,114 @@ class TestRunTrajectory:
         assert run.trajectory.t == pytest.approx(run.times)
 
 
+class TestColumns:
+    def test_names_follow_the_lattice(self):
+        assert column_names(2) == [c for c in COLUMNS if c != "P0"]
+        assert column_names(3) == list(COLUMNS)
+        assert column_names(3)[:5] == ["t", "P1", "P2", "P0", "P_up"]
+
+    def test_every_column_reads_its_field(self, traj):
+        trajectory = traj("mid3_exact").trajectory
+        for position, name in ((0, "P1"), (1, "P0"), (2, "P2")):
+            assert np.array_equal(trajectory.column(name), trajectory.p_site[:, position])
+        two_sites = traj("xy10_exact").trajectory
+        assert np.array_equal(two_sites.column("P2"), two_sites.p_site[:, 1])
+        assert trajectory.column("F_plus") is trajectory.f_plus
+        assert trajectory.column("Sz") is trajectory.sz_total
+
+    def test_probabilities_and_compared_columns(self):
+        probabilities = [c for c, (_, _, p, _) in COLUMNS.items() if p]
+        compared = [c for c, (_, _, _, g) in COLUMNS.items() if g]
+        assert probabilities == ["P1", "P2", "P0", "P_up", "F_plus", "F_minus", "F2"]
+        assert compared == ["P1", "P2", "P0", "P_up", "F_plus", "F_minus", "logneg", "F2"]
+
+
+class TestAnalyticThreeSite:
+    @pytest.mark.parametrize("kind", ["xy", "heisenberg"])
+    def test_three_sites_run_at_half_the_rate(self, kind):
+        t = np.linspace(0.0, 40.0, 401)
+        three = analytic(kind, "three_site_middle_start", t, 1.0)
+        two = analytic(kind, "two_site", t, 0.5)
+        assert np.array_equal(three.p_down, two.p_down)
+        assert three.period == 2.0 * analytic(kind, "two_site", t, 1.0).period
+
+    def test_smallest_coupling_keeps_an_infinite_period(self):
+        # j / 2 underflows to 0 here; the period comes from j itself
+        sol = analytic("xy", "three_site_middle_start", [0.0, 1.0], 5e-324)
+        assert sol.period == math.inf
+        assert np.array_equal(sol.p_down, [0.0, 0.0])
+
+
 class TestAnalyticTwoSite:
     def test_time_zero(self):
         for kind in ("xy", "heisenberg"):
-            sol = analytic_two_site(kind, 0.0)
+            sol = analytic(kind, "two_site", 0.0, 1.0)
             assert sol.p_up[0] == 1.0
             assert sol.p_down[0] == 0.0
 
     def test_xy_full_transfer_time(self):
-        sol = analytic_two_site("xy", math.pi / SQRT2)
+        sol = analytic("xy", "two_site", math.pi / SQRT2, 1.0)
         assert sol.p_down[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_heisenberg_peak_transfer(self):
-        sol = analytic_two_site("heisenberg", 4.0 * math.pi / 3.0)
+        sol = analytic("heisenberg", "two_site", 4.0 * math.pi / 3.0, 1.0)
         assert sol.p_down[0] == pytest.approx(8.0 / 9.0, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
         t = np.linspace(0.0, 40.0, 500)
         for kind in ("xy", "heisenberg"):
-            sol = analytic_two_site(kind, t)
+            sol = analytic(kind, "two_site", t, 1.0)
             assert np.abs(sol.p_up + sol.p_down - 1.0).max() <= 1e-12
 
     def test_coupling_scale(self):
-        sol = analytic_two_site("xy", math.pi / (2.0 * SQRT2), j=2.0)
+        sol = analytic("xy", "two_site", math.pi / (2.0 * SQRT2), 2.0)
         assert sol.p_down[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="model kind"):
-            analytic_two_site("ising", 1.0)
+            analytic("ising", "two_site", 1.0, 1.0)
 
     def test_solution_carries_period(self):
-        sol = analytic_two_site("xy", 1.0)
+        sol = analytic("xy", "two_site", 1.0, 1.0)
         assert isinstance(sol, AnalyticSolution)
         assert sol.period == pytest.approx(2.0 * SQRT2 * math.pi)
 
 
 class TestAnalyticPeriod:
     def test_reference_values(self):
-        assert analytic_period("xy", "two_site") == pytest.approx(2 * SQRT2 * math.pi)
-        assert analytic_period("heisenberg", "two_site") == pytest.approx(16 * math.pi / 3)
-        assert analytic_period("xy", "three_site_middle_start") == pytest.approx(
+        assert analytic("xy", "two_site", 0.0, 1.0).period == pytest.approx(2 * SQRT2 * math.pi)
+        assert analytic("heisenberg", "two_site", 0.0, 1.0).period == pytest.approx(
+            16 * math.pi / 3
+        )
+        assert analytic("xy", "three_site_middle_start", 0.0, 1.0).period == pytest.approx(
             4 * SQRT2 * math.pi
         )
-        assert analytic_period("heisenberg", "three_site_middle_start") == pytest.approx(
-            32 * math.pi / 3
-        )
+        assert analytic(
+            "heisenberg", "three_site_middle_start", 0.0, 1.0
+        ).period == pytest.approx(32 * math.pi / 3)
 
     def test_scales_inversely_with_coupling(self):
-        assert analytic_period("xy", "two_site", j=2.0) == pytest.approx(SQRT2 * math.pi)
+        assert analytic("xy", "two_site", 0.0, 2.0).period == pytest.approx(SQRT2 * math.pi)
 
     @pytest.mark.parametrize("kind", ["xy", "heisenberg"])
     @pytest.mark.parametrize("lattice", ["two_site", "three_site_middle_start"])
     def test_negative_coupling_gives_the_same_period(self, kind, lattice):
         # sin^2(j t / c) is even in j, so the cycle depends on |j| only
-        assert analytic_period(kind, lattice, j=-1.0) == analytic_period(kind, lattice, j=1.0)
+        assert (
+            analytic(kind, lattice, 0.0, -1.0).period == analytic(kind, lattice, 0.0, 1.0).period
+        )
 
     def test_largest_coupling_gives_a_positive_period(self):
         # 3 * 1e308 overflows; the period must not collapse to 0
-        period = analytic_period("heisenberg", "three_site_middle_start", j=1e308)
+        period = analytic("heisenberg", "three_site_middle_start", 0.0, 1e308).period
         assert period == pytest.approx(32.0 * math.pi / 3.0 / 1e308, rel=1e-15)
         assert period > 0.0
 
     def test_unknown_labels(self):
         with pytest.raises(ValueError, match="model kind"):
-            analytic_period("ising", "two_site")
+            analytic("ising", "two_site", 0.0, 1.0)
         with pytest.raises(ValueError, match="lattice"):
-            analytic_period("xy", "four_site")
+            analytic("xy", "four_site", 0.0, 1.0)
 
 
 class TestQstTrajectory:
@@ -562,7 +632,7 @@ class TestInvariants:
     )
     def test_effective_dynamics_reproduces_analytic(self, traj, name, kind):
         run = traj(name)
-        sol = analytic_two_site(kind, run.times)
+        sol = analytic(kind, "two_site", run.times, 1.0)
         assert np.abs(series(run.trajectory, "p_up") - sol.p_up).max() <= 1e-9
         assert np.abs(series(run.trajectory, "f_plus") - sol.p_down).max() <= 1e-9
 
@@ -609,11 +679,11 @@ def test_trajectory_is_frozen():
     [
         (lambda: encode_state(BasisLayout(2), True, "up", "down-down"), "site label"),
         (lambda: encode_state(BasisLayout(3), 1.0, "up", "down-down"), "site label"),
-        (lambda: analytic_period("xy", "two_site", j=0.0), "finite and nonzero"),
-        (lambda: analytic_period("heisenberg", "three_site_middle_start", j=0), "nonzero"),
-        (lambda: analytic_period("xy", "two_site", j=math.nan), "finite and nonzero"),
-        (lambda: analytic_two_site("xy", [0.0, 1.0], j=0.0), "finite and nonzero"),
-        (lambda: analytic_two_site("heisenberg", [0.0], j=math.inf), "finite and nonzero"),
+        (lambda: analytic("xy", "two_site", 0.0, 0.0), "finite and nonzero"),
+        (lambda: analytic("heisenberg", "three_site_middle_start", 0.0, 0), "nonzero"),
+        (lambda: analytic("xy", "two_site", 0.0, math.nan), "finite and nonzero"),
+        (lambda: analytic("xy", "two_site", [0.0, 1.0], 0.0), "finite and nonzero"),
+        (lambda: analytic("heisenberg", "two_site", [0.0], math.inf), "finite and nonzero"),
     ],
     ids=[
         "bool-site", "float-site", "xy-period-j0", "heisenberg-period-j0", "period-j-nan",

@@ -1,6 +1,7 @@
 """Model layer: basis layout, exact and effective Hamiltonians, initial states."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from spinhop.model import (
     static_pair_state,
 )
 
-from helpers import collective_spin_oracle, hamiltonian_oracle
+from helpers import collective_spin_oracle, decode, encode, hamiltonian_oracle
 
 SQRT2 = np.sqrt(2.0)
 
@@ -91,6 +92,69 @@ class TestModelSpec:
         assert ModelSpec(2, 1.0, j_xy=1.0, j_z=0.5).coupling_kind() == "custom"
 
 
+    def test_stores_floats(self):
+        spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
+        assert all(type(x) is float for x in (spec.eta, spec.j_xy, spec.j_z))
+
+    def test_zero_coupling_has_no_energy_unit(self):
+        assert ModelSpec(2, 1.0, j_xy=0.5).j_ref == 0.5
+        with pytest.raises(ValueError, match="coupling scale is zero"):
+            ModelSpec(2, 1.0).j_ref
+
+
+class TestFromPreset:
+    @pytest.mark.parametrize(
+        "preset, couplings, expected",
+        [
+            ("xy", {}, (1.0, 0.0)),
+            ("xy", {"j": 2}, (2.0, 0.0)),
+            ("xy", {"j_xy": 3.0, "j_z": 0}, (3.0, 0.0)),
+            ("xy", {"j": 2.0, "j_xy": 2.0}, (2.0, 0.0)),
+            ("heisenberg", {}, (0.5, 1.0)),
+            ("heisenberg", {"j": 2.0}, (1.0, 2.0)),
+            ("heisenberg", {"j_z": 3.0}, (1.5, 3.0)),
+            ("heisenberg", {"j_xy": 0.25, "j_z": 0.5}, (0.25, 0.5)),
+            ("custom", {}, (0.0, 0.0)),
+            ("custom", {"j_xy": 1, "j_z": 0.7}, (1.0, 0.7)),
+        ],
+    )
+    def test_couplings(self, preset, couplings, expected):
+        spec = ModelSpec.from_preset(preset, 3, 10, **couplings)
+        assert (spec.n_sites, spec.eta, spec.j_xy, spec.j_z) == (3, 10.0, *expected)
+        assert all(type(x) is float for x in (spec.j_xy, spec.j_z))
+
+    def test_named_presets_call_it(self):
+        assert ModelSpec.xy(5.0, j=2.0) == ModelSpec.from_preset("xy", 2, 5.0, j=2.0)
+        heis = ModelSpec.heisenberg(5.0, j=-3.0, n_sites=3, attachments={0: 2, 2: 1})
+        assert heis == ModelSpec.from_preset(
+            "heisenberg", 3, 5.0, j=-3.0, attachments={0: 2, 2: 1}
+        )
+        with pytest.raises(ValueError, match=r"^model\.j must be finite, got nan$"):
+            ModelSpec.xy(5.0, j=math.nan)
+
+    @pytest.mark.parametrize(
+        "preset, couplings, message",
+        [
+            ("ising", {}, "model.preset must be xy, heisenberg or custom, got 'ising'"),
+            (["xy"], {}, "model.preset must be xy, heisenberg or custom, got ['xy']"),
+            ("custom", {"j": 1.0}, "model.j is only meaningful with the xy/heisenberg presets"),
+            ("custom", {"j_xy": math.inf}, "model.j_xy must be finite, got inf"),
+            ("xy", {"j_z": 0.5}, "preset 'xy' requires j_z == 0"),
+            ("xy", {"j": 2.0, "j_xy": 1.0}, "preset 'xy': j and j_xy disagree; give one of them"),
+            ("xy", {"j": 10**400}, f"model.j must be finite, got {10**400!r}"),
+            ("heisenberg", {"j": 2.0, "j_z": 1.0},
+             "preset 'heisenberg': j and j_z disagree; give one of them"),
+            ("heisenberg", {"j_z": 1.0, "j_xy": 0.9},
+             "preset 'heisenberg' requires j_z == 2 * j_xy"),
+            ("heisenberg", {"j": math.nan, "j_z": True}, "model.j_z must be finite, got True"),
+        ],
+    )
+    def test_messages_name_the_config_keys(self, preset, couplings, message):
+        with pytest.raises(ValueError) as raised:
+            ModelSpec.from_preset(preset, 2, 10.0, **couplings)
+        assert str(raised.value) == message
+
+
 class TestBasisLayout:
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_encode_decode_roundtrip(self, n_sites):
@@ -101,14 +165,14 @@ class TestBasisLayout:
             for e in (0, 1):
                 for s1 in (0, 1):
                     for s2 in (0, 1):
-                        idx = layout.encode(site, e, s1, s2)
-                        assert layout.decode(idx) == (site, e, s1, s2)
+                        idx = encode(layout, site, e, s1, s2)
+                        assert decode(layout, idx) == (site, e, s1, s2)
                         seen.add(idx)
         assert seen == set(range(layout.dim))
 
     def test_index_formula(self):
         layout = BasisLayout(2)
-        assert layout.encode(1, 0, 1, 0) == 1 * 8 + 0 * 4 + 1 * 2 + 0
+        assert encode(layout, 1, 0, 1, 0) == 1 * 8 + 0 * 4 + 1 * 2 + 0
 
     def test_site_labels(self):
         assert BasisLayout(2).site_labels() == (1, 2)
@@ -120,9 +184,9 @@ class TestBasisLayout:
     def test_bad_inputs(self):
         layout = BasisLayout(2)
         with pytest.raises(ValueError):
-            layout.encode(2, 0, 0, 0)
+            encode(layout, 2, 0, 0, 0)
         with pytest.raises(ValueError):
-            layout.decode(16)
+            decode(layout, 16)
         with pytest.raises(ValueError):
             BasisLayout(5)
 
@@ -167,15 +231,15 @@ class TestBuildInteraction:
         spec = ModelSpec.xy(1.0, j=0.7)
         v = build_interaction(spec)
         layout = BasisLayout(2)
-        bra = layout.encode(0, 1, 0, 1)
-        ket = layout.encode(0, 0, 1, 1)
+        bra = encode(layout, 0, 1, 0, 1)
+        ket = encode(layout, 0, 0, 1, 1)
         assert v[bra, ket] == pytest.approx(0.7)
 
     def test_heisenberg_diagonal_element(self):
         # <x=1, all up| V |x=1, all up> = j_z/4 from the Ising term at site 1
         spec = ModelSpec.heisenberg(1.0, j=1.0)
         v = build_interaction(spec)
-        idx = BasisLayout(2).encode(0, 0, 0, 0)
+        idx = encode(BasisLayout(2), 0, 0, 0, 0)
         assert v[idx, idx] == pytest.approx(0.25)
 
     def test_hermitian_and_block_diagonal_in_site(self):
@@ -195,8 +259,8 @@ class TestBuildInteraction:
         v = build_interaction(swapped)
         layout = BasisLayout(2)
         # at site 1 the mobile spin now exchanges with static spin 2
-        bra = layout.encode(0, 1, 1, 0)
-        ket = layout.encode(0, 0, 1, 1)
+        bra = encode(layout, 0, 1, 1, 0)
+        ket = encode(layout, 0, 0, 1, 1)
         assert v[bra, ket] == pytest.approx(1.0)
 
 
@@ -385,14 +449,14 @@ class TestEncodeState:
         layout = BasisLayout(2)
         psi = encode_state(layout, 1, "up", "down-down")
         expected = np.zeros(16)
-        expected[layout.encode(0, 0, 1, 1)] = 1.0
+        expected[encode(layout, 0, 0, 1, 1)] = 1.0
         assert np.array_equal(psi, expected)
 
     def test_triplet_preset_amplitudes(self):
         layout = BasisLayout(2)
         psi = encode_state(layout, 1, "down", "psi-plus")
-        assert psi[layout.encode(0, 1, 0, 1)] == pytest.approx(1 / SQRT2)
-        assert psi[layout.encode(0, 1, 1, 0)] == pytest.approx(1 / SQRT2)
+        assert psi[encode(layout, 0, 1, 0, 1)] == pytest.approx(1 / SQRT2)
+        assert psi[encode(layout, 0, 1, 1, 0)] == pytest.approx(1 / SQRT2)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_bell_presets_orthogonal(self):
@@ -402,7 +466,7 @@ class TestEncodeState:
     def test_middle_site_label(self):
         layout = BasisLayout(3)
         psi = encode_state(layout, 0, "up", "down-down")
-        assert psi[layout.encode(1, 0, 1, 1)] == 1.0
+        assert psi[encode(layout, 1, 0, 1, 1)] == 1.0
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_every_start_state_equals_the_kron_product(self, n_sites):
