@@ -18,7 +18,7 @@ from .dynamics import (
     hamiltonian_for,
     observables,
 )
-from .model import ModelSpec
+from .model import CHAIN_VARIANT, ModelSpec
 
 
 def log_negativity(rho12) -> float:
@@ -81,7 +81,7 @@ def compare_exact_effective(
     meaningful and the comparison happens on the spin-reduced state.
     """
     if variant is None:
-        variant = "two_site" if spec.n_sites == 2 else "three_site_middle_start"
+        variant = CHAIN_VARIANT[spec.n_sites]
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
     layout, initial, grid = _checked_run(spec, initial, grid)
     times = grid.times()
@@ -118,14 +118,15 @@ def compare_exact_effective(
     )
 
 
-def estimate_period(times, values, threshold: float = 0.75, min_amplitude: float = 1e-6) -> float:
+def estimate_period(times, values) -> float:
     """Period of an oscillating probability-valued series.
 
-    Maxima are located as threshold crossings refined by quadratic
-    interpolation (a least-squares parabola over each above-threshold run,
-    which averages out fast small ripples).  Probability-level maxima repeat
-    twice per cycle of the underlying state, so the returned period is twice
-    their mean spacing.
+    Maxima are located as crossings of the level 3/4 of the way from the
+    series' minimum to its maximum (a range <= 1e-6 is noise), refined by
+    quadratic interpolation (a least-squares parabola over each run above
+    that level, which averages out fast small ripples).  Probability-level
+    maxima repeat twice per cycle of the underlying state, so the returned
+    period is twice their mean spacing.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -134,9 +135,9 @@ def estimate_period(times, values, threshold: float = 0.75, min_amplitude: float
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
     amplitude = float(v.max() - v.min())
-    if amplitude <= min_amplitude:
+    if amplitude <= 1e-6:
         raise ValueError("oscillation amplitude below noise floor")
-    level = v.min() + threshold * amplitude
+    level = v.min() + 0.75 * amplitude
 
     # first and last index of every run of samples at or above the level
     edges = np.diff((v >= level).astype(np.int8), prepend=0, append=0)

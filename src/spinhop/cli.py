@@ -50,7 +50,7 @@ import numpy as np
 
 from .analysis import compare_exact_effective
 from .dynamics import COLUMNS, TimeGrid, analytic, column_names, hamiltonian_for, run_trajectory
-from .model import BasisLayout, ModelSpec, _finite, _read_only, encode_state
+from .model import CHAIN_VARIANT, BasisLayout, ModelSpec, _finite, _read_only, encode_state
 
 PROBABILITY_TOL = 1e-9
 
@@ -313,9 +313,8 @@ def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
     kind = config.spec.coupling_kind()
     if kind == "custom":
         raise ConfigError("analytic solutions exist only for the xy/heisenberg presets")
-    lattice = "two_site" if config.spec.n_sites == 2 else "three_site_middle_start"
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are caught below
-        solution = analytic(kind, lattice, config.grid.times(), j)
+        solution = analytic(kind, CHAIN_VARIANT[config.spec.n_sites], config.grid.times(), j)
     if not math.isfinite(solution.period):
         raise NumericalInvariantError(f"closed-form period overflows (J = {j!r})")
     table = np.column_stack((solution.times, solution.p_up, solution.p_down))

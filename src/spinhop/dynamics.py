@@ -114,7 +114,10 @@ class TimeGrid:
 
     @functools.cached_property
     def _times(self) -> np.ndarray:
-        return _read_only(np.linspace(0.0, self.t_max, self.n_points))
+        # near the float limit linspace's last k * step overflows before it
+        # puts t_max there, which every other sample stays below
+        with np.errstate(over="ignore"):
+            return _read_only(np.linspace(0.0, self.t_max, self.n_points))
 
     def __getstate__(self):  # a copy or an unpickled grid builds its own read-only times
         return {"t_max": self.t_max, "n_points": self.n_points}

@@ -34,7 +34,7 @@ def hermiticity_defect(m) -> np.ndarray:
     return np.maximum.reduce(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
 
 
-def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
+def assert_hermitian(m):
     """Raise ``ValueError`` with the max-asymmetry diagnostic if a matrix, or
     any matrix of a stack ``(..., n, n)``, is not Hermitian or has a NaN or
     infinite entry.  Each matrix is held to its own scale."""
@@ -48,13 +48,13 @@ def assert_hermitian(m, rtol: float = HERMITIAN_RTOL):
     if not math.isfinite(largest) and not np.isfinite(m).all():
         raise ValueError("matrix has NaN or infinite entries")
     defect = hermiticity_defect(m)
-    bad = defect > rtol * np.maximum(scale, 1e-300)
+    bad = defect > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender
         where = f" at stack index {tuple(int(i) for i in k)}" if k else ""
         raise ValueError(
             f"matrix{where} is not Hermitian: max|M - M^H| = {defect[k]:.3e} "
-            f"exceeds {rtol:.1e} * max|M| = {rtol * scale[k]:.3e}"
+            f"exceeds {HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale[k]:.3e}"
         )
 
 

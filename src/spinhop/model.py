@@ -1,10 +1,11 @@
 """Physical configuration and Hamiltonian builders.
 
-A spin-1/2 particle hops along a two- or three-site lattice; one static
-spin-1/2 sits at each outer site and exchange-couples to the mobile spin
-whenever it visits that site.  The interaction carries an isotropic-XY part
-of strength ``j_xy`` and an Ising part ``j_z``; ``j_z = 2 * j_xy`` gives the
-Heisenberg point and ``j_z = 0`` the pure XY model.
+A spin-1/2 particle hops along a two- or three-site lattice; static spin 1
+sits at the leftmost site and static spin 2 at the rightmost one, and each
+exchange-couples to the mobile spin whenever it visits that site.  The
+interaction carries an isotropic-XY part of strength ``j_xy`` and an Ising
+part ``j_z``; ``j_z = 2 * j_xy`` gives the Heisenberg point and ``j_z = 0``
+the pure XY model.
 
 Besides the exact Hamiltonian, three strong-hopping effective Hamiltonians
 are available in which the mobile spin couples to the *total* spin of the
@@ -15,7 +16,7 @@ normal-mode-projector form, and the three-site middle-start reduction
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed operators per lattice.  Those unit-coupling operators are built
 from Kronecker products and the closed-form normal modes of the hopping (no
-eigensolve), once per lattice size and attachment map, and cached read-only;
+eigensolve), once per lattice size, and cached read-only;
 each builder call assembles a fresh matrix from them.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +50,8 @@ S12_SQ_4 = np.array(
 
 # effective Hamiltonian variant -> the lattice size it is built for
 EFFECTIVE_VARIANTS = {"two_site": 2, "three_site_projector": 3, "three_site_middle_start": 3}
+# lattice size -> the effective spin chain of the closed forms and of compare
+CHAIN_VARIANT = {2: "two_site", 3: "three_site_middle_start"}
 
 _STATIC_PRESETS = {
     "up-up": np.array([1, 0, 0, 0], dtype=complex),
@@ -62,9 +65,8 @@ _E_SPINS = {"up": 0, "down": 1}
 
 
 def _is_int(x) -> bool:
-    """An int, not a bool or a float that equals one: the Hamiltonian builders
-    cache on the lattice size and attachments, and ``0.0``, ``False`` and ``0``
-    would share a key; ``True`` would pass as site label 1."""
+    """An int, not a bool or a float that equals one: ``2.0`` would pass as a
+    lattice size and ``True`` as site label 1."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -85,6 +87,13 @@ def _known(label, table) -> bool:
     return isinstance(label, str) and label in table
 
 
+def _is_heisenberg(j_xy, j_z) -> bool:
+    """``j_z == 2 j_xy`` to 1e-12 relative to ``j_z``, the one rule of the
+    preset and of ``coupling_kind``.  ``j_z / 2`` is the preset's default
+    ``j_xy``, so the default passes even where it underflows."""
+    return abs(j_xy - j_z / 2.0) <= 0.5e-12 * abs(j_z)
+
+
 def _given(name, value, default):
     """A preset coupling as a float, or ``default`` when it is not given."""
     if value is None:
@@ -98,9 +107,8 @@ def _given(name, value, default):
 class ModelSpec:
     """Lattice size, hopping amplitude and spin-spin couplings.
 
-    ``attachments`` maps lattice site index (0-based, left to right) to the
-    static spin (1 or 2) pinned there; the default pins spin 1 at the
-    leftmost and spin 2 at the rightmost site.
+    Static spin 1 is pinned at the leftmost site and static spin 2 at the
+    rightmost one, as in the paper.
 
     ``n_sites`` must be the int 2 or 3.  ``eta`` (>= 0), ``j_xy`` and
     ``j_z`` must be finite real numbers: an int within the float range, a
@@ -112,7 +120,6 @@ class ModelSpec:
     eta: float
     j_xy: float = 0.0
     j_z: float = 0.0
-    attachments: dict = field(default=None)
 
     def __post_init__(self):
         if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
@@ -125,18 +132,9 @@ class ModelSpec:
             )
         for name in ("eta", "j_xy", "j_z"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.attachments is None:
-            object.__setattr__(self, "attachments", {0: 1, self.n_sites - 1: 2})
-        att = dict(self.attachments)
-        if not all(_is_int(x) for x in (*att, *att.values())):
-            raise ValueError(f"attachments must map integer sites to integer spins, got {att}")
-        if sorted(att.values()) != [1, 2]:
-            raise ValueError("attachments must pin static spins 1 and 2 exactly once")
-        if any(s not in range(self.n_sites) for s in att) or len(att) != 2:
-            raise ValueError(f"attachment sites must be two distinct sites, got {att}")
 
     @classmethod
-    def from_preset(cls, preset, n_sites, eta, j=None, j_xy=None, j_z=None, attachments=None):
+    def from_preset(cls, preset, n_sites, eta, j=None, j_xy=None, j_z=None):
         """A spec from a coupling preset and the couplings given with it
         (``None``: not given).  ``"xy"``: ``j_xy = j`` (default 1), ``j_z = 0``;
         ``"heisenberg"``: ``j_z = j = 2 j_xy`` (default 1); ``"custom"``:
@@ -163,19 +161,19 @@ class ModelSpec:
                 raise ValueError("preset 'heisenberg': j and j_z disagree; give one of them")
             j_z = z if j_z is not None else scale
             j_xy = _given("j_xy", j_xy, j_z / 2.0)
-            if abs(j_z - 2.0 * j_xy) > 1e-12 * max(1.0, abs(j_z)):
+            if not _is_heisenberg(j_xy, j_z):
                 raise ValueError("preset 'heisenberg' requires j_z == 2 * j_xy")
-        return cls(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z, attachments=attachments)
+        return cls(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
 
     @classmethod
-    def xy(cls, eta, j=1.0, n_sites=2, attachments=None):
+    def xy(cls, eta, j=1.0, n_sites=2):
         """Pure isotropic-XY coupling of strength ``j``."""
-        return cls.from_preset("xy", n_sites, eta, j=j, attachments=attachments)
+        return cls.from_preset("xy", n_sites, eta, j=j)
 
     @classmethod
-    def heisenberg(cls, eta, j=1.0, n_sites=2, attachments=None):
+    def heisenberg(cls, eta, j=1.0, n_sites=2):
         """Heisenberg coupling of strength ``j`` (``j_z = 2 j_xy = j``)."""
-        return cls.from_preset("heisenberg", n_sites, eta, j=j, attachments=attachments)
+        return cls.from_preset("heisenberg", n_sites, eta, j=j)
 
     @property
     def j_ref(self) -> float:
@@ -190,7 +188,7 @@ class ModelSpec:
         """"xy", "heisenberg" or "custom"."""
         if self.j_z == 0.0:
             return "xy"
-        if abs(self.j_z - 2.0 * self.j_xy) <= 1e-12 * abs(self.j_z):
+        if _is_heisenberg(self.j_xy, self.j_z):
             return "heisenberg"
         return "custom"
 
@@ -264,22 +262,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice_terms(n_sites: int, attachments: tuple) -> dict:
+def _lattice_terms(n_sites: int) -> dict:
     """Read-only unit-coupling operators of one lattice, built once.
 
     ``"hop"`` maps to the 0/1 hopping pattern ⊗ I8, and every Hamiltonian
     kind of the lattice to the (XY, Ising) pair that ``j_xy`` and ``j_z``
-    multiply: the contact terms summed over the attached sites for
-    ``"exact"``, a motional weight ⊗ the collective coupling to the static
-    pair for each effective variant.  ``attachments`` is the sorted items of
-    ``ModelSpec.attachments``; a valid ``ModelSpec`` yields at most 8 keys.
+    multiply: for ``"exact"`` the contact terms of static spin 1 at site 0
+    and static spin 2 at site ``n_sites - 1``, for each effective variant a
+    motional weight ⊗ the collective coupling to the static pair.
     """
     eye = np.eye(n_sites, dtype=complex)
     adjacency = _adjacency(n_sites)
     contact = [np.zeros((8 * n_sites, 8 * n_sites), dtype=complex) for _ in range(2)]
-    for site, k in attachments:
-        for total, op in zip(contact, _PAIR[k]):
-            total += np.kron(np.diag(eye[site]), op)
+    for total, one, two in zip(contact, _PAIR[1], _PAIR[2]):
+        total[:8, :8] += one  # site 0
+        total[-8:, -8:] += two  # site n_sites - 1
     collective = [a + b for a, b in zip(_PAIR[1], _PAIR[2])]
     if n_sites == 2:
         weights = {"two_site": 0.5 * eye}
@@ -301,26 +298,22 @@ def _lattice_terms(n_sites: int, attachments: tuple) -> dict:
     return terms
 
 
-def _terms(spec: ModelSpec) -> dict:
-    return _lattice_terms(spec.n_sites, tuple(sorted(spec.attachments.items())))
-
-
 def _assemble(spec: ModelSpec, kind: str) -> np.ndarray:
     """``amp * hopping + (j_xy * XY + j_z * Ising)`` of one kind, one terms lookup."""
-    terms = _terms(spec)
+    terms = _lattice_terms(spec.n_sites)
     xy, z = terms[kind]
     return _hop_amplitude(spec) * terms["hop"] + (spec.j_xy * xy + spec.j_z * z)
 
 
 def build_hopping(spec: ModelSpec) -> np.ndarray:
     """Kinetic Hamiltonian on the full space (identity on all spin factors)."""
-    return _hop_amplitude(spec) * _terms(spec)["hop"]
+    return _hop_amplitude(spec) * _lattice_terms(spec.n_sites)["hop"]
 
 
 def build_interaction(spec: ModelSpec) -> np.ndarray:
-    """Contact interaction: at each attached site the mobile spin exchanges
+    """Contact interaction: at each outer site the mobile spin exchanges
     with the static spin pinned there (block diagonal in the site index)."""
-    xy, z = _terms(spec)["exact"]
+    xy, z = _lattice_terms(spec.n_sites)["exact"]
     return spec.j_xy * xy + spec.j_z * z
 
 

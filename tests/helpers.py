@@ -123,7 +123,8 @@ def collective_spin_oracle(n_sites):
 
 def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
     """Hamiltonian of one kind by explicit Kronecker products, written out from
-    the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2)."""
+    the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2), with
+    static spin k at site s for each item s: k of ``attachments``."""
     i2 = np.eye(2)
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])
     sm = sp.T

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinhop import cli
@@ -609,6 +609,22 @@ class TestEdgeInputs:
         )
         assert not (tmp_path / "x.csv").exists()
 
+    def test_simulate_and_analytic_read_heisenberg_alike(self, tmp_path, capsys):
+        # |j_z - 2 j_xy| = 1e-13 is no rounding error next to j_z = 1e-13
+        cfg = _config(model={"preset": "heisenberg", "j_z": 1e-13, "j_xy": 0.0})
+        for command in ("simulate", "analytic"):
+            assert self._main(tmp_path, command, cfg) == 2
+            assert capsys.readouterr().err == (
+                "config error: preset 'heisenberg' requires j_z == 2 * j_xy\n"
+            )
+        # j_xy = j / 2 underflows to 0: both take the preset as Heisenberg
+        cfg = _config(model={"preset": "heisenberg", "j": 5e-324}, run={"n_points": 11})
+        assert self._main(tmp_path, "simulate", cfg) == 0
+        assert self._main(tmp_path, "analytic", cfg) == 3
+        assert capsys.readouterr().err == (
+            "numerical invariant violated: closed-form period overflows (J = 5e-324)\n"
+        )
+
     @pytest.mark.parametrize(
         "model, message",
         [
@@ -675,6 +691,18 @@ def _fuzz_configs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_configs())
+@example(  # linspace overflows on its way to the largest t_max
+    (
+        "simulate",
+        {
+            "model": {"n_sites": 2, "eta": 0.1, "preset": "xy", "j": 0.1},
+            "initial": {"site": 1, "e_spin": "up", "static": "down-down"},
+            "run": {"hamiltonian": "exact", "t_max": 1.7976931348623157e308, "n_points": 4},
+            "compare": {"ratios": [1.0]},
+        },
+        False,
+    )
+)
 def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
     command, cfg, wrong = command_and_config
     out_text, err = io.StringIO(), io.StringIO()

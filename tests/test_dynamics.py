@@ -89,6 +89,14 @@ class TestTimeGrid:
         assert TimeGrid(t_max=3, n_points=4).times()[-1] == 3.0
         assert TimeGrid(t_max=np.float32(0.5), n_points=2).times()[-1] == 0.5
 
+    def test_times_reach_the_largest_float(self):
+        # linspace's last k * step overflows there before t_max replaces it
+        t_max = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = TimeGrid(t_max=t_max, n_points=4).times()
+        assert times.tolist() == [0.0, t_max / 3, 2 * (t_max / 3), t_max]
+
     def test_times_are_built_once_and_read_only(self):
         grid = TimeGrid(t_max=7.5, n_points=301)
         times = grid.times()

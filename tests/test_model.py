@@ -43,7 +43,7 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="n_sites"):
             ModelSpec(n_sites=4, eta=1.0)
         with pytest.raises(ValueError, match="n_sites"):
-            ModelSpec(n_sites=2.0, eta=1.0, attachments={0: 1, 1: 2})
+            ModelSpec(n_sites=2.0, eta=1.0)
 
     def test_rejects_negative_hopping(self):
         with pytest.raises(ValueError, match="eta"):
@@ -65,20 +65,6 @@ class TestModelSpec:
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
         assert (spec.eta, spec.j_xy, spec.j_z) == (10, 0.5, 1)
 
-    def test_rejects_bad_attachments(self):
-        with pytest.raises(ValueError, match="attachments"):
-            ModelSpec(n_sites=2, eta=1.0, attachments={0: 1, 1: 1})
-        with pytest.raises(ValueError, match="sites"):
-            ModelSpec(n_sites=2, eta=1.0, attachments={0: 1, 5: 2})
-        # a float or bool equals an int site or spin, and hashes alike
-        for att in ({0.0: 1, 1: 2}, {True: 1, 0: 2}, {0: 1.0, 1: 2}, {0: True, 1: 2}):
-            with pytest.raises(ValueError, match="attachments must map integer"):
-                ModelSpec(n_sites=2, eta=1.0, attachments=att)
-
-    def test_default_attachments_pin_outer_sites(self):
-        assert ModelSpec(n_sites=2, eta=1.0).attachments == {0: 1, 1: 2}
-        assert ModelSpec(n_sites=3, eta=1.0).attachments == {0: 1, 2: 2}
-
     def test_presets(self):
         xy = ModelSpec.xy(10.0, j=2.0)
         assert (xy.j_xy, xy.j_z) == (2.0, 0.0)
@@ -91,6 +77,20 @@ class TestModelSpec:
         assert heis.coupling_kind() == "heisenberg"
         assert ModelSpec(2, 1.0, j_xy=1.0, j_z=0.5).coupling_kind() == "custom"
 
+    def test_preset_and_coupling_kind_share_the_heisenberg_rule(self):
+        # j_z == 2 j_xy to 1e-12 relative to j_z, however small j_z is
+        for j_xy, heisenberg in ((0.5 + 4e-13, True), (0.5 + 6e-13, False)):
+            assert ModelSpec(2, 1.0, j_xy, 1.0).coupling_kind() == (
+                "heisenberg" if heisenberg else "custom"
+            )
+        with pytest.raises(ValueError, match=r"requires j_z == 2 \* j_xy"):
+            ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.5 + 6e-13, j_z=1.0)
+        with pytest.raises(ValueError, match=r"requires j_z == 2 \* j_xy"):
+            ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.0, j_z=1e-13)
+        # j_xy = j / 2 underflows to 0, and the spec still is Heisenberg
+        tiny = ModelSpec.heisenberg(1.0, j=5e-324)
+        assert (tiny.j_xy, tiny.j_z) == (0.0, 5e-324)
+        assert tiny.coupling_kind() == "heisenberg"
 
     def test_stores_floats(self):
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
@@ -125,10 +125,8 @@ class TestFromPreset:
 
     def test_named_presets_call_it(self):
         assert ModelSpec.xy(5.0, j=2.0) == ModelSpec.from_preset("xy", 2, 5.0, j=2.0)
-        heis = ModelSpec.heisenberg(5.0, j=-3.0, n_sites=3, attachments={0: 2, 2: 1})
-        assert heis == ModelSpec.from_preset(
-            "heisenberg", 3, 5.0, j=-3.0, attachments={0: 2, 2: 1}
-        )
+        heis = ModelSpec.heisenberg(5.0, j=-3.0, n_sites=3)
+        assert heis == ModelSpec.from_preset("heisenberg", 3, 5.0, j=-3.0)
         with pytest.raises(ValueError, match=r"^model\.j must be finite, got nan$"):
             ModelSpec.xy(5.0, j=math.nan)
 
@@ -251,17 +249,8 @@ class TestBuildInteraction:
             for y in range(3):
                 if x != y:
                     assert np.abs(blocks[x, :, y, :]).max() == 0.0
-        # nothing couples at the unattached middle site
+        # no static spin sits at the middle site
         assert np.abs(blocks[1, :, 1, :]).max() == 0.0
-
-    def test_attachment_map_respected(self):
-        swapped = ModelSpec.xy(1.0, n_sites=2, attachments={0: 2, 1: 1})
-        v = build_interaction(swapped)
-        layout = BasisLayout(2)
-        # at site 1 the mobile spin now exchanges with static spin 2
-        bra = encode(layout, 0, 1, 1, 0)
-        ket = encode(layout, 0, 0, 1, 1)
-        assert v[bra, ket] == pytest.approx(1.0)
 
 
 def _all_built_hamiltonians():
@@ -298,11 +287,12 @@ class TestBuildHamiltonian:
         )
 
 
-def _every_lattice():
-    """Every (n_sites, attachments) a ModelSpec accepts."""
+def _every_placement():
+    """Every (n_sites, {site: static spin}) that puts the two static spins on
+    two distinct sites of the lattice."""
     for n_sites in (2, 3):
-        for left, right in itertools.permutations(range(n_sites), 2):
-            yield n_sites, {left: 1, right: 2}
+        for one, two in itertools.permutations(range(n_sites), 2):
+            yield n_sites, {one: 1, two: 2}
 
 
 def _kinds(n_sites):
@@ -310,23 +300,27 @@ def _kinds(n_sites):
 
 
 class TestBuilderOracle:
-    @pytest.mark.parametrize("n_sites,attachments", list(_every_lattice()))
+    @pytest.mark.parametrize("n_sites,attachments", list(_every_placement()))
     @pytest.mark.parametrize("j_xy,j_z", [(1.0, 0.0), (0.5, 1.0), (0.3, -0.7)])
     def test_builders_match_kron_oracle(self, n_sites, attachments, j_xy, j_z):
+        # spin 1 sits at site 0 and spin 2 at the last site: the exact
+        # Hamiltonian is the oracle's at that placement and at no other; the
+        # effective ones couple to the whole static pair wherever it sits
+        pinned = attachments == {0: 1, n_sites - 1: 2}
         for eta in (0.0, 1.0, 1e3):
-            spec = ModelSpec(n_sites, eta, j_xy, j_z, attachments)
+            spec = ModelSpec(n_sites, eta, j_xy, j_z)
             for kind in _kinds(n_sites):
                 if kind == "three_site_projector" and eta == 0.0:
                     continue  # rejected, see test_projector_variant_needs_hopping
                 h = hamiltonian_for(spec, kind)
                 ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
-                assert np.array_equal(h, ref), (eta, kind)
+                assert np.array_equal(h, ref) == (pinned or kind != "exact"), (eta, kind)
             contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, attachments, "exact")
-            assert np.array_equal(build_interaction(spec), contact)
+            assert np.array_equal(build_interaction(spec), contact) == pinned
 
     def test_returned_matrices_are_fresh(self):
-        for n_sites, attachments in _every_lattice():
-            spec = ModelSpec(n_sites, 2.0, 0.5, 1.0, attachments)
+        for n_sites in (2, 3):
+            spec = ModelSpec(n_sites, 2.0, 0.5, 1.0)
             builders = [build_hopping, build_interaction]
             builders += [lambda s, k=k: hamiltonian_for(s, k) for k in _kinds(n_sites)]
             for build in builders:
@@ -337,7 +331,7 @@ class TestBuilderOracle:
                 assert np.array_equal(build(spec), before)
 
     def test_builds_reuse_cached_terms(self, monkeypatch):
-        specs = [ModelSpec(n, 2.0, 0.5, 1.0, att) for n, att in _every_lattice()]
+        specs = [ModelSpec(n, 2.0, 0.5, 1.0) for n in (2, 3)]
 
         def build_every_kind():
             for spec in specs:
