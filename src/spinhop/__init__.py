@@ -24,7 +24,6 @@ from .dynamics import (
     evolve_on_grid,
     hamiltonian_for,
     observables,
-    qst_trajectory,
     run_trajectory,
 )
 from .linalg import (
@@ -76,7 +75,6 @@ __all__ = [
     "motional_hopping",
     "observables",
     "partial_transpose",
-    "qst_trajectory",
     "run_trajectory",
     "static_pair_state",
     "trace_norm_hermitian",

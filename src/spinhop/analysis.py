@@ -51,7 +51,11 @@ class ConservationReport:
 
 def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
     """Drift of norm, energy, total S_z and the squared total static spin."""
-    if not len(trajectory):
+    try:
+        n_points = len(trajectory)
+    except TypeError:  # the observables of a single state
+        raise ValueError("trajectory has no time axis") from None
+    if not n_points:
         raise ValueError("empty trajectory")
     series = np.stack((trajectory.norm, trajectory.energy, trajectory.sz_total, trajectory.s12_sq))
     drifts = np.maximum.reduce(np.abs(series - series[:, :1]), axis=-1)
@@ -121,58 +125,44 @@ def compare_exact_effective(
 def estimate_period(times, values) -> float:
     """Period of an oscillating probability-valued series.
 
-    Maxima are located as crossings of the level 3/4 of the way from the
-    series' minimum to its maximum (a range <= 1e-6 is noise), refined by
-    quadratic interpolation (a least-squares parabola over each run above
-    that level, which averages out fast small ripples).  Probability-level
-    maxima repeat twice per cycle of the underlying state, so the returned
-    period is twice their mean spacing.
+    Maxima are found with hysteresis between the levels 1/4 and 3/4 of the
+    way from the series' minimum to its maximum (a range <= 1e-6 is noise):
+    a peak starts at the first sample at or above 3/4 after the series has
+    dipped to 1/4, and ends at the last such sample before the next dip, so
+    ripples cannot split it and a peak cut off at either end of the series
+    is dropped.  Each peak's time is the vertex of a least-squares parabola
+    through its samples and the sample outside it on each side; a fit that
+    is not concave, or whose vertex leaves that window, is an error.
+    Probability-level maxima repeat twice per cycle of the underlying state,
+    so the returned period is twice their mean spacing.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 3:
         raise ValueError("need matching 1-d time and value arrays with >= 3 samples")
-    if np.any(np.diff(t) <= 0.0):
+    if not np.all(np.diff(t) > 0.0):  # NaN fails this too
         raise ValueError("times must be strictly increasing")
     amplitude = float(v.max() - v.min())
     if amplitude <= 1e-6:
         raise ValueError("oscillation amplitude below noise floor")
-    level = v.min() + 0.75 * amplitude
+    low, high = v.min() + 0.25 * amplitude, v.min() + 0.75 * amplitude
 
-    # first and last index of every run of samples at or above the level
-    edges = np.diff((v >= level).astype(np.int8), prepend=0, append=0)
-    runs = [
-        [int(i), int(j)]
-        for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1)
-    ]
-    n = v.size
-    # fast ripples can split a peak at its edges; merge runs separated by
-    # gaps much shorter than the inter-peak distance
-    if len(runs) > 1:
-        max_gap = max(runs[k + 1][0] - runs[k][1] for k in range(len(runs) - 1))
-        merged = [runs[0]]
-        for run in runs[1:]:
-            if run[0] - merged[-1][1] < 0.1 * max_gap:
-                merged[-1][1] = run[1]
-            else:
-                merged.append(run)
-        runs = merged
-    # a run touching the series boundary holds a truncated peak
-    runs = [r for r in runs if r[0] > 0 and r[1] < n - 1]
+    # samples at either level, and the steps between them where the level changes
+    marked = np.flatnonzero((v <= low) | (v >= high))
+    step = np.diff((v[marked] >= high).astype(np.int8))
+    starts = marked[1:][step == 1]  # first high sample after a dip
+    ends = marked[:-1][step == -1]  # last high sample before a dip
+    ends = ends[ends >= starts[0]] if starts.size else ends  # a peak cut off at t[0]
 
     peaks = []
-    for i, j in runs:
-        if j - i + 1 >= 3:
-            a, b, _ = np.polyfit(t[i : j + 1], v[i : j + 1], 2)
-            if a < 0.0:
-                vertex = -b / (2.0 * a)
-                if t[i] <= vertex <= t[j]:
-                    peaks.append(float(vertex))
-                    continue
-        k = i + int(np.argmax(v[i : j + 1]))
-        denom = v[k - 1] - 2.0 * v[k] + v[k + 1]
-        offset = 0.5 * (v[k - 1] - v[k + 1]) / denom if denom < 0.0 else 0.0
-        peaks.append(float(t[k] + offset * (t[k + 1] - t[k])))
+    for i, j in zip(starts, ends):  # a peak cut off at t[-1] has no end
+        window = slice(i - 1, j + 2)
+        centre = t[i]  # a fit in local time stays well conditioned
+        a, b, _ = np.polyfit(t[window] - centre, v[window], 2)
+        vertex = centre - b / (2.0 * a) if a < 0.0 else np.nan
+        if not t[i - 1] <= vertex <= t[j + 1]:
+            raise ValueError(f"no single maximum in the peak near t = {centre:.6g}")
+        peaks.append(float(vertex))
 
     if len(peaks) < 2:
         raise ValueError("insufficient oscillations detected")

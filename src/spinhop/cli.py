@@ -117,6 +117,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an integer too long
+        raise ConfigError(f"unreadable JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "top level")
@@ -329,7 +331,10 @@ def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,7 +366,7 @@ def main(argv=None) -> int:
             cmd_simulate(config, out_path=args.out)
         elif args.command == "compare":
             ratios = None
-            if args.ratios:
+            if args.ratios is not None:
                 try:
                     ratios = [float(r) for r in args.ratios.split(",")]
                 except ValueError:

@@ -45,7 +45,6 @@ from .model import (
     _read_only,
     build_effective_hamiltonian,
     build_hamiltonian,
-    encode_state,
 )
 
 HAMILTONIAN_KINDS = ("exact", *EFFECTIVE_VARIANTS)
@@ -356,14 +355,6 @@ def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGr
     h = hamiltonian_for(spec, hamiltonian_kind)
     times = grid.times()
     return observables(evolve_on_grid(h, initial, times), layout, times, h)
-
-
-def qst_trajectory(spec: ModelSpec, hamiltonian_kind: str = "exact", grid: TimeGrid | None = None):
-    """State-transfer run: the excitation starts on static spin 1 and the
-    mobile spin enters pointing down at the leftmost site."""
-    layout = BasisLayout(spec.n_sites)
-    initial = encode_state(layout, site=1, e_spin="down", static="up-down")
-    return run_trajectory(spec, hamiltonian_kind, initial, grid)
 
 
 @dataclass(frozen=True)

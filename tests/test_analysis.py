@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinhop import analysis, linalg
+from spinhop import observables, run_trajectory
 from spinhop.analysis import (
     compare_exact_effective,
     conservation_monitor,
@@ -113,6 +114,12 @@ class TestConservationMonitor:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             conservation_monitor([])
+
+    def test_single_state_rejected(self):
+        layout = BasisLayout(2)
+        state = observables(encode_state(layout, 1, "up", "down-down"), layout)
+        with pytest.raises(ValueError, match="no time axis"):
+            conservation_monitor(state)
 
 
 class TestCompareExactEffective:
@@ -239,3 +246,30 @@ class TestEstimatePeriod:
             estimate_period([0, 1], [1, 0])
         with pytest.raises(ValueError, match="increasing"):
             estimate_period([0.0, 2.0, 1.0], [0.0, 1.0, 0.0])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            estimate_period([0.0, 1.0, math.nan, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0])
+
+    def test_ripple_split_peak_counted_once(self):
+        t = np.linspace(0.0, 40.0, 4001)
+        v = np.sin(math.pi * t / 5.0) ** 2 + 0.03 * np.sin(2.0 * math.pi * t / 0.2)
+        level = v.min() + 0.75 * (v.max() - v.min())
+        crossings = np.count_nonzero(np.diff((v >= level).astype(np.int8)) == 1)
+        assert crossings > 8  # the ripple splits the 8 peaks at the 3/4 level
+        assert estimate_period(t, v) == pytest.approx(10.0, rel=0.005)
+
+    def test_coarse_grid_exact_xy_period(self):
+        # 31 points over t in [0, 30]: one to three samples per peak
+        layout = BasisLayout(2)
+        grid = TimeGrid(n_points=31)
+        initial = encode_state(layout, 1, "up", "down-down")
+        run = run_trajectory(ModelSpec.xy(10.0), "exact", initial, grid)
+        target = 2.0 * SQRT2 * math.pi
+        assert estimate_period(grid.times(), run.f_plus) == pytest.approx(target, rel=0.005)
+
+    def test_double_humped_peak_rejected(self):
+        # a peak, then one whose two highs a dip to 0.3 splits: its fit is convex
+        v = [0.0, 0.5, 1.0, 0.5, 0.0, 0.7, 1.0, 0.3, 1.0, 0.7, 0.0, 0.5, 1.0, 0.5, 0.0]
+        with pytest.raises(ValueError, match="no single maximum in the peak near t = 6"):
+            estimate_period(np.arange(15.0), v)

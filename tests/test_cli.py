@@ -442,6 +442,14 @@ class TestMainExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_empty_ratios_flag_is_2(self, tmp_path, capsys):
+        # an empty flag is a bad value, not an absent one that defers to compare.ratios
+        path = _write(tmp_path, _config(run={"n_points": 11}, compare={"ratios": [10]}))
+        code = main(["compare", path, "--out", str(tmp_path / "x.csv"), "--ratios", ""])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: bad --ratios value ''\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
@@ -607,6 +615,47 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == (
             "config error: the run does not fit in memory: Unable to allocate 7.28 EiB\n"
         )
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"model": "\xff"}', "config is not UTF-8 text: 'utf-8' codec can't decode"),
+            (b"[" * 200000, "unreadable JSON: maximum recursion depth exceeded"),
+            (b'{"model": {"eta": ' + b"1" * 5000 + b"}}", "unreadable JSON: Exceeds the limit"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message) and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (_config(run=[]), "run must be a JSON object"),
+            ([], "config must be a JSON object"),
+            ({"initial": _config()["initial"]}, "missing required block 'model'"),
+            ({**_config(), "model": {"n_sites": 2}}, "missing required key 'eta' in model"),
+            ({"model": _config()["model"]}, "missing required block 'initial'"),
+            (_config(output={"path": 3}), "output.path must be a string, got 3"),
+            (_config(output={"columns": "P_up"}), "output.columns must be a list of column names"),
+            (_config(compare={"ratios": []}), "compare.ratios must be a non-empty list of numbers"),
+            (_config(compare={"ratios": 10}), "compare.ratios must be a non-empty list of numbers"),
+        ],
+        ids=[
+            "block-not-object", "top-level-not-object", "missing-model", "missing-eta",
+            "missing-initial", "path-not-string", "columns-not-list", "ratios-empty",
+            "ratios-not-list",
+        ],
+    )
+    def test_config_shape_errors(self, tmp_path, capsys, cfg, message):
+        assert self._main(tmp_path, "simulate", cfg) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_simulate_and_analytic_read_heisenberg_alike(self, tmp_path, capsys):

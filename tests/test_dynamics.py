@@ -22,7 +22,6 @@ from spinhop.dynamics import (
     evolve_on_grid,
     hamiltonian_for,
     observables,
-    qst_trajectory,
     run_trajectory,
 )
 from spinhop.model import (
