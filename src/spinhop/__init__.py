@@ -27,7 +27,6 @@ from .dynamics import (
     run_trajectory,
 )
 from .linalg import (
-    Eigensystem,
     hermitian_eigensystem,
     partial_transpose,
     trace_norm_hermitian,
@@ -38,10 +37,7 @@ from .model import (
     ModelSpec,
     build_effective_hamiltonian,
     build_hamiltonian,
-    build_hopping,
-    build_interaction,
     encode_state,
-    motional_hopping,
     static_pair_state,
 )
 
@@ -53,7 +49,6 @@ __all__ = [
     "ConservationReport",
     "DeviationReport",
     "EFFECTIVE_VARIANTS",
-    "Eigensystem",
     "HAMILTONIAN_KINDS",
     "ModelSpec",
     "TimeGrid",
@@ -61,8 +56,6 @@ __all__ = [
     "analytic",
     "build_effective_hamiltonian",
     "build_hamiltonian",
-    "build_hopping",
-    "build_interaction",
     "compare_exact_effective",
     "conservation_monitor",
     "doublet_leakage",
@@ -72,7 +65,6 @@ __all__ = [
     "hamiltonian_for",
     "hermitian_eigensystem",
     "log_negativity",
-    "motional_hopping",
     "observables",
     "partial_transpose",
     "run_trajectory",

@@ -64,14 +64,14 @@ def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Worst-case discrepancy between exact and effective evolution.
+    """Worst-case discrepancy between exact and effective evolution over the
+    time grid of the run, at the spec's ``eta_over_j``.
     ``max_observable_gap`` follows the compared columns of ``COLUMNS`` in
     order, keyed by field or, for a site population, by column name."""
 
     eta_over_j: float
     max_state_infidelity: float
     max_observable_gap: dict
-    grid: TimeGrid
 
 
 def compare_exact_effective(
@@ -118,7 +118,6 @@ def compare_exact_effective(
         eta_over_j=eta_over_j,
         max_state_infidelity=float((1.0 - fidelity).max()),
         max_observable_gap=gaps,
-        grid=grid,
     )
 
 

@@ -92,10 +92,10 @@ def _check_keys(block, allowed, where):
         )
 
 
-def _number(block, key, where, default=None):
-    """``block[key]`` as given, or ``default`` if the key is absent;
+def _number(block, key, where):
+    """``block[key]`` as given, or ``None`` if the key is absent;
     ``ConfigError`` unless a given value is a JSON number."""
-    value = block.get(key, default)
+    value = block.get(key)
     if key in block and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     return value
@@ -139,7 +139,7 @@ def parse_config(text: str) -> ScenarioConfig:
     run = raw.get("run", {})
     _check_keys(run, _RUN_KEYS, "run")
     hamiltonian = run.get("hamiltonian", "exact")
-    t_max = _number(run, "t_max", "run", default=30.0)
+    _number(run, "t_max", "run")
 
     with _config_errors():  # the library checks every value
         spec = ModelSpec.from_preset(model.get("preset", "custom"), model.get("n_sites"), **numbers)
@@ -150,7 +150,7 @@ def parse_config(text: str) -> ScenarioConfig:
             initial.get("static"),
         )
         hamiltonian_for(spec, hamiltonian)
-        grid = TimeGrid(t_max=t_max, n_points=run.get("n_points", 2001))
+        grid = TimeGrid(**{key: run[key] for key in ("t_max", "n_points") if key in run})
 
     output = raw.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "output")
@@ -205,9 +205,12 @@ def _config_errors(prefix: str = ""):
 
 
 def _out_path(config: ScenarioConfig, out_path: str | None) -> str:
-    path = out_path or config.out_path
+    """``--out`` when given, else ``output.path``; neither may be empty."""
+    path = config.out_path if out_path is None else out_path
     if path is None:
         raise ConfigError("no output path: set output.path or pass --out")
+    if not path:
+        raise ConfigError("empty output path: output.path and --out must name a file")
     return path
 
 
@@ -257,7 +260,11 @@ def _write_csv(path: str, header, table):
     """Header line, then one line per table row, each value as ``%.17g``."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     rows = np.asarray(table, dtype=float).tolist()
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except ValueError as exc:  # a NUL byte, or a character the file system cannot encode
+        raise ConfigError(f"unusable output path {path!r}: {exc}") from None
+    with fh:
         fh.write(",".join(header) + "\n")
         fh.write("".join(line % tuple(row) for row in rows))
 

@@ -361,12 +361,12 @@ def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGr
 class AnalyticSolution:
     """Closed-form strong-hopping spin dynamics started from |up>|down down>.
 
-    ``p_up`` is the surviving population of that configuration, ``p_down``
-    the population transferred to |down>|psi+>; both are probabilities and
-    sum to one.  ``period`` is the full cycle of the underlying state.
+    ``times`` are the sample times as a 1-d float array.  ``p_up`` is the
+    surviving population of that configuration, ``p_down`` the population
+    transferred to |down>|psi+>; both are probabilities and sum to one.
+    ``period`` is the full cycle of the underlying state.
     """
 
-    kind: str
     times: np.ndarray
     p_up: np.ndarray
     p_down: np.ndarray
@@ -402,9 +402,7 @@ def analytic(model_kind: str, lattice: str, t, j: float) -> AnalyticSolution:
         p_down = np.sin(j * times / SQRT2) ** 2
     else:
         p_down = (8.0 / 9.0) * np.sin(3.0 * j * times / 8.0) ** 2
-    return AnalyticSolution(
-        kind=model_kind, times=times, p_up=1.0 - p_down, p_down=p_down, period=period
-    )
+    return AnalyticSolution(times=times, p_up=1.0 - p_down, p_down=p_down, period=period)
 
 
 def doublet_leakage(state, layout: BasisLayout) -> float:

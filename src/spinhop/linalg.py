@@ -9,29 +9,11 @@ norm of a Hermitian matrix (eigenvalues only).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Hermiticity acceptance: max|M - M^H| <= HERMITIAN_RTOL * max|M|
 HERMITIAN_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    """Spectral decomposition H = V diag(w) V^H with eigenvalues ascending.
-
-    For a stack of matrices both arrays carry the same leading stack axes.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # unitary; column k belongs to eigenvalues[k]
-
-
-def hermiticity_defect(m) -> np.ndarray:
-    """Largest entry of ``|M - M^H|``, one per matrix of a stack."""
-    m = np.asarray(m)
-    return np.maximum.reduce(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
 
 
 def assert_hermitian(m):
@@ -47,7 +29,7 @@ def assert_hermitian(m):
     largest = np.maximum.reduce(scale, axis=None, initial=0.0)
     if not math.isfinite(largest) and not np.isfinite(m).all():
         raise ValueError("matrix has NaN or infinite entries")
-    defect = hermiticity_defect(m)
+    defect = np.maximum.reduce(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
     bad = defect > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender
@@ -58,9 +40,11 @@ def assert_hermitian(m):
         )
 
 
-def hermitian_eigensystem(m, *, check: bool = True) -> Eigensystem:
+def hermitian_eigensystem(m, *, check: bool = True):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
-    ``(..., n, n)``, eigenvalues ascending.
+    ``(..., n, n)``: numpy's ``eigh`` result, which unpacks as ``(w, v)`` and
+    names them ``eigenvalues`` (ascending) and ``eigenvectors`` (unitary;
+    column k belongs to eigenvalue k), with the stack axes leading both.
 
     ``check=False`` skips :func:`assert_hermitian`, for a diagonal block of a
     matrix the caller has already checked whole.  Degenerate eigenvalues come
@@ -70,8 +54,7 @@ def hermitian_eigensystem(m, *, check: bool = True) -> Eigensystem:
     m = np.asarray(m, dtype=complex)
     if check:
         assert_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return Eigensystem(w, v)
+    return np.linalg.eigh(m)
 
 
 def partial_transpose(rho) -> np.ndarray:

@@ -230,22 +230,11 @@ def _spin3(e_op, s1_op, s2_op):
     return np.kron(e_op, np.kron(s1_op, s2_op))
 
 
-def _adjacency(n_sites: int) -> np.ndarray:
-    """0/1 nearest-neighbour pattern of the lattice sites."""
-    return np.eye(n_sites, k=1, dtype=complex) + np.eye(n_sites, k=-1, dtype=complex)
-
-
 def _hop_amplitude(spec: ModelSpec) -> float:
+    """Nearest-neighbour hopping amplitude.  The three-site bond is scaled by
+    1/sqrt(2) so that the kinetic spectrum is {-eta, 0, +eta} for either
+    lattice size."""
     return spec.eta if spec.n_sites == 2 else spec.eta / SQRT2
-
-
-def motional_hopping(spec: ModelSpec) -> np.ndarray:
-    """Nearest-neighbour kinetic matrix on the lattice sites alone.
-
-    The three-site bond is scaled by 1/sqrt(2) so that the kinetic spectrum
-    is {-eta, 0, +eta} for either lattice size.
-    """
-    return _hop_amplitude(spec) * _adjacency(spec.n_sites)
 
 
 # static spin k -> (XY, Ising) coupling of the mobile spin to it at unit
@@ -272,7 +261,7 @@ def _lattice_terms(n_sites: int) -> dict:
     motional weight ⊗ the collective coupling to the static pair.
     """
     eye = np.eye(n_sites, dtype=complex)
-    adjacency = _adjacency(n_sites)
+    adjacency = np.eye(n_sites, k=1, dtype=complex) + np.eye(n_sites, k=-1, dtype=complex)
     contact = [np.zeros((8 * n_sites, 8 * n_sites), dtype=complex) for _ in range(2)]
     for total, one, two in zip(contact, _PAIR[1], _PAIR[2]):
         total[:8, :8] += one  # site 0
@@ -305,20 +294,12 @@ def _assemble(spec: ModelSpec, kind: str) -> np.ndarray:
     return _hop_amplitude(spec) * terms["hop"] + (spec.j_xy * xy + spec.j_z * z)
 
 
-def build_hopping(spec: ModelSpec) -> np.ndarray:
-    """Kinetic Hamiltonian on the full space (identity on all spin factors)."""
-    return _hop_amplitude(spec) * _lattice_terms(spec.n_sites)["hop"]
-
-
-def build_interaction(spec: ModelSpec) -> np.ndarray:
-    """Contact interaction: at each outer site the mobile spin exchanges
-    with the static spin pinned there (block diagonal in the site index)."""
-    xy, z = _lattice_terms(spec.n_sites)["exact"]
-    return spec.j_xy * xy + spec.j_z * z
-
-
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Exact Hamiltonian: hopping plus contact interaction."""
+    """Exact Hamiltonian: hopping (identity on every spin factor) plus the
+    contact interaction, through which the mobile spin exchanges with the
+    static spin pinned at an outer site whenever it visits that site (block
+    diagonal in the site index).  Zero couplings give the hopping alone and
+    ``eta = 0`` the interaction alone."""
     return _assemble(spec, "exact")
 
 

@@ -168,6 +168,20 @@ class TestCompareExactEffective:
         assert report.max_observable_gap["f_plus"] <= 0.05
         assert report.max_state_infidelity <= 0.10
 
+    def test_three_site_projector_side_start_converges(self):
+        # the paper's effective model for a start at an outer site: the state
+        # infidelity falls about as (J/eta)^2, 100x per decade of eta/J
+        psi = encode_state(BasisLayout(3), 1, "up", "down-down")
+        infidelities = [
+            compare_exact_effective(
+                ModelSpec.xy(ratio, n_sites=3), psi, variant="three_site_projector"
+            ).max_state_infidelity
+            for ratio in (10.0, 100.0, 1000.0)
+        ]
+        assert infidelities[1] <= 2e-3
+        for a, b in zip(infidelities, infidelities[1:]):
+            assert b <= a / 50.0
+
     def test_rejects_unnormalized_or_misshaped_start(self):
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with pytest.raises(ValueError, match="not normalized"):

@@ -658,6 +658,41 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, reason, flag",
+        [
+            ("a\ud800.csv", "surrogates not allowed", False),
+            ("a\x00.csv", "embedded null byte", False),
+            ("a\ud800.csv", "surrogates not allowed", True),
+        ],
+        ids=["lone-surrogate", "nul-byte", "lone-surrogate-out-flag"],
+    )
+    def test_output_path_open_rejects_is_a_config_error(
+        self, tmp_path, capsys, name, reason, flag
+    ):
+        out = str(tmp_path / name)
+        cfg = _config(run={"n_points": 11}, output={} if flag else {"path": out})
+        flags = ["--out", out] if flag else []
+        assert main(["simulate", _write(tmp_path, cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unusable output path {out!r}: ")
+        assert err.endswith(reason + "\n") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    # an empty --out is a bad value, not an absent one that defers to output.path
+    @pytest.mark.parametrize(
+        "config_path, flags", [("x.csv", ["--out", ""]), ("", [])], ids=["out-flag", "output-path"]
+    )
+    def test_empty_output_path_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, config_path, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = _config(run={"n_points": 11}, output={"path": config_path})
+        assert main(["simulate", _write(tmp_path, cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: empty output path: output.path and --out must name a file\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_simulate_and_analytic_read_heisenberg_alike(self, tmp_path, capsys):
         # |j_z - 2 j_xy| = 1e-13 is no rounding error next to j_z = 1e-13
         cfg = _config(model={"preset": "heisenberg", "j_z": 1e-13, "j_xy": 0.0})

@@ -1,5 +1,6 @@
 """Model layer: basis layout, exact and effective Hamiltonians, initial states."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from spinhop.dynamics import hamiltonian_for
-from spinhop.linalg import hermitian_eigensystem, hermiticity_defect
+from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
@@ -15,10 +16,7 @@ from spinhop.model import (
     ModelSpec,
     build_effective_hamiltonian,
     build_hamiltonian,
-    build_hopping,
-    build_interaction,
     encode_state,
-    motional_hopping,
     static_pair_state,
 )
 
@@ -196,16 +194,16 @@ class TestBasisLayout:
 
 class TestBuildHopping:
     def test_zero_amplitude(self):
-        assert np.abs(build_hopping(ModelSpec(2, 0.0))).max() == 0.0
+        assert np.abs(build_hamiltonian(ModelSpec(2, 0.0))).max() == 0.0
 
     def test_two_site_spectrum_eightfold(self):
-        eig = hermitian_eigensystem(build_hopping(ModelSpec(2, 1.0)))
+        eig = hermitian_eigensystem(build_hamiltonian(ModelSpec(2, 1.0)))
         values, counts = np.unique(np.round(eig.eigenvalues, 9), return_counts=True)
         assert np.allclose(values, [-1.0, 1.0])
         assert counts.tolist() == [8, 8]
 
     def test_three_site_spectrum_eightfold(self):
-        eig = hermitian_eigensystem(build_hopping(ModelSpec(3, 1.0)))
+        eig = hermitian_eigensystem(build_hamiltonian(ModelSpec(3, 1.0)))
         values, counts = np.unique(np.round(eig.eigenvalues, 9), return_counts=True)
         assert np.allclose(values, [-1.0, 0.0, 1.0])
         assert counts.tolist() == [8, 8, 8]
@@ -213,7 +211,7 @@ class TestBuildHopping:
     def test_three_site_normal_modes(self):
         # the +-eta modes weight the middle site by 1/sqrt(2), the outer ones by 1/2,
         # and the zero mode is the antisymmetric outer combination
-        eig = hermitian_eigensystem(motional_hopping(ModelSpec(3, 1.0)))
+        eig = hermitian_eigensystem(build_hamiltonian(ModelSpec(3, 1.0))[::8, ::8])
         phi_plus = np.array([0.5, 1 / SQRT2, 0.5])
         phi_zero = np.array([1 / SQRT2, 0.0, -1 / SQRT2])
         assert abs(abs(phi_plus @ eig.eigenvectors[:, 2]) - 1) < 1e-10
@@ -222,12 +220,12 @@ class TestBuildHopping:
 
 class TestBuildInteraction:
     def test_zero_couplings(self):
-        assert np.abs(build_interaction(ModelSpec(2, 1.0))).max() == 0.0
+        assert np.abs(build_hamiltonian(ModelSpec(2, 0.0))).max() == 0.0
 
     def test_xy_exchange_matrix_element(self):
         # <x=1, down up down| V |x=1, up down down> = j_xy  (flip-flop with spin 1)
         spec = ModelSpec.xy(1.0, j=0.7)
-        v = build_interaction(spec)
+        v = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
         layout = BasisLayout(2)
         bra = encode(layout, 0, 1, 0, 1)
         ket = encode(layout, 0, 0, 1, 1)
@@ -236,14 +234,14 @@ class TestBuildInteraction:
     def test_heisenberg_diagonal_element(self):
         # <x=1, all up| V |x=1, all up> = j_z/4 from the Ising term at site 1
         spec = ModelSpec.heisenberg(1.0, j=1.0)
-        v = build_interaction(spec)
+        v = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
         idx = encode(BasisLayout(2), 0, 0, 0, 0)
         assert v[idx, idx] == pytest.approx(0.25)
 
     def test_hermitian_and_block_diagonal_in_site(self):
         spec = ModelSpec.heisenberg(1.0, n_sites=3)
-        v = build_interaction(spec)
-        assert hermiticity_defect(v) == 0.0
+        v = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
+        assert np.abs(v - v.conj().T).max() == 0.0
         blocks = v.reshape(3, 8, 3, 8)
         for x in range(3):
             for y in range(3):
@@ -269,7 +267,7 @@ class TestBuildHamiltonian:
 
     def test_every_builder_output_is_hermitian(self):
         for _, h in _all_built_hamiltonians():
-            assert hermiticity_defect(h) <= 1e-12 * max(np.abs(h).max(), 1.0)
+            assert np.abs(h - h.conj().T).max() <= 1e-12 * max(np.abs(h).max(), 1.0)
 
     def test_commutes_with_total_sz_for_all_variants_and_presets(self):
         for spec, h in _all_built_hamiltonians():
@@ -316,12 +314,16 @@ class TestBuilderOracle:
                 ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
                 assert np.array_equal(h, ref) == (pinned or kind != "exact"), (eta, kind)
             contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, attachments, "exact")
-            assert np.array_equal(build_interaction(spec), contact) == pinned
+            interaction = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
+            assert np.array_equal(interaction, contact) == pinned
 
     def test_returned_matrices_are_fresh(self):
         for n_sites in (2, 3):
             spec = ModelSpec(n_sites, 2.0, 0.5, 1.0)
-            builders = [build_hopping, build_interaction]
+            builders = [
+                lambda s: build_hamiltonian(ModelSpec(s.n_sites, s.eta)),  # hopping alone
+                lambda s: build_hamiltonian(dataclasses.replace(s, eta=0.0)),  # contact alone
+            ]
             builders += [lambda s, k=k: hamiltonian_for(s, k) for k in _kinds(n_sites)]
             for build in builders:
                 h = build(spec)
@@ -337,8 +339,8 @@ class TestBuilderOracle:
             for spec in specs:
                 for kind in _kinds(spec.n_sites):
                     hamiltonian_for(spec, kind)
-                build_hopping(spec)
-                build_interaction(spec)
+                build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
+                build_hamiltonian(dataclasses.replace(spec, eta=0.0))
 
         build_every_kind()  # fills the cache for every lattice
         calls = []
@@ -358,7 +360,8 @@ class TestBuilderOracle:
 
 class TestEffectiveHamiltonian:
     def _doublet_matrix(self, spec):
-        v_spin = build_effective_hamiltonian(spec, "two_site") - build_hopping(spec)
+        hopping = build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
+        v_spin = build_effective_hamiltonian(spec, "two_site") - hopping
         mot = np.zeros(2, dtype=complex)
         mot[0] = 1.0
         basis = [np.kron(mot, UP_DD), np.kron(mot, DOWN_PSIP)]
@@ -397,7 +400,8 @@ class TestEffectiveHamiltonian:
 
     def test_one_dimensional_sectors(self):
         spec = ModelSpec.heisenberg(10.0, j=1.0)
-        v_spin = build_effective_hamiltonian(spec, "two_site") - build_hopping(spec)
+        hopping = build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
+        v_spin = build_effective_hamiltonian(spec, "two_site") - hopping
         layout = BasisLayout(2)
         all_up = encode_state(layout, 1, "up", "up-up")
         assert np.allclose(v_spin @ all_up, (spec.j_z / 4.0) * all_up, atol=1e-12)
@@ -408,7 +412,7 @@ class TestEffectiveHamiltonian:
     def test_projector_variant_commutes_with_normal_mode_projectors(self):
         spec = ModelSpec.xy(10.0, n_sites=3)
         h = build_effective_hamiltonian(spec, "three_site_projector")
-        eig = hermitian_eigensystem(motional_hopping(spec))
+        eig = hermitian_eigensystem(build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))[::8, ::8])
         for k in range(3):
             mode = eig.eigenvectors[:, k]
             proj = np.kron(np.outer(mode, mode.conj()), np.eye(8))
