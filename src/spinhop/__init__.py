@@ -15,14 +15,12 @@ from .analysis import (
     log_negativity,
 )
 from .dynamics import (
-    HAMILTONIAN_KINDS,
     AnalyticSolution,
     TimeGrid,
     Trajectory,
     analytic,
     doublet_leakage,
     evolve_on_grid,
-    hamiltonian_for,
     observables,
     run_trajectory,
 )
@@ -33,9 +31,9 @@ from .linalg import (
 )
 from .model import (
     EFFECTIVE_VARIANTS,
+    HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
-    build_effective_hamiltonian,
     build_hamiltonian,
     encode_state,
     static_pair_state,
@@ -54,7 +52,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "analytic",
-    "build_effective_hamiltonian",
     "build_hamiltonian",
     "compare_exact_effective",
     "conservation_monitor",
@@ -62,7 +59,6 @@ __all__ = [
     "encode_state",
     "estimate_period",
     "evolve_on_grid",
-    "hamiltonian_for",
     "hermitian_eigensystem",
     "log_negativity",
     "observables",

@@ -15,10 +15,9 @@ from .dynamics import (
     _log_negativity,
     column_names,
     evolve_on_grid,
-    hamiltonian_for,
     observables,
 )
-from .model import CHAIN_VARIANT, ModelSpec
+from .model import CHAIN_VARIANT, ModelSpec, build_hamiltonian
 
 
 def log_negativity(rho12) -> float:
@@ -66,8 +65,8 @@ def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
 class DeviationReport:
     """Worst-case discrepancy between exact and effective evolution over the
     time grid of the run, at the spec's ``eta_over_j``.
-    ``max_observable_gap`` follows the compared columns of ``COLUMNS`` in
-    order, keyed by field or, for a site population, by column name."""
+    ``max_observable_gap`` maps each compared column of ``COLUMNS`` to its
+    gap, by CSV column name and in table order."""
 
     eta_over_j: float
     max_state_infidelity: float
@@ -89,8 +88,8 @@ def compare_exact_effective(
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
     layout, initial, grid = _checked_run(spec, initial, grid)
     times = grid.times()
-    h_exact = hamiltonian_for(spec, "exact")
-    h_eff = hamiltonian_for(spec, variant)
+    h_exact = build_hamiltonian(spec)
+    h_eff = build_hamiltonian(spec, variant)
     states_exact = evolve_on_grid(h_exact, initial, times)
     states_eff = evolve_on_grid(h_eff, initial, times)
 
@@ -107,12 +106,11 @@ def compare_exact_effective(
 
     exact = observables(states_exact, layout)
     eff = observables(states_eff, layout)
-    gaps = {}
-    for name in column_names(layout.n_sites):
-        field, position, _, compared = COLUMNS[name]
-        if compared:
-            gap = np.abs(exact.column(name) - eff.column(name)).max()
-            gaps[field if position is None else name] = float(gap)
+    gaps = {
+        name: float(np.abs(exact.column(name) - eff.column(name)).max())
+        for name in column_names(layout.n_sites)
+        if COLUMNS[name][3]
+    }
 
     return DeviationReport(
         eta_over_j=eta_over_j,

@@ -26,7 +26,7 @@ middle, right) on three.
 The CLI reads the JSON: it checks the blocks, the keys, the JSON type of
 each number, the column names and the eta/J ratios.  The library checks the
 values and the preconditions of a run (``ModelSpec.from_preset``,
-``encode_state``, ``hamiltonian_for``, ``TimeGrid``, ``run_trajectory``,
+``encode_state``, ``build_hamiltonian``, ``TimeGrid``, ``run_trajectory``,
 ``compare_exact_effective``, ``ModelSpec.j_ref``), and a value or a run it
 rejects is a config error that carries the library's message.
 
@@ -49,8 +49,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compare_exact_effective
-from .dynamics import COLUMNS, TimeGrid, analytic, column_names, hamiltonian_for, run_trajectory
-from .model import CHAIN_VARIANT, BasisLayout, ModelSpec, _finite, _read_only, encode_state
+from .dynamics import COLUMNS, TimeGrid, analytic, column_names, run_trajectory
+from .model import (
+    CHAIN_VARIANT,
+    BasisLayout,
+    ModelSpec,
+    _finite,
+    _read_only,
+    build_hamiltonian,
+    encode_state,
+)
 
 PROBABILITY_TOL = 1e-9
 
@@ -149,7 +157,7 @@ def parse_config(text: str) -> ScenarioConfig:
             initial.get("e_spin", "up"),
             initial.get("static"),
         )
-        hamiltonian_for(spec, hamiltonian)
+        build_hamiltonian(spec, hamiltonian)
         grid = TimeGrid(**{key: run[key] for key in ("t_max", "n_points") if key in run})
 
     output = raw.get("output", {})
@@ -296,9 +304,6 @@ def cmd_compare(
         raise ConfigError("no ratios: set compare.ratios or pass --ratios")
     variant = None if config.hamiltonian == "exact" else config.hamiltonian
     j = _coupling(config, "compare")
-    # the report's gaps come in table order, as these columns do
-    gap_cols = [c for c in column_names(config.spec.n_sites) if COLUMNS[c][3]]
-    header = ["eta_over_j", "max_state_infidelity"] + ["gap_" + c for c in gap_cols]
     rows = []
     for ratio in ratios:
         with _config_errors(f"eta/J = {ratio}: "):  # ratio * J or the energy scale overflows
@@ -309,7 +314,8 @@ def cmd_compare(
         rows.append(
             [report.eta_over_j, report.max_state_infidelity, *report.max_observable_gap.values()]
         )
-    _write_csv(path, header, rows)
+    gaps = ["gap_" + c for c in report.max_observable_gap]
+    _write_csv(path, ["eta_over_j", "max_state_infidelity", *gaps], rows)
     for row in rows:
         print(f"eta/J={_fmt(row[0])}: max_state_infidelity={_fmt(row[1])}")
     return path

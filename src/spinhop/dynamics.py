@@ -34,23 +34,19 @@ import numpy as np
 
 from . import linalg
 from .model import (
-    EFFECTIVE_VARIANTS,
     S12_SQ_4,
     SQRT2,
     BasisLayout,
     ModelSpec,
     _finite,
     _is_int,
-    _known,
     _read_only,
-    build_effective_hamiltonian,
     build_hamiltonian,
+    static_pair_state,
 )
 
-HAMILTONIAN_KINDS = ("exact", *EFFECTIVE_VARIANTS)
-
-_PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
-_PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / SQRT2
+_PSI_PLUS = static_pair_state("psi-plus")
+_PSI_MINUS = static_pair_state("psi-minus")
 _SZ = np.array([0.5, -0.5])  # up, down
 # total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
 _SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
@@ -77,11 +73,8 @@ X_TOL = 1e-9
 _X_ENTRIES = np.array([0, 5, 10, 15, 6, 3, 1, 2, 7, 11, 4, 8, 13, 14])
 
 # spin part of |up>|down down> and |down>|psi+> in the 8-dim spin space
-_DOUBLET_UP = np.zeros(8, dtype=complex)
-_DOUBLET_UP[3] = 1.0
-_DOUBLET_DOWN = np.zeros(8, dtype=complex)
-_DOUBLET_DOWN[5] = 1.0 / SQRT2
-_DOUBLET_DOWN[6] = 1.0 / SQRT2
+_DOUBLET_UP = np.kron([1, 0], static_pair_state("down-down"))
+_DOUBLET_DOWN = np.kron([0, 1], _PSI_PLUS)
 
 
 @dataclass(frozen=True)
@@ -267,15 +260,6 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     )
 
 
-def hamiltonian_for(spec: ModelSpec, kind: str) -> np.ndarray:
-    """Exact or effective Hamiltonian selected by name."""
-    if kind == "exact":
-        return build_hamiltonian(spec)
-    if _known(kind, EFFECTIVE_VARIANTS):
-        return build_effective_hamiltonian(spec, kind)
-    raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
-
-
 @functools.lru_cache(maxsize=None)
 def _sz_sectors(dim: int):
     """Basis indices of each total-S_z sector of a ``dim``-dimensional space
@@ -352,7 +336,7 @@ def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
 def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
     """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
     layout, initial, grid = _checked_run(spec, initial, grid)
-    h = hamiltonian_for(spec, hamiltonian_kind)
+    h = build_hamiltonian(spec, hamiltonian_kind)
     times = grid.times()
     return observables(evolve_on_grid(h, initial, times), layout, times, h)
 

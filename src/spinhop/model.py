@@ -11,13 +11,14 @@ Besides the exact Hamiltonian, three strong-hopping effective Hamiltonians
 are available in which the mobile spin couples to the *total* spin of the
 static pair: the two-site reduction (couplings halved), the three-site
 normal-mode-projector form, and the three-site middle-start reduction
-(couplings quartered).
+(couplings quartered).  :func:`build_hamiltonian` builds every kind and is
+the one place that checks a kind.
 
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed operators per lattice.  Those unit-coupling operators are built
 from Kronecker products and the closed-form normal modes of the hopping (no
 eigensolve), once per lattice size, and cached read-only;
-each builder call assembles a fresh matrix from them.
+each build assembles a fresh matrix from them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ S12_SQ_4 = np.array(
 EFFECTIVE_VARIANTS = {"two_site": 2, "three_site_projector": 3, "three_site_middle_start": 3}
 # lattice size -> the effective spin chain of the closed forms and of compare
 CHAIN_VARIANT = {2: "two_site", 3: "three_site_middle_start"}
+# every kind build_hamiltonian takes
+HAMILTONIAN_KINDS = ("exact", *EFFECTIVE_VARIANTS)
 
 _STATIC_PRESETS = {
     "up-up": np.array([1, 0, 0, 0], dtype=complex),
@@ -122,8 +125,7 @@ class ModelSpec:
     j_z: float = 0.0
 
     def __post_init__(self):
-        if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
-            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites!r}")
+        BasisLayout(self.n_sites)  # the lattice-size check
         if not (_finite(self.eta) and self.eta >= 0.0):
             raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
         if not (_finite(self.j_xy) and _finite(self.j_z)):
@@ -207,7 +209,7 @@ class BasisLayout:
 
     def __post_init__(self):
         if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
-            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
+            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites!r}")
 
     @property
     def dim(self) -> int:
@@ -287,41 +289,35 @@ def _lattice_terms(n_sites: int) -> dict:
     return terms
 
 
-def _assemble(spec: ModelSpec, kind: str) -> np.ndarray:
-    """``amp * hopping + (j_xy * XY + j_z * Ising)`` of one kind, one terms lookup."""
+def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
+    """The Hamiltonian of one of :data:`HAMILTONIAN_KINDS`, a fresh matrix.
+
+    ``exact``: hopping (identity on every spin factor) plus the contact
+    interaction, through which the mobile spin exchanges with the static spin
+    pinned at an outer site whenever it visits that site (block diagonal in
+    the site index).  Zero couplings give the hopping alone and ``eta = 0``
+    the interaction alone.
+
+    The strong-hopping effective kinds need the lattice that
+    :data:`EFFECTIVE_VARIANTS` names.  ``two_site``: hopping plus a purely
+    spin-side coupling of the mobile spin to the total static spin at half
+    strength.  ``three_site_middle_start``: same structure at quarter
+    strength (valid when the particle starts at the middle site).
+    ``three_site_projector``: full-strength collective coupling weighted by
+    the normal-mode projector 1/4 (P+ + P-) + 1/2 P0 of the kinetic term; it
+    needs ``eta > 0``.  The zero mode (1, 0, -1)/sqrt(2) and hence P0 are the
+    same for every eta > 0, so the weight is built once per lattice.
+    """
+    if not _known(kind, HAMILTONIAN_KINDS):
+        raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
+    needed = EFFECTIVE_VARIANTS.get(kind, spec.n_sites)  # exact fits either lattice
+    if spec.n_sites != needed:
+        raise ValueError(f"variant {kind!r} requires n_sites = {needed}")
+    if kind == "three_site_projector" and spec.eta <= 0.0:
+        raise ValueError("three_site_projector requires eta > 0")
     terms = _lattice_terms(spec.n_sites)
     xy, z = terms[kind]
     return _hop_amplitude(spec) * terms["hop"] + (spec.j_xy * xy + spec.j_z * z)
-
-
-def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Exact Hamiltonian: hopping (identity on every spin factor) plus the
-    contact interaction, through which the mobile spin exchanges with the
-    static spin pinned at an outer site whenever it visits that site (block
-    diagonal in the site index).  Zero couplings give the hopping alone and
-    ``eta = 0`` the interaction alone."""
-    return _assemble(spec, "exact")
-
-
-def build_effective_hamiltonian(spec: ModelSpec, variant: str) -> np.ndarray:
-    """Strong-hopping effective Hamiltonian.
-
-    ``two_site``: hopping plus a purely spin-side coupling of the mobile spin
-    to the total static spin at half strength.  ``three_site_middle_start``:
-    same structure at quarter strength (valid when the particle starts at the
-    middle site).  ``three_site_projector``: full-strength collective coupling
-    weighted by the normal-mode projector 1/4 (P+ + P-) + 1/2 P0 of the
-    kinetic term.  The zero mode (1, 0, -1)/sqrt(2) and hence P0 are the same
-    for every eta > 0, so the weight is built once per lattice.
-    """
-    if not _known(variant, EFFECTIVE_VARIANTS):
-        raise ValueError(f"unknown variant {variant!r}; valid: {tuple(EFFECTIVE_VARIANTS)}")
-    needed = EFFECTIVE_VARIANTS[variant]
-    if spec.n_sites != needed:
-        raise ValueError(f"variant {variant!r} requires n_sites = {needed}")
-    if variant == "three_site_projector" and spec.eta <= 0.0:
-        raise ValueError("three_site_projector requires eta > 0")
-    return _assemble(spec, variant)
 
 
 def static_pair_state(preset: str) -> np.ndarray:

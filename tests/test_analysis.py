@@ -134,13 +134,13 @@ class TestCompareExactEffective:
         spec = ModelSpec.xy(10.0)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         report = compare_exact_effective(spec, psi)
-        assert report.max_observable_gap["f_plus"] <= 0.05
+        assert report.max_observable_gap["F_plus"] <= 0.05
 
     def test_intermediate_regime_misses_singlet_weight(self):
         spec = ModelSpec.xy(1.0)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         report = compare_exact_effective(spec, psi)
-        assert report.max_observable_gap["f_minus"] >= 0.25
+        assert report.max_observable_gap["F_minus"] >= 0.25
 
     def test_deviation_nonincreasing_in_ratio(self):
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
@@ -158,14 +158,14 @@ class TestCompareExactEffective:
         spec = ModelSpec.xy(2.0)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         report = compare_exact_effective(spec, psi, grid=TimeGrid(t_max=10.0, n_points=301))
-        for name in ("P1", "P2", "p_up", "f_plus", "f_minus", "f2"):
+        for name in ("P1", "P2", "P_up", "F_plus", "F_minus", "F2"):
             assert 0.0 <= report.max_observable_gap[name] <= 1.0
 
     def test_three_site_middle_start_comparison(self):
         spec = ModelSpec.xy(10.0, n_sites=3)
         psi = encode_state(BasisLayout(3), 0, "up", "down-down")
         report = compare_exact_effective(spec, psi)
-        assert report.max_observable_gap["f_plus"] <= 0.05
+        assert report.max_observable_gap["F_plus"] <= 0.05
         assert report.max_state_infidelity <= 0.10
 
     def test_three_site_projector_side_start_converges(self):
@@ -201,7 +201,7 @@ class TestCompareExactEffective:
         def build(*args):
             raise AssertionError("built a Hamiltonian before checking the energy scale")
 
-        monkeypatch.setattr(analysis, "hamiltonian_for", build)
+        monkeypatch.setattr(analysis, "build_hamiltonian", build)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning on the way
@@ -213,7 +213,7 @@ class TestCompareExactEffective:
         grid = TimeGrid(t_max=5.0, n_points=51)
         report = compare_exact_effective(ModelSpec.xy(10.0, n_sites=3), psi, grid)
         assert list(report.max_observable_gap) == [
-            "P1", "P2", "P0", "p_up", "f_plus", "f_minus", "logneg", "f2"
+            "P1", "P2", "P0", "P_up", "F_plus", "F_minus", "logneg", "F2"
         ]
 
     def test_zero_coupling_rejected_before_evolving(self, monkeypatch):

@@ -7,11 +7,11 @@ first.  A guard also checks what the benchmark's inputs solve: each
 Hamiltonian is checked whole once and solved only in its occupied total-S_z
 sectors, and no static-pair state needs a 4x4 eigensolve (they are all
 X states, whose log-negativity is closed-form).  A count guard checks that
-the scan samples its grid once and checks each run's Hamiltonian and
-static-pair stack once each.  Another guard checks that every function the
-traced pass wraps by name still exists, so a refactor that moves one fails
-here rather than in the benchmark.  The benchmark's modules are imported
-read-only (no bytecode is written next to them).
+the scan samples its grid once, builds each run's Hamiltonian once and checks
+it and the static-pair stack once each.  Another guard checks that every
+function the traced pass wraps by name still exists, so a refactor that
+moves one fails here rather than in the benchmark.  The benchmark's modules
+are imported read-only (no bytecode is written next to them).
 """
 
 import importlib
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import spinhop
-from spinhop import analysis, cli, dynamics, linalg
+from spinhop import analysis, cli, dynamics, linalg, model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -104,8 +104,9 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
 
 def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
     # counts calls, no timing: the scan's fixed per-run cost must not come
-    # back through resampling the grid, nor go by dropping a check
-    linspace, checked = [], []
+    # back through resampling the grid or rebuilding the Hamiltonian, nor go
+    # by dropping a check
+    linspace, checked, built = [], [], []
     sample = np.linspace
 
     def counted_linspace(*args, **kwargs):
@@ -118,22 +119,33 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         checked.append(np.shape(m))
         return check(m, *args, **kwargs)
 
+    def counted_build(spec, *args, **kwargs):
+        built.append(spec)
+        return model.build_hamiltonian(spec, *args, **kwargs)
+
     monkeypatch.setattr(np, "linspace", counted_linspace)
     monkeypatch.setattr(linalg, "assert_hermitian", counted_check)
+    monkeypatch.setattr(dynamics, "build_hamiltonian", counted_build)
     grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
     inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
     assert len(inputs) == 304
     for spec, kind, psi0 in inputs:
-        del checked[:]
+        del checked[:], built[:]
         scan.run_op(spinhop, grid, spec, kind, psi0)
         dim = 8 * spec.n_sites
         # the whole Hamiltonian, then the static pair's (T, 4, 4) stack
         assert checked == [(dim, dim), (scan.N_POINTS, 4, 4)]
+        assert built == [spec]
     assert len(linspace) <= 1
 
 
 # traced targets whose code is gone; the benchmark still lists them
-RETIRED_TARGETS = {"spinhop.backend.jacobi_sweeps", "spinhop.linalg.partial_trace"}
+RETIRED_TARGETS = {
+    "spinhop.backend.jacobi_sweeps",
+    "spinhop.linalg.partial_trace",
+    # every kind is built by build_hamiltonian, which "model.build" still wraps
+    "spinhop.model.build_effective_hamiltonian",
+}
 
 
 def _resolves(module, attr):

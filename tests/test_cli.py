@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinhop import cli
+from spinhop.analysis import compare_exact_effective
 from spinhop.cli import (
     ConfigError,
     NumericalInvariantError,
@@ -22,8 +23,16 @@ from spinhop.cli import (
     main,
     parse_config,
 )
-from spinhop.dynamics import HAMILTONIAN_KINDS, TimeGrid, Trajectory, hamiltonian_for
-from spinhop.model import _STATIC_PRESETS, EFFECTIVE_VARIANTS, BasisLayout, ModelSpec, encode_state
+from spinhop.dynamics import TimeGrid, Trajectory
+from spinhop.model import (
+    _STATIC_PRESETS,
+    EFFECTIVE_VARIANTS,
+    HAMILTONIAN_KINDS,
+    BasisLayout,
+    ModelSpec,
+    build_hamiltonian,
+    encode_state,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -186,16 +195,16 @@ class TestParseConfig:
             ({"initial": {"static": ["up-up"]}}, lambda: _state(1, "up", ["up-up"])),
             (
                 {"run": {"hamiltonian": ["exact"]}},
-                lambda: hamiltonian_for(ModelSpec.xy(10.0), ["exact"]),
+                lambda: build_hamiltonian(ModelSpec.xy(10.0), ["exact"]),
             ),
             (
                 {"run": {"hamiltonian": "three_site_middle_start"}},
-                lambda: hamiltonian_for(ModelSpec.xy(10.0), "three_site_middle_start"),
+                lambda: build_hamiltonian(ModelSpec.xy(10.0), "three_site_middle_start"),
             ),
             (
                 {"model": {"n_sites": 3, "eta": 0}, "initial": {"site": 0},
                  "run": {"hamiltonian": "three_site_projector"}},
-                lambda: hamiltonian_for(ModelSpec.xy(0.0, n_sites=3), "three_site_projector"),
+                lambda: build_hamiltonian(ModelSpec.xy(0.0, n_sites=3), "three_site_projector"),
             ),
             ({"run": {"t_max": -1.0}}, lambda: TimeGrid(t_max=-1.0, n_points=601)),
             ({"run": {"n_points": True}}, lambda: TimeGrid(t_max=30.0, n_points=True)),
@@ -370,6 +379,20 @@ class TestCompareCommand:
         cmd_compare(side, ratios=(10.0,), out_path=out)
         _, data = _read_csv(out)
         assert data["gap_F_plus"][0] >= 0.1
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_gap_columns_carry_the_report_gaps(self, tmp_path, n_sites):
+        cfg = parse_config(json.dumps(_config(
+            model={"n_sites": n_sites}, initial={"site": 1}, run={"n_points": 51}
+        )))
+        out = str(tmp_path / "gaps.csv")
+        cmd_compare(cfg, ratios=(10.0,), out_path=out)
+        header, data = _read_csv(out)
+        sites = ["P1", "P2", "P0"] if n_sites == 3 else ["P1", "P2"]
+        compared = sites + ["P_up", "F_plus", "F_minus", "logneg", "F2"]
+        assert header == ["eta_over_j", "max_state_infidelity"] + ["gap_" + c for c in compared]
+        report = compare_exact_effective(cfg.spec, cfg.initial, cfg.grid)
+        assert {c: data["gap_" + c][0] for c in compared} == report.max_observable_gap
 
     def test_ratios_required(self, tmp_path):
         cfg = parse_config(json.dumps(_config()))

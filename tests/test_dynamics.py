@@ -11,7 +11,6 @@ import pytest
 from spinhop import dynamics, linalg
 from spinhop.dynamics import (
     COLUMNS,
-    HAMILTONIAN_KINDS,
     X_TOL,
     AnalyticSolution,
     TimeGrid,
@@ -20,13 +19,13 @@ from spinhop.dynamics import (
     column_names,
     doublet_leakage,
     evolve_on_grid,
-    hamiltonian_for,
     observables,
     run_trajectory,
 )
 from spinhop.model import (
     _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
+    HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
     build_hamiltonian,
@@ -301,7 +300,7 @@ class TestClosedFormLogNegativity:
             for eta in (1.0, 1e3):
                 spec = make(eta, n_sites=n_sites)
                 for kind in kinds:
-                    h = hamiltonian_for(spec, kind)
+                    h = build_hamiltonian(spec, kind)
                     for site in layout.site_labels():
                         for e_spin in ("up", "down"):
                             for static in _STATIC_PRESETS:
@@ -356,7 +355,7 @@ class TestEvolveOnGrid:
     def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind, eigh_sizes):
         rng = np.random.default_rng(90 + n_sites)
         spec = ModelSpec(n_sites=n_sites, eta=3.1, j_xy=0.7, j_z=-1.3)
-        h = hamiltonian_for(spec, kind)
+        h = build_hamiltonian(spec, kind)
         psi = random_state(rng, 8 * n_sites)
         times = np.linspace(0.0, 5.0, 41)
         states = evolve_on_grid(h, psi, times)
@@ -400,7 +399,7 @@ class TestEvolveOnGrid:
     @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
     def test_definite_sz_start_solves_only_its_sector(self, n_sites, kind, eigh_sizes):
         layout = BasisLayout(n_sites)
-        h = hamiltonian_for(ModelSpec.heisenberg(4.0, n_sites=n_sites), kind)
+        h = build_hamiltonian(ModelSpec.heisenberg(4.0, n_sites=n_sites), kind)
         times = np.linspace(0.0, 5.0, 11)
         for e_spin in ("up", "down"):
             for static in _STATIC_PRESETS:
@@ -461,7 +460,7 @@ class TestRunTrajectory:
             warnings.simplefilter("error")  # no numpy overflow warning on the way
             with pytest.raises(ValueError, match=message):
                 run_trajectory(ModelSpec.xy(1e308, j=1e308), "exact", psi)
-            monkeypatch.setattr(dynamics, "hamiltonian_for", build)
+            monkeypatch.setattr(dynamics, "build_hamiltonian", build)
             with pytest.raises(ValueError, match="overflows"):
                 run_trajectory(ModelSpec.xy(1.0), "exact", psi, TimeGrid(t_max=1e308))
 
@@ -628,7 +627,7 @@ class TestInvariants:
 
     def test_effective_trajectory_stays_in_doublet(self, traj):
         run = traj("xy10_eff")
-        h = hamiltonian_for(run.spec, run.kind)
+        h = build_hamiltonian(run.spec, run.kind)
         states = evolve_on_grid(h, run.initial, run.times)
         leakage = np.array([doublet_leakage(s, run.layout) for s in states])
         assert leakage.max() <= 1e-9
@@ -655,7 +654,7 @@ class TestInvariants:
 
     def test_projector_variant_never_populates_antisymmetric_mode(self, traj):
         run = traj("mid3_proj")
-        h = hamiltonian_for(run.spec, run.kind)
+        h = build_hamiltonian(run.spec, run.kind)
         states = evolve_on_grid(h, run.initial, run.times)
         eig = hermitian_eigensystem(
             build_hamiltonian(ModelSpec(run.spec.n_sites, run.spec.eta))[::8, ::8]

@@ -3,18 +3,17 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from spinhop.dynamics import hamiltonian_for
 from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
     BasisLayout,
     ModelSpec,
-    build_effective_hamiltonian,
     build_hamiltonian,
     encode_state,
     static_pair_state,
@@ -186,14 +185,27 @@ class TestBasisLayout:
         with pytest.raises(ValueError):
             BasisLayout(5)
 
-    @pytest.mark.parametrize("n_sites", [3.0, 2.0, True, "3"])
+    @pytest.mark.parametrize("n_sites", [3.0, 2.0, True, "3", "2"])
     def test_rejects_non_integer_lattice_size(self, n_sites):
-        with pytest.raises(ValueError, match="n_sites must be 2 or 3"):
+        # the value is quoted as given: "2" is not 2
+        message = f"^n_sites must be 2 or 3, got {re.escape(repr(n_sites))}$"
+        with pytest.raises(ValueError, match=message):
             BasisLayout(n_sites)
 
 
-class TestBuildHopping:
-    def test_zero_amplitude(self):
+def _all_built_hamiltonians():
+    for spec in (ModelSpec.xy(10.0), ModelSpec.heisenberg(10.0)):
+        yield spec, build_hamiltonian(spec)
+        yield spec, build_hamiltonian(spec, "two_site")
+    for spec in (ModelSpec.xy(1.0, n_sites=3), ModelSpec.heisenberg(2.0, n_sites=3)):
+        yield spec, build_hamiltonian(spec)
+        yield spec, build_hamiltonian(spec, "three_site_projector")
+        yield spec, build_hamiltonian(spec, "three_site_middle_start")
+
+
+class TestBuildHamiltonian:
+    def test_all_zero(self):
+        # no hopping and no coupling: neither term leaves an entry
         assert np.abs(build_hamiltonian(ModelSpec(2, 0.0))).max() == 0.0
 
     def test_two_site_spectrum_eightfold(self):
@@ -216,11 +228,6 @@ class TestBuildHopping:
         phi_zero = np.array([1 / SQRT2, 0.0, -1 / SQRT2])
         assert abs(abs(phi_plus @ eig.eigenvectors[:, 2]) - 1) < 1e-10
         assert abs(abs(phi_zero @ eig.eigenvectors[:, 1]) - 1) < 1e-10
-
-
-class TestBuildInteraction:
-    def test_zero_couplings(self):
-        assert np.abs(build_hamiltonian(ModelSpec(2, 0.0))).max() == 0.0
 
     def test_xy_exchange_matrix_element(self):
         # <x=1, down up down| V |x=1, up down down> = j_xy  (flip-flop with spin 1)
@@ -249,21 +256,6 @@ class TestBuildInteraction:
                     assert np.abs(blocks[x, :, y, :]).max() == 0.0
         # no static spin sits at the middle site
         assert np.abs(blocks[1, :, 1, :]).max() == 0.0
-
-
-def _all_built_hamiltonians():
-    for spec in (ModelSpec.xy(10.0), ModelSpec.heisenberg(10.0)):
-        yield spec, build_hamiltonian(spec)
-        yield spec, build_effective_hamiltonian(spec, "two_site")
-    for spec in (ModelSpec.xy(1.0, n_sites=3), ModelSpec.heisenberg(2.0, n_sites=3)):
-        yield spec, build_hamiltonian(spec)
-        yield spec, build_effective_hamiltonian(spec, "three_site_projector")
-        yield spec, build_effective_hamiltonian(spec, "three_site_middle_start")
-
-
-class TestBuildHamiltonian:
-    def test_all_zero(self):
-        assert np.abs(build_hamiltonian(ModelSpec(2, 0.0))).max() == 0.0
 
     def test_every_builder_output_is_hermitian(self):
         for _, h in _all_built_hamiltonians():
@@ -310,7 +302,7 @@ class TestBuilderOracle:
             for kind in _kinds(n_sites):
                 if kind == "three_site_projector" and eta == 0.0:
                     continue  # rejected, see test_projector_variant_needs_hopping
-                h = hamiltonian_for(spec, kind)
+                h = build_hamiltonian(spec, kind)
                 ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
                 assert np.array_equal(h, ref) == (pinned or kind != "exact"), (eta, kind)
             contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, attachments, "exact")
@@ -324,7 +316,7 @@ class TestBuilderOracle:
                 lambda s: build_hamiltonian(ModelSpec(s.n_sites, s.eta)),  # hopping alone
                 lambda s: build_hamiltonian(dataclasses.replace(s, eta=0.0)),  # contact alone
             ]
-            builders += [lambda s, k=k: hamiltonian_for(s, k) for k in _kinds(n_sites)]
+            builders += [lambda s, k=k: build_hamiltonian(s, k) for k in _kinds(n_sites)]
             for build in builders:
                 h = build(spec)
                 assert h.flags.writeable
@@ -338,7 +330,7 @@ class TestBuilderOracle:
         def build_every_kind():
             for spec in specs:
                 for kind in _kinds(spec.n_sites):
-                    hamiltonian_for(spec, kind)
+                    build_hamiltonian(spec, kind)
                 build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
                 build_hamiltonian(dataclasses.replace(spec, eta=0.0))
 
@@ -361,7 +353,7 @@ class TestBuilderOracle:
 class TestEffectiveHamiltonian:
     def _doublet_matrix(self, spec):
         hopping = build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
-        v_spin = build_effective_hamiltonian(spec, "two_site") - hopping
+        v_spin = build_hamiltonian(spec, "two_site") - hopping
         mot = np.zeros(2, dtype=complex)
         mot[0] = 1.0
         basis = [np.kron(mot, UP_DD), np.kron(mot, DOWN_PSIP)]
@@ -388,7 +380,7 @@ class TestEffectiveHamiltonian:
         ],
     )
     def test_effective_conserves_s12_squared(self, spec, variant):
-        h = build_effective_hamiltonian(spec, variant)
+        h = build_hamiltonian(spec, variant)
         _, s12 = collective_spin_oracle(spec.n_sites)
         assert np.abs(h @ s12 - s12 @ h).max() <= 1e-12
 
@@ -401,7 +393,7 @@ class TestEffectiveHamiltonian:
     def test_one_dimensional_sectors(self):
         spec = ModelSpec.heisenberg(10.0, j=1.0)
         hopping = build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
-        v_spin = build_effective_hamiltonian(spec, "two_site") - hopping
+        v_spin = build_hamiltonian(spec, "two_site") - hopping
         layout = BasisLayout(2)
         all_up = encode_state(layout, 1, "up", "up-up")
         assert np.allclose(v_spin @ all_up, (spec.j_z / 4.0) * all_up, atol=1e-12)
@@ -411,7 +403,7 @@ class TestEffectiveHamiltonian:
 
     def test_projector_variant_commutes_with_normal_mode_projectors(self):
         spec = ModelSpec.xy(10.0, n_sites=3)
-        h = build_effective_hamiltonian(spec, "three_site_projector")
+        h = build_hamiltonian(spec, "three_site_projector")
         eig = hermitian_eigensystem(build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))[::8, ::8])
         for k in range(3):
             mode = eig.eigenvectors[:, k]
@@ -421,11 +413,11 @@ class TestEffectiveHamiltonian:
 
     def test_variant_lattice_mismatch(self):
         with pytest.raises(ValueError, match="requires n_sites"):
-            build_effective_hamiltonian(ModelSpec.xy(1.0), "three_site_projector")
+            build_hamiltonian(ModelSpec.xy(1.0), "three_site_projector")
         with pytest.raises(ValueError, match="requires n_sites"):
-            build_effective_hamiltonian(ModelSpec.xy(1.0, n_sites=3), "two_site")
-        with pytest.raises(ValueError, match="unknown variant"):
-            build_effective_hamiltonian(ModelSpec.xy(1.0), "adiabatic")
+            build_hamiltonian(ModelSpec.xy(1.0, n_sites=3), "two_site")
+        with pytest.raises(ValueError, match="unknown hamiltonian kind 'adiabatic'"):
+            build_hamiltonian(ModelSpec.xy(1.0), "adiabatic")
         assert EFFECTIVE_VARIANTS == {
             "two_site": 2,
             "three_site_projector": 3,
@@ -433,13 +425,13 @@ class TestEffectiveHamiltonian:
         }
         for variant, n_sites in EFFECTIVE_VARIANTS.items():
             spec = ModelSpec.xy(1.0, n_sites=n_sites)
-            assert build_effective_hamiltonian(spec, variant).shape == (8 * n_sites,) * 2
+            assert build_hamiltonian(spec, variant).shape == (8 * n_sites,) * 2
             with pytest.raises(ValueError, match=f"requires n_sites = {n_sites}"):
-                build_effective_hamiltonian(ModelSpec.xy(1.0, n_sites=5 - n_sites), variant)
+                build_hamiltonian(ModelSpec.xy(1.0, n_sites=5 - n_sites), variant)
 
     def test_projector_variant_needs_hopping(self):
         with pytest.raises(ValueError, match="eta > 0"):
-            build_effective_hamiltonian(ModelSpec(3, 0.0), "three_site_projector")
+            build_hamiltonian(ModelSpec(3, 0.0), "three_site_projector")
 
 
 class TestEncodeState:
@@ -498,8 +490,5 @@ class TestEncodeState:
             static_pair_state(label)
         with pytest.raises(ValueError, match="site label"):
             encode_state(layout, label, "up", "down-down")
-        spec = ModelSpec.xy(1.0)
         with pytest.raises(ValueError, match="unknown hamiltonian kind"):
-            hamiltonian_for(spec, label)
-        with pytest.raises(ValueError, match="unknown variant"):
-            build_effective_hamiltonian(spec, label)
+            build_hamiltonian(ModelSpec.xy(1.0), label)
