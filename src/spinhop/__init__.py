@@ -19,7 +19,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     analytic,
-    doublet_leakage,
     evolve_on_grid,
     observables,
     run_trajectory,
@@ -55,7 +54,6 @@ __all__ = [
     "build_hamiltonian",
     "compare_exact_effective",
     "conservation_monitor",
-    "doublet_leakage",
     "encode_state",
     "estimate_period",
     "evolve_on_grid",

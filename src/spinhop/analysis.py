@@ -17,7 +17,7 @@ from .dynamics import (
     evolve_on_grid,
     observables,
 )
-from .model import CHAIN_VARIANT, ModelSpec, build_hamiltonian
+from .model import ModelSpec, _mode_parts, build_hamiltonian
 
 
 def log_negativity(rho12) -> float:
@@ -79,14 +79,20 @@ def compare_exact_effective(
     """Evolve ``initial`` under the exact and the effective Hamiltonian and
     report the worst state infidelity and per-observable gaps over the grid.
 
+    The default variant is the chain of the kinetic modes the start occupies:
+    ``two_site``, or on three sites ``three_site_middle_start`` for a start
+    with no zero-mode part and ``three_site_projector`` for any other.
+
     States are compared on the full space, except for the spin-only
     ``three_site_middle_start`` variant where the motional factor is not
     meaningful and the comparison happens on the spin-reduced state.
     """
-    if variant is None:
-        variant = CHAIN_VARIANT[spec.n_sites]
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
     layout, initial, grid = _checked_run(spec, initial, grid)
+    if variant is None:
+        rates = {rate for rate, part in _mode_parts(layout.n_sites, initial) if part.any()}
+        three = "three_site_middle_start" if rates == {0.25} else "three_site_projector"
+        variant = "two_site" if layout.n_sites == 2 else three
     times = grid.times()
     h_exact = build_hamiltonian(spec)
     h_eff = build_hamiltonian(spec, variant)

@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``simulate``  evolve one scenario and write the observable table
 ``compare``   exact-vs-effective deviation table over a list of eta/J ratios
-``analytic``  closed-form strong-hopping probabilities for overlay plots
+``analytic``  closed-form strong-hopping doublet populations for overlay plots
 
 Each subcommand takes a JSON config path and an optional ``--out`` path.
 Config schema (unknown keys are rejected)::
@@ -23,12 +23,17 @@ Presets fix the couplings: ``xy`` means ``j_xy = j, j_z = 0`` and
 is the ratio eta/J).  Site labels are 1, 2 on two sites and 1, 0, 2 (left,
 middle, right) on three.
 
+``analytic`` takes any start and couplings; its ``alpha_up_sq`` and
+``alpha_down_sq`` are the populations of |up>|down down> and |down>|psi+>,
+which add up to the start's weight on that doublet.
+
 The CLI reads the JSON: it checks the blocks, the keys, the JSON type of
 each number, the column names and the eta/J ratios.  The library checks the
 values and the preconditions of a run (``ModelSpec.from_preset``,
-``encode_state``, ``build_hamiltonian``, ``TimeGrid``, ``run_trajectory``,
-``compare_exact_effective``, ``ModelSpec.j_ref``), and a value or a run it
-rejects is a config error that carries the library's message.
+``encode_state``, the kind check of ``build_hamiltonian``, ``TimeGrid``,
+``run_trajectory``, ``compare_exact_effective``, ``analytic``,
+``ModelSpec.j_ref``), and a value or a run it rejects is a config error that
+carries the library's message.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 i/o failure.  A run whose energies or phases would overflow, or that does
@@ -50,15 +55,7 @@ import numpy as np
 
 from .analysis import compare_exact_effective
 from .dynamics import COLUMNS, TimeGrid, analytic, column_names, run_trajectory
-from .model import (
-    CHAIN_VARIANT,
-    BasisLayout,
-    ModelSpec,
-    _finite,
-    _read_only,
-    build_hamiltonian,
-    encode_state,
-)
+from .model import BasisLayout, ModelSpec, _check_kind, _finite, _read_only, encode_state
 
 PROBABILITY_TOL = 1e-9
 
@@ -157,7 +154,7 @@ def parse_config(text: str) -> ScenarioConfig:
             initial.get("e_spin", "up"),
             initial.get("static"),
         )
-        build_hamiltonian(spec, hamiltonian)
+        _check_kind(spec, hamiltonian)
         grid = TimeGrid(**{key: run[key] for key in ("t_max", "n_points") if key in run})
 
     output = raw.get("output", {})
@@ -322,14 +319,11 @@ def cmd_compare(
 
 
 def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
-    """Closed-form strong-hopping probabilities on the configured grid."""
+    """Closed-form strong-hopping doublet populations on the configured grid."""
     path = _out_path(config, out_path)
     j = _coupling(config, "analytic")
-    kind = config.spec.coupling_kind()
-    if kind == "custom":
-        raise ConfigError("analytic solutions exist only for the xy/heisenberg presets")
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are caught below
-        solution = analytic(kind, CHAIN_VARIANT[config.spec.n_sites], config.grid.times(), j)
+    with _config_errors("model: "):  # an energy scale that overflows
+        solution = analytic(config.spec, config.initial, config.grid)
     if not math.isfinite(solution.period):
         raise NumericalInvariantError(f"closed-form period overflows (J = {j!r})")
     table = np.column_stack((solution.times, solution.p_up, solution.p_down))

@@ -8,8 +8,8 @@ logarithmic negativity, the excitation-transfer fidelity and the conserved
 quantities, all computed from the stack of states in one vectorised pass:
 one product of ``|psi|^2`` with a fixed weight matrix, one batched product
 for the static pair's reduced state and one linear map of that state.
-Closed-form two-level solutions for the strong-hopping spin dynamics are
-provided for cross-checking.
+:func:`analytic` gives the strong-hopping spin dynamics of any start in
+closed form, for cross-checking.
 
 Every Hamiltonian here conserves total S_z, so it is block-diagonal in the
 S_z sectors, of n_sites * (1, 3, 3, 1) states.  :func:`evolve_on_grid`
@@ -40,6 +40,7 @@ from .model import (
     ModelSpec,
     _finite,
     _is_int,
+    _mode_parts,
     _read_only,
     build_hamiltonian,
     static_pair_state,
@@ -72,9 +73,10 @@ X_TOL = 1e-9
 # the 8 that couple the blocks {uu, dd} and {ud, du}
 _X_ENTRIES = np.array([0, 5, 10, 15, 6, 3, 1, 2, 7, 11, 4, 8, 13, 14])
 
-# spin part of |up>|down down> and |down>|psi+> in the 8-dim spin space
-_DOUBLET_UP = np.kron([1, 0], static_pair_state("down-down"))
-_DOUBLET_DOWN = np.kron([0, 1], _PSI_PLUS)
+# spin parts of |up>|down down> and |down>|psi+> in the 8-dim spin space, one per row
+_DOUBLET = _read_only(
+    np.stack([np.kron([1, 0], static_pair_state("down-down")), np.kron([0, 1], _PSI_PLUS)])
+)
 
 
 @dataclass(frozen=True)
@@ -343,12 +345,12 @@ def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGr
 
 @dataclass(frozen=True)
 class AnalyticSolution:
-    """Closed-form strong-hopping spin dynamics started from |up>|down down>.
+    """Closed-form strong-hopping spin dynamics of one start state.
 
-    ``times`` are the sample times as a 1-d float array.  ``p_up`` is the
-    surviving population of that configuration, ``p_down`` the population
-    transferred to |down>|psi+>; both are probabilities and sum to one.
-    ``period`` is the full cycle of the underlying state.
+    ``times`` are the sample times as a 1-d float array.  ``p_up`` and
+    ``p_down`` are the populations of |up>|down down> and |down>|psi+>, each
+    summed over the sites; they add up to the start's weight on that doublet.
+    ``period`` is the full cycle at the slowest rate the start occupies.
     """
 
     times: np.ndarray
@@ -357,41 +359,34 @@ class AnalyticSolution:
     period: float
 
 
-def analytic(model_kind: str, lattice: str, t, j: float) -> AnalyticSolution:
-    """Two-level solution of the strong-hopping spin chain on the doublet
-    spanned by |up>|down down> and |down>|psi+>, sampled at ``t``.
+def analytic(spec: ModelSpec, initial, grid: TimeGrid | None = None) -> AnalyticSolution:
+    """``initial`` under the strong-hopping chain of ``spec``'s lattice, in
+    closed form on the grid; the preconditions are those of
+    :func:`run_trajectory`, and a coupling must be nonzero.
 
-    On ``"two_site"`` the chain's couplings are halved.  On
-    ``"three_site_middle_start"`` they are quartered: the same closed form at
-    half the rate, so twice the period.  The period depends on the coupling
-    only through |j|.
+    In each mode group of :data:`MODE_RATES` the spins turn as the collective
+    chain at the group's rate.  On the doublet that chain is
+    [[-j_z/2, sqrt(2) j_xy], [sqrt(2) j_xy, 0]]: one rotation at
+    omega = hypot(sqrt(2) j_xy, j_z/4) for every coupling.
     """
-    if not (j != 0.0 and math.isfinite(j)):
-        raise ValueError(f"coupling j must be finite and nonzero, got {j!r}")
-    if model_kind == "xy":
-        period = 2.0 * SQRT2 * math.pi / abs(j)
-    elif model_kind == "heisenberg":
-        period = (16.0 * math.pi / 3.0) / abs(j)  # 3 |j| alone can overflow to inf
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}; valid: xy, heisenberg")
-    if lattice == "three_site_middle_start":
-        # from j itself: j / 2 underflows to 0 at the smallest couplings
-        period, j = 2.0 * period, j / 2.0
-    elif lattice != "two_site":
-        raise ValueError(
-            f"unknown lattice {lattice!r}; valid: two_site, three_site_middle_start"
-        )
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if model_kind == "xy":
-        p_down = np.sin(j * times / SQRT2) ** 2
-    else:
-        p_down = (8.0 / 9.0) * np.sin(3.0 * j * times / 8.0) ** 2
-    return AnalyticSolution(times=times, p_up=1.0 - p_down, p_down=p_down, period=period)
-
-
-def doublet_leakage(state, layout: BasisLayout) -> float:
-    """Population outside span{|up>|dd>, |down>|psi+>} ⊗ (any motional state)."""
-    psi = np.asarray(state, dtype=complex).reshape(layout.n_sites, 8)
-    a_up = psi @ _DOUBLET_UP.conj()
-    a_down = psi @ _DOUBLET_DOWN.conj()
-    return float(1.0 - (np.abs(a_up) ** 2 + np.abs(a_down) ** 2).sum())
+    if spec.j_xy == 0.0 and spec.j_z == 0.0:
+        raise ValueError("the closed form needs a nonzero coupling; j_xy = j_z = 0")
+    layout, initial, grid = _checked_run(spec, initial, grid)
+    omega = math.hypot(SQRT2 * spec.j_xy, spec.j_z / 4.0)
+    # the chain less its mean energy, over omega (omega = 0 only where every
+    # sin(rate * omega * t) = 0 too)
+    chain = np.array([[-spec.j_z / 4.0, SQRT2 * spec.j_xy], [SQRT2 * spec.j_xy, spec.j_z / 4.0]])
+    reflection = chain / omega if omega > 0.0 else chain
+    times = grid.times()
+    populations = np.zeros((len(times), 2))
+    slowest = math.inf
+    for rate, part in _mode_parts(layout.n_sites, initial):
+        if part.any():
+            slowest = min(slowest, rate)
+            v = part @ _DOUBLET.conj().T  # (sites, 2) doublet amplitudes
+            theta = times[:, None, None] * (rate * omega)
+            turned = np.cos(theta) * v - 1j * np.sin(theta) * (v @ reflection.T)
+            populations += (np.abs(turned) ** 2).sum(axis=1)
+    turn = slowest * omega
+    period = 2.0 * math.pi / turn if turn > 0.0 else math.inf
+    return AnalyticSolution(times, populations[:, 0], populations[:, 1], period)

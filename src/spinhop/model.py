@@ -11,8 +11,9 @@ Besides the exact Hamiltonian, three strong-hopping effective Hamiltonians
 are available in which the mobile spin couples to the *total* spin of the
 static pair: the two-site reduction (couplings halved), the three-site
 normal-mode-projector form, and the three-site middle-start reduction
-(couplings quartered).  :func:`build_hamiltonian` builds every kind and is
-the one place that checks a kind.
+(couplings quartered).  :func:`build_hamiltonian` builds every kind and
+``_check_kind`` is the one place that checks a kind.  :data:`MODE_RATES`
+holds the rate of the chain in each group of kinetic modes.
 
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed operators per lattice.  Those unit-coupling operators are built
@@ -51,8 +52,6 @@ S12_SQ_4 = np.array(
 
 # effective Hamiltonian variant -> the lattice size it is built for
 EFFECTIVE_VARIANTS = {"two_site": 2, "three_site_projector": 3, "three_site_middle_start": 3}
-# lattice size -> the effective spin chain of the closed forms and of compare
-CHAIN_VARIANT = {2: "two_site", 3: "three_site_middle_start"}
 # every kind build_hamiltonian takes
 HAMILTONIAN_KINDS = ("exact", *EFFECTIVE_VARIANTS)
 
@@ -88,13 +87,6 @@ def _known(label, table) -> bool:
     """Whether ``label`` is a string key of ``table``; a list or dict label
     would make the lookup itself raise ``TypeError``."""
     return isinstance(label, str) and label in table
-
-
-def _is_heisenberg(j_xy, j_z) -> bool:
-    """``j_z == 2 j_xy`` to 1e-12 relative to ``j_z``, the one rule of the
-    preset and of ``coupling_kind``.  ``j_z / 2`` is the preset's default
-    ``j_xy``, so the default passes even where it underflows."""
-    return abs(j_xy - j_z / 2.0) <= 0.5e-12 * abs(j_z)
 
 
 def _given(name, value, default):
@@ -163,7 +155,8 @@ class ModelSpec:
                 raise ValueError("preset 'heisenberg': j and j_z disagree; give one of them")
             j_z = z if j_z is not None else scale
             j_xy = _given("j_xy", j_xy, j_z / 2.0)
-            if not _is_heisenberg(j_xy, j_z):
+            # to 1e-12 relative to j_z; the default j_z / 2 passes where it underflows
+            if not abs(j_xy - j_z / 2.0) <= 0.5e-12 * abs(j_z):
                 raise ValueError("preset 'heisenberg' requires j_z == 2 * j_xy")
         return cls(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
 
@@ -185,14 +178,6 @@ class ModelSpec:
         if j == 0.0:
             raise ValueError("coupling scale is zero; eta/J is undefined")
         return j
-
-    def coupling_kind(self) -> str:
-        """"xy", "heisenberg" or "custom"."""
-        if self.j_z == 0.0:
-            return "xy"
-        if _is_heisenberg(self.j_xy, self.j_z):
-            return "heisenberg"
-        return "custom"
 
 
 @dataclass(frozen=True)
@@ -252,6 +237,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_PHI0 = np.array([1.0, 0.0, -1.0]) / SQRT2  # the zero mode of three sites, for every eta > 0
+_P0 = np.outer(_PHI0, _PHI0)
+# lattice size -> (rate, site projector) per group of kinetic modes; at strong
+# hopping the spins turn as the collective chain at that rate in those modes
+MODE_RATES = {
+    2: ((0.5, _read_only(np.eye(2, dtype=complex))),),
+    3: (
+        (0.25, _read_only(np.eye(3, dtype=complex) - _P0)),
+        (0.5, _read_only(_P0.astype(complex))),
+    ),
+}
+
+
+def _mode_parts(n_sites: int, state: np.ndarray) -> tuple:
+    """``(rate, (P ⊗ I8) state)`` per mode group of :data:`MODE_RATES`, each
+    projected state an ``(n_sites, 8)`` array of site by spin amplitudes."""
+    psi = np.asarray(state).reshape(n_sites, 8)
+    return tuple((rate, p @ psi) for rate, p in MODE_RATES[n_sites])
+
+
 @functools.lru_cache(maxsize=None)
 def _lattice_terms(n_sites: int) -> dict:
     """Read-only unit-coupling operators of one lattice, built once.
@@ -260,7 +265,8 @@ def _lattice_terms(n_sites: int) -> dict:
     kind of the lattice to the (XY, Ising) pair that ``j_xy`` and ``j_z``
     multiply: for ``"exact"`` the contact terms of static spin 1 at site 0
     and static spin 2 at site ``n_sites - 1``, for each effective variant a
-    motional weight ⊗ the collective coupling to the static pair.
+    motional weight ⊗ the collective coupling to the static pair: the sum of
+    rate * projector over :data:`MODE_RATES`, or 1/4 for the middle start.
     """
     eye = np.eye(n_sites, dtype=complex)
     adjacency = np.eye(n_sites, k=1, dtype=complex) + np.eye(n_sites, k=-1, dtype=complex)
@@ -269,17 +275,11 @@ def _lattice_terms(n_sites: int) -> dict:
         total[:8, :8] += one  # site 0
         total[-8:, -8:] += two  # site n_sites - 1
     collective = [a + b for a, b in zip(_PAIR[1], _PAIR[2])]
+    mixture = sum(rate * p for rate, p in MODE_RATES[n_sites])
     if n_sites == 2:
-        weights = {"two_site": 0.5 * eye}
+        weights = {"two_site": mixture}
     else:
-        # weight 1/4 on the +-eta normal modes, 1/2 on the zero mode
-        # (1, 0, -1)/sqrt(2), which does not depend on eta > 0
-        phi0 = np.array([1.0, 0.0, -1.0]) / SQRT2
-        p0 = np.outer(phi0, phi0)
-        weights = {
-            "three_site_projector": 0.25 * (eye - p0) + 0.5 * p0,
-            "three_site_middle_start": 0.25 * eye,
-        }
+        weights = {"three_site_projector": mixture, "three_site_middle_start": 0.25 * eye}
     terms = {
         "hop": _read_only(np.kron(adjacency, np.eye(8, dtype=complex))),
         "exact": tuple(_read_only(op) for op in contact),
@@ -287,6 +287,18 @@ def _lattice_terms(n_sites: int) -> dict:
     for variant, weight in weights.items():
         terms[variant] = tuple(_read_only(np.kron(weight, op)) for op in collective)
     return terms
+
+
+def _check_kind(spec: ModelSpec, kind) -> None:
+    """``ValueError`` unless ``kind`` is one of :data:`HAMILTONIAN_KINDS` that
+    :func:`build_hamiltonian` can build for ``spec``."""
+    if not _known(kind, HAMILTONIAN_KINDS):
+        raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
+    needed = EFFECTIVE_VARIANTS.get(kind, spec.n_sites)  # exact fits either lattice
+    if spec.n_sites != needed:
+        raise ValueError(f"variant {kind!r} requires n_sites = {needed}")
+    if kind == "three_site_projector" and spec.eta <= 0.0:
+        raise ValueError("three_site_projector requires eta > 0")
 
 
 def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
@@ -304,17 +316,10 @@ def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
     strength.  ``three_site_middle_start``: same structure at quarter
     strength (valid when the particle starts at the middle site).
     ``three_site_projector``: full-strength collective coupling weighted by
-    the normal-mode projector 1/4 (P+ + P-) + 1/2 P0 of the kinetic term; it
-    needs ``eta > 0``.  The zero mode (1, 0, -1)/sqrt(2) and hence P0 are the
-    same for every eta > 0, so the weight is built once per lattice.
+    the normal-mode projector 1/4 (P+ + P-) + 1/2 P0 of the kinetic term
+    (:data:`MODE_RATES`); it needs ``eta > 0``.
     """
-    if not _known(kind, HAMILTONIAN_KINDS):
-        raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
-    needed = EFFECTIVE_VARIANTS.get(kind, spec.n_sites)  # exact fits either lattice
-    if spec.n_sites != needed:
-        raise ValueError(f"variant {kind!r} requires n_sites = {needed}")
-    if kind == "three_site_projector" and spec.eta <= 0.0:
-        raise ValueError("three_site_projector requires eta > 0")
+    _check_kind(spec, kind)
     terms = _lattice_terms(spec.n_sites)
     xy, z = terms[kind]
     return _hop_amplitude(spec) * terms["hop"] + (spec.j_xy * xy + spec.j_z * z)

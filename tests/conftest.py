@@ -19,6 +19,7 @@ _SCENARIOS = {
     "qst_heis20": (ModelSpec.heisenberg(20.0), "exact", (1, "down", "up-down")),
     "mid3_exact": (ModelSpec.xy(10.0, n_sites=3), "exact", (0, "up", "down-down")),
     "side3_exact": (ModelSpec.xy(10.0, n_sites=3), "exact", (1, "up", "down-down")),
+    "side3_exact100": (ModelSpec.xy(100.0, n_sites=3), "exact", (1, "up", "down-down")),
     "mid3_chain": (
         ModelSpec.xy(10.0, n_sites=3),
         "three_site_middle_start",

@@ -156,3 +156,14 @@ def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
         "three_site_projector": 0.25 * (np.eye(3) - p0) + 0.5 * p0,
     }[kind]
     return h + np.kron(weight, coupling(1) + coupling(2))
+
+
+# spin parts (mobile ⊗ static 1 ⊗ static 2) of |up>|down down> and |down>|psi+>
+_DOUBLET_SPIN = np.stack([np.kron([1, 0], [0, 0, 0, 1]), np.kron([0, 1], BELL_PLUS)])
+
+
+def doublet_populations(states, n_sites):
+    """``(T, 2)`` populations of |up>|down down> and |down>|psi+>, each summed
+    over the sites, of a ``(T, D)`` stack of states."""
+    amplitudes = np.asarray(states).reshape(len(states), n_sites, 8) @ _DOUBLET_SPIN.conj().T
+    return (np.abs(amplitudes) ** 2).sum(axis=1)

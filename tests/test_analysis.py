@@ -168,6 +168,23 @@ class TestCompareExactEffective:
         assert report.max_observable_gap["F_plus"] <= 0.05
         assert report.max_state_infidelity <= 0.10
 
+    @pytest.mark.parametrize(
+        "n_sites, site, variant",
+        [
+            (2, 1, "two_site"),
+            (3, 0, "three_site_middle_start"),
+            (3, 1, "three_site_projector"),
+            (3, 2, "three_site_projector"),
+        ],
+    )
+    def test_default_variant_is_the_chain_of_the_start(self, n_sites, site, variant):
+        spec = ModelSpec.xy(10.0, n_sites=n_sites)
+        psi = encode_state(BasisLayout(n_sites), site, "up", "down-down")
+        grid = TimeGrid(t_max=10.0, n_points=101)
+        assert compare_exact_effective(spec, psi, grid) == compare_exact_effective(
+            spec, psi, grid, variant=variant
+        )
+
     def test_three_site_projector_side_start_converges(self):
         # the paper's effective model for a start at an outer site: the state
         # infidelity falls about as (J/eta)^2, 100x per decade of eta/J

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, summaries, determinism and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinhop import cli
+from spinhop import cli, model
 from spinhop.analysis import compare_exact_effective
 from spinhop.cli import (
     ConfigError,
@@ -23,7 +24,7 @@ from spinhop.cli import (
     main,
     parse_config,
 )
-from spinhop.dynamics import TimeGrid, Trajectory
+from spinhop.dynamics import TimeGrid, Trajectory, run_trajectory
 from spinhop.model import (
     _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
@@ -35,6 +36,7 @@ from spinhop.model import (
 )
 
 SQRT2 = math.sqrt(2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _config(**overrides):
@@ -133,6 +135,16 @@ class TestParseConfig:
     def test_syntax_error_reports_line(self):
         with pytest.raises(ConfigError, match=r"syntax error at line \d+"):
             parse_config('{\n "model": {},\n "oops"\n}')
+
+    def test_checks_the_kind_without_building_a_hamiltonian(self, monkeypatch):
+        def no_build(n_sites):
+            raise AssertionError("parse_config built a Hamiltonian")
+
+        monkeypatch.setattr(model, "_lattice_terms", no_build)
+        cfg = _config(
+            model={"n_sites": 3}, initial={"site": 0}, run={"hamiltonian": "three_site_projector"}
+        )
+        assert parse_config(json.dumps(cfg)).hamiltonian == "three_site_projector"
 
     def test_variant_lattice_mismatch(self):
         bad = _config(run={"hamiltonian": "three_site_middle_start"})
@@ -378,7 +390,8 @@ class TestCompareCommand:
         out = str(tmp_path / "side.csv")
         cmd_compare(side, ratios=(10.0,), out_path=out)
         _, data = _read_csv(out)
-        assert data["gap_F_plus"][0] >= 0.1
+        # measured against three_site_projector, the chain of its modes
+        assert data["gap_F_plus"][0] <= 0.05
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_gap_columns_carry_the_report_gaps(self, tmp_path, n_sites):
@@ -434,12 +447,32 @@ class TestAnalyticCommand:
         expected = np.sin(data["t"] / (2 * SQRT2)) ** 2
         assert np.abs(data["alpha_down_sq"] - expected).max() <= 1e-12
 
-    def test_custom_couplings_rejected(self, tmp_path):
-        cfg = parse_config(
-            json.dumps(_config(model={"preset": "custom", "j_xy": 1.0, "j_z": 0.7}))
-        )
-        with pytest.raises(ConfigError, match="presets"):
-            cmd_analytic(cfg, out_path=str(tmp_path / "x.csv"))
+    def test_custom_couplings_accepted(self, tmp_path):
+        cfg = parse_config(json.dumps(_config(
+            model={"preset": "custom", "j_xy": 1.0, "j_z": 0.7}, run={"hamiltonian": "two_site"}
+        )))
+        out = str(tmp_path / "custom.csv")
+        cmd_analytic(cfg, out_path=out)
+        _, data = _read_csv(out)
+        run = run_trajectory(cfg.spec, cfg.hamiltonian, cfg.initial, cfg.grid)
+        assert np.abs(data["alpha_up_sq"] - run.p_up).max() <= 1e-12
+        assert np.abs(data["alpha_down_sq"] - run.f_plus).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_bundled_config_analytic_follows_the_effective_run(tmp_path, capsys, name):
+    # every bundled start has S_z = -1/2, where P_up and F_plus are the two
+    # doublet populations; the lattice's effective kind is right for any start
+    cfg = parse_config((CONFIGS / name).read_text())
+    kind = "two_site" if cfg.spec.n_sites == 2 else "three_site_projector"
+    closed, effective = str(tmp_path / "closed.csv"), str(tmp_path / "effective.csv")
+    cmd_analytic(cfg, out_path=closed)
+    cmd_simulate(dataclasses.replace(cfg, hamiltonian=kind), out_path=effective)
+    capsys.readouterr()
+    _, expected = _read_csv(effective)
+    _, got = _read_csv(closed)
+    assert np.abs(got["alpha_up_sq"] - expected["P_up"]).max() <= 1e-12
+    assert np.abs(got["alpha_down_sq"] - expected["F_plus"]).max() <= 1e-12
 
 
 class TestMainExitCodes:
@@ -600,7 +633,10 @@ class TestEdgeInputs:
     def test_overflowing_energy_scale_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "heisenberg", "j": -1e308}, run={"n_points": 11})
         assert self._main(tmp_path, "simulate", cfg) == 2
-        assert "overflows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "overflows" in err
+        assert self._main(tmp_path, "analytic", cfg) == 2
+        assert capsys.readouterr().err == err
         cfg = _config(model={"j": 1e300}, run={"n_points": 11})
         assert self._main(tmp_path, "compare", cfg, "--ratios", "1,1e7") == 2
         assert "eta/J = 10000000.0: energy scale" in capsys.readouterr().err
@@ -735,12 +771,11 @@ class TestEdgeInputs:
     @pytest.mark.parametrize(
         "model, message",
         [
-            ({"preset": "heisenberg", "j": -1e308}, "closed form is not finite at t = 0.0"),
             ({"j": 1e-310}, "closed-form period overflows"),
             # j / 2 underflows to 0 on three sites; the period still overflows
             ({"n_sites": 3, "j": 5e-324}, "closed-form period overflows (J = 5e-324)"),
         ],
-        ids=["j-times-t-overflows", "period-overflows", "three-site-period-overflows"],
+        ids=["period-overflows", "three-site-period-overflows"],
     )
     def test_non_finite_closed_form_is_an_invariant_violation(
         self, tmp_path, capsys, model, message

@@ -17,7 +17,6 @@ from spinhop.dynamics import (
     Trajectory,
     analytic,
     column_names,
-    doublet_leakage,
     evolve_on_grid,
     observables,
     run_trajectory,
@@ -37,6 +36,7 @@ from helpers import (
     BELL_MINUS,
     BELL_PLUS,
     decode,
+    doublet_populations,
     encode,
     expm_series,
     log_negativity_oracle,
@@ -510,92 +510,155 @@ class TestColumns:
         assert compared == ["P1", "P2", "P0", "P_up", "F_plus", "F_minus", "logneg", "F2"]
 
 
+def _start(n_sites, site, e_spin="up", static="down-down"):
+    return encode_state(BasisLayout(n_sites), site, e_spin, static)
+
+
+def _analytic_at(spec, site, t_max, n_points=2):
+    """analytic from |up>|down down> at ``site``, on a grid ending at ``t_max``."""
+    return analytic(spec, _start(spec.n_sites, site), TimeGrid(t_max, n_points))
+
+
 class TestAnalyticThreeSite:
     @pytest.mark.parametrize("kind", ["xy", "heisenberg"])
     def test_three_sites_run_at_half_the_rate(self, kind):
-        t = np.linspace(0.0, 40.0, 401)
-        three = analytic(kind, "three_site_middle_start", t, 1.0)
-        two = analytic(kind, "two_site", t, 0.5)
+        # a middle start has no zero-mode part, so it turns at rate 1/4 only
+        make = getattr(ModelSpec, kind)
+        three = _analytic_at(make(10.0, n_sites=3), 0, 40.0, 401)
+        two = _analytic_at(make(10.0, j=0.5), 1, 40.0, 401)
         assert np.array_equal(three.p_down, two.p_down)
-        assert three.period == 2.0 * analytic(kind, "two_site", t, 1.0).period
+        assert three.period == 2.0 * _analytic_at(make(10.0), 1, 40.0).period
 
     def test_smallest_coupling_keeps_an_infinite_period(self):
-        # j / 2 underflows to 0 here; the period comes from j itself
-        sol = analytic("xy", "three_site_middle_start", [0.0, 1.0], 5e-324)
+        # rate * omega underflows to 0 here; the period is infinite, not an error
+        sol = _analytic_at(ModelSpec.xy(10.0, j=5e-324, n_sites=3), 0, 1.0)
         assert sol.period == math.inf
         assert np.array_equal(sol.p_down, [0.0, 0.0])
+
+    def test_side_start_mixes_two_rates(self):
+        # (1, 0, 0) has weight 1/2 on the zero mode (rate 1/2) and 1/2 on the
+        # +-eta modes (rate 1/4): the mean of the two single-rate solutions
+        t = np.linspace(0.0, 40.0, 401)
+        side = _analytic_at(ModelSpec.xy(10.0, n_sites=3), 1, 40.0, 401)
+        expected = 0.5 * np.sin(t / SQRT2) ** 2 + 0.5 * np.sin(t / (2.0 * SQRT2)) ** 2
+        assert np.abs(side.p_down - expected).max() <= 1e-14
+        assert side.period == pytest.approx(4.0 * SQRT2 * math.pi, rel=1e-15)
 
 
 class TestAnalyticTwoSite:
     def test_time_zero(self):
-        for kind in ("xy", "heisenberg"):
-            sol = analytic(kind, "two_site", 0.0, 1.0)
+        for make in (ModelSpec.xy, ModelSpec.heisenberg):
+            sol = _analytic_at(make(10.0), 1, 1.0)
             assert sol.p_up[0] == 1.0
             assert sol.p_down[0] == 0.0
 
     def test_xy_full_transfer_time(self):
-        sol = analytic("xy", "two_site", math.pi / SQRT2, 1.0)
-        assert sol.p_down[0] == pytest.approx(1.0, abs=1e-12)
+        sol = _analytic_at(ModelSpec.xy(10.0), 1, math.pi / SQRT2)
+        assert sol.p_down[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_heisenberg_peak_transfer(self):
-        sol = analytic("heisenberg", "two_site", 4.0 * math.pi / 3.0, 1.0)
-        assert sol.p_down[0] == pytest.approx(8.0 / 9.0, abs=1e-12)
+        sol = _analytic_at(ModelSpec.heisenberg(10.0), 1, 4.0 * math.pi / 3.0)
+        assert sol.p_down[-1] == pytest.approx(8.0 / 9.0, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
-        t = np.linspace(0.0, 40.0, 500)
-        for kind in ("xy", "heisenberg"):
-            sol = analytic(kind, "two_site", t, 1.0)
+        for make in (ModelSpec.xy, ModelSpec.heisenberg):
+            sol = _analytic_at(make(10.0), 1, 40.0, 500)
             assert np.abs(sol.p_up + sol.p_down - 1.0).max() <= 1e-12
 
     def test_coupling_scale(self):
-        sol = analytic("xy", "two_site", math.pi / (2.0 * SQRT2), 2.0)
-        assert sol.p_down[0] == pytest.approx(1.0, abs=1e-12)
+        sol = _analytic_at(ModelSpec.xy(10.0, j=2.0), 1, math.pi / (2.0 * SQRT2))
+        assert sol.p_down[-1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="model kind"):
-            analytic("ising", "two_site", 1.0, 1.0)
+    def test_rejects_a_start_of_another_lattice(self):
+        with pytest.raises(ValueError, match="does not match layout dim 16"):
+            analytic(ModelSpec.xy(10.0), _start(3, 0))
+        with pytest.raises(ValueError, match="not normalized"):
+            analytic(ModelSpec.xy(10.0), 2.0 * _start(2, 1))
 
     def test_solution_carries_period(self):
-        sol = analytic("xy", "two_site", 1.0, 1.0)
+        sol = _analytic_at(ModelSpec.xy(10.0), 1, 1.0)
         assert isinstance(sol, AnalyticSolution)
         assert sol.period == pytest.approx(2.0 * SQRT2 * math.pi)
 
 
 class TestAnalyticPeriod:
     def test_reference_values(self):
-        assert analytic("xy", "two_site", 0.0, 1.0).period == pytest.approx(2 * SQRT2 * math.pi)
-        assert analytic("heisenberg", "two_site", 0.0, 1.0).period == pytest.approx(
+        assert _analytic_at(ModelSpec.xy(10.0), 1, 1.0).period == pytest.approx(
+            2 * SQRT2 * math.pi
+        )
+        assert _analytic_at(ModelSpec.heisenberg(10.0), 1, 1.0).period == pytest.approx(
             16 * math.pi / 3
         )
-        assert analytic("xy", "three_site_middle_start", 0.0, 1.0).period == pytest.approx(
-            4 * SQRT2 * math.pi
+        for site in (0, 1, 2):  # every three-site start occupies the rate 1/4
+            assert _analytic_at(ModelSpec.xy(10.0, n_sites=3), site, 1.0).period == (
+                pytest.approx(4 * SQRT2 * math.pi)
+            )
+        assert _analytic_at(ModelSpec.heisenberg(10.0, n_sites=3), 0, 1.0).period == (
+            pytest.approx(32 * math.pi / 3)
         )
-        assert analytic(
-            "heisenberg", "three_site_middle_start", 0.0, 1.0
-        ).period == pytest.approx(32 * math.pi / 3)
 
     def test_scales_inversely_with_coupling(self):
-        assert analytic("xy", "two_site", 0.0, 2.0).period == pytest.approx(SQRT2 * math.pi)
+        assert _analytic_at(ModelSpec.xy(10.0, j=2.0), 1, 1.0).period == pytest.approx(
+            SQRT2 * math.pi
+        )
 
     @pytest.mark.parametrize("kind", ["xy", "heisenberg"])
     @pytest.mark.parametrize("lattice", ["two_site", "three_site_middle_start"])
     def test_negative_coupling_gives_the_same_period(self, kind, lattice):
-        # sin^2(j t / c) is even in j, so the cycle depends on |j| only
+        # the populations are even in the couplings, so the cycle depends on |j| only
+        n_sites, site = {"two_site": (2, 1), "three_site_middle_start": (3, 0)}[lattice]
+        make = getattr(ModelSpec, kind)
         assert (
-            analytic(kind, lattice, 0.0, -1.0).period == analytic(kind, lattice, 0.0, 1.0).period
+            _analytic_at(make(10.0, j=-1.0, n_sites=n_sites), site, 1.0).period
+            == _analytic_at(make(10.0, j=1.0, n_sites=n_sites), site, 1.0).period
         )
 
     def test_largest_coupling_gives_a_positive_period(self):
-        # 3 * 1e308 overflows; the period must not collapse to 0
-        period = analytic("heisenberg", "three_site_middle_start", 0.0, 1e308).period
-        assert period == pytest.approx(32.0 * math.pi / 3.0 / 1e308, rel=1e-15)
+        # close to the largest coupling the run preconditions accept at t_max = 1
+        period = _analytic_at(ModelSpec.heisenberg(10.0, j=2e307, n_sites=3), 0, 1.0).period
+        assert period == pytest.approx(32.0 * math.pi / 3.0 / 2e307, rel=1e-15)
         assert period > 0.0
 
-    def test_unknown_labels(self):
-        with pytest.raises(ValueError, match="model kind"):
-            analytic("ising", "two_site", 0.0, 1.0)
-        with pytest.raises(ValueError, match="lattice"):
-            analytic("xy", "four_site", 0.0, 1.0)
+    def test_rejects_an_overflowing_energy_scale(self):
+        with pytest.raises(ValueError, match="energy scale .* overflows"):
+            _analytic_at(ModelSpec.heisenberg(10.0, j=-1e308), 1, 30.0)
+
+
+_COUPLINGS = {
+    "xy": dict(j_xy=1.0, j_z=0.0),
+    "heisenberg": dict(j_xy=0.5, j_z=1.0),
+    "custom": dict(j_xy=0.7, j_z=-0.3),
+}
+
+
+@pytest.mark.parametrize("eta", [10.0, 50.0])
+@pytest.mark.parametrize("coupling", list(_COUPLINGS))
+@pytest.mark.parametrize("kind", ["two_site", "three_site_projector", "three_site_middle_start"])
+def test_analytic_is_the_effective_kinds_doublet_populations(kind, coupling, eta):
+    # every site (the middle-start kind: the middle site) and all 12 start
+    # labels, then complex superpositions of them; each effective run's
+    # doublet populations, by brute projection
+    n_sites = EFFECTIVE_VARIANTS[kind]
+    spec = ModelSpec(n_sites, eta, **_COUPLINGS[coupling])
+    grid = TimeGrid(t_max=30.0, n_points=301)
+    h = build_hamiltonian(spec, kind)
+    sites = [0] if kind == "three_site_middle_start" else BasisLayout(n_sites).site_labels()
+    starts = [
+        _start(n_sites, site, e_spin, static)
+        for site in sites
+        for e_spin in ("up", "down")
+        for static in _STATIC_PRESETS
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        psi = np.array(starts).T @ random_state(rng, len(starts))
+        starts.append(psi / np.linalg.norm(psi))
+    worst = 0.0
+    for psi in starts:
+        expected = doublet_populations(evolve_on_grid(h, psi, grid.times()), n_sites)
+        sol = analytic(spec, psi, grid)
+        worst = max(worst, np.abs(np.column_stack((sol.p_up, sol.p_down)) - expected).max())
+    assert worst <= 1e-12
 
 
 class TestQstTrajectory:
@@ -629,15 +692,15 @@ class TestInvariants:
         run = traj("xy10_eff")
         h = build_hamiltonian(run.spec, run.kind)
         states = evolve_on_grid(h, run.initial, run.times)
-        leakage = np.array([doublet_leakage(s, run.layout) for s in states])
-        assert leakage.max() <= 1e-9
+        leakage = 1.0 - doublet_populations(states, run.layout.n_sites).sum(axis=1)
+        assert np.abs(leakage).max() <= 1e-9
 
     @pytest.mark.parametrize(
-        "name,kind", [("xy10_eff", "xy"), ("heis10_eff", "heisenberg")]
+        "name", ["xy10_eff", "heis10_eff"], ids=["xy10_eff-xy", "heis10_eff-heisenberg"]
     )
-    def test_effective_dynamics_reproduces_analytic(self, traj, name, kind):
+    def test_effective_dynamics_reproduces_analytic(self, traj, name):
         run = traj(name)
-        sol = analytic(kind, "two_site", run.times, 1.0)
+        sol = analytic(run.spec, run.initial, run.grid)
         assert np.abs(series(run.trajectory, "p_up") - sol.p_up).max() <= 1e-9
         assert np.abs(series(run.trajectory, "f_plus") - sol.p_down).max() <= 1e-9
 
@@ -686,11 +749,20 @@ def test_trajectory_is_frozen():
     [
         (lambda: encode_state(BasisLayout(2), True, "up", "down-down"), "site label"),
         (lambda: encode_state(BasisLayout(3), 1.0, "up", "down-down"), "site label"),
-        (lambda: analytic("xy", "two_site", 0.0, 0.0), "finite and nonzero"),
-        (lambda: analytic("heisenberg", "three_site_middle_start", 0.0, 0), "nonzero"),
-        (lambda: analytic("xy", "two_site", 0.0, math.nan), "finite and nonzero"),
-        (lambda: analytic("xy", "two_site", [0.0, 1.0], 0.0), "finite and nonzero"),
-        (lambda: analytic("heisenberg", "two_site", [0.0], math.inf), "finite and nonzero"),
+        (lambda: analytic(ModelSpec(2, 10.0), _start(2, 1)), "nonzero coupling"),
+        (
+            lambda: analytic(ModelSpec.heisenberg(10.0, j=0, n_sites=3), _start(3, 0)),
+            "nonzero coupling",
+        ),
+        (lambda: analytic(ModelSpec.xy(10.0, j=math.nan), _start(2, 1)), "must be finite"),
+        (
+            lambda: analytic(ModelSpec.xy(10.0, j=0.0), _start(2, 1), TimeGrid(1.0, 2)),
+            "nonzero coupling",
+        ),
+        (
+            lambda: analytic(ModelSpec.heisenberg(10.0, j=math.inf), _start(2, 1)),
+            "must be finite",
+        ),
     ],
     ids=[
         "bool-site", "float-site", "xy-period-j0", "heisenberg-period-j0", "period-j-nan",
@@ -698,7 +770,7 @@ def test_trajectory_is_frozen():
     ],
 )
 def test_library_edge_inputs_raise_value_error(call, message):
-    # True == 1 and 1.0 == 1 would pass as site label 1; j = 0 divided by
-    # zero, and a non-finite j gave a NaN or zero period
+    # True == 1 and 1.0 == 1 would pass as site label 1; a chain without a
+    # coupling has no period, and no spec carries a non-finite coupling
     with pytest.raises(ValueError, match=message):
         call()

@@ -12,6 +12,7 @@ from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
+    MODE_RATES,
     BasisLayout,
     ModelSpec,
     build_hamiltonian,
@@ -66,28 +67,24 @@ class TestModelSpec:
         xy = ModelSpec.xy(10.0, j=2.0)
         assert (xy.j_xy, xy.j_z) == (2.0, 0.0)
         assert xy.j_ref == 2.0
-        assert xy.coupling_kind() == "xy"
         heis = ModelSpec.heisenberg(10.0, j=2.0)
         assert (heis.j_xy, heis.j_z) == (1.0, 2.0)
         assert heis.j_z == 2.0 * heis.j_xy
         assert heis.j_ref == 2.0
-        assert heis.coupling_kind() == "heisenberg"
-        assert ModelSpec(2, 1.0, j_xy=1.0, j_z=0.5).coupling_kind() == "custom"
+        custom = ModelSpec.from_preset("custom", 2, 1.0, j_xy=1.0, j_z=0.5)
+        assert (custom.j_xy, custom.j_z) == (1.0, 0.5)
 
-    def test_preset_and_coupling_kind_share_the_heisenberg_rule(self):
+    def test_heisenberg_preset_rule_is_relative_to_j_z(self):
         # j_z == 2 j_xy to 1e-12 relative to j_z, however small j_z is
-        for j_xy, heisenberg in ((0.5 + 4e-13, True), (0.5 + 6e-13, False)):
-            assert ModelSpec(2, 1.0, j_xy, 1.0).coupling_kind() == (
-                "heisenberg" if heisenberg else "custom"
-            )
+        near = ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.5 + 4e-13, j_z=1.0)
+        assert (near.j_xy, near.j_z) == (0.5 + 4e-13, 1.0)
         with pytest.raises(ValueError, match=r"requires j_z == 2 \* j_xy"):
             ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.5 + 6e-13, j_z=1.0)
         with pytest.raises(ValueError, match=r"requires j_z == 2 \* j_xy"):
             ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.0, j_z=1e-13)
-        # j_xy = j / 2 underflows to 0, and the spec still is Heisenberg
+        # j_xy = j / 2 underflows to 0, and the preset still takes it
         tiny = ModelSpec.heisenberg(1.0, j=5e-324)
         assert (tiny.j_xy, tiny.j_z) == (0.0, 5e-324)
-        assert tiny.coupling_kind() == "heisenberg"
 
     def test_stores_floats(self):
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
@@ -358,6 +355,18 @@ class TestEffectiveHamiltonian:
         mot[0] = 1.0
         basis = [np.kron(mot, UP_DD), np.kron(mot, DOWN_PSIP)]
         return np.array([[b.conj() @ v_spin @ k for k in basis] for b in basis])
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_mode_rates_split_the_sites_into_kinetic_mode_groups(self, n_sites):
+        hopping = build_hamiltonian(ModelSpec(n_sites, 1.0))[::8, ::8]
+        projectors = [p for _, p in MODE_RATES[n_sites]]
+        assert np.allclose(sum(projectors), np.eye(n_sites), atol=1e-15)
+        for p, q in itertools.product(projectors, repeat=2):
+            assert np.allclose(p @ q, p if p is q else 0.0, atol=1e-15)
+        for p in projectors:
+            assert np.allclose(p, p.conj().T) and np.allclose(p @ hopping, hopping @ p)
+        rates = [rate for rate, _ in MODE_RATES[n_sites]]
+        assert rates == ([0.5] if n_sites == 2 else [0.25, 0.5])
 
     def test_xy_doublet_matrix(self):
         m = self._doublet_matrix(ModelSpec.xy(10.0))
