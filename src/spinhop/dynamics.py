@@ -5,23 +5,28 @@ Trajectories are computed exactly through the spectral decomposition of the
 observable over the whole time grid: site populations, the mobile-spin-up
 probability, the triplet/singlet fidelities of the static pair, its
 logarithmic negativity, the excitation-transfer fidelity and the conserved
-quantities, all computed from the stack of states in one vectorised pass:
-one product of ``|psi|^2`` with a fixed weight matrix, one batched product
-for the static pair's reduced state and one linear map of that state.
+quantities, all computed in one vectorised pass over the run's states.
 :func:`analytic` gives the strong-hopping spin dynamics of any start in
 closed form, for cross-checking.
 
 Every Hamiltonian here conserves total S_z, so it is block-diagonal in the
-S_z sectors, of n_sites * (1, 3, 3, 1) states.  :func:`evolve_on_grid`
-checks the whole matrix once and then solves only the sectors the start
-state occupies; a matrix that couples sectors is solved whole.  Every start
-state that ``encode_state`` builds has a definite S_z, so the static pair's
-reduced state never mixes the blocks {uu, dd} and {ud, du}: it is an
-"X state", whose log-negativity has a closed form.  That form is taken
-wherever it is certified to ``X_TOL`` (see :func:`_log_negativity`); any
-other matrix goes to the eigensolver.  A short grid costs more in per-call
-overhead than in arithmetic, so a grid samples its times once and each
-check and reduction is one pass over its data.
+S_z sectors, of n_sites * (1, 3, 3, 1) states.  Each run checks the whole
+matrix once and then solves only the sectors the start state occupies; a
+matrix that couples sectors is solved whole.  Every start state that
+``encode_state`` builds has a definite S_z, and such a run stays on its
+sector from start to finish (the sector path): :func:`run_trajectory` and
+``compare_exact_effective`` read every observable off the ``(T, k)`` sector
+amplitudes, with one product through a cached per-sector table (see
+:func:`_sector_tables`).  In one sector the static pair's reduced state
+never mixes the blocks {uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so
+its log-negativity there is exact in closed form.  A start spanning several
+sectors takes the whole-space path: :func:`evolve_on_grid` spreads the
+sectors into ``(T, D)`` states and :func:`observables` forms the pair's
+reduced state, whose closed form is taken wherever it is certified to
+``X_TOL`` (see :func:`_log_negativity`); any other matrix goes to the
+eigensolver.  A short grid costs more in per-call overhead than in
+arithmetic, so a grid samples its times once and each check and reduction is
+one pass over its data.
 """
 
 from __future__ import annotations
@@ -272,14 +277,14 @@ def _sz_sectors(dim: int):
     return sectors, _read_only(sz[:, None] != sz[None, :])
 
 
-def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
-    """States exp(-i H t)|initial> for every t, one per row.
+def _evolve_blocks(hamiltonian, initial, times) -> list:
+    """``(basis indices, (T, k) amplitudes, block)`` of exp(-i H t)|initial>
+    for each block of H that ``initial`` occupies.
 
     H is checked whole (Hermitian, finite) once.  If it conserves total S_z
-    (no nonzero entry between two sectors), each sector the initial state
-    occupies is solved on its own and every other sector stays exactly
-    zero; otherwise, or when its dimension is no multiple of 8, the whole
-    matrix is the one block.
+    (no nonzero entry between two sectors), the blocks are the S_z sectors;
+    otherwise, or when its dimension is no multiple of 8, the whole matrix is
+    the one block.  Every block ``initial`` leaves empty stays exactly zero.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     initial = np.asarray(initial, dtype=complex)
@@ -294,15 +299,117 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
     if cross is None or h[cross].any():
         sectors = (np.arange(dim),)
     times = np.asarray(times, dtype=float).reshape(-1, 1)
-    states = np.zeros((len(times), dim), dtype=complex)
+    blocks = []
     for idx in sectors:
         psi = initial[idx]
-        if psi.any():  # an unoccupied sector stays exactly zero
-            eig = linalg.hermitian_eigensystem(h[idx[:, None], idx], check=False)
+        if psi.any():
+            block = h[idx[:, None], idx]
+            eig = linalg.hermitian_eigensystem(block, check=False)
             phases = np.exp(-1j * times * eig.eigenvalues)
             c = eig.eigenvectors.conj().T @ psi
-            states[:, idx] = (phases * c) @ eig.eigenvectors.T
+            blocks.append((idx, (phases * c) @ eig.eigenvectors.T, block))
+    return blocks
+
+
+def _whole_states(blocks, n_times: int, dim: int) -> np.ndarray:
+    """The ``(T, dim)`` states of :func:`_evolve_blocks`' amplitudes."""
+    states = np.zeros((n_times, dim), dtype=complex)
+    for idx, amplitudes, _ in blocks:
+        states[:, idx] = amplitudes
     return states
+
+
+def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
+    """States exp(-i H t)|initial> for every t, one per row.
+
+    H is checked whole (Hermitian, finite) once.  If it conserves total S_z
+    (no nonzero entry between two sectors), each sector the initial state
+    occupies is solved on its own and every other sector stays exactly
+    zero; otherwise, or when its dimension is no multiple of 8, the whole
+    matrix is the one block.
+    """
+    blocks = _evolve_blocks(hamiltonian, initial, times)
+    return _whole_states(blocks, np.size(times), np.shape(initial)[0])
+
+
+# (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of an X state with
+# rho12[uu, dd] = 0, a, b, c, d its diagonal in the basis (uu, ud, du, dd) and
+# z = rho12[ud, du]: the maps of _PAIR_FUNCTIONALS on such a state
+_X_FUNCTIONALS = _read_only(
+    np.array(
+        [
+            [0.0, 0.0, 0.0, 2.0],
+            [0.5, 0.5, 0.0, 1.0],
+            [0.5, 0.5, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 2.0],
+            [1.0, -1.0, 0.0, 2.0],
+        ]
+    )
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_tables(n_sites: int, first: int):
+    """Tables of the S_z sector of ``n_sites`` whose first basis index is
+    ``first``: the ``(k, n_sites + 7)`` weights W, ``|psi|^2 @ W`` giving
+    the site populations, ``P_up``, total S_z, the squared norm and the
+    static pair's diagonal (a, b, c, d) of the sector amplitudes ``psi``;
+    then the positions in the sector of the |ud> and |du> amplitudes, paired
+    by site and mobile spin, for z."""
+    (idx,) = [s for s in _sz_sectors(8 * n_sites)[0] if s[0] == first]
+    pair = idx % 4
+    weights = np.column_stack([_population_weights(n_sites)[idx], pair[:, None] == np.arange(4)])
+    ud, du = (_read_only(np.flatnonzero(pair == v)) for v in (1, 2))
+    return _read_only(weights), ud, du
+
+
+def _sector_observables(amplitudes, n_sites: int, idx, times, block) -> Trajectory:
+    """:func:`observables` of the ``(T, k)`` amplitudes of states that occupy
+    the one S_z sector with basis indices ``idx``; ``block`` is the
+    Hamiltonian's block on it.
+
+    Such a state's static pair is an X state with w = rho12[uu, dd] = 0 and
+    no entry between the blocks {uu, dd} and {ud, du}, so its fidelities are
+    linear in (a, b, c, d, Re z) and its log-negativity is exactly
+    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).
+    """
+    weights, ud, du = _sector_tables(n_sites, int(idx[0]))
+    n = n_sites
+    values = np.abs(amplitudes) ** 2 @ weights
+    a, b, c, d = values[:, n + 3 :].T  # sums of squared moduli, so b + c, a + d >= 0
+    z = np.einsum("ti,ti->t", amplitudes[:, ud], amplitudes[:, du].conj())
+    pair = np.column_stack([values[:, n + 3 :], z.real]) @ _X_FUNCTIONALS
+    trace_norm = b + c + np.maximum(a + d, np.hypot(a - d, 2.0 * np.abs(z)))
+    energy = np.einsum("ti,ti->t", amplitudes.conj(), amplitudes @ block.T).real
+    return Trajectory(
+        t=times,
+        p_site=values[:, :n],
+        p_up=values[:, n],
+        f_plus=pair[:, 0],
+        f_minus=pair[:, 1],
+        logneg=np.maximum(0.0, np.log2(trace_norm)),
+        f2=pair[:, 2],
+        sz_total=values[:, n + 1],
+        s12_sq=pair[:, 3],
+        norm=np.sqrt(values[:, n + 2]),
+        energy=energy,
+    )
+
+
+def _evolve_observed(hamiltonian, initial, times, n_sites: int):
+    """The :class:`Trajectory` of ``initial`` under H on the read-only
+    ``times``, and the amplitudes it was read from.
+
+    A start in one S_z sector of an S_z-conserving H is observed on that
+    sector's ``(T, k)`` amplitudes alone; any other start through
+    :func:`observables` of its ``(T, D)`` states.
+    """
+    blocks = _evolve_blocks(hamiltonian, initial, times)
+    if len(blocks) == 1 and len(blocks[0][0]) < len(initial):
+        idx, amplitudes, block = blocks[0]
+        return _sector_observables(amplitudes, n_sites, idx, times, block), amplitudes
+    states = _whole_states(blocks, len(times), len(initial))
+    return observables(states, BasisLayout(n_sites), times, hamiltonian), states
 
 
 def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
@@ -339,8 +446,7 @@ def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGr
     """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
     layout, initial, grid = _checked_run(spec, initial, grid)
     h = build_hamiltonian(spec, hamiltonian_kind)
-    times = grid.times()
-    return observables(evolve_on_grid(h, initial, times), layout, times, h)
+    return _evolve_observed(h, initial, grid.times(), layout.n_sites)[0]
 
 
 @dataclass(frozen=True)
@@ -381,12 +487,11 @@ def analytic(spec: ModelSpec, initial, grid: TimeGrid | None = None) -> Analytic
     populations = np.zeros((len(times), 2))
     slowest = math.inf
     for rate, part in _mode_parts(layout.n_sites, initial):
-        if part.any():
-            slowest = min(slowest, rate)
-            v = part @ _DOUBLET.conj().T  # (sites, 2) doublet amplitudes
-            theta = times[:, None, None] * (rate * omega)
-            turned = np.cos(theta) * v - 1j * np.sin(theta) * (v @ reflection.T)
-            populations += (np.abs(turned) ** 2).sum(axis=1)
+        slowest = min(slowest, rate)
+        v = part @ _DOUBLET.conj().T  # (sites, 2) doublet amplitudes
+        theta = times[:, None, None] * (rate * omega)
+        turned = np.cos(theta) * v - 1j * np.sin(theta) * (v @ reflection.T)
+        populations += (np.abs(turned) ** 2).sum(axis=1)
     turn = slowest * omega
     period = 2.0 * math.pi / turn if turn > 0.0 else math.inf
     return AnalyticSolution(times, populations[:, 0], populations[:, 1], period)

@@ -248,13 +248,19 @@ MODE_RATES = {
         (0.5, _read_only(_P0.astype(complex))),
     ),
 }
+# Largest weight |(P ⊗ I8) psi|^2 of a unit state on a mode group that counts
+# as empty: rounding in P leaves at most a few eps on each of the 24
+# amplitudes of a group the state does not occupy, a weight below ~1e-29
+MODE_WEIGHT_FLOOR = 1e-26
 
 
 def _mode_parts(n_sites: int, state: np.ndarray) -> tuple:
-    """``(rate, (P ⊗ I8) state)`` per mode group of :data:`MODE_RATES`, each
+    """``(rate, (P ⊗ I8) state)`` per mode group of :data:`MODE_RATES` that
+    ``state`` occupies, with a weight above :data:`MODE_WEIGHT_FLOOR`; each
     projected state an ``(n_sites, 8)`` array of site by spin amplitudes."""
     psi = np.asarray(state).reshape(n_sites, 8)
-    return tuple((rate, p @ psi) for rate, p in MODE_RATES[n_sites])
+    parts = ((rate, p @ psi) for rate, p in MODE_RATES[n_sites])
+    return tuple((rate, v) for rate, v in parts if np.vdot(v, v).real > MODE_WEIGHT_FLOOR)
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,6 +33,13 @@ def decode(layout, index):
     return site, e_spin, s1, s2
 
 
+def two_sector_start(layout):
+    """|up>(|uu> + |ud>)/sqrt(2) at the left site: total S_z 3/2 and 1/2."""
+    psi = np.zeros(layout.dim, dtype=complex)
+    psi[[encode(layout, 0, 0, 0, 0), encode(layout, 0, 0, 0, 1)]] = 1.0 / np.sqrt(2.0)
+    return psi
+
+
 def series(trajectory, name):
     """One field of a Trajectory as a float array."""
     return np.asarray(getattr(trajectory, name), dtype=float)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinhop import analysis, linalg
+from spinhop import analysis, dynamics, linalg
 from spinhop import observables, run_trajectory
 from spinhop.analysis import (
     compare_exact_effective,
@@ -15,7 +15,7 @@ from spinhop.analysis import (
     log_negativity,
 )
 from spinhop.dynamics import TimeGrid
-from spinhop.model import BasisLayout, ModelSpec, encode_state
+from spinhop.model import _STATIC_PRESETS, BasisLayout, ModelSpec, encode_state
 
 from helpers import BELL_PLUS, random_unitary, series
 
@@ -185,6 +185,28 @@ class TestCompareExactEffective:
             spec, psi, grid, variant=variant
         )
 
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_every_one_site_start_keeps_its_default_variant(self, n_sites, monkeypatch):
+        built = []
+        build = analysis.build_hamiltonian
+
+        def recorded(spec, kind="exact"):
+            built.append(kind)
+            return build(spec, kind)
+
+        monkeypatch.setattr(analysis, "build_hamiltonian", recorded)
+        layout = BasisLayout(n_sites)
+        grid = TimeGrid(t_max=1.0, n_points=3)
+        middle = {0: "three_site_middle_start"}
+        for site in layout.site_labels():
+            expected = "two_site" if n_sites == 2 else middle.get(site, "three_site_projector")
+            for e_spin in ("up", "down"):
+                for static in _STATIC_PRESETS:
+                    del built[:]
+                    psi = encode_state(layout, site, e_spin, static)
+                    compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, grid)
+                    assert built == ["exact", expected]
+
     def test_three_site_projector_side_start_converges(self):
         # the paper's effective model for a start at an outer site: the state
         # infidelity falls about as (J/eta)^2, 100x per decade of eta/J
@@ -237,7 +259,7 @@ class TestCompareExactEffective:
         def evolve(*args):
             raise AssertionError("evolved before checking the coupling scale")
 
-        monkeypatch.setattr(analysis, "evolve_on_grid", evolve)
+        monkeypatch.setattr(dynamics, "_evolve_blocks", evolve)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with pytest.raises(ValueError, match="coupling scale is zero"):
             compare_exact_effective(ModelSpec(n_sites=2, eta=10.0), psi)

@@ -4,17 +4,24 @@
 these tests apply the same checks to the seed-1 ``param_scan`` specs and to
 every CLI run, so an output change that would fail the benchmark fails here
 first.  A guard also checks what the benchmark's inputs solve: each
-Hamiltonian is checked whole once and solved only in its occupied total-S_z
-sectors, and no static-pair state needs a 4x4 eigensolve (they are all
-X states, whose log-negativity is closed-form).  A count guard checks that
-the scan samples its grid once, builds each run's Hamiltonian once and checks
-it and the static-pair stack once each.  Another guard checks that every
-function the traced pass wraps by name still exists, so a refactor that
-moves one fails here rather than in the benchmark.  The benchmark's modules
-are imported read-only (no bytecode is written next to them).
+Hamiltonian is built once, checked whole once and solved only in its
+occupied total-S_z sectors, and no static-pair state needs a 4x4 eigensolve.
+Every benchmark start has one S_z, so each run takes the sector path: its
+observables are read off the sector amplitudes in closed form, and no run
+forms the static pair's (T, 4, 4) stack.  A count guard checks that the scan
+samples its grid once, builds and checks each run's Hamiltonian once, and
+that a start spanning two sectors still takes the whole-space path, where
+the stack is formed and, not being an X state, solved.  Another guard checks
+that every function the traced pass wraps by name still exists, so a
+refactor that moves one fails here rather than in the benchmark.  The
+harness itself runs once per workload in quick mode.  The benchmark's
+modules are imported read-only (no bytecode is written next to them).
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +30,8 @@ import pytest
 
 import spinhop
 from spinhop import analysis, cli, dynamics, linalg, model
+
+from helpers import two_sector_start
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,22 +78,37 @@ def test_cli_output_matches_stored_reference(tmp_path, capsys, op):
     assert workloads.check_csv(out, workloads.cli_key(op), workloads.load_cli_reference()) is None
 
 
+class _Counts:
+    """Calls made through the library's check, builder, eigensolvers and
+    static-pair log-negativity, installed with ``monkeypatch``."""
+
+    def __init__(self, monkeypatch):
+        self.checked, self.built, self.solved, self.pair = [], [], [], []
+
+        def count(module, name, log, key):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(key(*args))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("eigh", "eigvalsh"):
+            count(np.linalg, name, self.solved, lambda m, *_: np.shape(m)[-1])
+        count(linalg, "assert_hermitian", self.checked, lambda m, *_: np.shape(m))
+        for module in (dynamics, analysis):  # the builder's bindings that run it
+            count(module, "build_hamiltonian", self.built, lambda spec, *_: spec)
+        count(dynamics, "_log_negativity", self.pair, lambda *_: "_log_negativity")
+        count(linalg, "trace_norm_hermitian", self.pair, lambda *_: "trace_norm_hermitian")
+
+    def clear(self):
+        for log in (self.checked, self.built, self.solved, self.pair):
+            del log[:]
+
+
 def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
-    solved, checked, evolved = [], [], []
-
-    def counted(fn, sizes):
-        def wrapper(m, *args, **kwargs):
-            sizes.append(np.shape(m)[-1])
-            return fn(m, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), solved))
-    monkeypatch.setattr(linalg, "assert_hermitian", counted(linalg.assert_hermitian, checked))
-    evolve = counted(dynamics.evolve_on_grid, evolved)
-    for module in (dynamics, analysis):
-        monkeypatch.setattr(module, "evolve_on_grid", evolve)
+    counts = _Counts(monkeypatch)
     for op in CLI_OPS:
         assert cli.main(workloads.cli_argv(op, tmp_path / "out.csv")) == 0
     capsys.readouterr()
@@ -94,49 +118,70 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
         scan.run_op(spinhop, grid, spec, kind, psi0)
     assert len(CLI_OPS) == 8 and len(inputs) == 304
     # the Hamiltonians' sector solves, n_sites * {1, 3}, are seen; none is whole
-    assert {2, 6, 3, 9} <= set(solved)
-    assert not {16, 24} & set(solved)
-    assert solved.count(4) == 0
-    # each Hamiltonian is checked whole exactly once
-    full_size = [n for n in checked if n in (16, 24)]
-    assert len(evolved) > 304 and sorted(full_size) == sorted(evolved)
+    assert {2, 6, 3, 9} <= set(counts.solved)
+    assert not {4, 16, 24} & set(counts.solved)
+    # each Hamiltonian is built once and checked whole once, and nothing else is checked
+    assert len(counts.built) > 304
+    assert sorted(counts.checked) == sorted((8 * s.n_sites,) * 2 for s in counts.built)
+    # every start has one S_z: no run forms the static pair's (T, 4, 4) stack
+    assert counts.pair == []
 
 
 def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
     # counts calls, no timing: the scan's fixed per-run cost must not come
-    # back through resampling the grid or rebuilding the Hamiltonian, nor go
-    # by dropping a check
-    linspace, checked, built = [], [], []
+    # back through resampling the grid, rebuilding the Hamiltonian or solving
+    # the whole matrix, nor go by dropping the whole-matrix check.  A
+    # one-sector run checks once: the static pair's (T, 4, 4) stack, and its
+    # check, exist only on runs that span several S_z sectors.
+    linspace = []
     sample = np.linspace
 
     def counted_linspace(*args, **kwargs):
         linspace.append(args)
         return sample(*args, **kwargs)
 
-    check = linalg.assert_hermitian
-
-    def counted_check(m, *args, **kwargs):
-        checked.append(np.shape(m))
-        return check(m, *args, **kwargs)
-
-    def counted_build(spec, *args, **kwargs):
-        built.append(spec)
-        return model.build_hamiltonian(spec, *args, **kwargs)
-
     monkeypatch.setattr(np, "linspace", counted_linspace)
-    monkeypatch.setattr(linalg, "assert_hermitian", counted_check)
-    monkeypatch.setattr(dynamics, "build_hamiltonian", counted_build)
+    counts = _Counts(monkeypatch)
     grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
     inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
     assert len(inputs) == 304
     for spec, kind, psi0 in inputs:
-        del checked[:], built[:]
+        counts.clear()
         scan.run_op(spinhop, grid, spec, kind, psi0)
         dim = 8 * spec.n_sites
-        # the whole Hamiltonian, then the static pair's (T, 4, 4) stack
-        assert checked == [(dim, dim), (scan.N_POINTS, 4, 4)]
-        assert built == [spec]
+        assert counts.checked == [(dim, dim)]
+        assert counts.built == [spec]
+        assert len(counts.solved) == 1 and not {4, 16, 24} & set(counts.solved)
+        assert counts.pair == []
     assert len(linspace) <= 1
+    # the same runs from a start spanning two sectors take the whole-space path
+    for spec, kind, _ in inputs[:: len(inputs) // 8]:
+        counts.clear()
+        scan.run_op(spinhop, grid, spec, kind, two_sector_start(model.BasisLayout(spec.n_sites)))
+        dim = 8 * spec.n_sites
+        assert counts.checked[0] == (dim, dim) and counts.checked.count((dim, dim)) == 1
+        assert counts.built == [spec]
+        # its two sectors, then the static pair's stack, which is no X state
+        n = spec.n_sites
+        assert counts.solved == [3 * n, n, 4]
+        assert counts.pair == ["_log_negativity", "trace_norm_hermitian"]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_harness_runs_each_workload_in_quick_mode(workload):
+    # the whole benchmark run, children included, so a change that breaks it
+    # fails here; about 4 s per workload
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "0.5", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    lines = proc.stdout.splitlines()
+    assert lines, proc.stderr
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]
+    assert result["attempted"] >= 1
 
 
 # traced targets whose code is gone; the benchmark still lists them

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinhop import dynamics, linalg
+from spinhop import dynamics, linalg, model
 from spinhop.dynamics import (
     COLUMNS,
     X_TOL,
@@ -596,6 +596,32 @@ class TestAnalyticPeriod:
         assert _analytic_at(ModelSpec.heisenberg(10.0, n_sites=3), 0, 1.0).period == (
             pytest.approx(32 * math.pi / 3)
         )
+
+    def test_float_built_zero_mode_start_turns_at_the_zero_mode_rate(self):
+        # (|1> - |2>)/sqrt(2) is the zero mode; in floats the projector onto
+        # the +-eta modes leaves rounding on it, below the occupancy floor
+        layout = BasisLayout(3)
+        spin = encode_state(layout, 1, "up", "down-down")[:8]
+        psi = np.concatenate([spin, np.zeros(8), -spin]) / SQRT2
+        rounding = model.MODE_RATES[3][0][1] @ psi.reshape(3, 8)
+        assert 0.0 < np.vdot(rounding, rounding).real <= model.MODE_WEIGHT_FLOOR
+        sol = analytic(ModelSpec.xy(10.0, n_sites=3), psi, TimeGrid(1.0, 2))
+        assert sol.period == pytest.approx(2 * SQRT2 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_every_one_site_start_keeps_its_period(self, n_sites):
+        # two sites turn at rate 1/2; every one-site start on three sites
+        # occupies the +-eta modes, at rate 1/4
+        spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
+        omega = math.hypot(SQRT2 * 0.7, -0.3 / 4.0)
+        rate = 0.5 if n_sites == 2 else 0.25
+        layout = BasisLayout(n_sites)
+        for site in layout.site_labels():
+            for e_spin in ("up", "down"):
+                for static in _STATIC_PRESETS:
+                    psi = encode_state(layout, site, e_spin, static)
+                    period = analytic(spec, psi, TimeGrid(1.0, 2)).period
+                    assert period == pytest.approx(2 * math.pi / (rate * omega), rel=1e-15)
 
     def test_scales_inversely_with_coupling(self):
         assert _analytic_at(ModelSpec.xy(10.0, j=2.0), 1, 1.0).period == pytest.approx(
