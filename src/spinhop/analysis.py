@@ -55,7 +55,7 @@ def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
         raise ValueError("trajectory has no time axis") from None
     if not n_points:
         raise ValueError("empty trajectory")
-    series = np.stack((trajectory.norm, trajectory.energy, trajectory.sz_total, trajectory.s12_sq))
+    series = np.array((trajectory.norm, trajectory.energy, trajectory.sz_total, trajectory.s12_sq))
     drifts = np.maximum.reduce(np.abs(series - series[:, :1]), axis=-1)
     return ConservationReport(*drifts.tolist())
 

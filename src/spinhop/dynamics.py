@@ -10,23 +10,30 @@ quantities, all computed in one vectorised pass over the run's states.
 closed form, for cross-checking.
 
 Every Hamiltonian here conserves total S_z, so it is block-diagonal in the
-S_z sectors, of n_sites * (1, 3, 3, 1) states.  Each run checks the whole
-matrix once and then solves only the sectors the start state occupies; a
-matrix that couples sectors is solved whole.  Every start state that
-``encode_state`` builds has a definite S_z, and such a run stays on its
-sector from start to finish (the sector path): :func:`run_trajectory` and
-``compare_exact_effective`` read every observable off the ``(T, k)`` sector
-amplitudes, with one product through a cached per-sector table (see
-:func:`_sector_tables`).  In one sector the static pair's reduced state
-never mixes the blocks {uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so
-its log-negativity there is exact in closed form.  A start spanning several
-sectors takes the whole-space path: :func:`evolve_on_grid` spreads the
-sectors into ``(T, D)`` states and :func:`observables` forms the pair's
+S_z sectors, of n_sites * (1, 3, 3, 1) states.  A run checks the whole
+matrix once, tests every entry between two sectors for an exact zero with
+one gather over cached flat indices, reads the sectors the start state
+occupies off one cached membership table, and then solves only those
+sectors; a matrix that couples sectors is solved whole.  Every start state
+that ``encode_state`` builds has a definite S_z, and such a run stays on its
+sector from start to finish in one fused pass (the sector path):
+:func:`run_trajectory` and ``compare_exact_effective`` read every observable
+off the ``(T, k)`` sector amplitudes.  One product through a cached
+per-sector weight table (see :func:`_sector_tables`) gives the site
+populations, ``P_up``, S_z, the norm and the diagonal parts of F+, F-, F2
+and (S1 + S2)^2; one more gives z = rho12[ud, du], of which only Re z is
+added to them; the energy is one contraction with the sector's block.  In
+one sector the static pair's reduced state never mixes the blocks
+{uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its log-negativity there
+is exact in closed form in z and the same diagonal parts.  A start spanning
+several sectors takes the whole-space path: :func:`evolve_on_grid` spreads
+the sectors into ``(T, D)`` states and :func:`observables` forms the pair's
 reduced state, whose closed form is taken wherever it is certified to
 ``X_TOL`` (see :func:`_log_negativity`); any other matrix goes to the
 eigensolver.  A short grid costs more in per-call overhead than in
-arithmetic, so a grid samples its times once and each check and reduction is
-one pass over its data.
+arithmetic, so a grid samples its times once, every table is built once per
+lattice on first use, and each check and reduction is one pass over its
+data.
 """
 
 from __future__ import annotations
@@ -269,12 +276,20 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
 
 @functools.lru_cache(maxsize=None)
 def _sz_sectors(dim: int):
-    """Basis indices of each total-S_z sector of a ``dim``-dimensional space
-    and the mask of the entries that couple two sectors."""
+    """The total-S_z sectors of a ``dim``-dimensional space: the basis
+    indices of each sector and the flat indices of its block in a
+    ``(dim, dim)`` matrix, one pair per sector; the ``(dim, n_sectors)``
+    table of the sector each basis state lies in; and the flat indices of
+    the entries that couple two sectors."""
     sz = np.tile(_SZ_SPIN, dim // 8)
     # not np.unique: with numpy 2.4 its first call adds ~1.6 MB to the peak RSS
-    sectors = tuple(_read_only(np.flatnonzero(sz == v)) for v in sorted(set(_SZ_SPIN)))
-    return sectors, _read_only(sz[:, None] != sz[None, :])
+    member = sz[:, None] == np.array(sorted(set(_SZ_SPIN)))
+    sectors = tuple(
+        (_read_only(idx), _read_only((idx[:, None] * dim + idx).ravel()))
+        for idx in (np.flatnonzero(column) for column in member.T)
+    )
+    cross = np.flatnonzero(sz[:, None] != sz[None, :])
+    return sectors, _read_only(member), _read_only(cross)
 
 
 def _evolve_blocks(hamiltonian, initial, times) -> list:
@@ -295,20 +310,26 @@ def _evolve_blocks(hamiltonian, initial, times) -> list:
             f"initial state shape {initial.shape} does not match dimension {dim} "
             f"of the matrix of shape {h.shape}"
         )
-    sectors, cross = _sz_sectors(dim) if dim % 8 == 0 else ((), None)
-    if cross is None or h[cross].any():
-        sectors = (np.arange(dim),)
+    occupied = initial != 0
+    conserving = dim % 8 == 0
+    if conserving:
+        sectors, member, cross = _sz_sectors(dim)
+        conserving = not np.count_nonzero(h.take(cross))
+    if conserving:
+        blocks = [
+            (idx, h.take(flat).reshape(len(idx), len(idx)))
+            for idx, flat in (sectors[s] for s in (occupied @ member).nonzero()[0])
+        ]
+    else:
+        blocks = [(np.arange(dim), h)] if occupied.any() else []
     times = np.asarray(times, dtype=float).reshape(-1, 1)
-    blocks = []
-    for idx in sectors:
-        psi = initial[idx]
-        if psi.any():
-            block = h[idx[:, None], idx]
-            eig = linalg.hermitian_eigensystem(block, check=False)
-            phases = np.exp(-1j * times * eig.eigenvalues)
-            c = eig.eigenvectors.conj().T @ psi
-            blocks.append((idx, (phases * c) @ eig.eigenvectors.T, block))
-    return blocks
+    evolved = []
+    for idx, block in blocks:
+        w, v = linalg.hermitian_eigensystem(block, check=False)
+        c = v.conj().T @ initial[idx]
+        # the angles t * w in real arithmetic, then one complex product
+        evolved.append((idx, (np.exp(-1j * (times * w)) * c) @ v.T, block))
+    return evolved
 
 
 def _whole_states(blocks, n_times: int, dim: int) -> np.ndarray:
@@ -334,15 +355,16 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
 
 # (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of an X state with
 # rho12[uu, dd] = 0, a, b, c, d its diagonal in the basis (uu, ud, du, dd) and
-# z = rho12[ud, du]: the maps of _PAIR_FUNCTIONALS on such a state
+# z = rho12[ud, du] (the maps of _PAIR_FUNCTIONALS on such a state), then the
+# parts b + c, a + d and a - d of its trace norm
 _X_FUNCTIONALS = _read_only(
     np.array(
         [
-            [0.0, 0.0, 0.0, 2.0],
-            [0.5, 0.5, 0.0, 1.0],
-            [0.5, 0.5, 1.0, 1.0],
-            [0.0, 0.0, 0.0, 2.0],
-            [1.0, -1.0, 0.0, 2.0],
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0],
+            [0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 0.0],
+            [0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0],
+            [1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
         ]
     )
 )
@@ -351,16 +373,19 @@ _X_FUNCTIONALS = _read_only(
 @functools.lru_cache(maxsize=None)
 def _sector_tables(n_sites: int, first: int):
     """Tables of the S_z sector of ``n_sites`` whose first basis index is
-    ``first``: the ``(k, n_sites + 7)`` weights W, ``|psi|^2 @ W`` giving
-    the site populations, ``P_up``, total S_z, the squared norm and the
-    static pair's diagonal (a, b, c, d) of the sector amplitudes ``psi``;
-    then the positions in the sector of the |ud> and |du> amplitudes, paired
-    by site and mobile spin, for z."""
-    (idx,) = [s for s in _sz_sectors(8 * n_sites)[0] if s[0] == first]
+    ``first``: the ``(k, n_sites + 10)`` weights W, ``|psi|^2 @ W`` giving
+    the site populations, ``P_up``, total S_z and the squared norm of the
+    sector amplitudes ``psi``, then the :data:`_X_FUNCTIONALS` of the static
+    pair's diagonal (a, b, c, d) with z = 0; and the ``(k, k)`` 0/1 matrix S
+    that moves each |ud> amplitude to the position of its |du> partner (same
+    site and mobile spin), so that z = <psi|psi S>."""
+    (idx,) = [idx for idx, _ in _sz_sectors(8 * n_sites)[0] if idx[0] == first]
     pair = idx % 4
-    weights = np.column_stack([_population_weights(n_sites)[idx], pair[:, None] == np.arange(4)])
-    ud, du = (_read_only(np.flatnonzero(pair == v)) for v in (1, 2))
-    return _read_only(weights), ud, du
+    diagonal = pair[:, None] == np.arange(4)
+    weights = np.column_stack([_population_weights(n_sites)[idx], diagonal @ _X_FUNCTIONALS[:4]])
+    swap = np.zeros((len(idx), len(idx)), dtype=complex)
+    swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
+    return _read_only(weights), _read_only(swap)
 
 
 def _sector_observables(amplitudes, n_sites: int, idx, times, block) -> Trajectory:
@@ -371,27 +396,29 @@ def _sector_observables(amplitudes, n_sites: int, idx, times, block) -> Trajecto
     Such a state's static pair is an X state with w = rho12[uu, dd] = 0 and
     no entry between the blocks {uu, dd} and {ud, du}, so its fidelities are
     linear in (a, b, c, d, Re z) and its log-negativity is exactly
-    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).
+    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).  One product through
+    the sector's weights gives every value but those parts of z.
     """
-    weights, ud, du = _sector_tables(n_sites, int(idx[0]))
+    weights, swap = _sector_tables(n_sites, int(idx[0]))
     n = n_sites
-    values = np.abs(amplitudes) ** 2 @ weights
-    a, b, c, d = values[:, n + 3 :].T  # sums of squared moduli, so b + c, a + d >= 0
-    z = np.einsum("ti,ti->t", amplitudes[:, ud], amplitudes[:, du].conj())
-    pair = np.column_stack([values[:, n + 3 :], z.real]) @ _X_FUNCTIONALS
-    trace_norm = b + c + np.maximum(a + d, np.hypot(a - d, 2.0 * np.abs(z)))
+    values = (np.abs(amplitudes) ** 2 @ weights).T  # one row per value
+    z = np.vecdot(amplitudes, amplitudes @ swap)  # sum over the pairs of psi_ud psi_du*
+    pair = values[n + 3 : n + 7] + np.multiply.outer(_X_FUNCTIONALS[4, :4], z.real)
+    # b + c and a + d are sums of squared moduli, so >= 0
+    trace_norm = values[n + 7] + np.maximum(values[n + 8], np.hypot(values[n + 9], 2.0 * np.abs(z)))
+    # the einsum of observables, so both paths sum the energy in the same order
     energy = np.einsum("ti,ti->t", amplitudes.conj(), amplitudes @ block.T).real
     return Trajectory(
         t=times,
-        p_site=values[:, :n],
-        p_up=values[:, n],
-        f_plus=pair[:, 0],
-        f_minus=pair[:, 1],
+        p_site=values[:n].T,
+        p_up=values[n],
+        f_plus=pair[0],
+        f_minus=pair[1],
         logneg=np.maximum(0.0, np.log2(trace_norm)),
-        f2=pair[:, 2],
-        sz_total=values[:, n + 1],
-        s12_sq=pair[:, 3],
-        norm=np.sqrt(values[:, n + 2]),
+        f2=pair[2],
+        sz_total=values[n + 1],
+        s12_sq=pair[3],
+        norm=np.sqrt(values[n + 2]),
         energy=energy,
     )
 
@@ -409,7 +436,13 @@ def _evolve_observed(hamiltonian, initial, times, n_sites: int):
         idx, amplitudes, block = blocks[0]
         return _sector_observables(amplitudes, n_sites, idx, times, block), amplitudes
     states = _whole_states(blocks, len(times), len(initial))
-    return observables(states, BasisLayout(n_sites), times, hamiltonian), states
+    return observables(states, _layout(n_sites), times, hamiltonian), states
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n_sites: int) -> BasisLayout:
+    """The one :class:`BasisLayout` of each lattice size that runs share."""
+    return BasisLayout(n_sites)
 
 
 def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
@@ -421,16 +454,18 @@ def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
     Hamiltonian of ``spec``, twice it bounds every row sum of ``|H|``, and
     ``scale * t_max`` bounds every phase E * t.
     """
-    layout = BasisLayout(spec.n_sites)
+    layout = _layout(spec.n_sites)
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (layout.dim,):
         raise ValueError(
             f"initial state shape {initial.shape} does not match layout dim {layout.dim}"
         )
-    if not np.isfinite(initial).all():
-        raise ValueError("initial state has NaN or infinite entries")
+    # a NaN or infinite entry makes the norm NaN or inf, so a unit norm
+    # settles finiteness as well
     nrm = math.sqrt(np.vdot(initial, initial).real)
     if not abs(nrm - 1.0) <= 1e-10:
+        if not np.isfinite(initial).all():
+            raise ValueError("initial state has NaN or infinite entries")
         raise ValueError(f"initial state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     grid = grid or TimeGrid()
     scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)

@@ -19,7 +19,7 @@ Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed operators per lattice.  Those unit-coupling operators are built
 from Kronecker products and the closed-form normal modes of the hopping (no
 eigensolve), once per lattice size, and cached read-only;
-each build assembles a fresh matrix from them.
+each build assembles a fresh matrix from them in one product.
 """
 
 from __future__ import annotations
@@ -267,15 +267,18 @@ def _mode_parts(n_sites: int, state: np.ndarray) -> tuple:
 def _lattice_terms(n_sites: int) -> dict:
     """Read-only unit-coupling operators of one lattice, built once.
 
-    ``"hop"`` maps to the 0/1 hopping pattern ⊗ I8, and every Hamiltonian
-    kind of the lattice to the (XY, Ising) pair that ``j_xy`` and ``j_z``
-    multiply: for ``"exact"`` the contact terms of static spin 1 at site 0
-    and static spin 2 at site ``n_sites - 1``, for each effective variant a
+    Every Hamiltonian kind of the lattice maps to the ``(3, D * D)`` stack of
+    the flattened operators that the hopping amplitude, ``j_xy`` and ``j_z``
+    multiply: the 0/1 hopping pattern ⊗ I8, then the (XY, Ising) pair.  For
+    ``"exact"`` that pair is the contact terms of static spin 1 at site 0 and
+    static spin 2 at site ``n_sites - 1``, for each effective variant a
     motional weight ⊗ the collective coupling to the static pair: the sum of
     rate * projector over :data:`MODE_RATES`, or 1/4 for the middle start.
+    No two operators of a stack share a nonzero entry.
     """
     eye = np.eye(n_sites, dtype=complex)
     adjacency = np.eye(n_sites, k=1, dtype=complex) + np.eye(n_sites, k=-1, dtype=complex)
+    hop = np.kron(adjacency, np.eye(8, dtype=complex))
     contact = [np.zeros((8 * n_sites, 8 * n_sites), dtype=complex) for _ in range(2)]
     for total, one, two in zip(contact, _PAIR[1], _PAIR[2]):
         total[:8, :8] += one  # site 0
@@ -286,13 +289,10 @@ def _lattice_terms(n_sites: int) -> dict:
         weights = {"two_site": mixture}
     else:
         weights = {"three_site_projector": mixture, "three_site_middle_start": 0.25 * eye}
-    terms = {
-        "hop": _read_only(np.kron(adjacency, np.eye(8, dtype=complex))),
-        "exact": tuple(_read_only(op) for op in contact),
-    }
+    pairs = {"exact": contact}
     for variant, weight in weights.items():
-        terms[variant] = tuple(_read_only(np.kron(weight, op)) for op in collective)
-    return terms
+        pairs[variant] = [np.kron(weight, op) for op in collective]
+    return {kind: _read_only(np.stack([hop, *pair]).reshape(3, -1)) for kind, pair in pairs.items()}
 
 
 def _check_kind(spec: ModelSpec, kind) -> None:
@@ -326,9 +326,10 @@ def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
     (:data:`MODE_RATES`); it needs ``eta > 0``.
     """
     _check_kind(spec, kind)
-    terms = _lattice_terms(spec.n_sites)
-    xy, z = terms[kind]
-    return _hop_amplitude(spec) * terms["hop"] + (spec.j_xy * xy + spec.j_z * z)
+    coefficients = np.array([_hop_amplitude(spec), spec.j_xy, spec.j_z])
+    dim = 8 * spec.n_sites
+    # one product; no entry has two nonzero terms, so it is the exact sum
+    return (coefficients @ _lattice_terms(spec.n_sites)[kind]).reshape(dim, dim)
 
 
 def static_pair_state(preset: str) -> np.ndarray:

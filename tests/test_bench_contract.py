@@ -167,6 +167,27 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         assert counts.pair == ["_log_negativity", "trace_norm_hermitian"]
 
 
+def test_scan_builds_each_cached_table_once_per_key():
+    # counts cache misses, no timing: a table keyed or rebuilt per run would
+    # bring back the fixed cost that caching it removed
+    tables = {  # cached table -> its number of possible keys on the scan's lattices
+        dynamics._layout: 2,
+        dynamics._sz_sectors: 2,
+        dynamics._population_weights: 2,
+        dynamics._sector_tables: 8,  # (lattice, first index of one of its 4 sectors)
+        model._lattice_terms: 2,
+    }
+    grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
+    inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
+    assert len(inputs) == 304
+    for table in tables:
+        table.cache_clear()
+    for spec, kind, psi0 in inputs:
+        scan.run_op(spinhop, grid, spec, kind, psi0)
+    misses = {table.__name__: table.cache_info().misses for table in tables}
+    assert all(1 <= misses[table.__name__] <= keys for table, keys in tables.items()), misses
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_harness_runs_each_workload_in_quick_mode(workload):
     # the whole benchmark run, children included, so a change that breaks it

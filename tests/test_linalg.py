@@ -1,6 +1,8 @@
 """Linear-algebra core: Hermitian check, eigensolver, propagation, two-qubit
 partial transpose and trace norm."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,15 @@ class TestHermitianEigensystem:
         eig = hermitian_eigensystem(np.zeros((5, 5)))
         assert np.all(eig.eigenvalues == 0.0)
         assert np.allclose(eig.eigenvectors, np.eye(5))
+
+    def test_empty_matrices(self):
+        # numpy's eigh takes them, so the check in front of it must too
+        for shape in ((0, 0), (3, 0, 0), (0, 2, 2)):
+            assert_hermitian(np.zeros(shape))
+            w, v = hermitian_eigensystem(np.zeros(shape))
+            assert w.shape == shape[:-1] and v.shape == shape
+        states = evolve_on_grid(np.zeros((0, 0)), np.zeros(0), [0.0, 1.0])
+        assert states.shape == (2, 0)
 
     def test_eigenvalues_match_lapack(self):
         rng = np.random.default_rng(3)
@@ -260,6 +271,44 @@ class TestStacks:
         with np.errstate(over="ignore"):
             assert_hermitian(m)
             assert_hermitian(np.array([np.eye(2), m]))
+
+    def test_assert_hermitian_rejects_an_overflowing_defect_without_a_warning(self):
+        # M - M^H overflows at the diagonal entry; its parts, and |M|, are finite
+        m = np.array([[complex(1e308, 1e308), 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"^matrix is not Hermitian: max\|M - M\^H\| = inf"
+            with pytest.raises(ValueError, match=message):
+                assert_hermitian(m)
+            with pytest.raises(ValueError, match=r"stack index \(1,\) is not Hermitian"):
+                assert_hermitian(np.array([np.eye(2), m]))
+
+    @pytest.mark.parametrize(
+        "entry,mirror",
+        [
+            (np.nan, np.nan),
+            (np.inf, np.inf),
+            (complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308)),  # |entry| overflows
+            (complex(1e308, 1e308), complex(1e308, 1e308)),  # M - M^H overflows
+            (1.0, 0.5),  # asymmetric
+        ],
+        ids=["nan", "inf", "overflowing-modulus", "overflowing-defect", "asymmetric"],
+    )
+    def test_assert_hermitian_of_a_matrix_and_of_it_as_a_stack_agree(self, entry, mirror):
+        m = np.eye(3, dtype=complex)
+        m[0, 1], m[1, 0] = entry, mirror
+
+        def outcome(a):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    assert_hermitian(a)
+                except ValueError as exc:
+                    return str(exc).replace(" at stack index (0,)", "")
+            return None
+
+        assert outcome(m) == outcome(m[None])
+        assert (outcome(m) is None) == (entry == complex(1.5e308, 1.5e308))
 
     def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self):
         # the asymmetry of the second matrix is tiny next to the first

@@ -2,17 +2,20 @@
 
 A start with one total S_z is run on its sector's amplitudes alone, and its
 observables are read off them in closed form.  Every field of
-``run_trajectory`` and of ``compare_exact_effective``'s report must equal
-what the whole-space path gives on the same run: the ``(T, D)`` states of
-``evolve_on_grid`` through ``observables``, and for ``compare`` the state
-fidelities taken on the whole space.
+``run_trajectory``, its ``conservation_monitor`` report and
+``compare_exact_effective``'s report must equal what the whole-space path
+gives on the same run: the ``(T, D)`` states of ``evolve_on_grid`` through
+``observables``, and for ``compare`` the state fidelities taken on the whole
+space.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from spinhop import dynamics, linalg
-from spinhop.analysis import compare_exact_effective
+from spinhop.analysis import compare_exact_effective, conservation_monitor
 from spinhop.dynamics import (
     COLUMNS,
     TimeGrid,
@@ -120,7 +123,7 @@ def _lattice_kinds():
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
 @pytest.mark.parametrize("n_sites,kind", _lattice_kinds())
 def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pair_stacks):
-    worst = dict.fromkeys(FIELDS, 0.0)
+    worst = dict.fromkeys((*FIELDS, "report"), 0.0)
     for spec in _specs(n_sites, coupling, kind):
         for psi in _one_sector_starts(n_sites):
             pair_stacks.clear()
@@ -131,6 +134,8 @@ def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pa
             for field in FIELDS:
                 gap = np.abs(getattr(got, field) - getattr(want, field)).max()
                 worst[field] = max(worst[field], gap)
+            drifts = zip(astuple(conservation_monitor(got)), astuple(conservation_monitor(want)))
+            worst["report"] = max(worst["report"], *(abs(a - b) for a, b in drifts))
     assert max(worst.values()) <= TOL, worst
 
 
