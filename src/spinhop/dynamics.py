@@ -14,23 +14,25 @@ S_z sectors, of n_sites * (1, 3, 3, 1) states.  A run checks the whole
 matrix once, tests every entry between two sectors for an exact zero with
 one gather over cached flat indices, reads the sectors the start state
 occupies off one cached membership table, and then solves only those
-sectors; a matrix that couples sectors is solved whole.  Every start state
-that ``encode_state`` builds has a definite S_z, and such a run stays on its
+sectors; a matrix that couples sectors is solved whole.  Every trajectory is
+read by one function (:func:`_trajectory`) through one cached table per
+lattice (see :func:`_lattice_tables`): one product of ``|psi|^2`` with its
+weights gives the site populations, ``P_up``, S_z, the norm and the
+diagonal parts of F+, F-, F2 and (S1 + S2)^2; one more, with its swap
+matrix, gives z = rho12[ud, du], of which only Re z is added to them; the
+energy is one contraction with the Hamiltonian.  Every start state that
+``encode_state`` builds has a definite S_z, and such a run stays on its
 sector from start to finish in one fused pass (the sector path):
 :func:`run_trajectory` and ``compare_exact_effective`` read every observable
-off the ``(T, k)`` sector amplitudes.  One product through a cached
-per-sector weight table (see :func:`_sector_tables`) gives the site
-populations, ``P_up``, S_z, the norm and the diagonal parts of F+, F-, F2
-and (S1 + S2)^2; one more gives z = rho12[ud, du], of which only Re z is
-added to them; the energy is one contraction with the sector's block.  In
-one sector the static pair's reduced state never mixes the blocks
-{uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its log-negativity there
-is exact in closed form in z and the same diagonal parts.  A start spanning
-several sectors takes the whole-space path: :func:`evolve_on_grid` spreads
-the sectors into ``(T, D)`` states and :func:`observables` forms the pair's
-reduced state, whose closed form is taken wherever it is certified to
-``X_TOL`` (see :func:`_log_negativity`); any other matrix goes to the
-eigensolver.  A short grid costs more in per-call overhead than in
+off the ``(T, k)`` sector amplitudes through the sector's rows of the
+table.  In one sector the static pair's reduced state never mixes the
+blocks {uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its
+log-negativity there is exact in closed form in z and the same diagonal
+parts.  A start spanning several sectors takes the whole-space path:
+:func:`evolve_on_grid` spreads the sectors into ``(T, D)`` states, and
+:func:`observables` reads them through the whole table and takes the
+log-negativity from the eigenvalues of the partial transpose of the pair's
+reduced state.  A short grid costs more in per-call overhead than in
 arithmetic, so a grid samples its times once, every table is built once per
 lattice on first use, and each check and reduction is one pass over its
 data.
@@ -46,7 +48,6 @@ import numpy as np
 
 from . import linalg
 from .model import (
-    S12_SQ_4,
     SQRT2,
     BasisLayout,
     ModelSpec,
@@ -58,34 +59,28 @@ from .model import (
     static_pair_state,
 )
 
-_PSI_PLUS = static_pair_state("psi-plus")
-_PSI_MINUS = static_pair_state("psi-minus")
 _SZ = np.array([0.5, -0.5])  # up, down
 # total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
 _SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
 
-# |rho12>> (row-major, 16 entries) -> F+, F-, F2 and <(S1 + S2)^2>, as
-# <psi|rho|psi> = sum_ab psi_a* rho_ab psi_b and tr(rho S) = sum_ab rho_ab S_ba
-_PAIR_FUNCTIONALS = _read_only(
-    np.stack(
+# (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of the static pair's
+# reduced state rho12, a, b, c, d its diagonal in the basis (uu, ud, du, dd)
+# and z = rho12[ud, du] (no other entry enters them), then the parts b + c,
+# a + d and a - d of its trace norm in one S_z sector
+_X_FUNCTIONALS = _read_only(
+    np.array(
         [
-            np.outer(_PSI_PLUS.conj(), _PSI_PLUS).ravel(),
-            np.outer(_PSI_MINUS.conj(), _PSI_MINUS).ravel(),
-            np.eye(16)[2 * 4 + 2],  # the (2, 2) entry
-            S12_SQ_4.T.ravel(),
-        ],
-        axis=1,
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0],
+            [0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 0.0],
+            [0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0],
+            [1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+        ]
     )
 )
 
-# Largest block coupling 2 ||E||_F / |tr rho12| at which _log_negativity
-# takes the closed X-state form (its error is then <= X_TOL / ln 2)
-X_TOL = 1e-9
-# row-major flat entries of rho12: the diagonal, z = rho[1, 2], w = rho[0, 3], then
-# the 8 that couple the blocks {uu, dd} and {ud, du}
-_X_ENTRIES = np.array([0, 5, 10, 15, 6, 3, 1, 2, 7, 11, 4, 8, 13, 14])
-
 # spin parts of |up>|down down> and |down>|psi+> in the 8-dim spin space, one per row
+_PSI_PLUS = static_pair_state("psi-plus")
 _DOUBLET = _read_only(
     np.stack([np.kron([1, 0], static_pair_state("down-down")), np.kron([0, 1], _PSI_PLUS)])
 )
@@ -155,7 +150,11 @@ class Trajectory:
         return len(self.t)
 
     def column(self, name: str) -> np.ndarray:
-        """The values of one column of :data:`COLUMNS`."""
+        """The values of one column of :func:`column_names` on the
+        trajectory's lattice; ``ValueError`` for any other name."""
+        names = column_names(self.p_site.shape[-1])
+        if name not in names:
+            raise ValueError(f"no column {name!r} on this lattice; its columns are {names}")
         field, position, _, _ = COLUMNS[name]
         values = getattr(self, field)
         return values if position is None else values[..., position]
@@ -188,51 +187,78 @@ def column_names(n_sites: int) -> list:
 
 def _log_negativity(rho12):
     """Base-2 logarithmic negativity of a two-qubit operator, or of each of a
-    stack of them, clamped at zero from below against numerical noise.
-
-    In the basis (uu, ud, du, dd), with a, b, c, d the diagonal, z = rho[1, 2]
-    and w = rho[0, 3], the partial transpose of an X state splits into the
-    2x2 blocks [[a, z], [z*, d]] and [[b, w], [w*, c]], so its trace norm is
-    max(|a+d|, hypot(a-d, 2|z|)) + max(|b+c|, hypot(b-c, 2|w|)).  The entries
-    E that couple the blocks move the trace norm by at most 2 ||E||_F
-    (Hoffman-Wielandt), and it is never below |tr rho|.  So wherever
-    2 ||E||_F <= X_TOL |tr rho| the closed form is within X_TOL / ln 2 of the
-    eigensolver's log-negativity; every other matrix is solved in full.
-    """
-    rho = np.asarray(rho12, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 operator or a stack of them, got shape {rho.shape}")
-    linalg.assert_hermitian(rho)  # the partial transpose keeps Hermiticity
-    x = rho.reshape(-1, 16)[:, _X_ENTRIES]
-    a, b, c, d = x[:, :4].real.T
-    z, w = np.abs(x[:, 4:6]).T
-    trace_norm = np.maximum(np.abs(a + d), np.hypot(a - d, 2.0 * z)) + np.maximum(
-        np.abs(b + c), np.hypot(b - c, 2.0 * w)
-    )
-    e = x[:, 6:]
-    coupling = np.sqrt(np.add.reduce((e.conj() * e).real, axis=-1))
-    general = ~(2.0 * coupling <= X_TOL * np.abs(a + b + c + d))
-    if general.any():
-        trace_norm[general] = linalg.trace_norm_hermitian(
-            linalg.partial_transpose(rho.reshape(-1, 4, 4)[general])
-        )
-    return np.maximum(0.0, np.log2(trace_norm)).reshape(rho.shape[:-2])
+    stack of them, clamped at zero from below against numerical noise: log2
+    of the trace norm of the partial transpose, from its eigenvalues.
+    ``ValueError`` unless each is a 4x4 Hermitian matrix with finite
+    entries (the partial transpose keeps Hermiticity and the defect)."""
+    return np.maximum(0.0, np.log2(linalg.trace_norm_hermitian(linalg.partial_transpose(rho12))))
 
 
 @functools.lru_cache(maxsize=None)
-def _population_weights(n_sites: int) -> np.ndarray:
-    """``(D, n_sites + 3)`` weights: ``|psi|^2 @ W`` gives the site
-    populations, ``P_up``, total S_z and the squared norm."""
+def _lattice_tables(n_sites: int):
+    """Tables of the lattice of ``n_sites``: the ``(D, n_sites + 10)``
+    weights W, ``|psi|^2 @ W`` giving the site populations, ``P_up``, total
+    S_z and the squared norm of the amplitudes ``psi``, then the
+    :data:`_X_FUNCTIONALS` of the static pair's diagonal (a, b, c, d) with
+    z = 0; and the ``(D, D)`` 0/1 matrix S that moves each |ud> amplitude to
+    the position of its |du> partner (same site and mobile spin), so that
+    z = <psi|psi S>."""
     spin = np.arange(8 * n_sites) % 8
-    return _read_only(
-        np.column_stack(
-            [
-                np.kron(np.eye(n_sites), np.ones(8)).T,
-                spin < 4,  # mobile spin up
-                _SZ_SPIN[spin],
-                np.ones(8 * n_sites),
-            ]
-        )
+    pair = spin % 4
+    weights = np.column_stack(
+        [
+            np.kron(np.eye(n_sites), np.ones(8)).T,
+            spin < 4,  # mobile spin up
+            _SZ_SPIN[spin],
+            np.ones(8 * n_sites),
+            (pair[:, None] == np.arange(4)) @ _X_FUNCTIONALS[:4],
+        ]
+    )
+    swap = np.zeros((len(spin), len(spin)), dtype=complex)
+    swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
+    return _read_only(weights), _read_only(swap)
+
+
+def _trajectory(psi, tables, t, hamiltonian, logneg=None) -> Trajectory:
+    """The :class:`Trajectory` of the amplitudes ``psi``, ``(k,)`` or a
+    stack ``(..., k)``, at the times ``t``: ``tables`` are the rows of
+    :func:`_lattice_tables` on their basis states, and ``hamiltonian`` the
+    block of H on them (no energy without it, NaN instead).
+
+    One product through the weights gives every value but the parts of z.
+    Without ``logneg``, ``psi`` lies in one S_z sector: its static pair is an
+    X state with w = rho12[uu, dd] = 0 and no entry between the blocks
+    {uu, dd} and {ud, du}, so its log-negativity is exactly
+    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).
+    """
+    weights, swap = tables
+    n = weights.shape[1] - 10
+    values = np.abs(psi) ** 2 @ weights
+    # one row per value over the grid; .T is that for a state or a (T, k)
+    # stack at a fraction of moveaxis' call cost
+    rows = values.T if values.ndim <= 2 else np.moveaxis(values, -1, 0)
+    z = np.vecdot(psi, psi @ swap)  # sum over the pairs of psi_ud psi_du*
+    pair = rows[n + 3 : n + 7] + np.multiply.outer(_X_FUNCTIONALS[4, :4], z.real)
+    if logneg is None:
+        # b + c and a + d are sums of squared moduli, so >= 0
+        trace_norm = rows[n + 7] + np.maximum(rows[n + 8], np.hypot(rows[n + 9], 2.0 * np.abs(z)))
+        logneg = np.maximum(0.0, np.log2(trace_norm))
+    if hamiltonian is None:
+        energy = np.full(z.shape, math.nan)
+    else:
+        energy = np.einsum("...i,...i->...", psi.conj(), psi @ hamiltonian.T).real
+    return Trajectory(
+        t=t,
+        p_site=values[..., :n],
+        p_up=rows[n],
+        f_plus=pair[0],
+        f_minus=pair[1],
+        logneg=logneg,
+        f2=pair[2],
+        sz_total=rows[n + 1],
+        s12_sq=pair[3],
+        norm=np.sqrt(rows[n + 2]),
+        energy=energy,
     )
 
 
@@ -240,38 +266,23 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     """All observables of a pure state ``(D,)`` or of a stack of them
     ``(T, D)`` sampled at ``times``, in one vectorised pass.
 
-    Every observable but the log-negativity and the energy is a linear
-    functional of either ``|psi|^2`` or the static pair's reduced state, so
-    each family is one matrix product.  That reduced state is the partial
-    trace over the site and mobile-spin factors, contracted straight from the
-    amplitudes, so no ``D x D`` density matrix is ever formed.
+    Every observable but the log-negativity is read as on the sector path,
+    through the lattice's whole tables (see :func:`_trajectory`).  The
+    log-negativity comes from the eigenvalues of the partial transpose of the
+    static pair's reduced state: the partial trace over the site and
+    mobile-spin factors, contracted straight from the amplitudes, so no
+    ``D x D`` density matrix is ever formed.
     """
     psi = np.asarray(states, dtype=complex)
     if psi.shape[-1:] != (layout.dim,):
         raise ValueError(f"state shape {psi.shape} does not match layout dim {layout.dim}")
     grid = psi.shape[:-1]
-    n = layout.n_sites
-    populations = np.abs(psi) ** 2 @ _population_weights(n)
-    pair = psi.reshape(grid + (2 * n, 4))
-    rho12 = np.swapaxes(pair, -1, -2) @ pair.conj()
-    pair_values = (rho12.reshape(grid + (16,)) @ _PAIR_FUNCTIONALS).real
-    energy = np.full(grid, math.nan)
-    if hamiltonian is not None:
-        energy = np.einsum("...i,...i->...", psi.conj(), psi @ np.transpose(hamiltonian)).real
+    pair = psi.reshape(grid + (2 * layout.n_sites, 4))
+    logneg = _log_negativity(np.swapaxes(pair, -1, -2) @ pair.conj())
     t = np.asarray(times, dtype=float)
-    return Trajectory(
-        t=t if t.shape == grid and not t.flags.writeable else np.broadcast_to(t, grid),
-        p_site=populations[..., :n],
-        p_up=populations[..., n],
-        f_plus=pair_values[..., 0],
-        f_minus=pair_values[..., 1],
-        logneg=_log_negativity(rho12),
-        f2=pair_values[..., 2],
-        sz_total=populations[..., n + 1],
-        s12_sq=pair_values[..., 3],
-        norm=np.sqrt(populations[..., n + 2]),
-        energy=energy,
-    )
+    t = t if t.shape == grid and not t.flags.writeable else np.broadcast_to(t, grid)
+    h = None if hamiltonian is None else np.asarray(hamiltonian)
+    return _trajectory(psi, _lattice_tables(layout.n_sites), t, h, logneg)
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,74 +364,22 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
     return _whole_states(blocks, np.size(times), np.shape(initial)[0])
 
 
-# (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of an X state with
-# rho12[uu, dd] = 0, a, b, c, d its diagonal in the basis (uu, ud, du, dd) and
-# z = rho12[ud, du] (the maps of _PAIR_FUNCTIONALS on such a state), then the
-# parts b + c, a + d and a - d of its trace norm
-_X_FUNCTIONALS = _read_only(
-    np.array(
-        [
-            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0],
-            [0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 0.0],
-            [0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0],
-            [1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
-        ]
-    )
-)
-
-
 @functools.lru_cache(maxsize=None)
 def _sector_tables(n_sites: int, first: int):
-    """Tables of the S_z sector of ``n_sites`` whose first basis index is
-    ``first``: the ``(k, n_sites + 10)`` weights W, ``|psi|^2 @ W`` giving
-    the site populations, ``P_up``, total S_z and the squared norm of the
-    sector amplitudes ``psi``, then the :data:`_X_FUNCTIONALS` of the static
-    pair's diagonal (a, b, c, d) with z = 0; and the ``(k, k)`` 0/1 matrix S
-    that moves each |ud> amplitude to the position of its |du> partner (same
-    site and mobile spin), so that z = <psi|psi S>."""
+    """The rows of :func:`_lattice_tables` on the S_z sector of ``n_sites``
+    whose first basis index is ``first``: its ``(k, n_sites + 10)`` weights
+    and its ``(k, k)`` block of the swap."""
     (idx,) = [idx for idx, _ in _sz_sectors(8 * n_sites)[0] if idx[0] == first]
-    pair = idx % 4
-    diagonal = pair[:, None] == np.arange(4)
-    weights = np.column_stack([_population_weights(n_sites)[idx], diagonal @ _X_FUNCTIONALS[:4]])
-    swap = np.zeros((len(idx), len(idx)), dtype=complex)
-    swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
-    return _read_only(weights), _read_only(swap)
+    weights, swap = _lattice_tables(n_sites)
+    return _read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)])
 
 
 def _sector_observables(amplitudes, n_sites: int, idx, times, block) -> Trajectory:
     """:func:`observables` of the ``(T, k)`` amplitudes of states that occupy
     the one S_z sector with basis indices ``idx``; ``block`` is the
-    Hamiltonian's block on it.
-
-    Such a state's static pair is an X state with w = rho12[uu, dd] = 0 and
-    no entry between the blocks {uu, dd} and {ud, du}, so its fidelities are
-    linear in (a, b, c, d, Re z) and its log-negativity is exactly
-    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).  One product through
-    the sector's weights gives every value but those parts of z.
-    """
-    weights, swap = _sector_tables(n_sites, int(idx[0]))
-    n = n_sites
-    values = (np.abs(amplitudes) ** 2 @ weights).T  # one row per value
-    z = np.vecdot(amplitudes, amplitudes @ swap)  # sum over the pairs of psi_ud psi_du*
-    pair = values[n + 3 : n + 7] + np.multiply.outer(_X_FUNCTIONALS[4, :4], z.real)
-    # b + c and a + d are sums of squared moduli, so >= 0
-    trace_norm = values[n + 7] + np.maximum(values[n + 8], np.hypot(values[n + 9], 2.0 * np.abs(z)))
-    # the einsum of observables, so both paths sum the energy in the same order
-    energy = np.einsum("ti,ti->t", amplitudes.conj(), amplitudes @ block.T).real
-    return Trajectory(
-        t=times,
-        p_site=values[:n].T,
-        p_up=values[n],
-        f_plus=pair[0],
-        f_minus=pair[1],
-        logneg=np.maximum(0.0, np.log2(trace_norm)),
-        f2=pair[2],
-        sz_total=values[n + 1],
-        s12_sq=pair[3],
-        norm=np.sqrt(values[n + 2]),
-        energy=energy,
-    )
+    Hamiltonian's block on it.  The log-negativity is the closed form of one
+    sector (see :func:`_trajectory`)."""
+    return _trajectory(amplitudes, _sector_tables(n_sites, int(idx[0])), times, block)
 
 
 def _evolve_observed(hamiltonian, initial, times, n_sites: int):

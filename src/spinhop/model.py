@@ -39,17 +39,6 @@ S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 S_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 S_Z = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 
-# (S_1 + S_2)^2 on the static pair, basis (uu, ud, du, dd): triplet 2, singlet 0
-S12_SQ_4 = np.array(
-    [
-        [2.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 2.0],
-    ],
-    dtype=complex,
-)
-
 # effective Hamiltonian variant -> the lattice size it is built for
 EFFECTIVE_VARIANTS = {"two_site": 2, "three_site_projector": 3, "three_site_middle_start": 3}
 # every kind build_hamiltonian takes

@@ -11,11 +11,11 @@ observables are read off the sector amplitudes in closed form, and no run
 forms the static pair's (T, 4, 4) stack.  A count guard checks that the scan
 samples its grid once, builds and checks each run's Hamiltonian once, and
 that a start spanning two sectors still takes the whole-space path, where
-the stack is formed and, not being an X state, solved.  Another guard checks
-that every function the traced pass wraps by name still exists, so a
-refactor that moves one fails here rather than in the benchmark.  The
-harness itself runs once per workload in quick mode.  The benchmark's
-modules are imported read-only (no bytecode is written next to them).
+the stack is formed and solved.  Another guard checks that every function
+the traced pass wraps by name still exists, so a refactor that moves one
+fails here rather than in the benchmark.  The harness itself runs once per
+workload in quick mode.  The benchmark's modules are imported read-only (no
+bytecode is written next to them).
 """
 
 import importlib
@@ -161,7 +161,7 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         dim = 8 * spec.n_sites
         assert counts.checked[0] == (dim, dim) and counts.checked.count((dim, dim)) == 1
         assert counts.built == [spec]
-        # its two sectors, then the static pair's stack, which is no X state
+        # its two sectors, then the static pair's stack
         n = spec.n_sites
         assert counts.solved == [3 * n, n, 4]
         assert counts.pair == ["_log_negativity", "trace_norm_hermitian"]
@@ -173,7 +173,7 @@ def test_scan_builds_each_cached_table_once_per_key():
     tables = {  # cached table -> its number of possible keys on the scan's lattices
         dynamics._layout: 2,
         dynamics._sz_sectors: 2,
-        dynamics._population_weights: 2,
+        dynamics._lattice_tables: 2,
         dynamics._sector_tables: 8,  # (lattice, first index of one of its 4 sectors)
         model._lattice_terms: 2,
     }

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from spinhop import dynamics, linalg, model
 from spinhop.dynamics import (
     COLUMNS,
-    X_TOL,
     AnalyticSolution,
     TimeGrid,
     Trajectory,
@@ -35,6 +35,7 @@ from spinhop.linalg import hermitian_eigensystem
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
+    collective_spin_oracle,
     decode,
     doublet_populations,
     encode,
@@ -169,12 +170,30 @@ class TestObservables:
     def test_stack_matches_brute_force_static_pair_reduction(self, n_sites):
         rng = np.random.default_rng(70 + n_sites)
         layout = BasisLayout(n_sites)
-        states = np.array([random_state(rng, layout.dim) for _ in range(6)])
-        stack = observables(states, layout)
+        # off unit norm, so the norm and every weight are checked at scale
+        states = np.array([rng.uniform(0.5, 2.0) * random_state(rng, layout.dim) for _ in range(6)])
+        h = random_hermitian(rng, layout.dim)
+        times = np.linspace(0.0, 1.0, len(states))
+        stack = observables(states, layout, times, h)
+        sz_op, s12_sq_op = collective_spin_oracle(n_sites)
+        labels = np.array([decode(layout, i) for i in range(layout.dim)])  # (site, e, s1, s2)
+        assert np.array_equal(stack.t, times)
         for i, psi in enumerate(states):
             rho12 = partial_trace_oracle_keep_last_two(
                 np.outer(psi, psi.conj()), (n_sites, 2, 2, 2)
             )
+            weight = np.abs(psi) ** 2
+            for site in range(n_sites):
+                assert stack.p_site[i, site] == pytest.approx(
+                    weight[labels[:, 0] == site].sum(), abs=1e-14
+                )
+            assert stack.p_up[i] == pytest.approx(weight[labels[:, 1] == 0].sum(), abs=1e-14)
+            assert stack.sz_total[i] == pytest.approx(np.vdot(psi, sz_op @ psi).real, abs=1e-14)
+            assert stack.s12_sq[i] == pytest.approx(
+                np.vdot(psi, s12_sq_op @ psi).real, abs=1e-14
+            )
+            assert stack.norm[i] == pytest.approx(math.sqrt(weight.sum()), abs=1e-14)
+            assert stack.energy[i] == pytest.approx(np.vdot(psi, h @ psi).real, abs=1e-13)
             f_minus = np.real(BELL_MINUS.conj() @ rho12 @ BELL_MINUS)
             assert stack.f_plus[i] == pytest.approx(
                 np.real(BELL_PLUS.conj() @ rho12 @ BELL_PLUS), abs=1e-14
@@ -201,30 +220,6 @@ def _random_x_states(rng, n):
     return rho
 
 
-def _block_coupling(rng, n):
-    """Hermitian perturbations on the entries that couple {uu, dd} and
-    {ud, du}, each of unit Frobenius norm."""
-    e = np.zeros((n, 4, 4), dtype=complex)
-    for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
-        e[:, i, j] = rng.normal(size=n) + 1j * rng.normal(size=n)
-        e[:, j, i] = e[:, i, j].conj()
-    return e / np.linalg.norm(e, axis=(1, 2))[:, None, None]
-
-
-@pytest.fixture
-def fallback_sizes(monkeypatch):
-    """Number of matrices of each call to the general trace-norm path."""
-    sizes = []
-    solve = linalg.trace_norm_hermitian
-
-    def counted(m):
-        sizes.append(len(m))
-        return solve(m)
-
-    monkeypatch.setattr(linalg, "trace_norm_hermitian", counted)
-    return sizes
-
-
 def _residue(rho12):
     """2 ||E||_F / |tr rho12| of each matrix, E the block-coupling entries."""
     mask = np.ones((4, 4), dtype=bool)
@@ -233,47 +228,31 @@ def _residue(rho12):
     return 2.0 * coupling / np.abs(np.trace(rho12, axis1=1, axis2=2))
 
 
-class TestClosedFormLogNegativity:
-    """S_z-conserving runs give X states, whose log-negativity is closed-form."""
+class TestLogNegativity:
+    """The whole-space path's log-negativity, from the eigenvalues of the
+    partial transpose, and the X-state form that the sector path's closed
+    form rests on."""
 
-    def test_x_states_match_the_eigenvalue_oracle(self, fallback_sizes):
+    def test_x_states_match_the_eigenvalue_oracle(self):
         rng = np.random.default_rng(80)
         rho = _random_x_states(rng, 200)
         values = dynamics._log_negativity(rho)
         assert values.shape == (200,)
-        assert fallback_sizes == []
         for k in range(len(rho)):
             assert abs(values[k] - log_negativity_oracle(rho[k])) <= 1e-14
         assert values.max() > 0.5  # entangled states are among them
 
-    def test_bell_states_give_one(self, fallback_sizes):
+    def test_bell_states_give_one(self):
         phi = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / SQRT2
         rho = np.einsum("ka,kb->kab", phi, phi.conj())
         assert np.abs(dynamics._log_negativity(rho) - 1.0).max() <= 1e-15
         assert dynamics._log_negativity(rho[2]) == pytest.approx(1.0, abs=1e-15)
-        assert fallback_sizes == []
 
-    def test_certified_below_the_tolerance_and_solved_above_it(self, fallback_sizes):
-        rng = np.random.default_rng(81)
-        n = 100
-        rho = _random_x_states(rng, n)
-        e = _block_coupling(rng, n)
-        # 2 ||E||_F = factor * X_TOL * tr(rho), with tr(rho) = 1
-        below = rho + 0.5 * 0.99 * X_TOL * e
-        above = rho + 0.5 * 1.01 * X_TOL * e
-        mixed = np.concatenate([below, above])
-        values = dynamics._log_negativity(mixed)
-        assert fallback_sizes == [n]  # exactly the matrices above the tolerance
-        for k in range(n):
-            assert abs(values[k] - log_negativity_oracle(below[k])) <= X_TOL / math.log(2)
-            assert abs(values[n + k] - log_negativity_oracle(above[k])) <= 1e-14
-
-    def test_superpositions_of_sz_sectors_take_the_eigensolver(self, fallback_sizes):
+    def test_superpositions_of_sz_sectors_take_the_eigensolver(self):
         rng = np.random.default_rng(82)
         states = np.array([random_state(rng, 16) for _ in range(50)])
         rho = static_pair_stack(states, 2)
         values = dynamics._log_negativity(rho)
-        assert fallback_sizes == [50]
         for k in range(len(rho)):
             assert abs(values[k] - log_negativity_oracle(rho[k])) <= 1e-14
         solved = linalg.trace_norm_hermitian(linalg.partial_transpose(rho))
@@ -307,8 +286,8 @@ class TestClosedFormLogNegativity:
                                 psi0 = encode_state(layout, site, e_spin, static)
                                 states = evolve_on_grid(h, psi0, times)
                                 worst = max(worst, _residue(static_pair_stack(states, n_sites)).max())
-        # the residue grows like eps * eta * t: ~2e-11 at eta/J = 1e3 and t = 30
-        assert worst <= 0.1 * X_TOL
+        # every other sector of a one-sector start stays exactly zero
+        assert worst == 0.0
 
 
 def test_hamiltonian_kinds_are_exact_and_the_effective_variants():
@@ -502,6 +481,16 @@ class TestColumns:
         assert np.array_equal(two_sites.column("P2"), two_sites.p_site[:, 1])
         assert trajectory.column("F_plus") is trajectory.f_plus
         assert trajectory.column("Sz") is trajectory.sz_total
+
+    def test_a_column_off_the_lattice_raises(self, traj):
+        # position 1 is the last site of two, so P0 would read P2's values
+        two_sites = traj("xy10_exact").trajectory
+        for name in ("P0", "P3", "energy"):
+            with pytest.raises(ValueError, match=re.escape(str(column_names(2)))):
+                two_sites.column(name)
+        layout = BasisLayout(3)
+        state = observables(encode_state(layout, 0, "up", "down-down"), layout)
+        assert state.column("P0") == 1.0 and state.column("P1") == 0.0
 
     def test_probabilities_and_compared_columns(self):
         probabilities = [c for c, (_, _, p, _) in COLUMNS.items() if p]
