@@ -16,7 +16,7 @@ from .dynamics import (
     _log_negativity,
     column_names,
 )
-from .model import ModelSpec, _mode_parts, build_hamiltonian
+from .model import ModelSpec, _check_kind, _mode_parts
 
 
 def log_negativity(rho12) -> float:
@@ -92,13 +92,12 @@ def compare_exact_effective(
         rates = {rate for rate, _ in _mode_parts(layout.n_sites, initial)}
         three = "three_site_middle_start" if rates == {0.25} else "three_site_projector"
         variant = "two_site" if layout.n_sites == 2 else three
+    _check_kind(spec, variant)  # before the exact run evolves
     times = grid.times()
-    h_exact = build_hamiltonian(spec)
-    h_eff = build_hamiltonian(spec, variant)
     # every kind conserves S_z, so both runs give amplitudes on the same basis
     # indices: the start's sector, site by site, or the whole space
-    exact, states_exact = _evolve_observed(h_exact, initial, times, layout.n_sites)
-    eff, states_eff = _evolve_observed(h_eff, initial, times, layout.n_sites)
+    exact, states_exact = _evolve_observed(spec, "exact", initial, times)
+    eff, states_eff = _evolve_observed(spec, variant, initial, times)
 
     if variant == "three_site_middle_start":
         # Tr[rho rho'] of the site-reduced spin states, sum_xy |<ex[x]|ef[y]>|^2;
@@ -136,7 +135,8 @@ def estimate_period(times, values) -> float:
     through its samples and the sample outside it on each side; a fit that
     is not concave, or whose vertex leaves that window, is an error.
     Probability-level maxima repeat twice per cycle of the underlying state,
-    so the returned period is twice their mean spacing.
+    so the returned period is twice their mean spacing.  The times must
+    increase strictly and the values be finite.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -144,6 +144,8 @@ def estimate_period(times, values) -> float:
         raise ValueError("need matching 1-d time and value arrays with >= 3 samples")
     if not np.all(np.diff(t) > 0.0):  # NaN fails this too
         raise ValueError("times must be strictly increasing")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     amplitude = float(v.max() - v.min())
     if amplitude <= 1e-6:
         raise ValueError("oscillation amplitude below noise floor")

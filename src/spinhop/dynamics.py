@@ -9,30 +9,30 @@ quantities, all computed in one vectorised pass over the run's states.
 :func:`analytic` gives the strong-hopping spin dynamics of any start in
 closed form, for cross-checking.
 
-Every Hamiltonian here conserves total S_z, so it is block-diagonal in the
-S_z sectors, of n_sites * (1, 3, 3, 1) states.  A run checks the whole
-matrix once, tests every entry between two sectors for an exact zero with
-one gather over cached flat indices, reads the sectors the start state
-occupies off one cached membership table, and then solves only those
-sectors; a matrix that couples sectors is solved whole.  Every trajectory is
-read by one function (:func:`_trajectory`) through one cached table per
-lattice (see :func:`_lattice_tables`): one product of ``|psi|^2`` with its
-weights gives the site populations, ``P_up``, S_z, the norm and the
-diagonal parts of F+, F-, F2 and (S1 + S2)^2; one more, with its swap
-matrix, gives z = rho12[ud, du], of which only Re z is added to them; the
-energy is one contraction with the Hamiltonian.  Every start state that
-``encode_state`` builds has a definite S_z, and such a run stays on its
-sector from start to finish in one fused pass (the sector path):
-:func:`run_trajectory` and ``compare_exact_effective`` read every observable
-off the ``(T, k)`` sector amplitudes through the sector's rows of the
-table.  In one sector the static pair's reduced state never mixes the
-blocks {uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its
-log-negativity there is exact in closed form in z and the same diagonal
-parts.  A start spanning several sectors takes the whole-space path:
-:func:`evolve_on_grid` spreads the sectors into ``(T, D)`` states, and
-:func:`observables` reads them through the whole table and takes the
-log-negativity from the eigenvalues of the partial transpose of the pair's
-reduced state.  A short grid costs more in per-call overhead than in
+Every Hamiltonian of ``model`` conserves total S_z, so it is block-diagonal
+in the S_z sectors, of n_sites * (1, 3, 3, 1) states, and a run never forms
+the whole matrix: ``model`` builds the block of each sector the start state
+occupies, each block is checked (Hermitian, finite) and solved on its own,
+and every other sector stays exactly zero.  Every trajectory is read by one
+function (:func:`_trajectory`) through one cached table per lattice (see
+:func:`_lattice_tables`): one product of ``|psi|^2`` with its weights gives
+the site populations, ``P_up``, S_z, the norm and the diagonal parts of F+,
+F-, F2 and (S1 + S2)^2; one more, with its swap matrix, gives
+z = rho12[ud, du], of which only Re z is added to them; the energy is one
+contraction with the Hamiltonian.  Every start state that ``encode_state``
+builds has a definite S_z, and such a run stays on its sector from start to
+finish in one fused pass (the sector path): :func:`run_trajectory` and
+``compare_exact_effective`` read every observable off the ``(T, k)`` sector
+amplitudes through the sector's rows of the table and the sector's block.
+In one sector the static pair's reduced state never mixes the blocks
+{uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its log-negativity there
+is exact in closed form in z and the same diagonal parts.  A start spanning
+several sectors spreads their amplitudes into ``(T, D)`` states, which
+:func:`observables` reads through the whole table, with the log-negativity
+from the eigenvalues of the partial transpose of the pair's reduced state
+and the energy from ``build_hamiltonian``'s matrix.  :func:`evolve_on_grid`
+is the reference propagator of any Hermitian matrix: one checked eigensolve
+of the whole matrix.  A short grid costs more in per-call overhead than in
 arithmetic, so a grid samples its times once, every table is built once per
 lattice on first use, and each check and reduction is one pass over its
 data.
@@ -48,6 +48,7 @@ import numpy as np
 
 from . import linalg
 from .model import (
+    _SZ_SPIN,
     SQRT2,
     BasisLayout,
     ModelSpec,
@@ -55,13 +56,11 @@ from .model import (
     _is_int,
     _mode_parts,
     _read_only,
+    _sector_blocks,
+    _sectors,
     build_hamiltonian,
     static_pair_state,
 )
-
-_SZ = np.array([0.5, -0.5])  # up, down
-# total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
-_SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
 
 # (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of the static pair's
 # reduced state rho12, a, b, c, d its diagonal in the basis (uu, ud, du, dd)
@@ -285,83 +284,38 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     return _trajectory(psi, _lattice_tables(layout.n_sites), t, h, logneg)
 
 
-@functools.lru_cache(maxsize=None)
-def _sz_sectors(dim: int):
-    """The total-S_z sectors of a ``dim``-dimensional space: the basis
-    indices of each sector and the flat indices of its block in a
-    ``(dim, dim)`` matrix, one pair per sector; the ``(dim, n_sectors)``
-    table of the sector each basis state lies in; and the flat indices of
-    the entries that couple two sectors."""
-    sz = np.tile(_SZ_SPIN, dim // 8)
-    # not np.unique: with numpy 2.4 its first call adds ~1.6 MB to the peak RSS
-    member = sz[:, None] == np.array(sorted(set(_SZ_SPIN)))
-    sectors = tuple(
-        (_read_only(idx), _read_only((idx[:, None] * dim + idx).ravel()))
-        for idx in (np.flatnonzero(column) for column in member.T)
-    )
-    cross = np.flatnonzero(sz[:, None] != sz[None, :])
-    return sectors, _read_only(member), _read_only(cross)
-
-
-def _evolve_blocks(hamiltonian, initial, times) -> list:
-    """``(basis indices, (T, k) amplitudes, block)`` of exp(-i H t)|initial>
-    for each block of H that ``initial`` occupies.
-
-    H is checked whole (Hermitian, finite) once.  If it conserves total S_z
-    (no nonzero entry between two sectors), the blocks are the S_z sectors;
-    otherwise, or when its dimension is no multiple of 8, the whole matrix is
-    the one block.  Every block ``initial`` leaves empty stays exactly zero.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    initial = np.asarray(initial, dtype=complex)
-    linalg.assert_hermitian(h)
-    dim = h.shape[-1]
-    if h.ndim != 2 or initial.shape != (dim,):
-        raise ValueError(
-            f"initial state shape {initial.shape} does not match dimension {dim} "
-            f"of the matrix of shape {h.shape}"
-        )
-    occupied = initial != 0
-    conserving = dim % 8 == 0
-    if conserving:
-        sectors, member, cross = _sz_sectors(dim)
-        conserving = not np.count_nonzero(h.take(cross))
-    if conserving:
-        blocks = [
-            (idx, h.take(flat).reshape(len(idx), len(idx)))
-            for idx, flat in (sectors[s] for s in (occupied @ member).nonzero()[0])
-        ]
-    else:
-        blocks = [(np.arange(dim), h)] if occupied.any() else []
-    times = np.asarray(times, dtype=float).reshape(-1, 1)
-    evolved = []
-    for idx, block in blocks:
-        w, v = linalg.hermitian_eigensystem(block, check=False)
-        c = v.conj().T @ initial[idx]
-        # the angles t * w in real arithmetic, then one complex product
-        evolved.append((idx, (np.exp(-1j * (times * w)) * c) @ v.T, block))
-    return evolved
-
-
-def _whole_states(blocks, n_times: int, dim: int) -> np.ndarray:
-    """The ``(T, dim)`` states of :func:`_evolve_blocks`' amplitudes."""
-    states = np.zeros((n_times, dim), dtype=complex)
-    for idx, amplitudes, _ in blocks:
-        states[:, idx] = amplitudes
-    return states
+def _propagate(hamiltonian, initial, times) -> np.ndarray:
+    """exp(-i H t)|initial> at each of the ``(T, 1)`` times, one per row,
+    from one checked eigensolve of H."""
+    w, v = linalg.hermitian_eigensystem(hamiltonian)
+    # the angles t * w in real arithmetic, then one complex product
+    return (np.exp(-1j * (times * w)) * (v.conj().T @ initial)) @ v.T
 
 
 def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
-    """States exp(-i H t)|initial> for every t, one per row.
+    """States exp(-i H t)|initial> for every t, one per row, of any
+    Hermitian matrix H: one checked (Hermitian, finite) eigensolve of the
+    whole matrix."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    initial = np.asarray(initial, dtype=complex)
+    if h.ndim != 2 or initial.shape != h.shape[:1]:
+        raise ValueError(
+            f"initial state shape {initial.shape} does not match the dimension "
+            f"of the matrix of shape {h.shape}"
+        )
+    return _propagate(h, initial, np.asarray(times, dtype=float).reshape(-1, 1))
 
-    H is checked whole (Hermitian, finite) once.  If it conserves total S_z
-    (no nonzero entry between two sectors), each sector the initial state
-    occupies is solved on its own and every other sector stays exactly
-    zero; otherwise, or when its dimension is no multiple of 8, the whole
-    matrix is the one block.
-    """
-    blocks = _evolve_blocks(hamiltonian, initial, times)
-    return _whole_states(blocks, np.size(times), np.shape(initial)[0])
+
+def _evolve_sectors(spec: ModelSpec, kind: str, initial, times) -> list:
+    """``(basis indices, (T, k) amplitudes, block)`` of exp(-i H t)|initial>
+    on each S_z sector that ``initial`` occupies, H the ``kind`` Hamiltonian
+    of ``spec``, on the 1-d ``times``.  Every other sector stays exactly
+    zero."""
+    times = times.reshape(-1, 1)
+    return [
+        (idx, _propagate(block, initial[idx], times), block)
+        for idx, block in _sector_blocks(spec, kind, initial)
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,33 +323,30 @@ def _sector_tables(n_sites: int, first: int):
     """The rows of :func:`_lattice_tables` on the S_z sector of ``n_sites``
     whose first basis index is ``first``: its ``(k, n_sites + 10)`` weights
     and its ``(k, k)`` block of the swap."""
-    (idx,) = [idx for idx, _ in _sz_sectors(8 * n_sites)[0] if idx[0] == first]
+    (idx,) = [idx for idx in _sectors(n_sites) if idx[0] == first]
     weights, swap = _lattice_tables(n_sites)
     return _read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)])
 
 
-def _sector_observables(amplitudes, n_sites: int, idx, times, block) -> Trajectory:
-    """:func:`observables` of the ``(T, k)`` amplitudes of states that occupy
-    the one S_z sector with basis indices ``idx``; ``block`` is the
-    Hamiltonian's block on it.  The log-negativity is the closed form of one
-    sector (see :func:`_trajectory`)."""
-    return _trajectory(amplitudes, _sector_tables(n_sites, int(idx[0])), times, block)
+def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
+    """The :class:`Trajectory` of ``initial`` under the ``kind`` Hamiltonian
+    of ``spec`` on the read-only ``times``, and the amplitudes it was read
+    from.
 
-
-def _evolve_observed(hamiltonian, initial, times, n_sites: int):
-    """The :class:`Trajectory` of ``initial`` under H on the read-only
-    ``times``, and the amplitudes it was read from.
-
-    A start in one S_z sector of an S_z-conserving H is observed on that
-    sector's ``(T, k)`` amplitudes alone; any other start through
-    :func:`observables` of its ``(T, D)`` states.
+    A start in one S_z sector is observed on that sector's ``(T, k)``
+    amplitudes alone; any other start through :func:`observables` of its
+    ``(T, D)`` states.
     """
-    blocks = _evolve_blocks(hamiltonian, initial, times)
-    if len(blocks) == 1 and len(blocks[0][0]) < len(initial):
-        idx, amplitudes, block = blocks[0]
-        return _sector_observables(amplitudes, n_sites, idx, times, block), amplitudes
-    states = _whole_states(blocks, len(times), len(initial))
-    return observables(states, _layout(n_sites), times, hamiltonian), states
+    evolved = _evolve_sectors(spec, kind, initial, times)
+    if len(evolved) == 1:
+        ((idx, amplitudes, block),) = evolved
+        tables = _sector_tables(spec.n_sites, int(idx[0]))
+        return _trajectory(amplitudes, tables, times, block), amplitudes
+    states = np.zeros((len(times), len(initial)), dtype=complex)
+    for idx, amplitudes, _ in evolved:
+        states[:, idx] = amplitudes
+    h = build_hamiltonian(spec, kind)
+    return observables(states, _layout(spec.n_sites), times, h), states
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,9 +389,8 @@ def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
 
 def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
     """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
-    layout, initial, grid = _checked_run(spec, initial, grid)
-    h = build_hamiltonian(spec, hamiltonian_kind)
-    return _evolve_observed(h, initial, grid.times(), layout.n_sites)[0]
+    _, initial, grid = _checked_run(spec, initial, grid)
+    return _evolve_observed(spec, hamiltonian_kind, initial, grid.times())[0]
 
 
 @dataclass(frozen=True)

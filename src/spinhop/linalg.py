@@ -5,13 +5,13 @@ holds the Hermitian check, the Hermitian eigensolver (LAPACK's ``eigh``,
 through ``numpy.linalg``), the two-qubit partial transpose and the trace
 norm of a Hermitian matrix (eigenvalues only).
 
-The Hermitian check is the one whole-matrix check of every run, so the
-one-sector pass of ``dynamics`` pays it on every trajectory: a single
-matrix takes one reduction for its scale max|M|, which settles its
-finiteness too, and one for its defect max|M - M^H|.  A stack is reduced
-matrix by matrix.  Near the float limit, where a modulus or a difference
-may overflow, the check reads M / 4 instead, so it warns of nothing; an
-empty matrix passes, as numpy's ``eigh`` takes it.
+Every eigensolve is checked first, so a run of ``dynamics`` pays the
+Hermitian check once per S_z block it solves: a single matrix takes one
+reduction for its scale max|M|, which settles its finiteness too, and one
+for its defect max|M - M^H|.  A stack is reduced matrix by matrix.  Near
+the float limit, where a modulus or a difference may overflow, the check
+reads M / 4 instead, so it warns of nothing; an empty matrix passes, as
+numpy's ``eigh`` takes it.
 """
 
 from __future__ import annotations
@@ -72,20 +72,18 @@ def assert_hermitian(m):
         raise _not_hermitian(where, defect[k], scale[k], factor)
 
 
-def hermitian_eigensystem(m, *, check: bool = True):
+def hermitian_eigensystem(m):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
-    ``(..., n, n)``: numpy's ``eigh`` result, which unpacks as ``(w, v)`` and
-    names them ``eigenvalues`` (ascending) and ``eigenvectors`` (unitary;
-    column k belongs to eigenvalue k), with the stack axes leading both.
+    ``(..., n, n)``, checked first by :func:`assert_hermitian`: numpy's
+    ``eigh`` result, which unpacks as ``(w, v)`` and names them
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (unitary; column k
+    belongs to eigenvalue k), with the stack axes leading both.
 
-    ``check=False`` skips :func:`assert_hermitian`, for a diagonal block of a
-    matrix the caller has already checked whole.  Degenerate eigenvalues come
-    with an arbitrary orthonormal basis of the eigenspace; callers must not
-    rely on any particular choice.
+    Degenerate eigenvalues come with an arbitrary orthonormal basis of the
+    eigenspace; callers must not rely on any particular choice.
     """
     m = np.asarray(m, dtype=complex)
-    if check:
-        assert_hermitian(m)
+    assert_hermitian(m)
     return np.linalg.eigh(m)
 
 

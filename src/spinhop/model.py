@@ -20,6 +20,11 @@ with fixed operators per lattice.  Those unit-coupling operators are built
 from Kronecker products and the closed-form normal modes of the hopping (no
 eigensolve), once per lattice size, and cached read-only;
 each build assembles a fresh matrix from them in one product.
+
+Every operator conserves total S_z, so every Hamiltonian is block-diagonal in
+the S_z sectors, of n_sites * (1, 3, 3, 1) states.  Each kind's operators
+are also cached sector by sector, and a run builds only the blocks of the
+sectors its start occupies, with the same product (``_sector_blocks``).
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ _I2 = np.eye(2, dtype=complex)
 S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 S_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 S_Z = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+_SZ = np.array([0.5, -0.5])  # up, down
+# total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
+_SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
 
 # effective Hamiltonian variant -> the lattice size it is built for
 EFFECTIVE_VARIANTS = {"two_site": 2, "three_site_projector": 3, "three_site_middle_start": 3}
@@ -315,10 +323,48 @@ def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
     (:data:`MODE_RATES`); it needs ``eta > 0``.
     """
     _check_kind(spec, kind)
-    coefficients = np.array([_hop_amplitude(spec), spec.j_xy, spec.j_z])
     dim = 8 * spec.n_sites
     # one product; no entry has two nonzero terms, so it is the exact sum
-    return (coefficients @ _lattice_terms(spec.n_sites)[kind]).reshape(dim, dim)
+    return (_coefficients(spec) @ _lattice_terms(spec.n_sites)[kind]).reshape(dim, dim)
+
+
+def _coefficients(spec: ModelSpec) -> np.ndarray:
+    """What the operators of a ``_lattice_terms`` stack are multiplied by."""
+    return np.array([_hop_amplitude(spec), spec.j_xy, spec.j_z])
+
+
+@functools.lru_cache(maxsize=None)
+def _sectors(n_sites: int) -> tuple:
+    """The basis indices of each total-S_z sector of the lattice, S_z
+    ascending from -3/2: n_sites * (1, 3, 3, 1) states."""
+    sz = np.tile(_SZ_SPIN, n_sites)
+    return tuple(_read_only(np.flatnonzero(sz == value)) for value in (-1.5, -0.5, 0.5, 1.5))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_terms(n_sites: int, kind: str) -> tuple:
+    """The ``(3, k * k)`` stack of each sector of :func:`_sectors`: the
+    sector's block of each operator of the kind's ``_lattice_terms`` stack."""
+    dim = 8 * n_sites
+    terms = _lattice_terms(n_sites)[kind].reshape(3, dim, dim)
+    return tuple(
+        _read_only(terms[:, idx[:, None], idx].reshape(3, -1)) for idx in _sectors(n_sites)
+    )
+
+
+def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
+    """``(basis indices, block)`` of each S_z sector that the state
+    ``initial`` occupies (has a nonzero amplitude on): the ``k x k`` block of
+    :func:`build_hamiltonian`'s matrix there, with the same product and the
+    same kind check.  No operator couples two sectors, so these blocks and
+    zeros make up the whole matrix."""
+    _check_kind(spec, kind)
+    coefficients = _coefficients(spec)
+    return [
+        (idx, (coefficients @ terms).reshape(len(idx), len(idx)))
+        for idx, terms in zip(_sectors(spec.n_sites), _sector_terms(spec.n_sites, kind))
+        if initial[idx].any()
+    ]
 
 
 def static_pair_state(preset: str) -> np.ndarray:

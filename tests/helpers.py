@@ -33,6 +33,28 @@ def decode(layout, index):
     return site, e_spin, s1, s2
 
 
+def sz_of_basis(layout):
+    """Total S_z of each basis state of ``layout``, from its decoded spins."""
+    return np.array([sum(0.5 - s for s in decode(layout, i)[1:]) for i in range(layout.dim)])
+
+
+def sector_evolution(layout, h, psi, times):
+    """exp(-i H t) psi for every t, one ``(T, D)`` row each, of an H that
+    conserves total S_z: one ``numpy.linalg.eigh`` per S_z sector that
+    ``psi`` occupies, with the sectors read off the decoded basis states;
+    every other sector stays zero."""
+    sz = sz_of_basis(layout)
+    psi = np.asarray(psi, dtype=complex)
+    times = np.asarray(times, dtype=float).reshape(-1, 1)
+    states = np.zeros((len(times), layout.dim), dtype=complex)
+    for value in np.unique(sz):
+        idx = np.flatnonzero(sz == value)
+        if psi[idx].any():
+            w, v = np.linalg.eigh(np.asarray(h, dtype=complex)[np.ix_(idx, idx)])
+            states[:, idx] = (np.exp(-1j * (times * w)) * (v.conj().T @ psi[idx])) @ v.T
+    return states
+
+
 def two_sector_start(layout):
     """|up>(|uu> + |ud>)/sqrt(2) at the left site: total S_z 3/2 and 1/2."""
     psi = np.zeros(layout.dim, dtype=complex)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinhop import analysis, dynamics, linalg
+from spinhop import dynamics, linalg
 from spinhop import observables, run_trajectory
 from spinhop.analysis import (
     compare_exact_effective,
@@ -188,13 +188,13 @@ class TestCompareExactEffective:
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_every_one_site_start_keeps_its_default_variant(self, n_sites, monkeypatch):
         built = []
-        build = analysis.build_hamiltonian
+        build = dynamics._sector_blocks
 
-        def recorded(spec, kind="exact"):
+        def recorded(spec, kind, initial):
             built.append(kind)
-            return build(spec, kind)
+            return build(spec, kind, initial)
 
-        monkeypatch.setattr(analysis, "build_hamiltonian", recorded)
+        monkeypatch.setattr(dynamics, "_sector_blocks", recorded)
         layout = BasisLayout(n_sites)
         grid = TimeGrid(t_max=1.0, n_points=3)
         middle = {0: "three_site_middle_start"}
@@ -240,7 +240,7 @@ class TestCompareExactEffective:
         def build(*args):
             raise AssertionError("built a Hamiltonian before checking the energy scale")
 
-        monkeypatch.setattr(analysis, "build_hamiltonian", build)
+        monkeypatch.setattr(dynamics, "_sector_blocks", build)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning on the way
@@ -259,10 +259,27 @@ class TestCompareExactEffective:
         def evolve(*args):
             raise AssertionError("evolved before checking the coupling scale")
 
-        monkeypatch.setattr(dynamics, "_evolve_blocks", evolve)
+        monkeypatch.setattr(dynamics, "_evolve_sectors", evolve)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with pytest.raises(ValueError, match="coupling scale is zero"):
             compare_exact_effective(ModelSpec(n_sites=2, eta=10.0), psi)
+
+    @pytest.mark.parametrize(
+        "n_sites, variant, message",
+        [
+            (2, "three_site_projector", "requires n_sites = 3"),
+            (3, "two_site", "requires n_sites = 2"),
+            (2, "trotter", "unknown hamiltonian kind"),
+        ],
+    )
+    def test_variant_rejected_before_evolving(self, n_sites, variant, message, monkeypatch):
+        def evolve(*args):
+            raise AssertionError("evolved before checking the variant")
+
+        monkeypatch.setattr(dynamics, "_evolve_sectors", evolve)
+        psi = encode_state(BasisLayout(n_sites), 1, "up", "down-down")
+        with pytest.raises(ValueError, match=message):
+            compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, variant=variant)
 
 
 class TestEstimatePeriod:
@@ -299,6 +316,12 @@ class TestEstimatePeriod:
             estimate_period([0, 1], [1, 0])
         with pytest.raises(ValueError, match="increasing"):
             estimate_period([0.0, 2.0, 1.0], [0.0, 1.0, 0.0])
+        t = TimeGrid().times()
+        for bad in (math.nan, math.inf, -math.inf):
+            v = np.cos(t / SQRT2) ** 2
+            v[500] = bad
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                estimate_period(t, v)
 
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -3,19 +3,20 @@
 ``perfbench/`` checks every benchmark operation against stored references;
 these tests apply the same checks to the seed-1 ``param_scan`` specs and to
 every CLI run, so an output change that would fail the benchmark fails here
-first.  A guard also checks what the benchmark's inputs solve: each
-Hamiltonian is built once, checked whole once and solved only in its
-occupied total-S_z sectors, and no static-pair state needs a 4x4 eigensolve.
-Every benchmark start has one S_z, so each run takes the sector path: its
-observables are read off the sector amplitudes in closed form, and no run
-forms the static pair's (T, 4, 4) stack.  A count guard checks that the scan
-samples its grid once, builds and checks each run's Hamiltonian once, and
-that a start spanning two sectors still takes the whole-space path, where
-the stack is formed and solved.  Another guard checks that every function
-the traced pass wraps by name still exists, so a refactor that moves one
-fails here rather than in the benchmark.  The harness itself runs once per
-workload in quick mode.  The benchmark's modules are imported read-only (no
-bytecode is written next to them).
+first.  A guard also checks what the benchmark's inputs solve: no run builds
+or checks a whole Hamiltonian; each builds, checks and solves only the block
+of each total-S_z sector its start occupies, and no static-pair state needs
+a 4x4 eigensolve.  Every benchmark start has one S_z, so each run takes the
+sector path: its observables are read off the sector amplitudes in closed
+form, and no run forms the static pair's (T, 4, 4) stack.  A count guard
+checks that the scan samples its grid once, builds and checks one block per
+run, and that a start spanning two sectors takes the whole-space path,
+where the stack is formed and solved and the whole matrix is built for the
+energy alone.  Another guard checks that every function the traced pass
+wraps by name still exists, so a refactor that moves one fails here rather
+than in the benchmark.  The harness itself runs once per workload in quick
+mode.  The benchmark's modules are imported read-only (no bytecode is
+written next to them).
 """
 
 import importlib
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 
 import spinhop
-from spinhop import analysis, cli, dynamics, linalg, model
+from spinhop import cli, dynamics, linalg, model
 
 from helpers import two_sector_start
 
@@ -79,11 +80,12 @@ def test_cli_output_matches_stored_reference(tmp_path, capsys, op):
 
 
 class _Counts:
-    """Calls made through the library's check, builder, eigensolvers and
-    static-pair log-negativity, installed with ``monkeypatch``."""
+    """Calls made through the library's block and whole-matrix builders, its
+    check, its eigensolvers and the static pair's log-negativity, installed
+    with ``monkeypatch``; ``blocks`` holds the shape of each block built."""
 
     def __init__(self, monkeypatch):
-        self.checked, self.built, self.solved, self.pair = [], [], [], []
+        self.blocks, self.built, self.checked, self.solved, self.pair = [], [], [], [], []
 
         def count(module, name, log, key):
             fn = getattr(module, name)
@@ -97,13 +99,21 @@ class _Counts:
         for name in ("eigh", "eigvalsh"):
             count(np.linalg, name, self.solved, lambda m, *_: np.shape(m)[-1])
         count(linalg, "assert_hermitian", self.checked, lambda m, *_: np.shape(m))
-        for module in (dynamics, analysis):  # the builder's bindings that run it
+        for module in (model, dynamics):  # the whole-matrix builder's bindings
             count(module, "build_hamiltonian", self.built, lambda spec, *_: spec)
         count(dynamics, "_log_negativity", self.pair, lambda *_: "_log_negativity")
         count(linalg, "trace_norm_hermitian", self.pair, lambda *_: "trace_norm_hermitian")
+        sector_blocks = dynamics._sector_blocks
+
+        def counted_blocks(*args):
+            blocks = sector_blocks(*args)
+            self.blocks.extend(np.shape(block) for _, block in blocks)
+            return blocks
+
+        monkeypatch.setattr(dynamics, "_sector_blocks", counted_blocks)
 
     def clear(self):
-        for log in (self.checked, self.built, self.solved, self.pair):
+        for log in (self.blocks, self.built, self.checked, self.solved, self.pair):
             del log[:]
 
 
@@ -120,19 +130,22 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
     # the Hamiltonians' sector solves, n_sites * {1, 3}, are seen; none is whole
     assert {2, 6, 3, 9} <= set(counts.solved)
     assert not {4, 16, 24} & set(counts.solved)
-    # each Hamiltonian is built once and checked whole once, and nothing else is checked
-    assert len(counts.built) > 304
-    assert sorted(counts.checked) == sorted((8 * s.n_sites,) * 2 for s in counts.built)
+    # no whole matrix is built; each block is built, checked and solved once,
+    # and nothing else is checked or solved
+    assert counts.built == []
+    assert len(counts.blocks) > 304
+    assert counts.checked == counts.blocks
+    assert counts.solved == [k for k, _ in counts.blocks]
     # every start has one S_z: no run forms the static pair's (T, 4, 4) stack
     assert counts.pair == []
 
 
 def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
     # counts calls, no timing: the scan's fixed per-run cost must not come
-    # back through resampling the grid, rebuilding the Hamiltonian or solving
-    # the whole matrix, nor go by dropping the whole-matrix check.  A
-    # one-sector run checks once: the static pair's (T, 4, 4) stack, and its
-    # check, exist only on runs that span several S_z sectors.
+    # back through resampling the grid, building the whole Hamiltonian or
+    # solving it whole, nor go by dropping the block check.  A one-sector run
+    # builds, checks and solves one block: the static pair's (T, 4, 4) stack,
+    # and its check, exist only on runs that span several S_z sectors.
     linspace = []
     sample = np.linspace
 
@@ -148,22 +161,23 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
     for spec, kind, psi0 in inputs:
         counts.clear()
         scan.run_op(spinhop, grid, spec, kind, psi0)
-        dim = 8 * spec.n_sites
-        assert counts.checked == [(dim, dim)]
-        assert counts.built == [spec]
-        assert len(counts.solved) == 1 and not {4, 16, 24} & set(counts.solved)
+        n = spec.n_sites
+        assert counts.built == []
+        assert len(counts.blocks) == 1 and counts.blocks[0] in {(n, n), (3 * n, 3 * n)}
+        assert counts.checked == counts.blocks
+        assert counts.solved == [counts.blocks[0][0]]
         assert counts.pair == []
     assert len(linspace) <= 1
     # the same runs from a start spanning two sectors take the whole-space path
     for spec, kind, _ in inputs[:: len(inputs) // 8]:
         counts.clear()
         scan.run_op(spinhop, grid, spec, kind, two_sector_start(model.BasisLayout(spec.n_sites)))
-        dim = 8 * spec.n_sites
-        assert counts.checked[0] == (dim, dim) and counts.checked.count((dim, dim)) == 1
-        assert counts.built == [spec]
-        # its two sectors, then the static pair's stack
         n = spec.n_sites
+        assert counts.blocks == [(3 * n, 3 * n), (n, n)]
+        # its two blocks, then the static pair's stack
+        assert counts.checked == [*counts.blocks, (scan.N_POINTS, 4, 4)]
         assert counts.solved == [3 * n, n, 4]
+        assert counts.built == [spec]  # the whole matrix, for the energy alone
         assert counts.pair == ["_log_negativity", "trace_norm_hermitian"]
 
 
@@ -172,7 +186,8 @@ def test_scan_builds_each_cached_table_once_per_key():
     # bring back the fixed cost that caching it removed
     tables = {  # cached table -> its number of possible keys on the scan's lattices
         dynamics._layout: 2,
-        dynamics._sz_sectors: 2,
+        model._sectors: 2,
+        model._sector_terms: 5,  # (lattice, one of the kinds of that lattice)
         dynamics._lattice_tables: 2,
         dynamics._sector_tables: 8,  # (lattice, first index of one of its 4 sectors)
         model._lattice_terms: 2,

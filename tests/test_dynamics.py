@@ -46,6 +46,7 @@ from helpers import (
     random_state,
     series,
     static_pair_stack,
+    sz_of_basis,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -279,12 +280,11 @@ class TestLogNegativity:
             for eta in (1.0, 1e3):
                 spec = make(eta, n_sites=n_sites)
                 for kind in kinds:
-                    h = build_hamiltonian(spec, kind)
                     for site in layout.site_labels():
                         for e_spin in ("up", "down"):
                             for static in _STATIC_PRESETS:
                                 psi0 = encode_state(layout, site, e_spin, static)
-                                states = evolve_on_grid(h, psi0, times)
+                                states = _run_states(spec, kind, psi0, times)
                                 worst = max(worst, _residue(static_pair_stack(states, n_sites)).max())
         # every other sector of a one-sector start stays exactly zero
         assert worst == 0.0
@@ -309,10 +309,13 @@ def _whole_matrix_evolution(h, psi, times):
     return (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)) @ v.T
 
 
-def _sz_of_basis(n_sites):
-    """Total S_z of each basis state, from its decoded spins (0 up, 1 down)."""
-    layout = BasisLayout(n_sites)
-    return np.array([sum(0.5 - s for s in decode(layout, i)[1:]) for i in range(layout.dim)])
+def _run_states(spec, kind, psi, times):
+    """The ``(T, D)`` states of a run: the amplitudes it evolves on each S_z
+    sector the start occupies, and zero on every other sector."""
+    states = np.zeros((len(times), len(psi)), dtype=complex)
+    for idx, amplitudes, _ in dynamics._evolve_sectors(spec, kind, psi, np.asarray(times)):
+        states[:, idx] = amplitudes
+    return states
 
 
 @pytest.fixture
@@ -330,6 +333,9 @@ def eigh_sizes(monkeypatch):
 
 
 class TestEvolveOnGrid:
+    """The whole-matrix reference propagator, and the run's sector solves
+    against it."""
+
     @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
     def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind, eigh_sizes):
         rng = np.random.default_rng(90 + n_sites)
@@ -337,8 +343,8 @@ class TestEvolveOnGrid:
         h = build_hamiltonian(spec, kind)
         psi = random_state(rng, 8 * n_sites)
         times = np.linspace(0.0, 5.0, 41)
-        states = evolve_on_grid(h, psi, times)
-        # every sector is occupied, and each is solved on its own
+        states = _run_states(spec, kind, psi, times)
+        # every sector is occupied, and the run solves each on its own
         assert sorted(eigh_sizes) == [n_sites, n_sites, 3 * n_sites, 3 * n_sites]
         assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
         # the series loses digits to cancellation as |H t| grows: check it at t = 1
@@ -348,7 +354,7 @@ class TestEvolveOnGrid:
     def test_one_cross_sector_entry_evolves_whole_matrix(self, eigh_sizes):
         layout = BasisLayout(2)
         h = build_hamiltonian(ModelSpec.xy(2.0))
-        sz = _sz_of_basis(2)
+        sz = sz_of_basis(layout)
         i = encode(layout, 0, 0, 1, 1)  # |up>|dd>, S_z = -1/2
         j = encode(layout, 1, 0, 0, 1)  # |up>|ud>, S_z = +1/2
         assert sz[i] != sz[j]
@@ -378,14 +384,15 @@ class TestEvolveOnGrid:
     @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
     def test_definite_sz_start_solves_only_its_sector(self, n_sites, kind, eigh_sizes):
         layout = BasisLayout(n_sites)
-        h = build_hamiltonian(ModelSpec.heisenberg(4.0, n_sites=n_sites), kind)
+        spec = ModelSpec.heisenberg(4.0, n_sites=n_sites)
+        h = build_hamiltonian(spec, kind)
         times = np.linspace(0.0, 5.0, 11)
         for e_spin in ("up", "down"):
             for static in _STATIC_PRESETS:
                 psi = encode_state(layout, layout.site_labels()[0], e_spin, static)
-                (sz,) = set(_sz_of_basis(n_sites)[psi != 0])
+                (sz,) = set(sz_of_basis(layout)[psi != 0])
                 del eigh_sizes[:]
-                states = evolve_on_grid(h, psi, times)
+                states = _run_states(spec, kind, psi, times)
                 assert eigh_sizes == [n_sites if abs(sz) == 1.5 else 3 * n_sites]
                 assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
 
@@ -439,7 +446,7 @@ class TestRunTrajectory:
             warnings.simplefilter("error")  # no numpy overflow warning on the way
             with pytest.raises(ValueError, match=message):
                 run_trajectory(ModelSpec.xy(1e308, j=1e308), "exact", psi)
-            monkeypatch.setattr(dynamics, "build_hamiltonian", build)
+            monkeypatch.setattr(dynamics, "_sector_blocks", build)
             with pytest.raises(ValueError, match="overflows"):
                 run_trajectory(ModelSpec.xy(1.0), "exact", psi, TimeGrid(t_max=1e308))
 

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from spinhop import model
 from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
@@ -20,7 +21,7 @@ from spinhop.model import (
     static_pair_state,
 )
 
-from helpers import collective_spin_oracle, decode, encode, hamiltonian_oracle
+from helpers import collective_spin_oracle, decode, encode, hamiltonian_oracle, sz_of_basis
 
 SQRT2 = np.sqrt(2.0)
 
@@ -345,6 +346,50 @@ class TestBuilderOracle:
         monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
         build_every_kind()
         assert calls == []
+
+
+def _every_built_kind():
+    """(spec, kind) for every kind on both lattices, the xy, Heisenberg and
+    one custom coupling, at eta = 0 where the kind allows it, 1 and 1e3."""
+    for n_sites in (2, 3):
+        for j_xy, j_z in ((1.0, 0.0), (0.5, 1.0), (0.7, -0.3)):
+            for eta in (0.0, 1.0, 1e3):
+                for kind in _kinds(n_sites):
+                    if not (kind == "three_site_projector" and eta == 0.0):
+                        yield ModelSpec(n_sites, eta, j_xy, j_z), kind
+
+
+class TestSectors:
+    """Runs build only the S_z blocks their start occupies, on the grounds
+    that every kind conserves S_z; these check that ground exactly."""
+
+    def test_sector_blocks_make_up_the_whole_matrix(self):
+        for spec, kind in _every_built_kind():
+            layout = BasisLayout(spec.n_sites)
+            h = build_hamiltonian(spec, kind)
+            sz = sz_of_basis(layout)
+            assert np.all(h[sz[:, None] != sz] == 0.0), (spec, kind)
+            blocks = model._sector_blocks(spec, kind, np.ones(layout.dim))
+            n = spec.n_sites
+            assert sorted(len(idx) for idx, _ in blocks) == [n, n, 3 * n, 3 * n]
+            scattered = np.zeros_like(h)
+            for idx, block in blocks:
+                assert np.all(sz[idx] == sz[idx[0]])
+                scattered[np.ix_(idx, idx)] = block
+            assert np.array_equal(scattered, h), (spec, kind)
+
+    def test_mirror_and_spin_flip_commute_with_every_kind(self):
+        for spec, kind in _every_built_kind():
+            layout = BasisLayout(spec.n_sites)
+            labels = [decode(layout, i) for i in range(layout.dim)]
+            last = spec.n_sites - 1
+            # site x -> last - x with the static spins swapped; I ⊗ X ⊗ X ⊗ X
+            mirror = [encode(layout, last - x, e, s2, s1) for x, e, s1, s2 in labels]
+            flip = [encode(layout, x, 1 - e, 1 - s1, 1 - s2) for x, e, s1, s2 in labels]
+            h = build_hamiltonian(spec, kind)
+            for permutation in (mirror, flip):
+                p = np.eye(layout.dim)[permutation]
+                assert np.array_equal(p @ h, h @ p), (spec, kind)
 
 
 class TestEffectiveHamiltonian:
