@@ -87,11 +87,11 @@ def compare_exact_effective(
     meaningful and the comparison happens on the spin-reduced state.
     """
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
-    layout, initial, grid = _checked_run(spec, initial, grid)
+    initial, grid = _checked_run(spec, initial, grid)
     if variant is None:
-        rates = {rate for rate, _ in _mode_parts(layout.n_sites, initial)}
+        rates = {rate for rate, _ in _mode_parts(spec.n_sites, initial)}
         three = "three_site_middle_start" if rates == {0.25} else "three_site_projector"
-        variant = "two_site" if layout.n_sites == 2 else three
+        variant = "two_site" if spec.n_sites == 2 else three
     _check_kind(spec, variant)  # before the exact run evolves
     times = grid.times()
     # every kind conserves S_z, so both runs give amplitudes on the same basis
@@ -102,7 +102,7 @@ def compare_exact_effective(
     if variant == "three_site_middle_start":
         # Tr[rho rho'] of the site-reduced spin states, sum_xy |<ex[x]|ef[y]>|^2;
         # the effective spin state stays pure, so this is the fidelity
-        split = (len(times), layout.n_sites, -1)
+        split = (len(times), spec.n_sites, -1)
         overlaps = np.einsum(
             "txa,tya->txy", states_exact.reshape(split).conj(), states_eff.reshape(split)
         )
@@ -112,7 +112,7 @@ def compare_exact_effective(
 
     gaps = {
         name: float(np.abs(exact.column(name) - eff.column(name)).max())
-        for name in column_names(layout.n_sites)
+        for name in column_names(spec.n_sites)
         if COLUMNS[name][3]
     }
 

@@ -11,19 +11,21 @@ closed form, for cross-checking.
 
 Every Hamiltonian of ``model`` conserves total S_z, so it is block-diagonal
 in the S_z sectors, of n_sites * (1, 3, 3, 1) states, and a run never forms
-the whole matrix: ``model`` builds the block of each sector the start state
-occupies, each block is checked (Hermitian, finite) and solved on its own,
-and every other sector stays exactly zero.  Every trajectory is read by one
-function (:func:`_trajectory`) through one cached table per lattice (see
-:func:`_lattice_tables`): one product of ``|psi|^2`` with its weights gives
-the site populations, ``P_up``, S_z, the norm and the diagonal parts of F+,
-F-, F2 and (S1 + S2)^2; one more, with its swap matrix, gives
-z = rho12[ud, du], of which only Re z is added to them; the energy is one
-contraction with the Hamiltonian.  Every start state that ``encode_state``
-builds has a definite S_z, and such a run stays on its sector from start to
-finish in one fused pass (the sector path): :func:`run_trajectory` and
-``compare_exact_effective`` read every observable off the ``(T, k)`` sector
-amplitudes through the sector's rows of the table and the sector's block.
+the whole matrix: ``model`` gives the position, basis indices and block of
+each sector the start state occupies, each block is checked (Hermitian,
+finite) and solved on its own, and every other sector stays exactly zero.
+Every trajectory is read by one function (:func:`_trajectory`) through one
+cached table per lattice (see :func:`_lattice_tables`): one product of
+``|psi|^2`` with its weights gives the site populations, ``P_up``, S_z, the
+norm and the diagonal parts of F+, F-, F2 and (S1 + S2)^2; one more, with
+its swap matrix, gives z = rho12[ud, du], of which only Re z is added to
+them; the energy is one contraction with the Hamiltonian.  Every start state
+that ``encode_state`` builds has a definite S_z, and such a run stays on its
+sector from start to finish in one fused pass (the sector path):
+:func:`run_trajectory` and ``compare_exact_effective`` read every observable
+off the ``(T, k)`` sector amplitudes through the sector's block and its rows
+of the table, which :func:`_sector_tables` caches per lattice at the
+sector's position in ``model._sectors``.
 In one sector the static pair's reduced state never mixes the blocks
 {uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its log-negativity there
 is exact in closed form in z and the same diagonal parts.  A start spanning
@@ -91,7 +93,8 @@ class TimeGrid:
 
     ``t_max`` must be a positive finite real number (an int within the float
     range, a float or a numpy real scalar, not a bool; stored as a float) and
-    ``n_points`` an int from 2 up to the largest array size.  :meth:`times`
+    ``n_points`` an integer from 2 up to the largest array size (a Python or
+    numpy int, not a bool; stored as an int).  :meth:`times`
     builds its array once per grid and returns it read-only on every call.
     """
 
@@ -108,6 +111,7 @@ class TimeGrid:
                 f"n_points must be an integer in [2, {np.iinfo(np.intp).max}], "
                 f"got {self.n_points!r}"
             )
+        object.__setattr__(self, "n_points", int(self.n_points))
 
     def times(self) -> np.ndarray:
         return self._times
@@ -306,26 +310,16 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
     return _propagate(h, initial, np.asarray(times, dtype=float).reshape(-1, 1))
 
 
-def _evolve_sectors(spec: ModelSpec, kind: str, initial, times) -> list:
-    """``(basis indices, (T, k) amplitudes, block)`` of exp(-i H t)|initial>
-    on each S_z sector that ``initial`` occupies, H the ``kind`` Hamiltonian
-    of ``spec``, on the 1-d ``times``.  Every other sector stays exactly
-    zero."""
-    times = times.reshape(-1, 1)
-    return [
-        (idx, _propagate(block, initial[idx], times), block)
-        for idx, block in _sector_blocks(spec, kind, initial)
-    ]
-
-
 @functools.lru_cache(maxsize=None)
-def _sector_tables(n_sites: int, first: int):
-    """The rows of :func:`_lattice_tables` on the S_z sector of ``n_sites``
-    whose first basis index is ``first``: its ``(k, n_sites + 10)`` weights
-    and its ``(k, k)`` block of the swap."""
-    (idx,) = [idx for idx in _sectors(n_sites) if idx[0] == first]
+def _sector_tables(n_sites: int) -> tuple:
+    """The rows of :func:`_lattice_tables` on each S_z sector of the lattice,
+    in the order of ``model._sectors``: its ``(k, n_sites + 10)`` weights and
+    its ``(k, k)`` block of the swap."""
     weights, swap = _lattice_tables(n_sites)
-    return _read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)])
+    return tuple(
+        (_read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)]))
+        for idx, _ in _sectors(n_sites)
+    )
 
 
 def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
@@ -333,43 +327,39 @@ def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
     of ``spec`` on the read-only ``times``, and the amplitudes it was read
     from.
 
-    A start in one S_z sector is observed on that sector's ``(T, k)``
-    amplitudes alone; any other start through :func:`observables` of its
-    ``(T, D)`` states.
+    Each S_z sector the start occupies is evolved on its own block, and every
+    other sector stays exactly zero.  A start in one sector is observed on
+    that sector's ``(T, k)`` amplitudes alone, through the rows of the tables
+    at the sector's position; any other start through :func:`observables` of
+    its ``(T, D)`` states.
     """
-    evolved = _evolve_sectors(spec, kind, initial, times)
-    if len(evolved) == 1:
-        ((idx, amplitudes, block),) = evolved
-        tables = _sector_tables(spec.n_sites, int(idx[0]))
+    blocks = _sector_blocks(spec, kind, initial)
+    column = times.reshape(-1, 1)
+    if len(blocks) == 1:
+        ((position, idx, block),) = blocks
+        amplitudes = _propagate(block, initial[idx], column)
+        tables = _sector_tables(spec.n_sites)[position]
         return _trajectory(amplitudes, tables, times, block), amplitudes
     states = np.zeros((len(times), len(initial)), dtype=complex)
-    for idx, amplitudes, _ in evolved:
-        states[:, idx] = amplitudes
+    for _, idx, block in blocks:
+        states[:, idx] = _propagate(block, initial[idx], column)
     h = build_hamiltonian(spec, kind)
-    return observables(states, _layout(spec.n_sites), times, h), states
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(n_sites: int) -> BasisLayout:
-    """The one :class:`BasisLayout` of each lattice size that runs share."""
-    return BasisLayout(n_sites)
+    return observables(states, BasisLayout(spec.n_sites), times, h), states
 
 
 def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
-    """The layout, the start state as a complex vector and the grid of a run
-    of ``spec``; ``ValueError`` unless ``initial`` is a finite, normalised
-    state of the lattice and the run's energies and phases stay floats.
+    """The start state as a complex vector and the grid of a run of
+    ``spec``; ``ValueError`` unless ``initial`` is a finite, normalised state
+    of the lattice and the run's energies and phases stay floats.
 
     ``scale = eta + |j_xy| + |j_z|`` bounds the spectral norm of every
     Hamiltonian of ``spec``, twice it bounds every row sum of ``|H|``, and
     ``scale * t_max`` bounds every phase E * t.
     """
-    layout = _layout(spec.n_sites)
+    dim = 8 * spec.n_sites
     initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (layout.dim,):
-        raise ValueError(
-            f"initial state shape {initial.shape} does not match layout dim {layout.dim}"
-        )
+    if initial.shape != (dim,):
+        raise ValueError(f"initial state shape {initial.shape} does not match layout dim {dim}")
     # a NaN or infinite entry makes the norm NaN or inf, so a unit norm
     # settles finiteness as well
     nrm = math.sqrt(np.vdot(initial, initial).real)
@@ -384,12 +374,12 @@ def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):
             f"energy scale eta + |j_xy| + |j_z| = {scale!r} with "
             f"t_max = {grid.t_max!r} overflows"
         )
-    return layout, initial, grid
+    return initial, grid
 
 
 def run_trajectory(spec: ModelSpec, hamiltonian_kind: str, initial, grid: TimeGrid | None = None):
     """Evolve ``initial`` and return its :class:`Trajectory` over the grid."""
-    _, initial, grid = _checked_run(spec, initial, grid)
+    initial, grid = _checked_run(spec, initial, grid)
     return _evolve_observed(spec, hamiltonian_kind, initial, grid.times())[0]
 
 
@@ -421,7 +411,7 @@ def analytic(spec: ModelSpec, initial, grid: TimeGrid | None = None) -> Analytic
     """
     if spec.j_xy == 0.0 and spec.j_z == 0.0:
         raise ValueError("the closed form needs a nonzero coupling; j_xy = j_z = 0")
-    layout, initial, grid = _checked_run(spec, initial, grid)
+    initial, grid = _checked_run(spec, initial, grid)
     omega = math.hypot(SQRT2 * spec.j_xy, spec.j_z / 4.0)
     # the chain less its mean energy, over omega (omega = 0 only where every
     # sin(rate * omega * t) = 0 too)
@@ -430,7 +420,7 @@ def analytic(spec: ModelSpec, initial, grid: TimeGrid | None = None) -> Analytic
     times = grid.times()
     populations = np.zeros((len(times), 2))
     slowest = math.inf
-    for rate, part in _mode_parts(layout.n_sites, initial):
+    for rate, part in _mode_parts(spec.n_sites, initial):
         slowest = min(slowest, rate)
         v = part @ _DOUBLET.conj().T  # (sites, 2) doublet amplitudes
         theta = times[:, None, None] * (rate * omega)

@@ -22,9 +22,11 @@ eigensolve), once per lattice size, and cached read-only;
 each build assembles a fresh matrix from them in one product.
 
 Every operator conserves total S_z, so every Hamiltonian is block-diagonal in
-the S_z sectors, of n_sites * (1, 3, 3, 1) states.  Each kind's operators
-are also cached sector by sector, and a run builds only the blocks of the
-sectors its start occupies, with the same product (``_sector_blocks``).
+the S_z sectors, of n_sites * (1, 3, 3, 1) states.  Each lattice caches one
+record per sector (``_sectors``): its basis indices and the sector's block of
+every kind's operators.  A run walks those records by position and builds
+only the blocks of the sectors its start occupies, with the same product
+(``_sector_blocks``); the position names the sector everywhere else too.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ _E_SPINS = {"up": 0, "down": 1}
 
 
 def _is_int(x) -> bool:
-    """An int, not a bool or a float that equals one: ``2.0`` would pass as a
-    lattice size and ``True`` as site label 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An integer, a Python or a numpy one, not a bool or a float that equals
+    one: ``2.0`` would pass as a lattice size and ``True`` as site label 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _finite(x) -> bool:
@@ -102,10 +104,11 @@ class ModelSpec:
     Static spin 1 is pinned at the leftmost site and static spin 2 at the
     rightmost one, as in the paper.
 
-    ``n_sites`` must be the int 2 or 3.  ``eta`` (>= 0), ``j_xy`` and
-    ``j_z`` must be finite real numbers: an int within the float range, a
-    float or a numpy real scalar; a bool, a string or ``None`` is rejected.
-    They are stored as floats.
+    ``n_sites`` must be the integer 2 or 3 (a Python or numpy int, not a
+    bool), stored as an int.  ``eta`` (>= 0), ``j_xy`` and ``j_z`` must be
+    finite real numbers: an int within the float range, a float or a numpy
+    real scalar; a bool, a string or ``None`` is rejected.  They are stored
+    as floats.
     """
 
     n_sites: int
@@ -114,7 +117,8 @@ class ModelSpec:
     j_z: float = 0.0
 
     def __post_init__(self):
-        BasisLayout(self.n_sites)  # the lattice-size check
+        # the lattice-size check, and the size as an int
+        object.__setattr__(self, "n_sites", BasisLayout(self.n_sites).n_sites)
         if not (_finite(self.eta) and self.eta >= 0.0):
             raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
         if not (_finite(self.j_xy) and _finite(self.j_z)):
@@ -184,7 +188,8 @@ class BasisLayout:
     Composite index = ((site*2 + e)*2 + s1)*2 + s2 with spins encoded
     up -> 0, down -> 1 and sites numbered left to right.  Site *labels*
     follow the convention 1, 2 for the two-site lattice and 1, 0, 2
-    (left, middle, right) for the three-site one.
+    (left, middle, right) for the three-site one.  ``n_sites`` is 2 or 3,
+    given as any integer but a bool, and is stored as an int.
     """
 
     n_sites: int
@@ -192,6 +197,7 @@ class BasisLayout:
     def __post_init__(self):
         if not _is_int(self.n_sites) or self.n_sites not in (2, 3):
             raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites!r}")
+        object.__setattr__(self, "n_sites", int(self.n_sites))
 
     @property
     def dim(self) -> int:
@@ -335,34 +341,35 @@ def _coefficients(spec: ModelSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _sectors(n_sites: int) -> tuple:
-    """The basis indices of each total-S_z sector of the lattice, S_z
-    ascending from -3/2: n_sites * (1, 3, 3, 1) states."""
-    sz = np.tile(_SZ_SPIN, n_sites)
-    return tuple(_read_only(np.flatnonzero(sz == value)) for value in (-1.5, -0.5, 0.5, 1.5))
-
-
-@functools.lru_cache(maxsize=None)
-def _sector_terms(n_sites: int, kind: str) -> tuple:
-    """The ``(3, k * k)`` stack of each sector of :func:`_sectors`: the
-    sector's block of each operator of the kind's ``_lattice_terms`` stack."""
+    """One record per total-S_z sector of the lattice, S_z ascending from
+    -3/2: ``(basis indices, terms)``, of n_sites * (1, 3, 3, 1) states, with
+    ``terms`` mapping each kind of :func:`_lattice_terms` to the ``(3, k * k)``
+    stack of the sector's block of each of its operators."""
     dim = 8 * n_sites
-    terms = _lattice_terms(n_sites)[kind].reshape(3, dim, dim)
-    return tuple(
-        _read_only(terms[:, idx[:, None], idx].reshape(3, -1)) for idx in _sectors(n_sites)
-    )
+    sz = np.tile(_SZ_SPIN, n_sites)
+    stacks = {kind: t.reshape(3, dim, dim) for kind, t in _lattice_terms(n_sites).items()}
+    records = []
+    for value in (-1.5, -0.5, 0.5, 1.5):
+        idx = _read_only(np.flatnonzero(sz == value))
+        terms = {
+            kind: _read_only(t[:, idx[:, None], idx].reshape(3, -1)) for kind, t in stacks.items()
+        }
+        records.append((idx, terms))
+    return tuple(records)
 
 
 def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
-    """``(basis indices, block)`` of each S_z sector that the state
-    ``initial`` occupies (has a nonzero amplitude on): the ``k x k`` block of
+    """``(position, basis indices, block)`` of each S_z sector that the state
+    ``initial`` occupies (has a nonzero amplitude on), ``position`` that of
+    its record in :func:`_sectors`: the ``k x k`` block of
     :func:`build_hamiltonian`'s matrix there, with the same product and the
     same kind check.  No operator couples two sectors, so these blocks and
     zeros make up the whole matrix."""
     _check_kind(spec, kind)
     coefficients = _coefficients(spec)
     return [
-        (idx, (coefficients @ terms).reshape(len(idx), len(idx)))
-        for idx, terms in zip(_sectors(spec.n_sites), _sector_terms(spec.n_sites, kind))
+        (position, idx, (coefficients @ terms[kind]).reshape(len(idx), len(idx)))
+        for position, (idx, terms) in enumerate(_sectors(spec.n_sites))
         if initial[idx].any()
     ]
 

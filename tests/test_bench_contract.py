@@ -12,11 +12,13 @@ form, and no run forms the static pair's (T, 4, 4) stack.  A count guard
 checks that the scan samples its grid once, builds and checks one block per
 run, and that a start spanning two sectors takes the whole-space path,
 where the stack is formed and solved and the whole matrix is built for the
-energy alone.  Another guard checks that every function the traced pass
-wraps by name still exists, so a refactor that moves one fails here rather
-than in the benchmark.  The harness itself runs once per workload in quick
-mode.  The benchmark's modules are imported read-only (no bytecode is
-written next to them).
+energy alone.  A cache guard checks that the scan builds each cached table
+once per key, and that it lists every cache of ``model`` and ``dynamics``.
+Another guard checks that every function the traced pass wraps by name
+still exists, so a refactor that moves one fails here rather than in the
+benchmark.  The harness itself runs once per workload in quick mode.  The
+benchmark's modules are imported read-only (no bytecode is written next to
+them).
 """
 
 import importlib
@@ -107,7 +109,7 @@ class _Counts:
 
         def counted_blocks(*args):
             blocks = sector_blocks(*args)
-            self.blocks.extend(np.shape(block) for _, block in blocks)
+            self.blocks.extend(np.shape(block) for _, _, block in blocks)
             return blocks
 
         monkeypatch.setattr(dynamics, "_sector_blocks", counted_blocks)
@@ -185,13 +187,19 @@ def test_scan_builds_each_cached_table_once_per_key():
     # counts cache misses, no timing: a table keyed or rebuilt per run would
     # bring back the fixed cost that caching it removed
     tables = {  # cached table -> its number of possible keys on the scan's lattices
-        dynamics._layout: 2,
-        model._sectors: 2,
-        model._sector_terms: 5,  # (lattice, one of the kinds of that lattice)
-        dynamics._lattice_tables: 2,
-        dynamics._sector_tables: 8,  # (lattice, first index of one of its 4 sectors)
         model._lattice_terms: 2,
+        model._sectors: 2,
+        dynamics._lattice_tables: 2,
+        dynamics._sector_tables: 2,
     }
+    # every cache of the two modules is listed, so a new one cannot escape
+    cached = {
+        fn
+        for module in (model, dynamics)
+        for fn in vars(module).values()
+        if callable(fn) and hasattr(fn, "cache_info")
+    }
+    assert cached == set(tables)
     grid = spinhop.TimeGrid(t_max=scan.T_MAX, n_points=scan.N_POINTS)
     inputs = scan.build_inputs(spinhop, scan.draw_params(workloads.DEFAULT_SEED))
     assert len(inputs) == 304

@@ -65,7 +65,7 @@ class TestTimeGrid:
             TimeGrid(t_max=0.0)
         # a float, a bool or more points than an array can hold would fail
         # only later, when times() sizes its array
-        for n_points in (1, 3.0, True, 10**30, int(np.iinfo(np.intp).max) + 1):
+        for n_points in (1, 3.0, True, np.True_, 10**30, int(np.iinfo(np.intp).max) + 1):
             with pytest.raises(ValueError, match="n_points must be an integer"):
                 TimeGrid(t_max=30.0, n_points=n_points)
 
@@ -87,6 +87,9 @@ class TestTimeGrid:
     def test_accepts_ints_and_numpy_reals(self):
         assert TimeGrid(t_max=3, n_points=4).times()[-1] == 3.0
         assert TimeGrid(t_max=np.float32(0.5), n_points=2).times()[-1] == 0.5
+        grid = TimeGrid(t_max=30.0, n_points=np.int64(11))
+        assert grid == TimeGrid(30.0, 11) and type(grid.n_points) is int
+        assert grid.times().tolist() == np.linspace(0.0, 30.0, 11).tolist()
 
     def test_times_reach_the_largest_float(self):
         # linspace's last k * step overflows there before t_max replaces it
@@ -313,8 +316,9 @@ def _run_states(spec, kind, psi, times):
     """The ``(T, D)`` states of a run: the amplitudes it evolves on each S_z
     sector the start occupies, and zero on every other sector."""
     states = np.zeros((len(times), len(psi)), dtype=complex)
-    for idx, amplitudes, _ in dynamics._evolve_sectors(spec, kind, psi, np.asarray(times)):
-        states[:, idx] = amplitudes
+    column = np.reshape(times, (-1, 1))
+    for _, idx, block in model._sector_blocks(spec, kind, psi):
+        states[:, idx] = dynamics._propagate(block, psi[idx], column)
     return states
 
 

@@ -63,6 +63,13 @@ class TestModelSpec:
     def test_accepts_ints_and_numpy_reals(self):
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
         assert (spec.eta, spec.j_xy, spec.j_z) == (10, 0.5, 1)
+        # a numpy integer is a lattice size and a site label, kept as an int
+        spec = ModelSpec(np.int64(3), np.uint8(4))
+        assert (spec.n_sites, spec.eta) == (3, 4.0) and type(spec.n_sites) is int
+        layout = BasisLayout(np.int64(2))
+        assert layout == BasisLayout(2) and type(layout.n_sites) is int
+        assert layout.site_index(np.int64(1)) == 0
+        assert BasisLayout(np.int32(3)).site_index(np.uint16(0)) == 1
 
     def test_presets(self):
         xy = ModelSpec.xy(10.0, j=2.0)
@@ -173,6 +180,8 @@ class TestBasisLayout:
         assert BasisLayout(3).site_index(0) == 1  # middle site sits at index 1
         with pytest.raises(ValueError, match="site label"):
             BasisLayout(2).site_index(0)
+        with pytest.raises(ValueError, match="site label"):
+            BasisLayout(2).site_index(np.True_)
 
     def test_bad_inputs(self):
         layout = BasisLayout(2)
@@ -183,7 +192,9 @@ class TestBasisLayout:
         with pytest.raises(ValueError):
             BasisLayout(5)
 
-    @pytest.mark.parametrize("n_sites", [3.0, 2.0, True, "3", "2"])
+    @pytest.mark.parametrize(
+        "n_sites", [3.0, 2.0, True, pytest.param(np.True_, id="numpy-bool"), "3", "2"]
+    )
     def test_rejects_non_integer_lattice_size(self, n_sites):
         # the value is quoted as given: "2" is not 2
         message = f"^n_sites must be 2 or 3, got {re.escape(repr(n_sites))}$"
@@ -371,9 +382,10 @@ class TestSectors:
             assert np.all(h[sz[:, None] != sz] == 0.0), (spec, kind)
             blocks = model._sector_blocks(spec, kind, np.ones(layout.dim))
             n = spec.n_sites
-            assert sorted(len(idx) for idx, _ in blocks) == [n, n, 3 * n, 3 * n]
+            assert [position for position, _, _ in blocks] == [0, 1, 2, 3]
+            assert [len(idx) for _, idx, _ in blocks] == [n, 3 * n, 3 * n, n]
             scattered = np.zeros_like(h)
-            for idx, block in blocks:
+            for _, idx, block in blocks:
                 assert np.all(sz[idx] == sz[idx[0]])
                 scattered[np.ix_(idx, idx)] = block
             assert np.array_equal(scattered, h), (spec, kind)
