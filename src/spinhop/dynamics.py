@@ -12,32 +12,31 @@ closed form, for cross-checking.
 Every Hamiltonian of ``model`` conserves total S_z, so it is block-diagonal
 in the S_z sectors, of n_sites * (1, 3, 3, 1) states, and a run never forms
 the whole matrix: ``model`` gives the position, basis indices and block of
-each sector the start state occupies, each block is checked (Hermitian,
-finite) and solved on its own, and every other sector stays exactly zero.
-Every trajectory is read by one function (:func:`_trajectory`) through one
-cached table per lattice (see :func:`_lattice_tables`): one product of
-``|psi|^2`` with its weights gives the site populations, ``P_up``, S_z, the
-norm and the diagonal parts of F+, F-, F2 and (S1 + S2)^2; one more, with
-its swap matrix, gives z = rho12[ud, du], of which only Re z is added to
-them; the energy is one contraction with the Hamiltonian.  Every start state
-that ``encode_state`` builds has a definite S_z, and such a run stays on its
-sector from start to finish in one fused pass (the sector path):
-:func:`run_trajectory` and ``compare_exact_effective`` read every observable
-off the ``(T, k)`` sector amplitudes through the sector's block and its rows
-of the table, which :func:`_sector_tables` caches per lattice at the
-sector's position in ``model._sectors``.
+each sector the start state occupies, and each block goes through the one
+propagator, :func:`evolve_on_grid`, which checks it (Hermitian, finite) and
+solves it on its own; every other sector stays exactly zero.
+Every trajectory is read by one function (:func:`_trajectory`) through the
+one cached table record per lattice (see :func:`_lattice_tables`): one
+product of ``|psi|^2`` with its weights gives the site populations,
+``P_up``, S_z, the norm and the diagonal parts of F+, F-, F2 and
+(S1 + S2)^2; one more, with its swap matrix, gives z = rho12[ud, du], of
+which only Re z is added to them; the energy is one contraction with the
+Hamiltonian.  Every start state that ``encode_state`` builds has a definite
+S_z, and such a run stays on its sector from start to finish in one fused
+pass (the sector path): :func:`run_trajectory` and
+``compare_exact_effective`` read every observable off the ``(T, k)`` sector
+amplitudes through the sector's block and the record's rows at the sector's
+position in ``model._sectors``.
 In one sector the static pair's reduced state never mixes the blocks
 {uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its log-negativity there
 is exact in closed form in z and the same diagonal parts.  A start spanning
 several sectors spreads their amplitudes into ``(T, D)`` states, which
-:func:`observables` reads through the whole table, with the log-negativity
-from the eigenvalues of the partial transpose of the pair's reduced state
-and the energy from ``build_hamiltonian``'s matrix.  :func:`evolve_on_grid`
-is the reference propagator of any Hermitian matrix: one checked eigensolve
-of the whole matrix.  A short grid costs more in per-call overhead than in
-arithmetic, so a grid samples its times once, every table is built once per
-lattice on first use, and each check and reduction is one pass over its
-data.
+:func:`observables` reads through the record's whole-lattice tables, with
+the log-negativity from the eigenvalues of the partial transpose of the
+pair's reduced state and the energy from ``build_hamiltonian``'s matrix.
+A short grid costs more in per-call overhead than in arithmetic, so a grid
+samples its times once, the table record is built once per lattice on first
+use, and each check and reduction is one pass over its data.
 """
 
 from __future__ import annotations
@@ -199,13 +198,15 @@ def _log_negativity(rho12):
 
 @functools.lru_cache(maxsize=None)
 def _lattice_tables(n_sites: int):
-    """Tables of the lattice of ``n_sites``: the ``(D, n_sites + 10)``
-    weights W, ``|psi|^2 @ W`` giving the site populations, ``P_up``, total
-    S_z and the squared norm of the amplitudes ``psi``, then the
-    :data:`_X_FUNCTIONALS` of the static pair's diagonal (a, b, c, d) with
-    z = 0; and the ``(D, D)`` 0/1 matrix S that moves each |ud> amplitude to
-    the position of its |du> partner (same site and mobile spin), so that
-    z = <psi|psi S>."""
+    """Tables of the lattice of ``n_sites``, as ``((weights, swap), sectors)``:
+    the ``(D, n_sites + 10)`` weights W, ``|psi|^2 @ W`` giving the site
+    populations, ``P_up``, total S_z and the squared norm of the amplitudes
+    ``psi``, then the :data:`_X_FUNCTIONALS` of the static pair's diagonal
+    (a, b, c, d) with z = 0; the ``(D, D)`` 0/1 matrix S that moves each
+    |ud> amplitude to the position of its |du> partner (same site and mobile
+    spin), so that z = <psi|psi S>; and the same pair of rows on each S_z
+    sector, in the order of ``model._sectors``: its ``(k, n_sites + 10)``
+    weights and its ``(k, k)`` block of the swap."""
     spin = np.arange(8 * n_sites) % 8
     pair = spin % 4
     weights = np.column_stack(
@@ -219,14 +220,19 @@ def _lattice_tables(n_sites: int):
     )
     swap = np.zeros((len(spin), len(spin)), dtype=complex)
     swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
-    return _read_only(weights), _read_only(swap)
+    sectors = tuple(
+        (_read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)]))
+        for idx, _ in _sectors(n_sites)
+    )
+    return (_read_only(weights), _read_only(swap)), sectors
 
 
 def _trajectory(psi, tables, t, hamiltonian, logneg=None) -> Trajectory:
     """The :class:`Trajectory` of the amplitudes ``psi``, ``(k,)`` or a
-    stack ``(..., k)``, at the times ``t``: ``tables`` are the rows of
-    :func:`_lattice_tables` on their basis states, and ``hamiltonian`` the
-    block of H on them (no energy without it, NaN instead).
+    stack ``(..., k)``, at the times ``t``: ``tables`` are the weights and
+    swap of :func:`_lattice_tables` on their basis states, and
+    ``hamiltonian`` the block of H on them (no energy without it, NaN
+    instead).
 
     One product through the weights gives every value but the parts of z.
     Without ``logneg``, ``psi`` lies in one S_z sector: its static pair is an
@@ -285,21 +291,13 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     t = np.asarray(times, dtype=float)
     t = t if t.shape == grid and not t.flags.writeable else np.broadcast_to(t, grid)
     h = None if hamiltonian is None else np.asarray(hamiltonian)
-    return _trajectory(psi, _lattice_tables(layout.n_sites), t, h, logneg)
-
-
-def _propagate(hamiltonian, initial, times) -> np.ndarray:
-    """exp(-i H t)|initial> at each of the ``(T, 1)`` times, one per row,
-    from one checked eigensolve of H."""
-    w, v = linalg.hermitian_eigensystem(hamiltonian)
-    # the angles t * w in real arithmetic, then one complex product
-    return (np.exp(-1j * (times * w)) * (v.conj().T @ initial)) @ v.T
+    return _trajectory(psi, _lattice_tables(layout.n_sites)[0], t, h, logneg)
 
 
 def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
     """States exp(-i H t)|initial> for every t, one per row, of any
-    Hermitian matrix H: one checked (Hermitian, finite) eigensolve of the
-    whole matrix."""
+    Hermitian matrix H: one checked (Hermitian, finite) eigensolve of H.
+    Every run evolves each S_z block of its start through it."""
     h = np.asarray(hamiltonian, dtype=complex)
     initial = np.asarray(initial, dtype=complex)
     if h.ndim != 2 or initial.shape != h.shape[:1]:
@@ -307,19 +305,11 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
             f"initial state shape {initial.shape} does not match the dimension "
             f"of the matrix of shape {h.shape}"
         )
-    return _propagate(h, initial, np.asarray(times, dtype=float).reshape(-1, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _sector_tables(n_sites: int) -> tuple:
-    """The rows of :func:`_lattice_tables` on each S_z sector of the lattice,
-    in the order of ``model._sectors``: its ``(k, n_sites + 10)`` weights and
-    its ``(k, k)`` block of the swap."""
-    weights, swap = _lattice_tables(n_sites)
-    return tuple(
-        (_read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)]))
-        for idx, _ in _sectors(n_sites)
-    )
+    w, v = linalg.hermitian_eigensystem(h)
+    # the angles t * w on the (T, 1) times in real arithmetic, then one
+    # complex product
+    column = np.asarray(times, dtype=float).reshape(-1, 1)
+    return (np.exp(-1j * (column * w)) * (v.conj().T @ initial)) @ v.T
 
 
 def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
@@ -327,22 +317,21 @@ def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
     of ``spec`` on the read-only ``times``, and the amplitudes it was read
     from.
 
-    Each S_z sector the start occupies is evolved on its own block, and every
-    other sector stays exactly zero.  A start in one sector is observed on
-    that sector's ``(T, k)`` amplitudes alone, through the rows of the tables
-    at the sector's position; any other start through :func:`observables` of
-    its ``(T, D)`` states.
+    Each S_z sector the start occupies is evolved on its own block by
+    :func:`evolve_on_grid`, and every other sector stays exactly zero.  A
+    start in one sector is observed on that sector's ``(T, k)`` amplitudes
+    alone, through the rows of the tables at the sector's position; any
+    other start through :func:`observables` of its ``(T, D)`` states.
     """
     blocks = _sector_blocks(spec, kind, initial)
-    column = times.reshape(-1, 1)
     if len(blocks) == 1:
         ((position, idx, block),) = blocks
-        amplitudes = _propagate(block, initial[idx], column)
-        tables = _sector_tables(spec.n_sites)[position]
+        amplitudes = evolve_on_grid(block, initial[idx], times)
+        tables = _lattice_tables(spec.n_sites)[1][position]
         return _trajectory(amplitudes, tables, times, block), amplitudes
     states = np.zeros((len(times), len(initial)), dtype=complex)
     for _, idx, block in blocks:
-        states[:, idx] = _propagate(block, initial[idx], column)
+        states[:, idx] = evolve_on_grid(block, initial[idx], times)
     h = build_hamiltonian(spec, kind)
     return observables(states, BasisLayout(spec.n_sites), times, h), states
 

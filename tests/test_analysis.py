@@ -259,7 +259,7 @@ class TestCompareExactEffective:
         def evolve(*args):
             raise AssertionError("evolved before checking the coupling scale")
 
-        monkeypatch.setattr(dynamics, "_propagate", evolve)
+        monkeypatch.setattr(dynamics, "evolve_on_grid", evolve)
         psi = encode_state(BasisLayout(2), 1, "up", "down-down")
         with pytest.raises(ValueError, match="coupling scale is zero"):
             compare_exact_effective(ModelSpec(n_sites=2, eta=10.0), psi)
@@ -276,7 +276,7 @@ class TestCompareExactEffective:
         def evolve(*args):
             raise AssertionError("evolved before checking the variant")
 
-        monkeypatch.setattr(dynamics, "_propagate", evolve)
+        monkeypatch.setattr(dynamics, "evolve_on_grid", evolve)
         psi = encode_state(BasisLayout(n_sites), 1, "up", "down-down")
         with pytest.raises(ValueError, match=message):
             compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, variant=variant)

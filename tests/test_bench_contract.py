@@ -5,8 +5,9 @@ these tests apply the same checks to the seed-1 ``param_scan`` specs and to
 every CLI run, so an output change that would fail the benchmark fails here
 first.  A guard also checks what the benchmark's inputs solve: no run builds
 or checks a whole Hamiltonian; each builds, checks and solves only the block
-of each total-S_z sector its start occupies, and no static-pair state needs
-a 4x4 eigensolve.  Every benchmark start has one S_z, so each run takes the
+of each total-S_z sector its start occupies, each through the one
+propagator, ``evolve_on_grid``, and no static-pair state needs a 4x4
+eigensolve.  Every benchmark start has one S_z, so each run takes the
 sector path: its observables are read off the sector amplitudes in closed
 form, and no run forms the static pair's (T, 4, 4) stack.  A count guard
 checks that the scan samples its grid once, builds and checks one block per
@@ -83,11 +84,14 @@ def test_cli_output_matches_stored_reference(tmp_path, capsys, op):
 
 class _Counts:
     """Calls made through the library's block and whole-matrix builders, its
-    check, its eigensolvers and the static pair's log-negativity, installed
-    with ``monkeypatch``; ``blocks`` holds the shape of each block built."""
+    check, its eigensolvers, its propagator and the static pair's
+    log-negativity, installed with ``monkeypatch``; ``blocks`` holds the
+    shape of each block built and ``evolved`` that of each matrix
+    propagated."""
 
     def __init__(self, monkeypatch):
         self.blocks, self.built, self.checked, self.solved, self.pair = [], [], [], [], []
+        self.evolved = []
 
         def count(module, name, log, key):
             fn = getattr(module, name)
@@ -101,6 +105,7 @@ class _Counts:
         for name in ("eigh", "eigvalsh"):
             count(np.linalg, name, self.solved, lambda m, *_: np.shape(m)[-1])
         count(linalg, "assert_hermitian", self.checked, lambda m, *_: np.shape(m))
+        count(dynamics, "evolve_on_grid", self.evolved, lambda m, *_: np.shape(m))
         for module in (model, dynamics):  # the whole-matrix builder's bindings
             count(module, "build_hamiltonian", self.built, lambda spec, *_: spec)
         count(dynamics, "_log_negativity", self.pair, lambda *_: "_log_negativity")
@@ -115,7 +120,7 @@ class _Counts:
         monkeypatch.setattr(dynamics, "_sector_blocks", counted_blocks)
 
     def clear(self):
-        for log in (self.blocks, self.built, self.checked, self.solved, self.pair):
+        for log in (self.blocks, self.built, self.checked, self.solved, self.pair, self.evolved):
             del log[:]
 
 
@@ -138,6 +143,8 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
     assert len(counts.blocks) > 304
     assert counts.checked == counts.blocks
     assert counts.solved == [k for k, _ in counts.blocks]
+    # every block is propagated by the one public propagator, nothing else is
+    assert counts.evolved == counts.blocks
     # every start has one S_z: no run forms the static pair's (T, 4, 4) stack
     assert counts.pair == []
 
@@ -168,6 +175,7 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         assert len(counts.blocks) == 1 and counts.blocks[0] in {(n, n), (3 * n, 3 * n)}
         assert counts.checked == counts.blocks
         assert counts.solved == [counts.blocks[0][0]]
+        assert counts.evolved == counts.blocks
         assert counts.pair == []
     assert len(linspace) <= 1
     # the same runs from a start spanning two sectors take the whole-space path
@@ -176,6 +184,7 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         scan.run_op(spinhop, grid, spec, kind, two_sector_start(model.BasisLayout(spec.n_sites)))
         n = spec.n_sites
         assert counts.blocks == [(3 * n, 3 * n), (n, n)]
+        assert counts.evolved == counts.blocks
         # its two blocks, then the static pair's stack
         assert counts.checked == [*counts.blocks, (scan.N_POINTS, 4, 4)]
         assert counts.solved == [3 * n, n, 4]
@@ -190,7 +199,6 @@ def test_scan_builds_each_cached_table_once_per_key():
         model._lattice_terms: 2,
         model._sectors: 2,
         dynamics._lattice_tables: 2,
-        dynamics._sector_tables: 2,
     }
     # every cache of the two modules is listed, so a new one cannot escape
     cached = {

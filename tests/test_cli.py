@@ -866,3 +866,84 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
                 if line.startswith("period=")
             ]
             assert math.isfinite(period) and period > 0.0
+
+
+_MIRROR_SITE = {1: 2, 2: 1, 0: 0}
+_MIRROR_STATIC = {"up-down": "down-up", "down-up": "up-down"}
+_COUPLING = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, 5e-324, 1e-300, 1e290, -1e290]), st.floats(-10.0, 10.0)
+)
+
+
+@st.composite
+def _mirrored_configs(draw):
+    """A simulate config over presets and custom couplings, both lattices,
+    every kind, all starts, eta/J in [0, 1e10] and t_max up to 1e10, and its
+    mirror: initial.site 1 <-> 2 and the static pair up-down <-> down-up."""
+    n_sites = draw(st.sampled_from([2, 3]))
+    preset = draw(st.sampled_from(["xy", "heisenberg", "custom"]))
+    if preset == "custom":
+        model = {"j_xy": draw(_COUPLING), "j_z": draw(_COUPLING)}
+        j = model["j_z"] if model["j_z"] != 0.0 else model["j_xy"]
+    else:
+        model = {"j": draw(_COUPLING)}
+        j = model["j"]
+    ratio = draw(st.one_of(st.sampled_from([0.0, 1e10]), st.floats(-3.0, 10.0).map(lambda e: 10**e)))
+    model.update(n_sites=n_sites, preset=preset, eta=ratio * abs(j))
+    kinds = [k for k in HAMILTONIAN_KINDS if k == "exact" or EFFECTIVE_VARIANTS[k] == n_sites]
+    initial = {
+        "site": draw(st.sampled_from(BasisLayout(n_sites).site_labels())),
+        "e_spin": draw(st.sampled_from(["up", "down"])),
+        "static": draw(st.sampled_from(list(_STATIC_PRESETS))),
+    }
+    run = {
+        "hamiltonian": draw(st.sampled_from(kinds)),
+        "t_max": draw(st.one_of(st.sampled_from([30.0, 1e10]), st.floats(1e-3, 1e10))),
+        "n_points": draw(st.integers(2, 11)),
+    }
+    mirror = {
+        "site": _MIRROR_SITE[initial["site"]],
+        "static": _MIRROR_STATIC.get(initial["static"], initial["static"]),
+    }
+    cfg = {"model": model, "initial": initial, "run": run}
+    return cfg, {**cfg, "initial": {**initial, **mirror}}
+
+
+def _simulate(tmp, cfg, name):
+    path, out = Path(tmp) / f"{name}.json", Path(tmp) / f"{name}.csv"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", str(path), "--out", str(out)])
+    return code, err.getvalue(), out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mirrored_configs())
+def test_mirrored_config_mirrors_the_simulate_columns(configs):
+    # the mirror commutes with every kind, so a config and its mirror run
+    # alike: P1 and P2 trade places and every other column but F2 stays,
+    # within 16 eps * (scale * max(t_max, 1) + 4), the phase rounding plus a
+    # floor of 64 eps for the eigensolve of a block of up to 9 states (it
+    # reads up to 32 eps where scale * t_max is tiny); or both end alike, in
+    # a config error or a solver that does not converge
+    cfg, mirrored = configs
+    with tempfile.TemporaryDirectory() as tmp:
+        (code, err, out), (code_m, err_m, out_m) = (
+            _simulate(tmp, c, name) for c, name in ((cfg, "a"), (mirrored, "b"))
+        )
+        assert (code, err) == (code_m, err_m)
+        if code != 0:
+            assert code in (2, 3) and "Traceback" not in err, err
+            return
+        header, data = _read_csv(out)
+        header_m, data_m = _read_csv(out_m)
+    assert header == header_m
+    spec = parse_config(json.dumps(cfg)).spec
+    scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
+    bound = 16.0 * np.finfo(float).eps * (scale * max(cfg["run"]["t_max"], 1.0) + 4.0)
+    swap = {"P1": "P2", "P2": "P1"}
+    for name in header:
+        if name != "F2":
+            gap = np.abs(data_m[swap.get(name, name)] - data[name]).max()
+            assert gap <= bound, (name, gap / bound)

@@ -1,6 +1,7 @@
 """Trajectories, observables and closed-form strong-hopping solutions."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -316,9 +317,8 @@ def _run_states(spec, kind, psi, times):
     """The ``(T, D)`` states of a run: the amplitudes it evolves on each S_z
     sector the start occupies, and zero on every other sector."""
     states = np.zeros((len(times), len(psi)), dtype=complex)
-    column = np.reshape(times, (-1, 1))
     for _, idx, block in model._sector_blocks(spec, kind, psi):
-        states[:, idx] = dynamics._propagate(block, psi[idx], column)
+        states[:, idx] = dynamics.evolve_on_grid(block, psi[idx], times)
     return states
 
 
@@ -648,6 +648,39 @@ class TestAnalyticPeriod:
     def test_rejects_an_overflowing_energy_scale(self):
         with pytest.raises(ValueError, match="energy scale .* overflows"):
             _analytic_at(ModelSpec.heisenberg(10.0, j=-1e308), 1, 30.0)
+
+
+def test_analytic_table_is_finite_on_every_accepted_run():
+    # the preconditions keep 2 * scale * max(t_max, 1) finite, every angle
+    # rate * omega * t is at most that scale and every entry of the
+    # reflection at most 1, so no accepted run has a non-finite population
+    magnitudes = [5e-324, 1e-300, 1.0, 1e150, 5.9e306]
+    couplings = [0.0] + [s * m for m in magnitudes for s in (1.0, -1.0)]
+    etas = [0.0, 1.0, 1e10, 2.9e306]
+    rng = np.random.default_rng(5)
+    starts = {
+        n: [_start(n, site) for site in BasisLayout(n).site_labels()]
+        + [random_state(rng, 8 * n)]
+        for n in (2, 3)
+    }
+    accepted, extremes = 0, set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_sites, j_xy, j_z, eta, t_max in itertools.product(
+            (2, 3), couplings, couplings, etas, (1e-300, 1.0, 30.0, 1e300)
+        ):
+            spec = ModelSpec(n_sites, eta, j_xy=j_xy, j_z=j_z)
+            grid = TimeGrid(t_max, 5)
+            for psi in starts[n_sites]:
+                try:
+                    sol = analytic(spec, psi, grid)
+                except ValueError:  # zero coupling, or an overflowing scale
+                    continue
+                table = np.column_stack((sol.times, sol.p_up, sol.p_down))
+                assert np.isfinite(table).all(), (spec, t_max)
+                accepted += 1
+                extremes |= {abs(j_xy), abs(j_z), eta, t_max} & {5.9e306, 2.9e306, 1e300}
+    assert accepted >= 3000 and extremes == {5.9e306, 2.9e306, 1e300}
 
 
 _COUPLINGS = {

@@ -10,19 +10,25 @@ is the run from psi with its observables mapped:
   every other column stays.
 
 The energy stays under both.  ``F2`` is left out, for both maps send it to
-the |ud> population, which no column holds.  The starts are all 12 labels
-at every site, which take the sector path, and random superpositions, which
-span several sectors and take the whole-space path.  Every gap is held to
-16 eps * scale * max(t_max, 1), with scale = eta + |j_xy| + |j_z|: the
-rounding of a run grows as eps * ||H|| * t.  An energy gap is divided by
-scale first, for the energy itself is of order scale.
+the |ud> population, which no column holds.  The same runs also keep their
+conservation laws: the norm, ``Sz`` and the energy on every kind, and
+``S12sq`` on the effective kinds, whose collective coupling commutes with
+(S1 + S2)^2.  The starts are all 12 labels at every site, which take the
+sector path, and random superpositions, which span several sectors and take
+the whole-space path.  Each runs on a short grid and on one to t = 1e10.
+Every gap and drift is held to 16 eps * scale * max(t_max, 1), with
+scale = eta + |j_xy| + |j_z|: the rounding of a run grows as
+eps * ||H|| * t.  An energy gap or drift is divided by scale first, for the
+energy itself is of order scale.
 """
 
+import itertools
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from spinhop.analysis import conservation_monitor
 from spinhop.dynamics import TimeGrid, column_names, run_trajectory
 from spinhop.model import (
     _STATIC_PRESETS,
@@ -35,7 +41,7 @@ from spinhop.model import (
 
 from helpers import decode, encode, random_state
 
-GRID = TimeGrid(t_max=30.0, n_points=41)
+GRIDS = (TimeGrid(t_max=30.0, n_points=41), TimeGrid(t_max=1e10, n_points=41))
 COUPLINGS = {"xy": (1.0, 0.0), "heisenberg": (0.5, 1.0), "custom": (0.7, -0.3)}
 RATIOS = (1.0, 1e3, 1e10)
 EPS = np.finfo(float).eps
@@ -89,16 +95,21 @@ def _maps(n_sites):
 def test_mirror_and_flip_map_every_run(n_sites, kind, coupling):
     names = [name for name in column_names(n_sites) if name != "F2"]
     maps = _maps(n_sites)
-    worst = defaultdict(float)  # (map, column) -> largest gap over the bound
-    for spec in _specs(n_sites, coupling, kind):
+    laws = ["norm", "energy", "sz"] + ([] if kind == "exact" else ["s12_sq"])
+    worst = defaultdict(float)  # (map or drift, column) -> largest gap over the bound
+    for grid, spec in itertools.product(GRIDS, _specs(n_sites, coupling, kind)):
         scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
-        bound = 16.0 * EPS * scale * max(GRID.t_max, 1.0)
+        bound = 16.0 * EPS * scale * max(grid.t_max, 1.0)
         for psi in _starts(n_sites):
-            run = run_trajectory(spec, kind, psi, GRID)
+            run = run_trajectory(spec, kind, psi, grid)
+            drifts = conservation_monitor(run)
+            for law in laws:
+                drift = getattr(drifts, law + "_drift") / (scale if law == "energy" else 1.0)
+                worst["drift", law] = max(worst["drift", law], drift / bound)
             columns = {name: run.column(name) for name in names}
             for label, (permutation, changed) in maps.items():
                 # both maps are involutions: (P psi)[i] = psi[P(i)]
-                mapped = run_trajectory(spec, kind, psi[permutation], GRID)
+                mapped = run_trajectory(spec, kind, psi[permutation], grid)
                 for name in names:
                     want = changed[name](columns) if name in changed else columns[name]
                     gap = np.abs(mapped.column(name) - want).max()
