@@ -5,38 +5,24 @@ Trajectories are computed exactly through the spectral decomposition of the
 observable over the whole time grid: site populations, the mobile-spin-up
 probability, the triplet/singlet fidelities of the static pair, its
 logarithmic negativity, the excitation-transfer fidelity and the conserved
-quantities, all computed in one vectorised pass over the run's states.
-:func:`analytic` gives the strong-hopping spin dynamics of any start in
-closed form, for cross-checking.
+quantities.  :func:`analytic` gives the strong-hopping spin dynamics of any
+start in closed form, for cross-checking.
 
 Every Hamiltonian of ``model`` conserves total S_z, so it is block-diagonal
-in the S_z sectors, of n_sites * (1, 3, 3, 1) states, and a run never forms
-the whole matrix: ``model`` gives the position, basis indices and block of
-each sector the start state occupies, and each block goes through the one
-propagator, :func:`evolve_on_grid`, which checks it (Hermitian, finite) and
-solves it on its own; every other sector stays exactly zero.
-Every trajectory is read by one function (:func:`_trajectory`) through the
-one cached table record per lattice (see :func:`_lattice_tables`): one
-product of ``|psi|^2`` with its weights gives the site populations,
-``P_up``, S_z, the norm and the diagonal parts of F+, F-, F2 and
-(S1 + S2)^2; one more, with its swap matrix, gives z = rho12[ud, du], of
-which only Re z is added to them; the energy is one contraction with the
-Hamiltonian.  Every start state that ``encode_state`` builds has a definite
-S_z, and such a run stays on its sector from start to finish in one fused
-pass (the sector path): :func:`run_trajectory` and
-``compare_exact_effective`` read every observable off the ``(T, k)`` sector
-amplitudes through the sector's block and the record's rows at the sector's
-position in ``model._sectors``.
-In one sector the static pair's reduced state never mixes the blocks
-{uu, dd} and {ud, du} and has rho12[uu, dd] = 0, so its log-negativity there
-is exact in closed form in z and the same diagonal parts.  A start spanning
-several sectors spreads their amplitudes into ``(T, D)`` states, which
-:func:`observables` reads through the record's whole-lattice tables, with
-the log-negativity from the eigenvalues of the partial transpose of the
-pair's reduced state and the energy from ``build_hamiltonian``'s matrix.
-A short grid costs more in per-call overhead than in arithmetic, so a grid
-samples its times once, the table record is built once per lattice on first
-use, and each check and reduction is one pass over its data.
+in the S_z sectors, of n_sites * (1, 3, 3, 1) states, and every state is read
+as a sum over its sectors.  A run never forms the whole matrix: ``model``
+gives the position, basis indices and block of each sector the start
+occupies, each block goes through the one propagator, :func:`evolve_on_grid`,
+and every other sector stays exactly zero.  One reader, :func:`_trajectory`,
+reads each sector's amplitudes through that sector's cached weights and swap
+(:func:`_lattice_tables`) and adds the sectors up, for no observable but the
+log-negativity couples two of them.  That one is exact in closed form in one
+sector, where every start of ``encode_state`` lies; only a start spanning
+several sectors scatters its ``(T, D)`` states, for the eigenvalues of the
+partial transpose of the static pair's reduced state.  :func:`observables`
+reads any whole-lattice state through the same reader.  A short grid costs
+more in per-call overhead than in arithmetic, so a grid samples its times
+once and the tables are built once per lattice.
 """
 
 from __future__ import annotations
@@ -59,7 +45,6 @@ from .model import (
     _read_only,
     _sector_blocks,
     _sectors,
-    build_hamiltonian,
     static_pair_state,
 )
 
@@ -197,65 +182,71 @@ def _log_negativity(rho12):
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice_tables(n_sites: int):
-    """Tables of the lattice of ``n_sites``, as ``((weights, swap), sectors)``:
-    the ``(D, n_sites + 10)`` weights W, ``|psi|^2 @ W`` giving the site
-    populations, ``P_up``, total S_z and the squared norm of the amplitudes
-    ``psi``, then the :data:`_X_FUNCTIONALS` of the static pair's diagonal
-    (a, b, c, d) with z = 0; the ``(D, D)`` 0/1 matrix S that moves each
-    |ud> amplitude to the position of its |du> partner (same site and mobile
-    spin), so that z = <psi|psi S>; and the same pair of rows on each S_z
-    sector, in the order of ``model._sectors``: its ``(k, n_sites + 10)``
-    weights and its ``(k, k)`` block of the swap."""
-    spin = np.arange(8 * n_sites) % 8
-    pair = spin % 4
-    weights = np.column_stack(
-        [
-            np.kron(np.eye(n_sites), np.ones(8)).T,
-            spin < 4,  # mobile spin up
-            _SZ_SPIN[spin],
-            np.ones(8 * n_sites),
-            (pair[:, None] == np.arange(4)) @ _X_FUNCTIONALS[:4],
-        ]
-    )
-    swap = np.zeros((len(spin), len(spin)), dtype=complex)
-    swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
-    sectors = tuple(
-        (_read_only(weights[idx]), _read_only(swap[np.ix_(idx, idx)]))
-        for idx, _ in _sectors(n_sites)
-    )
-    return (_read_only(weights), _read_only(swap)), sectors
+def _lattice_tables(n_sites: int) -> tuple:
+    """The weights and swap of each S_z sector of the lattice of
+    ``n_sites``, in the order of ``model._sectors``, as ``(weights, swap)``
+    built from the sector's basis indices: the ``(k, n_sites + 10)``
+    weights W, ``|psi|^2 @ W`` giving the site populations, ``P_up``, total
+    S_z and the squared norm of the sector amplitudes ``psi``, then the
+    :data:`_X_FUNCTIONALS` of the static pair's diagonal (a, b, c, d) with
+    z = 0; and the ``(k, k)`` 0/1 matrix S that moves each |ud> amplitude to
+    the position of its |du> partner (same site and mobile spin, so the same
+    sector), so that z = <psi|psi S>."""
+    tables = []
+    for idx, _ in _sectors(n_sites):
+        site, spin = np.divmod(idx, 8)
+        pair = spin % 4
+        weights = np.column_stack(
+            [
+                site[:, None] == np.arange(n_sites),
+                spin < 4,  # mobile spin up
+                _SZ_SPIN[spin],
+                np.ones(len(idx)),
+                (pair[:, None] == np.arange(4)) @ _X_FUNCTIONALS[:4],
+            ]
+        )
+        swap = np.zeros((len(idx), len(idx)), dtype=complex)
+        swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
+        tables.append((_read_only(weights), _read_only(swap)))
+    return tuple(tables)
 
 
-def _trajectory(psi, tables, t, hamiltonian, logneg=None) -> Trajectory:
-    """The :class:`Trajectory` of the amplitudes ``psi``, ``(k,)`` or a
-    stack ``(..., k)``, at the times ``t``: ``tables`` are the weights and
-    swap of :func:`_lattice_tables` on their basis states, and
-    ``hamiltonian`` the block of H on them (no energy without it, NaN
-    instead).
+def _energy(psi, hamiltonian):
+    """<psi|H|psi> of the amplitudes ``psi``, ``(k,)`` or a stack ``(..., k)``."""
+    return np.einsum("...i,...i->...", psi.conj(), psi @ hamiltonian.T).real
 
-    One product through the weights gives every value but the parts of z.
-    Without ``logneg``, ``psi`` lies in one S_z sector: its static pair is an
-    X state with w = rho12[uu, dd] = 0 and no entry between the blocks
+
+def _trajectory(parts, t, energy, states=None) -> Trajectory:
+    """The :class:`Trajectory` at the times ``t`` of a state given as its
+    ``parts``, one ``(psi, tables)`` per S_z sector: ``psi`` its amplitudes
+    there, ``(k,)`` or a stack ``(..., k)``, and ``tables`` the sector's
+    weights and swap of :func:`_lattice_tables`; ``energy`` is passed in.
+
+    No observable but the log-negativity couples two sectors, so each is
+    one weight product and one z term per sector, summed.  Without
+    ``states`` the state lies in one S_z sector: its static pair is an X
+    state with w = rho12[uu, dd] = 0 and no entry between the blocks
     {uu, dd} and {ud, du}, so its log-negativity is exactly
-    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).
+    log2(|b + c| + max(|a + d|, hypot(a - d, 2|z|))).  Otherwise it comes
+    from the eigenvalues of the partial transpose of the pair's reduced
+    state, contracted straight from the whole-lattice ``states``, so no
+    ``D x D`` density matrix is ever formed.
     """
-    weights, swap = tables
-    n = weights.shape[1] - 10
-    values = np.abs(psi) ** 2 @ weights
+    values = functools.reduce(np.add, (np.abs(psi) ** 2 @ weights for psi, (weights, _) in parts))
+    # sum over the pairs of psi_ud psi_du*
+    z = functools.reduce(np.add, (np.vecdot(psi, psi @ swap) for psi, (_, swap) in parts))
+    n = values.shape[-1] - 10
     # one row per value over the grid; .T is that for a state or a (T, k)
     # stack at a fraction of moveaxis' call cost
     rows = values.T if values.ndim <= 2 else np.moveaxis(values, -1, 0)
-    z = np.vecdot(psi, psi @ swap)  # sum over the pairs of psi_ud psi_du*
     pair = rows[n + 3 : n + 7] + np.multiply.outer(_X_FUNCTIONALS[4, :4], z.real)
-    if logneg is None:
+    if states is None:
         # b + c and a + d are sums of squared moduli, so >= 0
         trace_norm = rows[n + 7] + np.maximum(rows[n + 8], np.hypot(rows[n + 9], 2.0 * np.abs(z)))
         logneg = np.maximum(0.0, np.log2(trace_norm))
-    if hamiltonian is None:
-        energy = np.full(z.shape, math.nan)
-    else:
-        energy = np.einsum("...i,...i->...", psi.conj(), psi @ hamiltonian.T).real
+    else:  # the partial trace over the site and mobile-spin factors
+        amplitudes = states.reshape(states.shape[:-1] + (-1, 4))
+        logneg = _log_negativity(np.swapaxes(amplitudes, -1, -2) @ amplitudes.conj())
     return Trajectory(
         t=t,
         p_site=values[..., :n],
@@ -275,23 +266,24 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     """All observables of a pure state ``(D,)`` or of a stack of them
     ``(T, D)`` sampled at ``times``, in one vectorised pass.
 
-    Every observable but the log-negativity is read as on the sector path,
-    through the lattice's whole tables (see :func:`_trajectory`).  The
-    log-negativity comes from the eigenvalues of the partial transpose of the
-    static pair's reduced state: the partial trace over the site and
-    mobile-spin factors, contracted straight from the amplitudes, so no
-    ``D x D`` density matrix is ever formed.
+    Every observable but the log-negativity and the energy is read as in a
+    run, one slice of ``states`` per S_z sector (see :func:`_trajectory`).
+    The log-negativity comes from the eigenvalues of the partial transpose
+    of the static pair's reduced state, and the energy is the contraction
+    with ``hamiltonian``, any matrix (NaN without one).
     """
     psi = np.asarray(states, dtype=complex)
     if psi.shape[-1:] != (layout.dim,):
         raise ValueError(f"state shape {psi.shape} does not match layout dim {layout.dim}")
     grid = psi.shape[:-1]
-    pair = psi.reshape(grid + (2 * layout.n_sites, 4))
-    logneg = _log_negativity(np.swapaxes(pair, -1, -2) @ pair.conj())
     t = np.asarray(times, dtype=float)
     t = t if t.shape == grid and not t.flags.writeable else np.broadcast_to(t, grid)
     h = None if hamiltonian is None else np.asarray(hamiltonian)
-    return _trajectory(psi, _lattice_tables(layout.n_sites)[0], t, h, logneg)
+    energy = np.full(grid, math.nan) if h is None else _energy(psi, h)
+    # C-ordered slices, as a run's amplitudes: numpy's sums follow the layout
+    sectors = zip(_sectors(layout.n_sites), _lattice_tables(layout.n_sites))
+    parts = [(psi.take(idx, axis=-1), tables) for (idx, _), tables in sectors]
+    return _trajectory(parts, t, energy, psi)
 
 
 def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
@@ -315,25 +307,24 @@ def evolve_on_grid(hamiltonian, initial, times) -> np.ndarray:
 def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
     """The :class:`Trajectory` of ``initial`` under the ``kind`` Hamiltonian
     of ``spec`` on the read-only ``times``, and the amplitudes it was read
-    from.
-
-    Each S_z sector the start occupies is evolved on its own block by
-    :func:`evolve_on_grid`, and every other sector stays exactly zero.  A
-    start in one sector is observed on that sector's ``(T, k)`` amplitudes
-    alone, through the rows of the tables at the sector's position; any
-    other start through :func:`observables` of its ``(T, D)`` states.
-    """
+    from: the ``(T, k)`` amplitudes of a start in one S_z sector, the
+    ``(T, D)`` states of any other.  Each occupied sector is evolved on its
+    own block, every other stays exactly zero, and the energy is the sum of
+    each block's <psi_s|H_s|psi_s>."""
+    tables = _lattice_tables(spec.n_sites)
     blocks = _sector_blocks(spec, kind, initial)
-    if len(blocks) == 1:
-        ((position, idx, block),) = blocks
+    parts, energies = [], []
+    for position, idx, block in blocks:
         amplitudes = evolve_on_grid(block, initial[idx], times)
-        tables = _lattice_tables(spec.n_sites)[1][position]
-        return _trajectory(amplitudes, tables, times, block), amplitudes
+        parts.append((amplitudes, tables[position]))
+        energies.append(_energy(amplitudes, block))
+    energy = functools.reduce(np.add, energies)
+    if len(parts) == 1:
+        return _trajectory(parts, times, energy), parts[0][0]
     states = np.zeros((len(times), len(initial)), dtype=complex)
-    for _, idx, block in blocks:
-        states[:, idx] = evolve_on_grid(block, initial[idx], times)
-    h = build_hamiltonian(spec, kind)
-    return observables(states, BasisLayout(spec.n_sites), times, h), states
+    for (amplitudes, _), (_, idx, _) in zip(parts, blocks):
+        states[:, idx] = amplitudes
+    return _trajectory(parts, times, energy, states), states
 
 
 def _checked_run(spec: ModelSpec, initial, grid: TimeGrid | None):

@@ -81,10 +81,23 @@ def hermitian_eigensystem(m):
 
     Degenerate eigenvalues come with an arbitrary orthonormal basis of the
     eigenspace; callers must not rely on any particular choice.
+
+    Near the float limit LAPACK's complex ``eigh`` may not converge; then
+    each matrix is solved as M * 2^-e, e the binary exponent of its max|M|,
+    and its eigenvalues are scaled back by 2^e, exact but for entries below
+    2^-1021 max|M|.
     """
     m = np.asarray(m, dtype=complex)
     assert_hermitian(m)
-    return np.linalg.eigh(m)
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        e = np.frexp(np.max(np.abs(m), axis=(-2, -1), initial=0.0))[1][..., None]
+    parts = np.ascontiguousarray(m).view(float)  # real and imaginary, each scaled exactly
+    result = np.linalg.eigh(np.ldexp(parts, -e[..., None]).view(complex))
+    with np.errstate(over="ignore"):  # an eigenvalue past the float range reads inf, as eigh's
+        np.ldexp(result.eigenvalues, e, out=result.eigenvalues)
+    return result
 
 
 def partial_transpose(rho) -> np.ndarray:

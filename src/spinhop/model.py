@@ -16,17 +16,15 @@ normal-mode-projector form, and the three-site middle-start reduction
 holds the rate of the chain in each group of kinetic modes.
 
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
-with fixed operators per lattice.  Those unit-coupling operators are built
-from Kronecker products and the closed-form normal modes of the hopping (no
-eigensolve), once per lattice size, and cached read-only;
-each build assembles a fresh matrix from them in one product.
-
-Every operator conserves total S_z, so every Hamiltonian is block-diagonal in
-the S_z sectors, of n_sites * (1, 3, 3, 1) states.  Each lattice caches one
-record per sector (``_sectors``): its basis indices and the sector's block of
-every kind's operators.  A run walks those records by position and builds
-only the blocks of the sectors its start occupies, with the same product
-(``_sector_blocks``); the position names the sector everywhere else too.
+with fixed unit-coupling operators per lattice, built from Kronecker products
+and the closed-form normal modes of the hopping (no eigensolve).  Every
+operator conserves total S_z, so every Hamiltonian is block-diagonal in the
+S_z sectors, of n_sites * (1, 3, 3, 1) states.  The one operator cache holds
+one record per sector of each lattice (``_sectors``): its basis indices and
+the sector's block of every kind's operators.  ``_sector_blocks`` builds the
+blocks of the sectors a state occupies, one product each, and
+:func:`build_hamiltonian` is all of them scattered into zeros; a run builds
+only its own blocks and names each sector by its record's position.
 """
 
 from __future__ import annotations
@@ -266,13 +264,12 @@ def _mode_parts(n_sites: int, state: np.ndarray) -> tuple:
     return tuple((rate, v) for rate, v in parts if np.vdot(v, v).real > MODE_WEIGHT_FLOOR)
 
 
-@functools.lru_cache(maxsize=None)
 def _lattice_terms(n_sites: int) -> dict:
-    """Read-only unit-coupling operators of one lattice, built once.
+    """Unit-coupling operators of one lattice, read once into :func:`_sectors`.
 
-    Every Hamiltonian kind of the lattice maps to the ``(3, D * D)`` stack of
-    the flattened operators that the hopping amplitude, ``j_xy`` and ``j_z``
-    multiply: the 0/1 hopping pattern ⊗ I8, then the (XY, Ising) pair.  For
+    Every Hamiltonian kind of the lattice maps to the ``(3, D, D)`` stack of
+    the operators that the hopping amplitude, ``j_xy`` and ``j_z`` multiply:
+    the 0/1 hopping pattern ⊗ I8, then the (XY, Ising) pair.  For
     ``"exact"`` that pair is the contact terms of static spin 1 at site 0 and
     static spin 2 at site ``n_sites - 1``, for each effective variant a
     motional weight ⊗ the collective coupling to the static pair: the sum of
@@ -295,7 +292,7 @@ def _lattice_terms(n_sites: int) -> dict:
     pairs = {"exact": contact}
     for variant, weight in weights.items():
         pairs[variant] = [np.kron(weight, op) for op in collective]
-    return {kind: _read_only(np.stack([hop, *pair]).reshape(3, -1)) for kind, pair in pairs.items()}
+    return {kind: np.stack([hop, *pair]) for kind, pair in pairs.items()}
 
 
 def _check_kind(spec: ModelSpec, kind) -> None:
@@ -327,27 +324,25 @@ def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
     ``three_site_projector``: full-strength collective coupling weighted by
     the normal-mode projector 1/4 (P+ + P-) + 1/2 P0 of the kinetic term
     (:data:`MODE_RATES`); it needs ``eta > 0``.
+
+    It is every S_z block of :func:`_sector_blocks`, the blocks that runs
+    solve, scattered into zeros.
     """
-    _check_kind(spec, kind)
     dim = 8 * spec.n_sites
-    # one product; no entry has two nonzero terms, so it is the exact sum
-    return (_coefficients(spec) @ _lattice_terms(spec.n_sites)[kind]).reshape(dim, dim)
-
-
-def _coefficients(spec: ModelSpec) -> np.ndarray:
-    """What the operators of a ``_lattice_terms`` stack are multiplied by."""
-    return np.array([_hop_amplitude(spec), spec.j_xy, spec.j_z])
+    h = np.zeros((dim, dim), dtype=complex)
+    for _, idx, block in _sector_blocks(spec, kind, np.ones(dim)):
+        h[np.ix_(idx, idx)] = block
+    return h
 
 
 @functools.lru_cache(maxsize=None)
 def _sectors(n_sites: int) -> tuple:
     """One record per total-S_z sector of the lattice, S_z ascending from
     -3/2: ``(basis indices, terms)``, of n_sites * (1, 3, 3, 1) states, with
-    ``terms`` mapping each kind of :func:`_lattice_terms` to the ``(3, k * k)``
-    stack of the sector's block of each of its operators."""
-    dim = 8 * n_sites
+    ``terms`` mapping each kind of :func:`_lattice_terms` to the read-only
+    ``(3, k * k)`` stack of the sector's block of each of its operators."""
     sz = np.tile(_SZ_SPIN, n_sites)
-    stacks = {kind: t.reshape(3, dim, dim) for kind, t in _lattice_terms(n_sites).items()}
+    stacks = _lattice_terms(n_sites)
     records = []
     for value in (-1.5, -0.5, 0.5, 1.5):
         idx = _read_only(np.flatnonzero(sz == value))
@@ -361,12 +356,12 @@ def _sectors(n_sites: int) -> tuple:
 def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
     """``(position, basis indices, block)`` of each S_z sector that the state
     ``initial`` occupies (has a nonzero amplitude on), ``position`` that of
-    its record in :func:`_sectors`: the ``k x k`` block of
-    :func:`build_hamiltonian`'s matrix there, with the same product and the
-    same kind check.  No operator couples two sectors, so these blocks and
-    zeros make up the whole matrix."""
+    its record in :func:`_sectors`: the ``k x k`` block of the ``kind``
+    Hamiltonian of ``spec`` there, one product of its three coefficients with
+    the sector's operator stack, after the kind check.  No operator couples
+    two sectors, so these blocks and zeros make up the whole matrix."""
     _check_kind(spec, kind)
-    coefficients = _coefficients(spec)
+    coefficients = np.array([_hop_amplitude(spec), spec.j_xy, spec.j_z])
     return [
         (position, idx, (coefficients @ terms[kind]).reshape(len(idx), len(idx)))
         for position, (idx, terms) in enumerate(_sectors(spec.n_sites))

@@ -25,6 +25,7 @@ from spinhop.cli import (
     parse_config,
 )
 from spinhop.dynamics import TimeGrid, Trajectory, run_trajectory
+from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
     EFFECTIVE_VARIANTS,
@@ -140,7 +141,7 @@ class TestParseConfig:
         def no_build(n_sites):
             raise AssertionError("parse_config built a Hamiltonian")
 
-        monkeypatch.setattr(model, "_lattice_terms", no_build)
+        monkeypatch.setattr(model, "_sectors", no_build)
         cfg = _config(
             model={"n_sites": 3}, initial={"site": 0}, run={"hamiltonian": "three_site_projector"}
         )
@@ -647,8 +648,25 @@ class TestEdgeInputs:
         assert self._main(tmp_path, "compare", cfg, "--ratios", "1e-300") == 2
         assert "underflows" in capsys.readouterr().err
 
+    def test_huge_couplings_are_solved(self, tmp_path, capsys):
+        # LAPACK's complex eigh of the 9-dim block does not converge; M * 2^-e does
+        cfg = _config(
+            model={"n_sites": 3, "preset": "custom", "j_xy": 1e290, "j_z": 1.0, "eta": 1e10},
+            initial={"site": 1, "static": "up-down"},
+            run={"n_points": 11},
+        )
+        assert self._main(tmp_path, "simulate", cfg) == 0
+        assert capsys.readouterr().err == ""
+        config = parse_config(json.dumps(cfg))
+        blocks = model._sector_blocks(config.spec, "exact", config.initial)
+        assert [len(idx) for _, idx, _ in blocks] == [9]
+        for _, _, block in blocks:
+            w, v = hermitian_eigensystem(block)
+            scale = np.abs(block).max()
+            assert np.abs(block @ v - v * w).max() <= 1e-14 * scale
+
     def test_eigensolver_failure_is_an_invariant_violation(self, tmp_path, capsys, monkeypatch):
-        # LAPACK gives up on, e.g., eta = 1 next to j = 1e300
+        # should LAPACK give up on a block all the same
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

@@ -234,9 +234,9 @@ def _residue(rho12):
 
 
 class TestLogNegativity:
-    """The whole-space path's log-negativity, from the eigenvalues of the
-    partial transpose, and the X-state form that the sector path's closed
-    form rests on."""
+    """The log-negativity of a start spanning several sectors, from the
+    eigenvalues of the partial transpose, and the X-state form that the
+    closed form of a one-sector start rests on."""
 
     def test_x_states_match_the_eigenvalue_oracle(self):
         rng = np.random.default_rng(80)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinhop import model
 from spinhop.dynamics import evolve_on_grid
 from spinhop.linalg import (
     assert_hermitian,
@@ -15,6 +16,7 @@ from spinhop.linalg import (
     partial_transpose,
     trace_norm_hermitian,
 )
+from spinhop.model import BasisLayout, ModelSpec, encode_state
 
 from helpers import (
     BELL_PLUS,
@@ -82,6 +84,22 @@ class TestHermitianEigensystem:
             m = random_hermitian(rng, n)
             eig = hermitian_eigensystem(m)
             assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(m), atol=1e-11)
+
+    def test_blocks_lapack_gives_up_on_are_solved_scaled(self):
+        # LAPACK's complex eigh does not converge on this three-site block at
+        # j_xy = 1e290; in a stack each matrix is scaled by its own power of
+        # two, so the block times 2^-600 gives the same solve, scaled exactly
+        spec = ModelSpec(3, 1e10, 1e290, 1.0)
+        start = encode_state(BasisLayout(3), 1, "up", "up-down")
+        ((_, _, block),) = model._sector_blocks(spec, "exact", start)
+        small = random_hermitian(np.random.default_rng(9), 9)
+        stack = np.stack([block, block * 2.0**-600, small])
+        w, v = hermitian_eigensystem(stack)
+        for m, wk, vk in zip(stack, w, v):
+            assert np.abs(m @ vk - vk * wk).max() <= 1e-14 * np.abs(m).max()
+            assert np.abs(vk.conj().T @ vk - np.eye(9)).max() <= 1e-14
+        assert np.array_equal(w[1], w[0] * 2.0**-600) and np.array_equal(v[1], v[0])
+        assert np.allclose(w[2], np.linalg.eigvalsh(small), atol=1e-12)
 
     def test_degenerate_spectrum_reconstructs(self):
         hop = np.kron(SIGMA_X, np.eye(8))  # two eigenvalues, 8-fold degenerate

@@ -306,6 +306,9 @@ class TestBuilderOracle:
         # Hamiltonian is the oracle's at that placement and at no other; the
         # effective ones couple to the whole static pair wherever it sits
         pinned = attachments == {0: 1, n_sites - 1: 2}
+        # entries between two S_z sectors are exact zeros in every oracle, so
+        # build_hamiltonian's S_z blocks and zeros make up the whole matrix
+        sz = sz_of_basis(BasisLayout(n_sites))
         for eta in (0.0, 1.0, 1e3):
             spec = ModelSpec(n_sites, eta, j_xy, j_z)
             for kind in _kinds(n_sites):
@@ -313,6 +316,7 @@ class TestBuilderOracle:
                     continue  # rejected, see test_projector_variant_needs_hopping
                 h = build_hamiltonian(spec, kind)
                 ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
+                assert np.all(ref[sz[:, None] != sz] == 0.0), (eta, kind)
                 assert np.array_equal(h, ref) == (pinned or kind != "exact"), (eta, kind)
             contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, attachments, "exact")
             interaction = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
@@ -375,11 +379,13 @@ class TestSectors:
     that every kind conserves S_z; these check that ground exactly."""
 
     def test_sector_blocks_make_up_the_whole_matrix(self):
+        # against the Kronecker oracle: build_hamiltonian is these blocks, and
+        # the oracle's entries between sectors are zeros (TestBuilderOracle)
         for spec, kind in _every_built_kind():
             layout = BasisLayout(spec.n_sites)
-            h = build_hamiltonian(spec, kind)
+            pinned = {0: 1, spec.n_sites - 1: 2}
+            h = hamiltonian_oracle(spec.n_sites, spec.eta, spec.j_xy, spec.j_z, pinned, kind)
             sz = sz_of_basis(layout)
-            assert np.all(h[sz[:, None] != sz] == 0.0), (spec, kind)
             blocks = model._sector_blocks(spec, kind, np.ones(layout.dim))
             n = spec.n_sites
             assert [position for position, _, _ in blocks] == [0, 1, 2, 3]

@@ -13,9 +13,9 @@ The energy stays under both.  ``F2`` is left out, for both maps send it to
 the |ud> population, which no column holds.  The same runs also keep their
 conservation laws: the norm, ``Sz`` and the energy on every kind, and
 ``S12sq`` on the effective kinds, whose collective coupling commutes with
-(S1 + S2)^2.  The starts are all 12 labels at every site, which take the
-sector path, and random superpositions, which span several sectors and take
-the whole-space path.  Each runs on a short grid and on one to t = 1e10.
+(S1 + S2)^2.  The starts are all 12 labels at every site, which lie in one
+S_z sector, and random superpositions, which span several sectors and take
+the pair's log-negativity from their scattered states.  Each runs on a short grid and on one to t = 1e10.
 Every gap and drift is held to 16 eps * scale * max(t_max, 1), with
 scale = eta + |j_xy| + |j_z|: the rounding of a run grows as
 eps * ||H|| * t.  An energy gap or drift is divided by scale first, for the
