@@ -26,7 +26,6 @@ from .dynamics import (
 from .linalg import (
     hermitian_eigensystem,
     partial_transpose,
-    trace_norm_hermitian,
 )
 from .model import (
     EFFECTIVE_VARIANTS,
@@ -35,7 +34,6 @@ from .model import (
     ModelSpec,
     build_hamiltonian,
     encode_state,
-    static_pair_state,
 )
 
 __version__ = "0.1.0"
@@ -62,6 +60,4 @@ __all__ = [
     "observables",
     "partial_transpose",
     "run_trajectory",
-    "static_pair_state",
-    "trace_norm_hermitian",
 ]

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .dynamics import (
     COLUMNS,
     TimeGrid,
     Trajectory,
     _checked_run,
     _evolve_observed,
-    _log_negativity,
     column_names,
 )
 from .model import ModelSpec, _check_kind, _mode_parts
@@ -26,15 +26,16 @@ def log_negativity(rho12) -> float:
     rho = np.asarray(rho12, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    with np.errstate(divide="ignore"):  # a zero matrix fails the trace check below
-        value = float(_log_negativity(rho))  # checks Hermiticity first
+    checked, e = linalg.assert_hermitian(rho)
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"density matrix trace is {trace}, expected 1")
-    smallest = float(np.linalg.eigvalsh(rho)[0])  # eigenvalues only, ascending
+    # the partial transpose moves the checked entries, so it passes the check too
+    w = linalg._eigenvalues(np.stack([checked, linalg.partial_transpose(checked)]), e)
+    smallest = float(w[0, 0])  # ascending; past the float range it reads -inf, not NaN
     if smallest < -1e-9:
         raise ValueError(f"density matrix has negative eigenvalue {smallest}")
-    return value
+    return float(np.maximum(0.0, np.log2(np.abs(w[1]).sum())))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,8 @@ _INITIAL_KEYS = {"site", "e_spin", "static"}
 _RUN_KEYS = {"hamiltonian", "t_max", "n_points"}
 _OUTPUT_KEYS = {"path", "columns"}
 _COMPARE_KEYS = {"ratios"}
+# rows of a CSV formatted at a time, so no long table is held as one string
+_CSV_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,16 +264,18 @@ def _validated_columns(trajectory, n_sites: int) -> dict:
 
 
 def _write_csv(path: str, header, table):
-    """Header line, then one line per table row, each value as ``%.17g``."""
+    """Header line, then one line per table row, each value as ``%.17g``,
+    formatted :data:`_CSV_ROWS` rows at a time."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = np.asarray(table, dtype=float).tolist()
+    table = np.asarray(table, dtype=float)
     try:
         fh = open(path, "w", newline="")
     except ValueError as exc:  # a NUL byte, or a character the file system cannot encode
         raise ConfigError(f"unusable output path {path!r}: {exc}") from None
     with fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(line % tuple(row) for row in rows))
+        for i in range(0, len(table), _CSV_ROWS):
+            fh.write("".join(line % tuple(row) for row in table[i : i + _CSV_ROWS].tolist()))
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:

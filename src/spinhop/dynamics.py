@@ -35,6 +35,7 @@ import numpy as np
 
 from . import linalg
 from .model import (
+    _STATIC_PRESETS,
     _SZ_SPIN,
     SQRT2,
     BasisLayout,
@@ -45,7 +46,6 @@ from .model import (
     _read_only,
     _sector_blocks,
     _sectors,
-    static_pair_state,
 )
 
 # (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of the static pair's
@@ -65,10 +65,9 @@ _X_FUNCTIONALS = _read_only(
 )
 
 # spin parts of |up>|down down> and |down>|psi+> in the 8-dim spin space, one per row
-_PSI_PLUS = static_pair_state("psi-plus")
-_DOUBLET = _read_only(
-    np.stack([np.kron([1, 0], static_pair_state("down-down")), np.kron([0, 1], _PSI_PLUS)])
-)
+_DOUBLET = np.zeros((2, 8), dtype=complex)
+_DOUBLET[0, :4], _DOUBLET[1, 4:] = _STATIC_PRESETS["down-down"], _STATIC_PRESETS["psi-plus"]
+_read_only(_DOUBLET)
 
 
 @dataclass(frozen=True)
@@ -175,10 +174,11 @@ def column_names(n_sites: int) -> list:
 def _log_negativity(rho12):
     """Base-2 logarithmic negativity of a two-qubit operator, or of each of a
     stack of them, clamped at zero from below against numerical noise: log2
-    of the trace norm of the partial transpose, from its eigenvalues.
+    of the trace norm of the partial transpose, from its eigenvalues alone.
     ``ValueError`` unless each is a 4x4 Hermitian matrix with finite
     entries (the partial transpose keeps Hermiticity and the defect)."""
-    return np.maximum(0.0, np.log2(linalg.trace_norm_hermitian(linalg.partial_transpose(rho12))))
+    w = linalg._eigenvalues(*linalg.assert_hermitian(linalg.partial_transpose(rho12)))
+    return np.maximum(0.0, np.log2(np.abs(w).sum(axis=-1)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,17 +1,16 @@
-"""Dense complex linear algebra sized for Hilbert dimensions up to a few dozen.
+"""Dense complex linear algebra sized for Hilbert dimensions up to a few dozen:
+the Hermitian check, the Hermitian eigensolver (LAPACK's ``eigh``, through
+``numpy.linalg``) and the two-qubit partial transpose, on ``complex128`` arrays.
 
-Matrices and state vectors are plain ``complex128`` numpy arrays.  The module
-holds the Hermitian check, the Hermitian eigensolver (LAPACK's ``eigh``,
-through ``numpy.linalg``), the two-qubit partial transpose and the trace
-norm of a Hermitian matrix (eigenvalues only).
-
-Every eigensolve is checked first, so a run of ``dynamics`` pays the
-Hermitian check once per S_z block it solves: a single matrix takes one
-reduction for its scale max|M|, which settles its finiteness too, and one
-for its defect max|M - M^H|.  A stack is reduced matrix by matrix.  Near
-the float limit, where a modulus or a difference may overflow, the check
-reads M / 4 instead, so it warns of nothing; an empty matrix passes, as
-numpy's ``eigh`` takes it.
+Every eigensolve is checked first, so a run pays the check once per S_z block
+it solves: one reduction for max|M|, which settles finiteness too, and one for
+max|M - M^H|, matrix by matrix in a stack; an empty matrix passes, as numpy's
+``eigh`` takes it.  One constant, :data:`_LARGEST_AS_GIVEN`, marks the float
+limit.  A matrix with a larger max|M| is checked and solved as M * 2^-e, e the
+binary exponent of its largest real or imaginary part, and its eigenvalues are
+scaled back by 2^e: exact but for entries below 2^-1021 max|M|, with no modulus
+or difference that overflows, and LAPACK never rescales by a factor that is not
+a power of two.
 """
 
 from __future__ import annotations
@@ -20,31 +19,17 @@ import numpy as np
 
 # Hermiticity acceptance: max|M - M^H| <= HERMITIAN_RTOL * max|M|
 HERMITIAN_RTOL = 1e-12
-# Largest max|M| checked as given.  Above it a finite complex entry's modulus,
-# or an entry of M - M^H, may overflow, so M / 4 is checked instead: exact,
-# and every modulus and difference of M / 4 is finite.
-_NEAR_OVERFLOW = 1e307
+# Largest max|M| checked and solved as given: below LAPACK's own rescaling
+# point sqrt(1 / smlnum) ~ 1e146, where it scales by a factor that is not a
+# power of two, and far below the moduli and differences that overflow.
+_LARGEST_AS_GIVEN = 2.0**480
 
 
-def _scale_and_defect(m, axes):
-    """``max|M|``, ``max|M - M^H|`` over ``axes`` and the factor that they
-    were divided by; ``ValueError`` if ``m`` has a NaN or infinite entry."""
-    scale = np.maximum.reduce(np.abs(m), axis=axes, initial=0.0)
-    largest = scale if axes is None else np.maximum.reduce(scale, axis=None, initial=0.0)
-    factor = 1.0
-    if not largest <= _NEAR_OVERFLOW:  # NaN and inf survive abs and max
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has NaN or infinite entries")
-        factor = 4.0
-        m = m / factor
-        scale = np.maximum.reduce(np.abs(m), axis=axes, initial=0.0)
-    defect = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2).conj()), axis=axes, initial=0.0)
-    return scale, defect, factor
-
-
-def _not_hermitian(where, defect, scale, factor):
-    # Python floats, so a product past the float range reads inf without a warning
-    defect, scale = float(defect) * factor, float(scale) * factor
+def _not_hermitian(where, defect, scale, e):
+    if e is not None:  # back to the matrix as given; past the float range reads inf
+        with np.errstate(over="ignore"):
+            defect, scale = np.ldexp([defect, scale], e)
+    defect, scale = float(defect), float(scale)
     return ValueError(
         f"matrix{where} is not Hermitian: max|M - M^H| = {defect:.3e} "
         f"exceeds {HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale:.3e}"
@@ -55,21 +40,48 @@ def assert_hermitian(m):
     """Raise ``ValueError`` with the max-asymmetry diagnostic if a matrix, or
     any matrix of a stack ``(..., n, n)``, is not Hermitian or has a NaN or
     infinite entry.  Each matrix is held to its own scale; an empty one
-    passes, and of a stack the first offender is reported."""
-    m = np.asarray(m)
+    passes, and of a stack the first offender is reported.
+
+    Returns the complex matrix it checked and e: ``(m, None)`` when every
+    matrix is at most :data:`_LARGEST_AS_GIVEN`, else each matrix M times
+    2^-e with e, one per matrix, the binary exponent of its largest real or
+    imaginary part (0 for a matrix at most the constant).
+    """
+    m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if m.ndim == 2:
-        scale, defect, factor = _scale_and_defect(m, None)
+    axes = None if m.ndim == 2 else (-2, -1)
+    scale = np.maximum.reduce(np.abs(m), axis=axes, initial=0.0)
+    largest = scale if axes is None else np.maximum.reduce(scale, axis=None, initial=0.0)
+    e = None
+    if not largest <= _LARGEST_AS_GIVEN:  # NaN and inf survive abs and max
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has NaN or infinite entries")
+        parts = np.ascontiguousarray(m).view(float)  # real and imaginary, each scaled exactly
+        exponent = np.frexp(np.maximum.reduce(np.abs(parts), axis=(-2, -1), initial=0.0))[1]
+        e = np.where(scale > _LARGEST_AS_GIVEN, exponent, 0)
+        m = np.ldexp(parts, -e[..., None, None]).view(complex)
+        scale = np.maximum.reduce(np.abs(m), axis=axes, initial=0.0)
+    defect = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2).conj()), axis=axes, initial=0.0)
+    if axes is None:
         if defect > HERMITIAN_RTOL * max(scale, 1e-300):
-            raise _not_hermitian("", defect, scale, factor)
-        return
-    scale, defect, factor = _scale_and_defect(m, (-2, -1))
+            raise _not_hermitian("", defect, scale, e)
+        return m, e
     bad = defect > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender
         where = f" at stack index {tuple(int(i) for i in k)}"
-        raise _not_hermitian(where, defect[k], scale[k], factor)
+        raise _not_hermitian(where, defect[k], scale[k], None if e is None else e[k])
+    return m, e
+
+
+def _scaled_back(w, e):
+    """The eigenvalues ``w`` of the matrices :func:`assert_hermitian`
+    returned with ``e``, in place, as those of the matrices it was given."""
+    if e is not None:
+        with np.errstate(over="ignore"):  # an eigenvalue past the float range reads inf, as eigh's
+            np.ldexp(w, e[..., None], out=w)
+    return w
 
 
 def hermitian_eigensystem(m):
@@ -80,24 +92,21 @@ def hermitian_eigensystem(m):
     belongs to eigenvalue k), with the stack axes leading both.
 
     Degenerate eigenvalues come with an arbitrary orthonormal basis of the
-    eigenspace; callers must not rely on any particular choice.
-
-    Near the float limit LAPACK's complex ``eigh`` may not converge; then
-    each matrix is solved as M * 2^-e, e the binary exponent of its max|M|,
-    and its eigenvalues are scaled back by 2^e, exact but for entries below
-    2^-1021 max|M|.
+    eigenspace; callers must not rely on any particular choice.  A matrix
+    past :data:`_LARGEST_AS_GIVEN` is solved as the check scaled it, so for
+    M and M * 2^k both past it the eigenvalues differ by 2^k, bit for bit.
     """
-    m = np.asarray(m, dtype=complex)
-    assert_hermitian(m)
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        e = np.frexp(np.max(np.abs(m), axis=(-2, -1), initial=0.0))[1][..., None]
-    parts = np.ascontiguousarray(m).view(float)  # real and imaginary, each scaled exactly
-    result = np.linalg.eigh(np.ldexp(parts, -e[..., None]).view(complex))
-    with np.errstate(over="ignore"):  # an eigenvalue past the float range reads inf, as eigh's
-        np.ldexp(result.eigenvalues, e, out=result.eigenvalues)
+    m, e = assert_hermitian(m)
+    result = np.linalg.eigh(m)
+    _scaled_back(result.eigenvalues, e)
     return result
+
+
+def _eigenvalues(m, e):
+    """The eigenvalues alone, ascending, of the matrix or stack ``m`` that
+    :func:`assert_hermitian` returned with ``e``, as those of the matrices
+    it was given."""
+    return _scaled_back(np.linalg.eigvalsh(m), e)
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -108,11 +117,3 @@ def partial_transpose(rho) -> np.ndarray:
         raise ValueError(f"expected a 4x4 operator or a stack of them, got shape {rho.shape}")
     work = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     return np.swapaxes(work, -4, -2).reshape(rho.shape)
-
-
-def trace_norm_hermitian(m):
-    """Sum of the absolute eigenvalues of a Hermitian matrix, one per matrix
-    of a stack.  Only the eigenvalues are computed."""
-    m = np.asarray(m, dtype=complex)
-    assert_hermitian(m)
-    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)

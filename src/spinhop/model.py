@@ -369,15 +369,6 @@ def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
     ]
 
 
-def static_pair_state(preset: str) -> np.ndarray:
-    """State of the static pair for a named preset."""
-    if not _known(preset, _STATIC_PRESETS):
-        raise ValueError(
-            f"unknown static-pair preset {preset!r}; valid: {sorted(_STATIC_PRESETS)}"
-        )
-    return _STATIC_PRESETS[preset].copy()
-
-
 def encode_state(layout: BasisLayout, site: int, e_spin: str, static: str) -> np.ndarray:
     """Normalized product state |site⟩|e_spin⟩|static pair⟩.
 
@@ -388,6 +379,10 @@ def encode_state(layout: BasisLayout, site: int, e_spin: str, static: str) -> np
     if not _known(e_spin, _E_SPINS):
         raise ValueError(f"unknown mobile-spin label {e_spin!r}; valid: up, down")
     offset = (layout.site_index(site) * 2 + _E_SPINS[e_spin]) * 4
+    if not _known(static, _STATIC_PRESETS):
+        raise ValueError(
+            f"unknown static-pair preset {static!r}; valid: {sorted(_STATIC_PRESETS)}"
+        )
     state = np.zeros(layout.dim, dtype=complex)
-    state[offset : offset + 4] = static_pair_state(static)
+    state[offset : offset + 4] = _STATIC_PRESETS[static]
     return state

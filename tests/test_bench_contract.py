@@ -112,7 +112,6 @@ class _Counts:
             if hasattr(module, "build_hamiltonian"):
                 count(module, "build_hamiltonian", self.built, lambda spec, *_: spec)
         count(dynamics, "_log_negativity", self.pair, lambda *_: "_log_negativity")
-        count(linalg, "trace_norm_hermitian", self.pair, lambda *_: "trace_norm_hermitian")
         sector_blocks = dynamics._sector_blocks
 
         def counted_blocks(*args):
@@ -193,7 +192,7 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         assert counts.checked == [*counts.blocks, (scan.N_POINTS, 4, 4)]
         assert counts.solved == [3 * n, n, 4]
         assert counts.built == []
-        assert counts.pair == ["_log_negativity", "trace_norm_hermitian"]
+        assert counts.pair == ["_log_negativity"]
 
 
 def test_scan_builds_each_cached_table_once_per_key():

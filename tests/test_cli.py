@@ -351,6 +351,28 @@ class TestSimulate:
         )
         assert out.read_bytes() == expected.encode()
 
+    def test_csv_of_several_chunks_matches_the_one_shot_format(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        table = rng.normal(size=(3 * cli._CSV_ROWS + 17, 4)) * 10.0 ** rng.integers(-300, 300, 4)
+        table[5] = [-0.0, 5e-324, 0.1 + 0.2, 1 - 2**-53]
+        header = ["a", "b", "c", "d"]
+        line = "%.17g,%.17g,%.17g,%.17g\n"
+        expected = "a,b,c,d\n" + "".join(line % tuple(row) for row in table.tolist())
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text.count("\n")) or write(text)
+            return fh
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        out = tmp_path / "long.csv"
+        cli._write_csv(str(out), header, table)
+        assert out.read_bytes() == expected.encode()
+        # the header, then one write per chunk of rows
+        assert writes == [1, cli._CSV_ROWS, cli._CSV_ROWS, cli._CSV_ROWS, 17]
+
     def test_missing_output_path(self):
         cfg = parse_config(json.dumps(_config()))
         with pytest.raises(ConfigError, match="output path"):

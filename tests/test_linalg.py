@@ -1,5 +1,5 @@
 """Linear-algebra core: Hermitian check, eigensolver, propagation, two-qubit
-partial transpose and trace norm."""
+partial transpose and the trace norm behind the log-negativity."""
 
 import warnings
 
@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinhop import model
-from spinhop.dynamics import evolve_on_grid
+from spinhop.dynamics import _log_negativity, evolve_on_grid
 from spinhop.linalg import (
     assert_hermitian,
     hermitian_eigensystem,
     partial_transpose,
-    trace_norm_hermitian,
 )
 from spinhop.model import BasisLayout, ModelSpec, encode_state
 
@@ -203,28 +202,34 @@ class TestPartialTranspose:
                 partial_transpose(bad)
 
 
-class TestTraceNormHermitian:
-    def test_identity(self):
-        assert trace_norm_hermitian(np.eye(4)) == pytest.approx(4.0, abs=1e-12)
+class TestPartialTransposeTraceNorm:
+    """The trace norm of the partial transpose, through the log-negativity
+    that reads it: log2 of the sum of the absolute eigenvalues."""
 
-    def test_density_matrices_have_unit_trace_norm(self):
+    def test_identity(self):
+        # the partial transpose of the identity is itself: trace norm 4
+        assert _log_negativity(np.eye(4)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_product_states_have_unit_trace_norm(self):
+        # rho_A (x) rho_B transposes to rho_A^T (x) rho_B, a density matrix
         rng = np.random.default_rng(41)
-        for n in (2, 4, 8):
-            rho = random_density_matrix(rng, n)
-            assert trace_norm_hermitian(rho) == pytest.approx(1.0, abs=1e-10)
+        for _ in range(3):
+            rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+            assert _log_negativity(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_partial_transpose_of_bell_state(self):
         rho = np.outer(BELL_PLUS, BELL_PLUS.conj())
-        pt = partial_transpose(rho)
-        assert trace_norm_hermitian(pt) == pytest.approx(2.0, abs=1e-10)
+        assert _log_negativity(rho) == pytest.approx(1.0, abs=1e-10)  # trace norm 2
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            trace_norm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        rho = np.eye(4, dtype=complex)
+        rho[0, 1] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _log_negativity(rho)
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
-            trace_norm_hermitian(np.diag([1.0, np.inf]))
+            _log_negativity(np.diag([1.0, 1.0, 1.0, np.inf]))
 
     def test_computes_no_eigenvectors(self, monkeypatch):
         def no_vectors(*args, **kwargs):
@@ -233,9 +238,10 @@ class TestTraceNormHermitian:
         monkeypatch.setattr(np.linalg, "eigh", no_vectors)
         rng = np.random.default_rng(42)
         stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
-        norms = trace_norm_hermitian(stack)
+        values = _log_negativity(stack)
         for k in range(len(stack)):
-            assert norms[k] == pytest.approx(np.abs(np.linalg.eigvalsh(stack[k])).sum(), abs=1e-12)
+            norm = np.abs(np.linalg.eigvalsh(partial_transpose(stack[k]))).sum()
+            assert values[k] == pytest.approx(max(0.0, np.log2(norm)), abs=1e-12)
 
 
 class TestStacks:
@@ -249,16 +255,16 @@ class TestStacks:
         for k in range(len(stack)):
             assert np.allclose(eig.eigenvalues[k], np.linalg.eigvalsh(stack[k]), atol=1e-12)
 
-    def test_partial_transpose_and_trace_norm_of_a_stack(self):
+    def test_partial_transpose_and_log_negativity_of_a_stack(self):
         rng = np.random.default_rng(51)
         stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
         pts = partial_transpose(stack)
         assert pts.shape == stack.shape
-        norms = trace_norm_hermitian(pts)
-        assert norms.shape == (len(stack),)
+        values = _log_negativity(stack)
+        assert values.shape == (len(stack),)
         for k in range(len(stack)):
             assert np.array_equal(pts[k], partial_transpose(stack[k]))
-            assert norms[k] == pytest.approx(trace_norm_hermitian(pts[k]), abs=1e-14)
+            assert values[k] == pytest.approx(_log_negativity(stack[k]), abs=1e-14)
 
     def test_assert_hermitian_flags_the_one_bad_matrix(self):
         stack = np.array([np.eye(4, dtype=complex)] * 4)

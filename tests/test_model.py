@@ -18,7 +18,6 @@ from spinhop.model import (
     ModelSpec,
     build_hamiltonian,
     encode_state,
-    static_pair_state,
 )
 
 from helpers import collective_spin_oracle, decode, encode, hamiltonian_oracle, sz_of_basis
@@ -522,8 +521,9 @@ class TestEncodeState:
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_bell_presets_orthogonal(self):
-        overlap = static_pair_state("psi-plus").conj() @ static_pair_state("psi-minus")
-        assert abs(overlap) <= 1e-15
+        layout = BasisLayout(2)
+        plus, minus = (encode_state(layout, 1, "up", s) for s in ("psi-plus", "psi-minus"))
+        assert abs(plus.conj() @ minus) <= 1e-15
 
     def test_middle_site_label(self):
         layout = BasisLayout(3)
@@ -537,7 +537,7 @@ class TestEncodeState:
         for site, e_spin, static in starts:
             mot = np.eye(n_sites)[layout.site_index(site)]
             e_vec = np.eye(2)[("up", "down").index(e_spin)]
-            expected = np.kron(mot, np.kron(e_vec, static_pair_state(static)))
+            expected = np.kron(mot, np.kron(e_vec, _STATIC_PRESETS[static]))
             psi = encode_state(layout, site, e_spin, static)
             assert psi.dtype == complex and np.array_equal(psi, expected)  # -0.0 == 0.0
         assert len(starts) == 12 * n_sites  # 60 start states over both lattices
@@ -558,8 +558,6 @@ class TestEncodeState:
             encode_state(layout, 1, label, "down-down")
         with pytest.raises(ValueError, match="static-pair preset"):
             encode_state(layout, 1, "up", label)
-        with pytest.raises(ValueError, match="static-pair preset"):
-            static_pair_state(label)
         with pytest.raises(ValueError, match="site label"):
             encode_state(layout, label, "up", "down-down")
         with pytest.raises(ValueError, match="unknown hamiltonian kind"):

@@ -97,7 +97,7 @@ def _whole_space_report(spec, psi, variant):
 @pytest.fixture
 def pair_stacks(monkeypatch):
     """Calls, by name, to the static pair's stack log-negativity and to the
-    general trace norm; a name is missing until it is called."""
+    eigenvalue solve behind it; a name is missing until it is called."""
     calls = {}
 
     def counting(module, name):
@@ -110,7 +110,7 @@ def pair_stacks(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(dynamics, "_log_negativity")
-    counting(linalg, "trace_norm_hermitian")
+    counting(linalg, "_eigenvalues")
     return calls
 
 
@@ -168,7 +168,7 @@ def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, 
         pair_stacks.clear()
         got = run_trajectory(spec, kind, psi, GRID)
         # the pair stack is formed and, its blocks coupled, solved in general
-        assert pair_stacks == {"_log_negativity": 1, "trace_norm_hermitian": 1}
+        assert pair_stacks == {"_log_negativity": 1, "_eigenvalues": 1}
         want = _whole_space_trajectory(spec, kind, psi)
         for field in (f for f in FIELDS if f != "energy"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
