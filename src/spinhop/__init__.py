@@ -28,7 +28,6 @@ from .linalg import (
     partial_transpose,
 )
 from .model import (
-    EFFECTIVE_VARIANTS,
     HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
@@ -43,7 +42,6 @@ __all__ = [
     "BasisLayout",
     "ConservationReport",
     "DeviationReport",
-    "EFFECTIVE_VARIANTS",
     "HAMILTONIAN_KINDS",
     "ModelSpec",
     "TimeGrid",

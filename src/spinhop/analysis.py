@@ -74,35 +74,28 @@ class DeviationReport:
 
 
 def compare_exact_effective(
-    spec: ModelSpec, initial, grid: TimeGrid | None = None, variant: str | None = None
+    spec: ModelSpec, initial, grid: TimeGrid | None = None
 ) -> DeviationReport:
     """Evolve ``initial`` under the exact and the effective Hamiltonian and
     report the worst state infidelity and per-observable gaps over the grid.
 
-    The default variant is the chain of the kinetic modes the start occupies:
-    ``two_site``, or on three sites ``three_site_middle_start`` for a start
-    with no zero-mode part and ``three_site_projector`` for any other.
-
-    States are compared on the full space, except for the spin-only
-    ``three_site_middle_start`` variant where the motional factor is not
-    meaningful and the comparison happens on the spin-reduced state.
+    States are compared on the full space, except for a start with no
+    weight on the zero kinetic mode (a three-site middle start): the chain
+    turns its spins at the one rate 1/4 on every site, and it is compared
+    on the spin-reduced state.  The effective kind needs ``eta > 0``.
     """
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
     initial, grid = _checked_run(spec, initial, grid)
-    if variant is None:
-        rates = {rate for rate, _ in _mode_parts(spec.n_sites, initial)}
-        three = "three_site_middle_start" if rates == {0.25} else "three_site_projector"
-        variant = "two_site" if spec.n_sites == 2 else three
-    _check_kind(spec, variant)  # before the exact run evolves
+    _check_kind(spec, "effective")  # eta > 0, before the exact run evolves
     times = grid.times()
     # every kind conserves S_z, so both runs give amplitudes on the same basis
     # indices: the start's sector, site by site, or the whole space
     exact, states_exact = _evolve_observed(spec, "exact", initial, times)
-    eff, states_eff = _evolve_observed(spec, variant, initial, times)
+    eff, states_eff = _evolve_observed(spec, "effective", initial, times)
 
-    if variant == "three_site_middle_start":
+    if {rate for rate, _ in _mode_parts(spec.n_sites, initial)} == {0.25}:
         # Tr[rho rho'] of the site-reduced spin states, sum_xy |<ex[x]|ef[y]>|^2;
-        # the effective spin state stays pure, so this is the fidelity
+        # the fidelity, for the effective spin state of a product start stays pure
         split = (len(times), spec.n_sites, -1)
         overlaps = np.einsum(
             "txa,tya->txy", states_exact.reshape(split).conj(), states_eff.reshape(split)

@@ -4,6 +4,7 @@ Subcommands
 -----------
 ``simulate``  evolve one scenario and write the observable table
 ``compare``   exact-vs-effective deviation table over a list of eta/J ratios
+              (``run.hamiltonian`` plays no part)
 ``analytic``  closed-form strong-hopping doublet populations for overlay plots
 
 Each subcommand takes a JSON config path and an optional ``--out`` path.
@@ -298,12 +299,12 @@ def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
 def cmd_compare(
     config: ScenarioConfig, ratios=None, out_path: str | None = None
 ) -> str:
-    """Exact-vs-effective deviation table, one row per eta/J ratio."""
+    """Exact-vs-effective deviation table, one row per eta/J ratio; the
+    config's ``run.hamiltonian`` plays no part."""
     path = _out_path(config, out_path)
     ratios = tuple(ratios) if ratios is not None else config.ratios
     if not ratios:
         raise ConfigError("no ratios: set compare.ratios or pass --ratios")
-    variant = None if config.hamiltonian == "exact" else config.hamiltonian
     j = _coupling(config, "compare")
     rows = []
     for ratio in ratios:
@@ -311,7 +312,7 @@ def cmd_compare(
             spec = dataclasses.replace(config.spec, eta=ratio * j)
             if spec.eta == 0.0:
                 raise ValueError("ratio * J underflows to 0")
-            report = compare_exact_effective(spec, config.initial, config.grid, variant=variant)
+            report = compare_exact_effective(spec, config.initial, config.grid)
         rows.append(
             [report.eta_over_j, report.max_state_infidelity, *report.max_observable_gap.values()]
         )
@@ -337,7 +338,11 @@ def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except ValueError as exc:  # a NUL byte, or a character the file system cannot encode
+        raise ConfigError(f"unusable config path {path!r}: {exc}") from None
+    with fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -12,24 +12,15 @@ from spinhop import BasisLayout, ModelSpec, TimeGrid, encode_state, run_trajecto
 _SCENARIOS = {
     "xy1_exact": (ModelSpec.xy(1.0), "exact", (1, "up", "down-down")),
     "xy10_exact": (ModelSpec.xy(10.0), "exact", (1, "up", "down-down")),
-    "xy10_eff": (ModelSpec.xy(10.0), "two_site", (1, "up", "down-down")),
+    "xy10_eff": (ModelSpec.xy(10.0), "effective", (1, "up", "down-down")),
     "heis10_exact": (ModelSpec.heisenberg(10.0), "exact", (1, "up", "down-down")),
-    "heis10_eff": (ModelSpec.heisenberg(10.0), "two_site", (1, "up", "down-down")),
+    "heis10_eff": (ModelSpec.heisenberg(10.0), "effective", (1, "up", "down-down")),
     "qst_xy20": (ModelSpec.xy(20.0), "exact", (1, "down", "up-down")),
     "qst_heis20": (ModelSpec.heisenberg(20.0), "exact", (1, "down", "up-down")),
     "mid3_exact": (ModelSpec.xy(10.0, n_sites=3), "exact", (0, "up", "down-down")),
     "side3_exact": (ModelSpec.xy(10.0, n_sites=3), "exact", (1, "up", "down-down")),
     "side3_exact100": (ModelSpec.xy(100.0, n_sites=3), "exact", (1, "up", "down-down")),
-    "mid3_chain": (
-        ModelSpec.xy(10.0, n_sites=3),
-        "three_site_middle_start",
-        (0, "up", "down-down"),
-    ),
-    "mid3_proj": (
-        ModelSpec.xy(10.0, n_sites=3),
-        "three_site_projector",
-        (0, "up", "down-down"),
-    ),
+    "mid3_eff": (ModelSpec.xy(10.0, n_sites=3), "effective", (0, "up", "down-down")),
 }
 
 

@@ -180,11 +180,43 @@ def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
     zero_mode = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
     p0 = np.outer(zero_mode, zero_mode)
     weight = {
-        "two_site": 0.5 * np.eye(2),
-        "three_site_middle_start": 0.25 * np.eye(3),
-        "three_site_projector": 0.25 * (np.eye(3) - p0) + 0.5 * p0,
-    }[kind]
+        ("effective", 2): 0.5 * np.eye(2),
+        ("effective", 3): 0.25 * (np.eye(3) - p0) + 0.5 * p0,
+    }[kind, n_sites]
     return h + np.kron(weight, coupling(1) + coupling(2))
+
+
+# lattice -> band (eta_b / eta) -> kinetic mode of the hopping, on the sites
+# left to right
+KINETIC_MODES = {
+    2: {1: np.array([1.0, 1.0]) / np.sqrt(2.0), -1: np.array([1.0, -1.0]) / np.sqrt(2.0)},
+    3: {
+        1: np.array([1.0, np.sqrt(2.0), 1.0]) / 2.0,
+        -1: np.array([1.0, -np.sqrt(2.0), 1.0]) / 2.0,
+        0: np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0),
+    },
+}
+
+
+def mode_lift(n_sites, band):
+    """(D, 8) isometry onto |mode b> ⊗ spin of the band at eta_b = band * eta."""
+    return np.kron(KINETIC_MODES[n_sites][band], np.eye(8)).T
+
+
+def second_order_shift(n_sites, eta, j_xy, j_z, band):
+    """The second-order Schrieffer-Wolff term of the band at eta_b = band * eta
+    on |mode b> ⊗ spin: the sum over the other bands b' of
+    P_b V P_b' V P_b / (eta_b - eta_b'), V the contact coupling of
+    :func:`hamiltonian_oracle` with spin 1 at the left and spin 2 at the
+    right site, an ``(8, 8)`` matrix in closed form."""
+    contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, {0: 1, n_sites - 1: 2}, "exact")
+    lift = mode_lift(n_sites, band)
+    return sum(
+        lift.T @ contact @ mode_lift(n_sites, other) @ mode_lift(n_sites, other).T
+        @ contact @ lift / ((band - other) * eta)
+        for other in KINETIC_MODES[n_sites]
+        if other != band
+    )
 
 
 # spin parts (mobile ⊗ static 1 ⊗ static 2) of |up>|down down> and |down>|psi+>

@@ -113,7 +113,7 @@ def test_criterion_6_conservation_suite(traj):
         assert report.norm_drift <= 1e-9
         assert report.energy_drift <= 1e-9 * energy_scale
         assert report.sz_drift <= 1e-9
-    for name in ("xy10_eff", "heis10_eff", "mid3_chain", "mid3_proj"):
+    for name in ("xy10_eff", "heis10_eff", "mid3_eff"):
         assert conservation_monitor(traj(name).trajectory).s12_sq_drift <= 1e-9
     drift = conservation_monitor(traj("xy1_exact").trajectory).s12_sq_drift
     assert drift > 0.1
@@ -134,7 +134,7 @@ def _mixture_gap(run):
 
 
 def test_criterion_7_three_site_middle_start(traj):
-    chain = series(traj("mid3_chain").trajectory, "f_plus")
+    chain = series(traj("mid3_eff").trajectory, "f_plus")
     middle = series(traj("mid3_exact").trajectory, "f_plus")
     side = series(traj("side3_exact").trajectory, "f_plus")
     times = traj("mid3_exact").times

@@ -166,27 +166,11 @@ class TestCompareExactEffective:
         psi = encode_state(BasisLayout(3), 0, "up", "down-down")
         report = compare_exact_effective(spec, psi)
         assert report.max_observable_gap["F_plus"] <= 0.05
-        assert report.max_state_infidelity <= 0.10
-
-    @pytest.mark.parametrize(
-        "n_sites, site, variant",
-        [
-            (2, 1, "two_site"),
-            (3, 0, "three_site_middle_start"),
-            (3, 1, "three_site_projector"),
-            (3, 2, "three_site_projector"),
-        ],
-    )
-    def test_default_variant_is_the_chain_of_the_start(self, n_sites, site, variant):
-        spec = ModelSpec.xy(10.0, n_sites=n_sites)
-        psi = encode_state(BasisLayout(n_sites), site, "up", "down-down")
-        grid = TimeGrid(t_max=10.0, n_points=101)
-        assert compare_exact_effective(spec, psi, grid) == compare_exact_effective(
-            spec, psi, grid, variant=variant
-        )
+        # on the spin-reduced state; the full-space value would be 0.299
+        assert report.max_state_infidelity == pytest.approx(0.0197745239706, abs=1e-12)
 
     @pytest.mark.parametrize("n_sites", [2, 3])
-    def test_every_one_site_start_keeps_its_default_variant(self, n_sites, monkeypatch):
+    def test_every_one_site_start_is_compared_with_the_effective_kind(self, n_sites, monkeypatch):
         built = []
         build = dynamics._sector_blocks
 
@@ -197,24 +181,20 @@ class TestCompareExactEffective:
         monkeypatch.setattr(dynamics, "_sector_blocks", recorded)
         layout = BasisLayout(n_sites)
         grid = TimeGrid(t_max=1.0, n_points=3)
-        middle = {0: "three_site_middle_start"}
         for site in layout.site_labels():
-            expected = "two_site" if n_sites == 2 else middle.get(site, "three_site_projector")
             for e_spin in ("up", "down"):
                 for static in _STATIC_PRESETS:
                     del built[:]
                     psi = encode_state(layout, site, e_spin, static)
                     compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, grid)
-                    assert built == ["exact", expected]
+                    assert built == ["exact", "effective"]
 
-    def test_three_site_projector_side_start_converges(self):
+    def test_three_site_side_start_converges(self):
         # the paper's effective model for a start at an outer site: the state
         # infidelity falls about as (J/eta)^2, 100x per decade of eta/J
         psi = encode_state(BasisLayout(3), 1, "up", "down-down")
         infidelities = [
-            compare_exact_effective(
-                ModelSpec.xy(ratio, n_sites=3), psi, variant="three_site_projector"
-            ).max_state_infidelity
+            compare_exact_effective(ModelSpec.xy(ratio, n_sites=3), psi).max_state_infidelity
             for ratio in (10.0, 100.0, 1000.0)
         ]
         assert infidelities[1] <= 2e-3
@@ -264,22 +244,15 @@ class TestCompareExactEffective:
         with pytest.raises(ValueError, match="coupling scale is zero"):
             compare_exact_effective(ModelSpec(n_sites=2, eta=10.0), psi)
 
-    @pytest.mark.parametrize(
-        "n_sites, variant, message",
-        [
-            (2, "three_site_projector", "requires n_sites = 3"),
-            (3, "two_site", "requires n_sites = 2"),
-            (2, "trotter", "unknown hamiltonian kind"),
-        ],
-    )
-    def test_variant_rejected_before_evolving(self, n_sites, variant, message, monkeypatch):
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_zero_hopping_rejected_before_evolving(self, n_sites, monkeypatch):
         def evolve(*args):
-            raise AssertionError("evolved before checking the variant")
+            raise AssertionError("evolved before checking the effective kind")
 
         monkeypatch.setattr(dynamics, "evolve_on_grid", evolve)
         psi = encode_state(BasisLayout(n_sites), 1, "up", "down-down")
-        with pytest.raises(ValueError, match=message):
-            compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, variant=variant)
+        with pytest.raises(ValueError, match="^effective requires eta > 0"):
+            compare_exact_effective(ModelSpec.xy(0.0, n_sites=n_sites), psi)
 
 
 class TestEstimatePeriod:

@@ -26,18 +26,10 @@ import pytest
 
 from spinhop.model import ModelSpec, build_hamiltonian
 
+from helpers import mode_lift, second_order_shift
+
 SQRT2 = math.sqrt(2.0)
 RATIOS = (1e2, 1e3, 1e4)
-# lattice -> band (eta_b / eta) -> kinetic mode, on the sites left to right
-MODES = {
-    2: {1: np.array([1.0, 1.0]) / SQRT2, -1: np.array([1.0, -1.0]) / SQRT2},
-    3: {
-        1: np.array([1.0, SQRT2, 1.0]) / 2.0,
-        -1: np.array([1.0, -SQRT2, 1.0]) / 2.0,
-        0: np.array([1.0, 0.0, -1.0]) / SQRT2,
-    },
-}
-EFFECTIVE = {2: "two_site", 3: "three_site_projector"}
 # (lattice, coupling) -> c of the +-eta bands (J^2/eta), then of the zero band (J^3/eta^2)
 CONSTANTS = {
     (2, "xy"): (1 / 4, None),
@@ -50,34 +42,17 @@ CONSTANTS = {
 THIRD_ORDER = 0.1
 
 
-def _lift(n_sites, band):
-    """(D, 8) isometry onto |mode b> ⊗ spin."""
-    return np.kron(MODES[n_sites][band], np.eye(8)).T
-
-
 def _band_gap(spec, band):
     """h_b - h_chain of the band at eta_b = band * eta."""
     w, v = np.linalg.eigh(build_hamiltonian(spec))
-    lift, shift = _lift(spec.n_sites, band), band * spec.eta
+    lift, shift = mode_lift(spec.n_sites, band), band * spec.eta
     inside = np.abs(w - shift) < spec.eta / 2.0
     assert inside.sum() == 8
     u, _, vh = np.linalg.svd(lift.T @ v[:, inside])
     polar = u @ vh
     h_band = polar @ np.diag(w[inside] - shift) @ polar.conj().T
-    chain = lift.T @ build_hamiltonian(spec, EFFECTIVE[spec.n_sites]) @ lift - shift * np.eye(8)
+    chain = lift.T @ build_hamiltonian(spec, "effective") @ lift - shift * np.eye(8)
     return h_band - chain
-
-
-def _second_order(spec, band):
-    """Sum over the other bands of P_b V P_b' V P_b / (eta_b - eta_b')."""
-    contact = build_hamiltonian(ModelSpec(spec.n_sites, 0.0, j_xy=spec.j_xy, j_z=spec.j_z))
-    lift = _lift(spec.n_sites, band)
-    return sum(
-        lift.T @ contact @ _lift(spec.n_sites, other) @ _lift(spec.n_sites, other).T
-        @ contact @ lift / ((band - other) * spec.eta)
-        for other in MODES[spec.n_sites]
-        if other != band
-    )
 
 
 @pytest.mark.parametrize("n_sites, coupling", list(CONSTANTS))
@@ -88,9 +63,10 @@ def test_band_hamiltonian_is_the_chain_to_second_order(n_sites, coupling):
         for band in (1, -1):
             gap = _band_gap(spec, band)
             assert np.linalg.norm(gap, 2) * spec.eta == pytest.approx(outer, rel=0.005)
-            left = gap - _second_order(spec, band)
+            left = gap - second_order_shift(n_sites, spec.eta, spec.j_xy, spec.j_z, band)
             assert np.linalg.norm(left, 2) * spec.eta**2 <= THIRD_ORDER, (ratio, band)
         if zero is not None:
-            assert np.abs(_second_order(spec, 0)).max() <= 1e-15 / spec.eta
+            shift = second_order_shift(n_sites, spec.eta, spec.j_xy, spec.j_z, 0)
+            assert np.abs(shift).max() <= 1e-15 / spec.eta
             c = np.linalg.norm(_band_gap(spec, 0), 2) * spec.eta**2
             assert c == pytest.approx(zero, rel=0.01), ratio

@@ -17,8 +17,9 @@ log-negativity alone: no run builds the whole matrix, not even for its
 energy, which is the sum of the blocks' energies.  A cache guard checks
 that the scan builds each cached table once per key, and that it lists
 every cache of ``model`` and ``dynamics``: the sector records and the
-sector tables.  Another guard checks that every function the traced pass
-wraps by name still exists, so a refactor that moves one fails here rather
+sector tables.  A name guard checks that every kind name the scan passes builds
+exactly the effective kind's blocks.  Another guard checks that every
+function the traced pass wraps by name still exists, so a refactor that moves one fails here rather
 than in the benchmark.  The harness itself runs once per workload in quick
 mode.  The benchmark's modules are imported read-only (no bytecode is
 written next to them).
@@ -219,6 +220,21 @@ def test_scan_builds_each_cached_table_once_per_key():
         scan.run_op(spinhop, grid, spec, kind, psi0)
     misses = {table.__name__: table.cache_info().misses for table in tables}
     assert all(1 <= misses[table.__name__] <= keys for table, keys in tables.items()), misses
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_scan_kind_names_build_the_effective_blocks(n_sites):
+    # the scan still passes the former names of the effective kind; while it
+    # does, each must build exactly the effective kind's blocks
+    spec = spinhop.ModelSpec.heisenberg(10.0, n_sites=n_sites)
+    everywhere = np.ones(8 * n_sites)
+    want = model._sector_blocks(spec, "effective", everywhere)
+    for site in model.BasisLayout(n_sites).site_labels():
+        got = model._sector_blocks(spec, scan.matching_effective(n_sites, site), everywhere)
+        assert len(got) == len(want) == 4
+        for (position, idx, block), (position_e, idx_e, block_e) in zip(got, want):
+            assert position == position_e and np.array_equal(idx, idx_e)
+            assert np.array_equal(block, block_e), (site, position)
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

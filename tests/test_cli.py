@@ -28,7 +28,6 @@ from spinhop.dynamics import TimeGrid, Trajectory, run_trajectory
 from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
-    EFFECTIVE_VARIANTS,
     HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
@@ -142,15 +141,8 @@ class TestParseConfig:
             raise AssertionError("parse_config built a Hamiltonian")
 
         monkeypatch.setattr(model, "_sectors", no_build)
-        cfg = _config(
-            model={"n_sites": 3}, initial={"site": 0}, run={"hamiltonian": "three_site_projector"}
-        )
-        assert parse_config(json.dumps(cfg)).hamiltonian == "three_site_projector"
-
-    def test_variant_lattice_mismatch(self):
-        bad = _config(run={"hamiltonian": "three_site_middle_start"})
-        with pytest.raises(ConfigError, match="requires n_sites = 3"):
-            parse_config(json.dumps(bad))
+        cfg = _config(model={"n_sites": 3}, initial={"site": 0}, run={"hamiltonian": "effective"})
+        assert parse_config(json.dumps(cfg)).hamiltonian == "effective"
 
     def test_site_label_validation(self):
         with pytest.raises(ConfigError, match="unknown site label 0"):
@@ -211,13 +203,13 @@ class TestParseConfig:
                 lambda: build_hamiltonian(ModelSpec.xy(10.0), ["exact"]),
             ),
             (
-                {"run": {"hamiltonian": "three_site_middle_start"}},
-                lambda: build_hamiltonian(ModelSpec.xy(10.0), "three_site_middle_start"),
+                {"model": {"eta": 0}, "run": {"hamiltonian": "effective"}},
+                lambda: build_hamiltonian(ModelSpec.xy(0.0), "effective"),
             ),
             (
                 {"model": {"n_sites": 3, "eta": 0}, "initial": {"site": 0},
-                 "run": {"hamiltonian": "three_site_projector"}},
-                lambda: build_hamiltonian(ModelSpec.xy(0.0, n_sites=3), "three_site_projector"),
+                 "run": {"hamiltonian": "effective"}},
+                lambda: build_hamiltonian(ModelSpec.xy(0.0, n_sites=3), "effective"),
             ),
             ({"run": {"t_max": -1.0}}, lambda: TimeGrid(t_max=-1.0, n_points=601)),
             ({"run": {"n_points": True}}, lambda: TimeGrid(t_max=30.0, n_points=True)),
@@ -233,7 +225,7 @@ class TestParseConfig:
         ],
         ids=[
             "n_sites-4", "n_sites-str", "eta-negative", "site-0", "site-bool", "e_spin-null",
-            "static-list", "hamiltonian-list", "variant-lattice", "projector-eta-0",
+            "static-list", "hamiltonian-list", "effective-eta-0-n2", "effective-eta-0-n3",
             "t_max-negative", "n_points-bool", "eta-nan", "eta-huge-int", "t_max-inf",
             "preset-unknown", "custom-with-j", "j-nan",
         ],
@@ -413,7 +405,7 @@ class TestCompareCommand:
         out = str(tmp_path / "side.csv")
         cmd_compare(side, ratios=(10.0,), out_path=out)
         _, data = _read_csv(out)
-        # measured against three_site_projector, the chain of its modes
+        # measured against the effective chain of its modes
         assert data["gap_F_plus"][0] <= 0.05
 
     @pytest.mark.parametrize("n_sites", [2, 3])
@@ -472,7 +464,7 @@ class TestAnalyticCommand:
 
     def test_custom_couplings_accepted(self, tmp_path):
         cfg = parse_config(json.dumps(_config(
-            model={"preset": "custom", "j_xy": 1.0, "j_z": 0.7}, run={"hamiltonian": "two_site"}
+            model={"preset": "custom", "j_xy": 1.0, "j_z": 0.7}, run={"hamiltonian": "effective"}
         )))
         out = str(tmp_path / "custom.csv")
         cmd_analytic(cfg, out_path=out)
@@ -487,10 +479,9 @@ def test_bundled_config_analytic_follows_the_effective_run(tmp_path, capsys, nam
     # every bundled start has S_z = -1/2, where P_up and F_plus are the two
     # doublet populations; the lattice's effective kind is right for any start
     cfg = parse_config((CONFIGS / name).read_text())
-    kind = "two_site" if cfg.spec.n_sites == 2 else "three_site_projector"
     closed, effective = str(tmp_path / "closed.csv"), str(tmp_path / "effective.csv")
     cmd_analytic(cfg, out_path=closed)
-    cmd_simulate(dataclasses.replace(cfg, hamiltonian=kind), out_path=effective)
+    cmd_simulate(dataclasses.replace(cfg, hamiltonian="effective"), out_path=effective)
     capsys.readouterr()
     _, expected = _read_csv(effective)
     _, got = _read_csv(closed)
@@ -632,16 +623,18 @@ class TestEdgeInputs:
         path = _write(tmp_path, cfg)
         return main([command, path, "--out", str(tmp_path / "x.csv"), *flags])
 
-    def test_projector_without_hopping_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_effective_without_hopping_is_a_config_error(self, tmp_path, capsys, n_sites):
+        # at eta = 0 the kinetic modes do not separate, on either lattice
         cfg = _config(
-            model={"n_sites": 3, "eta": 0.0},
-            initial={"site": 0},
-            run={"hamiltonian": "three_site_projector", "n_points": 11},
+            model={"n_sites": n_sites, "eta": 0.0},
+            run={"hamiltonian": "effective", "n_points": 11},
         )
-        with pytest.raises(ConfigError, match="three_site_projector requires eta > 0"):
-            parse_config(json.dumps(cfg))
         assert self._main(tmp_path, "simulate", cfg) == 2
-        assert capsys.readouterr().err.startswith("config error")
+        assert capsys.readouterr().err == (
+            "config error: effective requires eta > 0, which separates the kinetic modes\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     def test_analytic_without_coupling_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "custom"}, run={"n_points": 11})
@@ -778,6 +771,19 @@ class TestEdgeInputs:
         assert err.endswith(reason + "\n") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("a\ud800.json", "surrogates not allowed"), ("a\x00b", "embedded null byte")],
+        ids=["lone-surrogate", "nul-byte"],
+    )
+    def test_config_path_open_rejects_is_a_config_error(self, tmp_path, capsys, name, reason):
+        path = str(tmp_path / name)
+        assert main(["simulate", path, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unusable config path {path!r}: ")
+        assert err.endswith(reason + "\n") and "Traceback" not in err
+        assert err.count("\n") == 1
+
     # an empty --out is a bad value, not an absent one that defers to output.path
     @pytest.mark.parametrize(
         "config_path, flags", [("x.csv", ["--out", ""]), ("", [])], ids=["out-flag", "output-path"]
@@ -848,7 +854,6 @@ def _fuzz_configs(draw):
     keys = ["j"] if preset != "custom" else ["j_xy", "j_z"]
     keys += draw(st.lists(st.sampled_from(["j", "j_xy", "j_z"]), max_size=1))
     model.update({k: draw(_NUMBERS) for k in keys})
-    kinds = [k for k in HAMILTONIAN_KINDS if k == "exact" or EFFECTIVE_VARIANTS[k] == n_sites]
     cfg = {
         "model": model,
         "initial": {
@@ -857,7 +862,7 @@ def _fuzz_configs(draw):
             "static": draw(st.sampled_from(list(_STATIC_PRESETS))),
         },
         "run": {
-            "hamiltonian": draw(st.sampled_from(kinds if draw(st.booleans()) else HAMILTONIAN_KINDS)),
+            "hamiltonian": draw(st.sampled_from(HAMILTONIAN_KINDS)),
             "t_max": draw(_POSITIVE),
             # 10**30 is rejected before any array is sized from it
             "n_points": draw(st.one_of(st.integers(min_value=0, max_value=6), st.just(10**30))),
@@ -930,14 +935,13 @@ def _mirrored_configs(draw):
         j = model["j"]
     ratio = draw(st.one_of(st.sampled_from([0.0, 1e10]), st.floats(-3.0, 10.0).map(lambda e: 10**e)))
     model.update(n_sites=n_sites, preset=preset, eta=ratio * abs(j))
-    kinds = [k for k in HAMILTONIAN_KINDS if k == "exact" or EFFECTIVE_VARIANTS[k] == n_sites]
     initial = {
         "site": draw(st.sampled_from(BasisLayout(n_sites).site_labels())),
         "e_spin": draw(st.sampled_from(["up", "down"])),
         "static": draw(st.sampled_from(list(_STATIC_PRESETS))),
     }
     run = {
-        "hamiltonian": draw(st.sampled_from(kinds)),
+        "hamiltonian": draw(st.sampled_from(HAMILTONIAN_KINDS)),
         "t_max": draw(st.one_of(st.sampled_from([30.0, 1e10]), st.floats(1e-3, 1e10))),
         "n_points": draw(st.integers(2, 11)),
     }

@@ -24,7 +24,6 @@ from spinhop.dynamics import (
 )
 from spinhop.model import (
     _STATIC_PRESETS,
-    EFFECTIVE_VARIANTS,
     HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
@@ -278,12 +277,11 @@ class TestLogNegativity:
     def test_every_preset_start_stays_an_x_state(self, n_sites):
         layout = BasisLayout(n_sites)
         times = TimeGrid(t_max=30.0, n_points=201).times()
-        kinds = [k for k in HAMILTONIAN_KINDS if k == "exact" or EFFECTIVE_VARIANTS[k] == n_sites]
         worst = 0.0
         for make in (ModelSpec.xy, ModelSpec.heisenberg):
             for eta in (1.0, 1e3):
                 spec = make(eta, n_sites=n_sites)
-                for kind in kinds:
+                for kind in HAMILTONIAN_KINDS:
                     for site in layout.site_labels():
                         for e_spin in ("up", "down"):
                             for static in _STATIC_PRESETS:
@@ -294,17 +292,12 @@ class TestLogNegativity:
         assert worst == 0.0
 
 
-def test_hamiltonian_kinds_are_exact_and_the_effective_variants():
-    assert HAMILTONIAN_KINDS == ("exact", *EFFECTIVE_VARIANTS)
+def test_hamiltonian_kinds_are_exact_and_effective():
+    assert HAMILTONIAN_KINDS == ("exact", "effective")
 
 
 def _every_lattice_and_kind():
-    return [
-        (n_sites, kind)
-        for n_sites in (2, 3)
-        for kind in HAMILTONIAN_KINDS
-        if kind == "exact" or EFFECTIVE_VARIANTS[kind] == n_sites
-    ]
+    return [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
 
 
 def _whole_matrix_evolution(h, psi, times):
@@ -629,10 +622,10 @@ class TestAnalyticPeriod:
         )
 
     @pytest.mark.parametrize("kind", ["xy", "heisenberg"])
-    @pytest.mark.parametrize("lattice", ["two_site", "three_site_middle_start"])
+    @pytest.mark.parametrize("lattice", ["two_sites", "three_sites_middle"])
     def test_negative_coupling_gives_the_same_period(self, kind, lattice):
         # the populations are even in the couplings, so the cycle depends on |j| only
-        n_sites, site = {"two_site": (2, 1), "three_site_middle_start": (3, 0)}[lattice]
+        n_sites, site = {"two_sites": (2, 1), "three_sites_middle": (3, 0)}[lattice]
         make = getattr(ModelSpec, kind)
         assert (
             _analytic_at(make(10.0, j=-1.0, n_sites=n_sites), site, 1.0).period
@@ -692,19 +685,16 @@ _COUPLINGS = {
 
 @pytest.mark.parametrize("eta", [10.0, 50.0])
 @pytest.mark.parametrize("coupling", list(_COUPLINGS))
-@pytest.mark.parametrize("kind", ["two_site", "three_site_projector", "three_site_middle_start"])
-def test_analytic_is_the_effective_kinds_doublet_populations(kind, coupling, eta):
-    # every site (the middle-start kind: the middle site) and all 12 start
-    # labels, then complex superpositions of them; each effective run's
-    # doublet populations, by brute projection
-    n_sites = EFFECTIVE_VARIANTS[kind]
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_analytic_is_the_effective_kinds_doublet_populations(n_sites, coupling, eta):
+    # every site and all 12 start labels, then complex superpositions of
+    # them; each effective run's doublet populations, by brute projection
     spec = ModelSpec(n_sites, eta, **_COUPLINGS[coupling])
     grid = TimeGrid(t_max=30.0, n_points=301)
-    h = build_hamiltonian(spec, kind)
-    sites = [0] if kind == "three_site_middle_start" else BasisLayout(n_sites).site_labels()
+    h = build_hamiltonian(spec, "effective")
     starts = [
         _start(n_sites, site, e_spin, static)
-        for site in sites
+        for site in BasisLayout(n_sites).site_labels()
         for e_spin in ("up", "down")
         for static in _STATIC_PRESETS
     ]
@@ -774,8 +764,8 @@ class TestInvariants:
         free = np.cos(spec.eta * grid.times()) ** 2
         assert np.abs(p1 - free).max() <= 0.05
 
-    def test_projector_variant_never_populates_antisymmetric_mode(self, traj):
-        run = traj("mid3_proj")
+    def test_effective_middle_start_never_populates_antisymmetric_mode(self, traj):
+        run = traj("mid3_eff")
         h = build_hamiltonian(run.spec, run.kind)
         states = evolve_on_grid(h, run.initial, run.times)
         eig = hermitian_eigensystem(

@@ -12,7 +12,7 @@ from spinhop import model
 from spinhop.linalg import hermitian_eigensystem
 from spinhop.model import (
     _STATIC_PRESETS,
-    EFFECTIVE_VARIANTS,
+    HAMILTONIAN_KINDS,
     MODE_RATES,
     BasisLayout,
     ModelSpec,
@@ -204,11 +204,10 @@ class TestBasisLayout:
 def _all_built_hamiltonians():
     for spec in (ModelSpec.xy(10.0), ModelSpec.heisenberg(10.0)):
         yield spec, build_hamiltonian(spec)
-        yield spec, build_hamiltonian(spec, "two_site")
+        yield spec, build_hamiltonian(spec, "effective")
     for spec in (ModelSpec.xy(1.0, n_sites=3), ModelSpec.heisenberg(2.0, n_sites=3)):
         yield spec, build_hamiltonian(spec)
-        yield spec, build_hamiltonian(spec, "three_site_projector")
-        yield spec, build_hamiltonian(spec, "three_site_middle_start")
+        yield spec, build_hamiltonian(spec, "effective")
 
 
 class TestBuildHamiltonian:
@@ -293,10 +292,6 @@ def _every_placement():
             yield n_sites, {one: 1, two: 2}
 
 
-def _kinds(n_sites):
-    return ("exact", *(v for v, n in EFFECTIVE_VARIANTS.items() if n == n_sites))
-
-
 class TestBuilderOracle:
     @pytest.mark.parametrize("n_sites,attachments", list(_every_placement()))
     @pytest.mark.parametrize("j_xy,j_z", [(1.0, 0.0), (0.5, 1.0), (0.3, -0.7)])
@@ -310,9 +305,9 @@ class TestBuilderOracle:
         sz = sz_of_basis(BasisLayout(n_sites))
         for eta in (0.0, 1.0, 1e3):
             spec = ModelSpec(n_sites, eta, j_xy, j_z)
-            for kind in _kinds(n_sites):
-                if kind == "three_site_projector" and eta == 0.0:
-                    continue  # rejected, see test_projector_variant_needs_hopping
+            for kind in HAMILTONIAN_KINDS:
+                if kind == "effective" and eta == 0.0:
+                    continue  # rejected, see test_effective_needs_hopping
                 h = build_hamiltonian(spec, kind)
                 ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
                 assert np.all(ref[sz[:, None] != sz] == 0.0), (eta, kind)
@@ -328,7 +323,7 @@ class TestBuilderOracle:
                 lambda s: build_hamiltonian(ModelSpec(s.n_sites, s.eta)),  # hopping alone
                 lambda s: build_hamiltonian(dataclasses.replace(s, eta=0.0)),  # contact alone
             ]
-            builders += [lambda s, k=k: build_hamiltonian(s, k) for k in _kinds(n_sites)]
+            builders += [lambda s, k=k: build_hamiltonian(s, k) for k in HAMILTONIAN_KINDS]
             for build in builders:
                 h = build(spec)
                 assert h.flags.writeable
@@ -341,7 +336,7 @@ class TestBuilderOracle:
 
         def build_every_kind():
             for spec in specs:
-                for kind in _kinds(spec.n_sites):
+                for kind in HAMILTONIAN_KINDS:
                     build_hamiltonian(spec, kind)
                 build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
                 build_hamiltonian(dataclasses.replace(spec, eta=0.0))
@@ -368,8 +363,8 @@ def _every_built_kind():
     for n_sites in (2, 3):
         for j_xy, j_z in ((1.0, 0.0), (0.5, 1.0), (0.7, -0.3)):
             for eta in (0.0, 1.0, 1e3):
-                for kind in _kinds(n_sites):
-                    if not (kind == "three_site_projector" and eta == 0.0):
+                for kind in HAMILTONIAN_KINDS:
+                    if not (kind == "effective" and eta == 0.0):
                         yield ModelSpec(n_sites, eta, j_xy, j_z), kind
 
 
@@ -412,7 +407,7 @@ class TestSectors:
 class TestEffectiveHamiltonian:
     def _doublet_matrix(self, spec):
         hopping = build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
-        v_spin = build_hamiltonian(spec, "two_site") - hopping
+        v_spin = build_hamiltonian(spec, "effective") - hopping
         mot = np.zeros(2, dtype=complex)
         mot[0] = 1.0
         basis = [np.kron(mot, UP_DD), np.kron(mot, DOWN_PSIP)]
@@ -442,16 +437,17 @@ class TestEffectiveHamiltonian:
         assert np.allclose(np.linalg.eigvalsh(m), [-0.5, 0.25], atol=1e-12)
 
     @pytest.mark.parametrize(
-        "spec,variant",
+        "spec",
         [
-            (ModelSpec.xy(10.0), "two_site"),
-            (ModelSpec.heisenberg(10.0), "two_site"),
-            (ModelSpec.xy(10.0, n_sites=3), "three_site_middle_start"),
-            (ModelSpec.xy(10.0, n_sites=3), "three_site_projector"),
+            ModelSpec.xy(10.0),
+            ModelSpec.heisenberg(10.0),
+            ModelSpec.xy(10.0, n_sites=3),
+            ModelSpec.heisenberg(10.0, n_sites=3),
         ],
+        ids=["xy-2", "heisenberg-2", "xy-3", "heisenberg-3"],
     )
-    def test_effective_conserves_s12_squared(self, spec, variant):
-        h = build_hamiltonian(spec, variant)
+    def test_effective_conserves_s12_squared(self, spec):
+        h = build_hamiltonian(spec, "effective")
         _, s12 = collective_spin_oracle(spec.n_sites)
         assert np.abs(h @ s12 - s12 @ h).max() <= 1e-12
 
@@ -464,7 +460,7 @@ class TestEffectiveHamiltonian:
     def test_one_dimensional_sectors(self):
         spec = ModelSpec.heisenberg(10.0, j=1.0)
         hopping = build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
-        v_spin = build_hamiltonian(spec, "two_site") - hopping
+        v_spin = build_hamiltonian(spec, "effective") - hopping
         layout = BasisLayout(2)
         all_up = encode_state(layout, 1, "up", "up-up")
         assert np.allclose(v_spin @ all_up, (spec.j_z / 4.0) * all_up, atol=1e-12)
@@ -472,9 +468,9 @@ class TestEffectiveHamiltonian:
             frozen = encode_state(layout, 1, e_spin, "psi-minus")
             assert np.abs(v_spin @ frozen).max() <= 1e-12
 
-    def test_projector_variant_commutes_with_normal_mode_projectors(self):
+    def test_effective_commutes_with_normal_mode_projectors(self):
         spec = ModelSpec.xy(10.0, n_sites=3)
-        h = build_hamiltonian(spec, "three_site_projector")
+        h = build_hamiltonian(spec, "effective")
         eig = hermitian_eigensystem(build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))[::8, ::8])
         for k in range(3):
             mode = eig.eigenvectors[:, k]
@@ -482,27 +478,27 @@ class TestEffectiveHamiltonian:
             # the eigensolver residual is relative to the hopping scale
             assert np.abs(h @ proj - proj @ h).max() <= 1e-12 * np.abs(h).max()
 
-    def test_variant_lattice_mismatch(self):
-        with pytest.raises(ValueError, match="requires n_sites"):
-            build_hamiltonian(ModelSpec.xy(1.0), "three_site_projector")
-        with pytest.raises(ValueError, match="requires n_sites"):
-            build_hamiltonian(ModelSpec.xy(1.0, n_sites=3), "two_site")
+    def test_both_kinds_build_on_either_lattice(self):
+        for n_sites in (2, 3):
+            spec = ModelSpec.xy(1.0, n_sites=n_sites)
+            for kind in HAMILTONIAN_KINDS:
+                assert build_hamiltonian(spec, kind).shape == (8 * n_sites,) * 2
         with pytest.raises(ValueError, match="unknown hamiltonian kind 'adiabatic'"):
             build_hamiltonian(ModelSpec.xy(1.0), "adiabatic")
-        assert EFFECTIVE_VARIANTS == {
-            "two_site": 2,
-            "three_site_projector": 3,
-            "three_site_middle_start": 3,
-        }
-        for variant, n_sites in EFFECTIVE_VARIANTS.items():
-            spec = ModelSpec.xy(1.0, n_sites=n_sites)
-            assert build_hamiltonian(spec, variant).shape == (8 * n_sites,) * 2
-            with pytest.raises(ValueError, match=f"requires n_sites = {n_sites}"):
-                build_hamiltonian(ModelSpec.xy(1.0, n_sites=5 - n_sites), variant)
 
-    def test_projector_variant_needs_hopping(self):
+    def test_middle_start_sees_quartered_couplings(self):
+        # no zero-mode weight: the chain is the collective coupling at rate 1/4
+        spec = ModelSpec.heisenberg(10.0, n_sites=3)
+        chain = build_hamiltonian(spec, "effective") - build_hamiltonian(ModelSpec(3, spec.eta))
+        contact = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
+        collective = contact[:8, :8] + contact[-8:, -8:]  # spin 1 at the left, spin 2 at the right
+        middle = np.kron([[0.0], [1.0], [0.0]], np.eye(8))
+        assert np.array_equal(chain @ middle, middle @ (0.25 * collective))
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_effective_needs_hopping(self, n_sites):
         with pytest.raises(ValueError, match="eta > 0"):
-            build_hamiltonian(ModelSpec(3, 0.0), "three_site_projector")
+            build_hamiltonian(ModelSpec(n_sites, 0.0), "effective")
 
 
 class TestEncodeState:

@@ -8,7 +8,8 @@ one total S_z gets its log-negativity in closed form.  Every field of
 reference gives on the same run: the ``(T, D)`` states of the explicit
 per-sector reference ``helpers.sector_evolution`` through ``observables``,
 with the energy contracted with ``build_hamiltonian``'s whole matrix, and
-for ``compare`` the state fidelities taken on the whole space.  The
+for ``compare`` the state fidelities taken on the whole space, or on the
+spin-reduced state of a start with no weight on the zero kinetic mode.  The
 reference solves each sector of that matrix on its own, as the run does: a
 solve of the whole matrix differs from it by eps * eta * t.
 """
@@ -29,7 +30,6 @@ from spinhop.dynamics import (
 )
 from spinhop.model import (
     _STATIC_PRESETS,
-    EFFECTIVE_VARIANTS,
     HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
@@ -73,13 +73,15 @@ def _whole_space_trajectory(spec, kind, psi):
     return observables(sector_evolution(layout, h, psi, times), layout, times, h)
 
 
-def _whole_space_report(spec, psi, variant):
-    """(max state infidelity, gaps) of compare, every state on the whole space."""
+def _whole_space_report(spec, psi):
+    """(max state infidelity, gaps) of compare, every state on the whole space;
+    a three-site start with no weight on the zero mode (1, 0, -1) ⊗ I8 has
+    its fidelity taken on the spin-reduced state."""
     layout = BasisLayout(spec.n_sites)
     times = GRID.times()
     exact = sector_evolution(layout, build_hamiltonian(spec), psi, times)
-    eff = sector_evolution(layout, build_hamiltonian(spec, variant), psi, times)
-    if variant == "three_site_middle_start":
+    eff = sector_evolution(layout, build_hamiltonian(spec, "effective"), psi, times)
+    if spec.n_sites == 3 and not (np.kron([1.0, 0.0, -1.0], np.eye(8)) @ psi).any():
         split = (len(times), layout.n_sites, 8)
         overlaps = np.einsum("txa,tya->txy", exact.reshape(split).conj(), eff.reshape(split))
         fidelity = (np.abs(overlaps) ** 2).sum(axis=(1, 2))
@@ -115,12 +117,7 @@ def pair_stacks(monkeypatch):
 
 
 def _lattice_kinds():
-    return [
-        (n_sites, kind)
-        for n_sites in (2, 3)
-        for kind in HAMILTONIAN_KINDS
-        if kind == "exact" or EFFECTIVE_VARIANTS[kind] == n_sites
-    ]
+    return [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
 
 
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
@@ -143,16 +140,14 @@ def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pa
 
 
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
-@pytest.mark.parametrize(
-    "n_sites,variant", [(n, v) for n, v in _lattice_kinds() if v != "exact"]
-)
-def test_compare_matches_the_whole_space_path(n_sites, variant, coupling, pair_stacks):
-    for spec in _specs(n_sites, coupling, variant):
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_compare_matches_the_whole_space_path(n_sites, coupling, pair_stacks):
+    for spec in _specs(n_sites, coupling, "effective"):
         for psi in _one_sector_starts(n_sites):
             pair_stacks.clear()
-            report = compare_exact_effective(spec, psi, GRID, variant=variant)
+            report = compare_exact_effective(spec, psi, GRID)
             assert pair_stacks == {}
-            infidelity, gaps = _whole_space_report(spec, psi, variant)
+            infidelity, gaps = _whole_space_report(spec, psi)
             assert report.eta_over_j == spec.eta / spec.j_ref
             assert abs(report.max_state_infidelity - infidelity) <= TOL
             assert list(report.max_observable_gap) == list(gaps)
@@ -178,13 +173,11 @@ def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, 
         assert gap <= 16 * EPS * (spec.eta + abs(spec.j_xy) + abs(spec.j_z)), gap
 
 
-@pytest.mark.parametrize("n_sites,variant", [(2, "two_site"), (3, "three_site_projector")])
-def test_compare_of_a_start_spanning_two_sectors_matches_the_whole_space_path(
-    n_sites, variant
-):
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_compare_of_a_start_spanning_two_sectors_matches_the_whole_space_path(n_sites):
     spec = ModelSpec.xy(10.0, n_sites=n_sites)
     psi = two_sector_start(BasisLayout(n_sites))
-    report = compare_exact_effective(spec, psi, GRID, variant=variant)
-    infidelity, gaps = _whole_space_report(spec, psi, variant)
+    report = compare_exact_effective(spec, psi, GRID)
+    infidelity, gaps = _whole_space_report(spec, psi)
     assert report.max_state_infidelity == infidelity
     assert report.max_observable_gap == gaps

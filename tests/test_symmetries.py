@@ -32,7 +32,6 @@ from spinhop.analysis import conservation_monitor
 from spinhop.dynamics import TimeGrid, column_names, run_trajectory
 from spinhop.model import (
     _STATIC_PRESETS,
-    EFFECTIVE_VARIANTS,
     HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
@@ -48,12 +47,7 @@ EPS = np.finfo(float).eps
 
 
 def _lattice_kinds():
-    return [
-        (n_sites, kind)
-        for n_sites in (2, 3)
-        for kind in HAMILTONIAN_KINDS
-        if kind == "exact" or EFFECTIVE_VARIANTS[kind] == n_sites
-    ]
+    return [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
 
 
 def _specs(n_sites, coupling, kind):
