@@ -79,10 +79,12 @@ def compare_exact_effective(
     """Evolve ``initial`` under the exact and the effective Hamiltonian and
     report the worst state infidelity and per-observable gaps over the grid.
 
-    States are compared on the full space, except for a start with no
-    weight on the zero kinetic mode (a three-site middle start): the chain
-    turns its spins at the one rate 1/4 on every site, and it is compared
-    on the spin-reduced state.  The effective kind needs ``eta > 0``.
+    States are compared on the full space, except for a product of a site
+    state and a spin state with no weight on the zero kinetic mode (a
+    three-site middle start): the chain turns its spins at the one rate 1/4
+    on every site, so its spin state stays pure, and Tr[rho rho'] of the
+    spin-reduced states is their fidelity.  The effective kind needs
+    ``eta > 0``.
     """
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
     initial, grid = _checked_run(spec, initial, grid)
@@ -93,10 +95,10 @@ def compare_exact_effective(
     exact, states_exact = _evolve_observed(spec, "exact", initial, times)
     eff, states_eff = _evolve_observed(spec, "effective", initial, times)
 
-    if {rate for rate, _ in _mode_parts(spec.n_sites, initial)} == {0.25}:
-        # Tr[rho rho'] of the site-reduced spin states, sum_xy |<ex[x]|ef[y]>|^2;
-        # the fidelity, for the effective spin state of a product start stays pure
-        split = (len(times), spec.n_sites, -1)
+    split = (len(times), spec.n_sites, -1)
+    product = np.linalg.matrix_rank(initial.reshape(split[1:])) == 1  # site x spin
+    if product and {rate for rate, _ in _mode_parts(spec.n_sites, initial)} == {0.25}:
+        # Tr[rho rho'] of the site-reduced spin states, sum_xy |<ex[x]|ef[y]>|^2
         overlaps = np.einsum(
             "txa,tya->txy", states_exact.reshape(split).conj(), states_eff.reshape(split)
         )

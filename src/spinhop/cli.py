@@ -34,7 +34,9 @@ values and the preconditions of a run (``ModelSpec.from_preset``,
 ``encode_state``, the kind check of ``build_hamiltonian``, ``TimeGrid``,
 ``run_trajectory``, ``compare_exact_effective``, ``analytic``,
 ``ModelSpec.j_ref``), and a value or a run it rejects is a config error that
-carries the library's message.
+carries the library's message.  ``run.hamiltonian`` is checked as a name
+when the config is read, and against the spec (``effective`` needs
+``eta > 0``) only by ``simulate``, the one command that runs it.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 i/o failure.  A run whose energies or phases would overflow, or that does
@@ -157,7 +159,7 @@ def parse_config(text: str) -> ScenarioConfig:
             initial.get("e_spin", "up"),
             initial.get("static"),
         )
-        _check_kind(spec, hamiltonian)
+        _check_kind(None, hamiltonian)
         grid = TimeGrid(**{key: run[key] for key in ("t_max", "n_points") if key in run})
 
     output = raw.get("output", {})
@@ -281,6 +283,8 @@ def _write_csv(path: str, header, table):
 
 def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
     """Run one scenario, write the observable CSV, print per-column extrema."""
+    with _config_errors():  # the kind for the spec, which parse_config left
+        _check_kind(config.spec, config.hamiltonian)
     path = _out_path(config, out_path)
     with _config_errors("model: "):  # an energy scale that overflows
         trajectory = run_trajectory(

@@ -11,18 +11,18 @@ start in closed form, for cross-checking.
 Every Hamiltonian of ``model`` conserves total S_z, so it is block-diagonal
 in the S_z sectors, of n_sites * (1, 3, 3, 1) states, and every state is read
 as a sum over its sectors.  A run never forms the whole matrix: ``model``
-gives the position, basis indices and block of each sector the start
-occupies, each block goes through the one propagator, :func:`evolve_on_grid`,
-and every other sector stays exactly zero.  One reader, :func:`_trajectory`,
-reads each sector's amplitudes through that sector's cached weights and swap
-(:func:`_lattice_tables`) and adds the sectors up, for no observable but the
-log-negativity couples two of them.  That one is exact in closed form in one
-sector, where every start of ``encode_state`` lies; only a start spanning
+gives the observable tables, basis indices and block of each sector the
+start occupies, each block goes through the one propagator,
+:func:`evolve_on_grid`, and every other sector stays exactly zero.  One
+reader, :func:`_trajectory`, reads each sector's amplitudes through its
+tables and adds the sectors up, for no observable but the log-negativity
+couples two of them.  That one is exact in closed form in one sector,
+where every start of ``encode_state`` lies; only a start spanning
 several sectors scatters its ``(T, D)`` states, for the eigenvalues of the
 partial transpose of the static pair's reduced state.  :func:`observables`
 reads any whole-lattice state through the same reader.  A short grid costs
 more in per-call overhead than in arithmetic, so a grid samples its times
-once and the tables are built once per lattice.
+once and ``model`` builds the sector records once per lattice.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .model import (
     _STATIC_PRESETS,
-    _SZ_SPIN,
+    _X_FUNCTIONALS,
     SQRT2,
     BasisLayout,
     ModelSpec,
@@ -46,22 +46,6 @@ from .model import (
     _read_only,
     _sector_blocks,
     _sectors,
-)
-
-# (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of the static pair's
-# reduced state rho12, a, b, c, d its diagonal in the basis (uu, ud, du, dd)
-# and z = rho12[ud, du] (no other entry enters them), then the parts b + c,
-# a + d and a - d of its trace norm in one S_z sector
-_X_FUNCTIONALS = _read_only(
-    np.array(
-        [
-            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0],
-            [0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 0.0],
-            [0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0],
-            [1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
-        ]
-    )
 )
 
 # spin parts of |up>|down down> and |down>|psi+> in the 8-dim spin space, one per row
@@ -181,36 +165,6 @@ def _log_negativity(rho12):
     return np.maximum(0.0, np.log2(np.abs(w).sum(axis=-1)))
 
 
-@functools.lru_cache(maxsize=None)
-def _lattice_tables(n_sites: int) -> tuple:
-    """The weights and swap of each S_z sector of the lattice of
-    ``n_sites``, in the order of ``model._sectors``, as ``(weights, swap)``
-    built from the sector's basis indices: the ``(k, n_sites + 10)``
-    weights W, ``|psi|^2 @ W`` giving the site populations, ``P_up``, total
-    S_z and the squared norm of the sector amplitudes ``psi``, then the
-    :data:`_X_FUNCTIONALS` of the static pair's diagonal (a, b, c, d) with
-    z = 0; and the ``(k, k)`` 0/1 matrix S that moves each |ud> amplitude to
-    the position of its |du> partner (same site and mobile spin, so the same
-    sector), so that z = <psi|psi S>."""
-    tables = []
-    for idx, _ in _sectors(n_sites):
-        site, spin = np.divmod(idx, 8)
-        pair = spin % 4
-        weights = np.column_stack(
-            [
-                site[:, None] == np.arange(n_sites),
-                spin < 4,  # mobile spin up
-                _SZ_SPIN[spin],
-                np.ones(len(idx)),
-                (pair[:, None] == np.arange(4)) @ _X_FUNCTIONALS[:4],
-            ]
-        )
-        swap = np.zeros((len(idx), len(idx)), dtype=complex)
-        swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
-        tables.append((_read_only(weights), _read_only(swap)))
-    return tuple(tables)
-
-
 def _energy(psi, hamiltonian):
     """<psi|H|psi> of the amplitudes ``psi``, ``(k,)`` or a stack ``(..., k)``."""
     return np.einsum("...i,...i->...", psi.conj(), psi @ hamiltonian.T).real
@@ -219,8 +173,8 @@ def _energy(psi, hamiltonian):
 def _trajectory(parts, t, energy, states=None) -> Trajectory:
     """The :class:`Trajectory` at the times ``t`` of a state given as its
     ``parts``, one ``(psi, tables)`` per S_z sector: ``psi`` its amplitudes
-    there, ``(k,)`` or a stack ``(..., k)``, and ``tables`` the sector's
-    weights and swap of :func:`_lattice_tables`; ``energy`` is passed in.
+    there, ``(k,)`` or a stack ``(..., k)``, and ``tables`` its weights and
+    swap from ``model._sectors``; ``energy`` is passed in.
 
     No observable but the log-negativity couples two sectors, so each is
     one weight product and one z term per sector, summed.  Without
@@ -281,8 +235,7 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     h = None if hamiltonian is None else np.asarray(hamiltonian)
     energy = np.full(grid, math.nan) if h is None else _energy(psi, h)
     # C-ordered slices, as a run's amplitudes: numpy's sums follow the layout
-    sectors = zip(_sectors(layout.n_sites), _lattice_tables(layout.n_sites))
-    parts = [(psi.take(idx, axis=-1), tables) for (idx, _), tables in sectors]
+    parts = [(psi.take(idx, axis=-1), tables) for idx, _, tables in _sectors(layout.n_sites)]
     return _trajectory(parts, t, energy, psi)
 
 
@@ -311,12 +264,11 @@ def _evolve_observed(spec: ModelSpec, kind: str, initial, times):
     ``(T, D)`` states of any other.  Each occupied sector is evolved on its
     own block, every other stays exactly zero, and the energy is the sum of
     each block's <psi_s|H_s|psi_s>."""
-    tables = _lattice_tables(spec.n_sites)
     blocks = _sector_blocks(spec, kind, initial)
     parts, energies = [], []
-    for position, idx, block in blocks:
+    for tables, idx, block in blocks:
         amplitudes = evolve_on_grid(block, initial[idx], times)
-        parts.append((amplitudes, tables[position]))
+        parts.append((amplitudes, tables))
         energies.append(_energy(amplitudes, block))
     energy = functools.reduce(np.add, energies)
     if len(parts) == 1:

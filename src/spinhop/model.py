@@ -18,12 +18,12 @@ Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed unit-coupling operators per lattice, built from Kronecker products
 and the closed-form normal modes of the hopping (no eigensolve).  Every
 operator conserves total S_z, so every Hamiltonian is block-diagonal in the
-S_z sectors, of n_sites * (1, 3, 3, 1) states.  The one operator cache holds
-one record per sector of each lattice (``_sectors``): its basis indices and
-the sector's block of every kind's operators.  ``_sector_blocks`` builds the
-blocks of the sectors a state occupies, one product each, and
-:func:`build_hamiltonian` is all of them scattered into zeros; a run builds
-only its own blocks and names each sector by its record's position.
+S_z sectors, of n_sites * (1, 3, 3, 1) states.  The one cache, ``_sectors``,
+holds one record per sector of each lattice: its basis indices, its block of
+every kind's operators and the tables through which ``dynamics`` reads its
+observables.  ``_sector_blocks`` builds the blocks of the sectors a state
+occupies, one product each, with their tables, and :func:`build_hamiltonian`
+is all of them scattered into zeros.
 """
 
 from __future__ import annotations
@@ -249,6 +249,21 @@ MODE_RATES = {
         (0.5, _read_only(_P0.astype(complex))),
     ),
 }
+# (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of the static pair's
+# reduced state rho12, a, b, c, d its diagonal in the basis (uu, ud, du, dd)
+# and z = rho12[ud, du] (no other entry enters them), then the parts b + c,
+# a + d and a - d of its trace norm in one S_z sector
+_X_FUNCTIONALS = _read_only(
+    np.array(
+        [
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 1.0],
+            [0.5, 0.5, 0.0, 1.0, 1.0, 0.0, 0.0],
+            [0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, -1.0],
+            [1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+        ]
+    )
+)
 # Largest weight |(P ⊗ I8) psi|^2 of a unit state on a mode group that counts
 # as empty: rounding in P leaves at most a few eps on each of the 24
 # amplitudes of a group the state does not occupy, a weight below ~1e-29
@@ -288,15 +303,15 @@ def _lattice_terms(n_sites: int) -> dict:
     return {kind: np.stack([hop, *pair]) for kind, pair in pairs.items()}
 
 
-def _check_kind(spec: ModelSpec, kind) -> str:
+def _check_kind(spec: ModelSpec | None, kind) -> str:
     """The kind of :data:`HAMILTONIAN_KINDS` that ``kind`` names, a former
-    effective name read as ``"effective"``; ``ValueError`` unless
-    :func:`build_hamiltonian` can build it for ``spec``."""
+    effective name read as ``"effective"``; ``ValueError`` unless it names
+    one that :func:`build_hamiltonian` can build for ``spec``, if given."""
     if _known(kind, _OLD_EFFECTIVE_NAMES):
         kind = "effective"
     if not _known(kind, HAMILTONIAN_KINDS):
         raise ValueError(f"unknown hamiltonian kind {kind!r}; valid: {HAMILTONIAN_KINDS}")
-    if kind == "effective" and spec.eta <= 0.0:
+    if kind == "effective" and spec is not None and spec.eta <= 0.0:
         raise ValueError("effective requires eta > 0, which separates the kinetic modes")
     return kind
 
@@ -330,9 +345,15 @@ def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _sectors(n_sites: int) -> tuple:
     """One record per total-S_z sector of the lattice, S_z ascending from
-    -3/2: ``(basis indices, terms)``, of n_sites * (1, 3, 3, 1) states, with
-    ``terms`` mapping each kind of :func:`_lattice_terms` to the read-only
-    ``(3, k * k)`` stack of the sector's block of each of its operators."""
+    -3/2, of n_sites * (1, 3, 3, 1) states: ``(basis indices, terms,
+    (weights, swap))``, all read-only.  ``terms`` maps each kind of
+    :func:`_lattice_terms` to the ``(3, k * k)`` stack of the sector's block
+    of each of its operators.  ``|psi|^2 @ weights`` gives the site
+    populations, ``P_up``, total S_z and the squared norm of the sector
+    amplitudes ``psi``, then the :data:`_X_FUNCTIONALS` of the static pair's
+    diagonal (a, b, c, d) with z = 0; the 0/1 ``swap`` moves each |ud>
+    amplitude to its |du> partner (same site and mobile spin), so that
+    z = <psi|psi swap>."""
     sz = np.tile(_SZ_SPIN, n_sites)
     stacks = _lattice_terms(n_sites)
     records = []
@@ -341,13 +362,26 @@ def _sectors(n_sites: int) -> tuple:
         terms = {
             kind: _read_only(t[:, idx[:, None], idx].reshape(3, -1)) for kind, t in stacks.items()
         }
-        records.append((idx, terms))
+        site, spin = np.divmod(idx, 8)
+        pair = spin % 4
+        weights = np.column_stack(
+            [
+                site[:, None] == np.arange(n_sites),
+                spin < 4,  # mobile spin up
+                _SZ_SPIN[spin],
+                np.ones(len(idx)),
+                (pair[:, None] == np.arange(4)) @ _X_FUNCTIONALS[:4],
+            ]
+        )
+        swap = np.zeros((len(idx), len(idx)), dtype=complex)
+        swap[np.flatnonzero(pair == 1), np.flatnonzero(pair == 2)] = 1.0
+        records.append((idx, terms, (_read_only(weights), _read_only(swap))))
     return tuple(records)
 
 
 def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
-    """``(position, basis indices, block)`` of each S_z sector that the state
-    ``initial`` occupies (has a nonzero amplitude on), ``position`` that of
+    """``(tables, basis indices, block)`` of each S_z sector that the state
+    ``initial`` occupies (has a nonzero amplitude on), ``tables`` those of
     its record in :func:`_sectors`: the ``k x k`` block of the ``kind``
     Hamiltonian of ``spec`` there, one product of its three coefficients with
     the sector's operator stack, after the kind check.  No operator couples
@@ -355,8 +389,8 @@ def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
     kind = _check_kind(spec, kind)
     coefficients = np.array([_hop_amplitude(spec), spec.j_xy, spec.j_z])
     return [
-        (position, idx, (coefficients @ terms[kind]).reshape(len(idx), len(idx)))
-        for position, (idx, terms) in enumerate(_sectors(spec.n_sites))
+        (tables, idx, (coefficients @ terms[kind]).reshape(len(idx), len(idx)))
+        for idx, terms, tables in _sectors(spec.n_sites)
         if initial[idx].any()
     ]
 

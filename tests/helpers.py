@@ -8,6 +8,9 @@ power series, reduced density matrices through brute-force index loops.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from spinhop.model import _STATIC_PRESETS, HAMILTONIAN_KINDS, BasisLayout
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -228,3 +231,35 @@ def doublet_populations(states, n_sites):
     over the sites, of a ``(T, D)`` stack of states."""
     amplitudes = np.asarray(states).reshape(len(states), n_sites, 8) @ _DOUBLET_SPIN.conj().T
     return (np.abs(amplitudes) ** 2).sum(axis=1)
+
+
+_COUPLING = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, 5e-324, 1e-300, 1e290, -1e290]), st.floats(-10.0, 10.0)
+)
+
+
+@st.composite
+def simulate_configs(draw):
+    """A simulate config over presets and custom couplings, both lattices,
+    every kind, all starts, eta/J in [0, 1e10] and t_max up to 1e10."""
+    n_sites = draw(st.sampled_from([2, 3]))
+    preset = draw(st.sampled_from(["xy", "heisenberg", "custom"]))
+    if preset == "custom":
+        model = {"j_xy": draw(_COUPLING), "j_z": draw(_COUPLING)}
+        j = model["j_z"] if model["j_z"] != 0.0 else model["j_xy"]
+    else:
+        model = {"j": draw(_COUPLING)}
+        j = model["j"]
+    ratio = draw(st.one_of(st.sampled_from([0.0, 1e10]), st.floats(-3.0, 10.0).map(lambda e: 10**e)))
+    model.update(n_sites=n_sites, preset=preset, eta=ratio * abs(j))
+    initial = {
+        "site": draw(st.sampled_from(BasisLayout(n_sites).site_labels())),
+        "e_spin": draw(st.sampled_from(["up", "down"])),
+        "static": draw(st.sampled_from(list(_STATIC_PRESETS))),
+    }
+    run = {
+        "hamiltonian": draw(st.sampled_from(HAMILTONIAN_KINDS)),
+        "t_max": draw(st.one_of(st.sampled_from([30.0, 1e10]), st.floats(1e-3, 1e10))),
+        "n_points": draw(st.integers(2, 11)),
+    }
+    return {"model": model, "initial": initial, "run": run}

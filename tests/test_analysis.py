@@ -169,6 +169,19 @@ class TestCompareExactEffective:
         # on the spin-reduced state; the full-space value would be 0.299
         assert report.max_state_infidelity == pytest.approx(0.0197745239706, abs=1e-12)
 
+    def test_entangled_start_without_zero_mode_weight_is_compared_whole(self):
+        # (|mid>|up,dd> + |(L+R)/sqrt2>|down,psi+>)/sqrt2 has no zero-mode
+        # weight, but its site and spin are entangled, so its effective spin
+        # state is mixed and Tr[rho rho'] of the spin-reduced states reads 1/2
+        # even where both runs are still the same state
+        layout = BasisLayout(3)
+        mid = encode_state(layout, 0, "up", "down-down")
+        sides = [encode_state(layout, site, "down", "psi-plus") for site in (1, 2)]
+        psi = (mid + (sides[0] + sides[1]) / math.sqrt(2.0)) / math.sqrt(2.0)
+        grid = TimeGrid(t_max=1e-9, n_points=11)
+        report = compare_exact_effective(ModelSpec.xy(1e4, n_sites=3), psi, grid)
+        assert report.max_state_infidelity <= 1e-12
+
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_every_one_site_start_is_compared_with_the_effective_kind(self, n_sites, monkeypatch):
         built = []

@@ -16,9 +16,9 @@ block per sector and forms and solves the static pair's stack for the
 log-negativity alone: no run builds the whole matrix, not even for its
 energy, which is the sum of the blocks' energies.  A cache guard checks
 that the scan builds each cached table once per key, and that it lists
-every cache of ``model`` and ``dynamics``: the sector records and the
-sector tables.  A name guard checks that every kind name the scan passes builds
-exactly the effective kind's blocks.  Another guard checks that every
+every cache of every ``spinhop`` module: the one left is the sector records
+of ``model``.  A name guard checks that every kind name the scan passes
+builds exactly the effective kind's blocks.  Another guard checks that every
 function the traced pass wraps by name still exists, so a refactor that moves one fails here rather
 than in the benchmark.  The harness itself runs once per workload in quick
 mode.  The benchmark's modules are imported read-only (no bytecode is
@@ -28,6 +28,7 @@ written next to them).
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -201,12 +202,14 @@ def test_scan_builds_each_cached_table_once_per_key():
     # bring back the fixed cost that caching it removed
     tables = {  # cached table -> its number of possible keys on the scan's lattices
         model._sectors: 2,
-        dynamics._lattice_tables: 2,
     }
-    # every cache of the two modules is listed, so a new one cannot escape
+    # every cache of every spinhop module is listed, so a new one cannot escape
+    names = [info.name for info in pkgutil.iter_modules(spinhop.__path__)]
+    assert {"analysis", "cli", "dynamics", "linalg", "model"} <= set(names)
+    modules = [spinhop] + [importlib.import_module(f"spinhop.{name}") for name in names]
     cached = {
         fn
-        for module in (model, dynamics)
+        for module in modules
         for fn in vars(module).values()
         if callable(fn) and hasattr(fn, "cache_info")
     }
@@ -232,9 +235,9 @@ def test_scan_kind_names_build_the_effective_blocks(n_sites):
     for site in model.BasisLayout(n_sites).site_labels():
         got = model._sector_blocks(spec, scan.matching_effective(n_sites, site), everywhere)
         assert len(got) == len(want) == 4
-        for (position, idx, block), (position_e, idx_e, block_e) in zip(got, want):
-            assert position == position_e and np.array_equal(idx, idx_e)
-            assert np.array_equal(block, block_e), (site, position)
+        for (_, idx, block), (_, idx_e, block_e) in zip(got, want):
+            assert np.array_equal(idx, idx_e)
+            assert np.array_equal(block, block_e), (site, idx[0])
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

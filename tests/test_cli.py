@@ -35,6 +35,8 @@ from spinhop.model import (
     encode_state,
 )
 
+from helpers import simulate_configs
+
 SQRT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -230,12 +232,14 @@ class TestParseConfig:
             "preset-unknown", "custom-with-j", "j-nan",
         ],
     )
-    def test_semantic_errors_carry_the_library_message(self, overrides, library):
+    def test_semantic_errors_carry_the_library_message(self, tmp_path, overrides, library):
+        # through simulate, which alone checks run.hamiltonian against the spec
         with pytest.raises(ValueError) as expected:
             library()
         with pytest.raises(ConfigError) as got:
-            parse_config(json.dumps(_config(**overrides)))
+            cmd_simulate(parse_config(json.dumps(_config(**overrides))), str(tmp_path / "x.csv"))
         assert str(got.value) == str(expected.value)
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSimulate:
@@ -636,6 +640,31 @@ class TestEdgeInputs:
         )
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [["compare", "--ratios", "10"], ["analytic"]])
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_commands_that_ignore_the_kind_run_without_hopping(
+        self, tmp_path, capsys, n_sites, command
+    ):
+        # compare sets eta from each ratio and analytic runs no kind, so an
+        # effective kind at eta = 0 stops neither
+        cfg = _config(
+            model={"n_sites": n_sites, "eta": 0.0},
+            run={"hamiltonian": "effective", "n_points": 11},
+        )
+        name, *flags = command
+        assert self._main(tmp_path, name, cfg, *flags) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", [["simulate"], ["compare", "--ratios", "10"], ["analytic"]])
+    def test_unknown_kind_is_a_config_error_on_every_command(self, tmp_path, capsys, command):
+        cfg = _config(run={"hamiltonian": "trotter", "n_points": 11})
+        name, *flags = command
+        assert self._main(tmp_path, name, cfg, *flags) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown hamiltonian kind 'trotter'; valid: ('exact', 'effective')\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_analytic_without_coupling_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "custom"}, run={"n_points": 11})
         assert self._main(tmp_path, "analytic", cfg) == 2
@@ -915,41 +944,18 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(command_and_config):
 
 _MIRROR_SITE = {1: 2, 2: 1, 0: 0}
 _MIRROR_STATIC = {"up-down": "down-up", "down-up": "up-down"}
-_COUPLING = st.one_of(
-    st.sampled_from([1.0, -1.0, 0.0, 5e-324, 1e-300, 1e290, -1e290]), st.floats(-10.0, 10.0)
-)
 
 
 @st.composite
 def _mirrored_configs(draw):
-    """A simulate config over presets and custom couplings, both lattices,
-    every kind, all starts, eta/J in [0, 1e10] and t_max up to 1e10, and its
-    mirror: initial.site 1 <-> 2 and the static pair up-down <-> down-up."""
-    n_sites = draw(st.sampled_from([2, 3]))
-    preset = draw(st.sampled_from(["xy", "heisenberg", "custom"]))
-    if preset == "custom":
-        model = {"j_xy": draw(_COUPLING), "j_z": draw(_COUPLING)}
-        j = model["j_z"] if model["j_z"] != 0.0 else model["j_xy"]
-    else:
-        model = {"j": draw(_COUPLING)}
-        j = model["j"]
-    ratio = draw(st.one_of(st.sampled_from([0.0, 1e10]), st.floats(-3.0, 10.0).map(lambda e: 10**e)))
-    model.update(n_sites=n_sites, preset=preset, eta=ratio * abs(j))
-    initial = {
-        "site": draw(st.sampled_from(BasisLayout(n_sites).site_labels())),
-        "e_spin": draw(st.sampled_from(["up", "down"])),
-        "static": draw(st.sampled_from(list(_STATIC_PRESETS))),
-    }
-    run = {
-        "hamiltonian": draw(st.sampled_from(HAMILTONIAN_KINDS)),
-        "t_max": draw(st.one_of(st.sampled_from([30.0, 1e10]), st.floats(1e-3, 1e10))),
-        "n_points": draw(st.integers(2, 11)),
-    }
+    """A config of ``simulate_configs`` and its mirror: initial.site 1 <-> 2
+    and the static pair up-down <-> down-up."""
+    cfg = draw(simulate_configs())
+    initial = cfg["initial"]
     mirror = {
         "site": _MIRROR_SITE[initial["site"]],
         "static": _MIRROR_STATIC.get(initial["static"], initial["static"]),
     }
-    cfg = {"model": model, "initial": initial, "run": run}
     return cfg, {**cfg, "initial": {**initial, **mirror}}
 
 

@@ -382,8 +382,9 @@ class TestSectors:
             sz = sz_of_basis(layout)
             blocks = model._sector_blocks(spec, kind, np.ones(layout.dim))
             n = spec.n_sites
-            assert [position for position, _, _ in blocks] == [0, 1, 2, 3]
             assert [len(idx) for _, idx, _ in blocks] == [n, 3 * n, 3 * n, n]
+            # every sector, S_z ascending from -3/2
+            assert [sz[idx[0]] for _, idx, _ in blocks] == [-1.5, -0.5, 0.5, 1.5]
             scattered = np.zeros_like(h)
             for _, idx, block in blocks:
                 assert np.all(sz[idx] == sz[idx[0]])

@@ -2,12 +2,16 @@
 
 Each example runs |up>|down down> at site 1, and on three sites also at the
 middle site, on a 41-point grid to t = 30, under both kinds and both
-presets, at eta/J from 0 (exact only) to 1e10.  The reference solves the
-start's S_z block of the Kronecker oracle's Hamiltonian with ``mpmath.eigh``
-at 30 + log10(max(1, scale * t_max)) digits, propagates it at that
-precision and reads every ``Trajectory`` field off the states rounded to
-floats through the explicit oracles of ``helpers``; the energy is
-sum_k w_k |c_k|^2 at full precision.  Every field stays within
+presets, at eta/J from 0 (exact only) to 1e10.  A ``hypothesis`` property
+draws the rest of the range from the configs of ``simulate_configs``:
+couplings from 5e-324 up to +-1e290, every start label, complex
+superpositions spanning several sectors, eta/J from 0 to 1e10 and t_max up
+to 1e10; a run the preconditions refuse must raise.  The reference solves
+each S_z block the start occupies of the Kronecker oracle's Hamiltonian
+with ``mpmath.eigh`` at 30 + log10(max(1, scale * t_max)) digits,
+propagates it at that precision and reads every ``Trajectory`` field off
+the states rounded to floats through the explicit oracles of ``helpers``;
+the energy is sum_k w_k |c_k|^2 over the blocks at full precision.  Every field stays within
 C * eps * (scale * max(t_max, 1) + 4), scale = eta + |j_xy| + |j_z|: the
 rounding of the phases E * t, plus a floor for the eigensolve and the
 observables.
@@ -18,6 +22,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinhop.dynamics import TimeGrid, run_trajectory
 from spinhop.model import HAMILTONIAN_KINDS, BasisLayout, ModelSpec, encode_state
@@ -28,6 +34,7 @@ from helpers import (
     collective_spin_oracle,
     hamiltonian_oracle,
     log_negativity_oracle,
+    simulate_configs,
     static_pair_stack,
     sz_of_basis,
 )
@@ -44,26 +51,30 @@ STARTS = [(2, 1), (3, 1), (3, 0)]  # (n_sites, site label)
 
 def _oracle_run(spec, kind, psi, times):
     """The ``(T, D)`` states exp(-i H t) psi, rounded to floats, and the
-    energy, from an mpmath solve of the one S_z block ``psi`` occupies."""
+    energy, from an mpmath solve of each S_z block ``psi`` occupies."""
     n_sites = spec.n_sites
     pinned = {0: 1, n_sites - 1: 2}
     h = hamiltonian_oracle(n_sites, spec.eta, spec.j_xy, spec.j_z, pinned, kind)
     sz = sz_of_basis(BasisLayout(n_sites))
-    idx = np.flatnonzero(sz == sz[np.flatnonzero(psi)[0]])
-    assert not np.delete(psi, idx).any()  # the start lies in that block
     scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
     digits = 30 + math.ceil(math.log10(max(1.0, scale * times[-1])))
     states = np.zeros((len(times), len(psi)), dtype=complex)
     with mpmath.workdps(digits):
-        block = mpmath.matrix(
-            [[mpmath.mpc(z.real, z.imag) for z in row] for row in h[np.ix_(idx, idx)]]
-        )
-        w, v = mpmath.eigh(block)
-        c = v.H * mpmath.matrix([mpmath.mpc(z.real, z.imag) for z in psi[idx]])
-        energy = float(sum(w[k] * abs(c[k]) ** 2 for k in range(len(idx))))
-        for i, t in enumerate(times):
-            phased = mpmath.matrix([mpmath.expj(-w[k] * t) * c[k] for k in range(len(idx))])
-            states[i, idx] = [complex(z) for z in v * phased]
+        energy = mpmath.mpf(0)
+        for value in np.unique(sz):
+            idx = np.flatnonzero(sz == value)
+            if not psi[idx].any():
+                continue
+            block = mpmath.matrix(
+                [[mpmath.mpc(z.real, z.imag) for z in row] for row in h[np.ix_(idx, idx)]]
+            )
+            w, v = mpmath.eigh(block)
+            c = v.H * mpmath.matrix([mpmath.mpc(z.real, z.imag) for z in psi[idx]])
+            energy += sum(w[k] * abs(c[k]) ** 2 for k in range(len(idx)))
+            for i, t in enumerate(times):
+                phased = mpmath.matrix([mpmath.expj(-w[k] * t) * c[k] for k in range(len(idx))])
+                states[i, idx] = [complex(z) for z in v * phased]
+        energy = float(energy)
     return states, energy
 
 
@@ -93,6 +104,16 @@ def _oracle_fields(states, n_sites):
     }
 
 
+def _oracle_ratios(spec, kind, psi, grid):
+    """Each field's largest gap to the oracle over the bound."""
+    run = run_trajectory(spec, kind, psi, grid)
+    states, energy = _oracle_run(spec, kind, psi, grid.times())
+    want = {**_oracle_fields(states, spec.n_sites), "t": grid.times(), "energy": energy}
+    scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
+    bound = ORACLE_C * EPS * (scale * max(grid.t_max, 1.0) + 4.0)
+    return {k: np.abs(getattr(run, k) - value).max() / bound for k, value in want.items()}
+
+
 # the effective kind rejects eta = 0, which does not separate the kinetic modes
 EXAMPLES = [
     (n_sites, site, kind, ratio)
@@ -108,10 +129,56 @@ EXAMPLES = [
 def test_trajectory_matches_the_mpmath_oracle(n_sites, site, kind, ratio, preset):
     psi = encode_state(BasisLayout(n_sites), site, "up", "down-down")
     spec = getattr(ModelSpec, preset)(ratio, n_sites=n_sites)  # J = 1
-    run = run_trajectory(spec, kind, psi, GRID)
-    states, energy = _oracle_run(spec, kind, psi, GRID.times())
-    want = {**_oracle_fields(states, n_sites), "t": GRID.times(), "energy": energy}
+    ratios = _oracle_ratios(spec, kind, psi, GRID)
+    assert max(ratios.values()) <= 1.0, {k: f"{v:.2g}" for k, v in ratios.items() if v > 1.0}
+
+
+_LABELLED = encode_state(BasisLayout(2), 1, "up", "down-down")
+
+
+@st.composite
+def _starts(draw, cfg):
+    """The config's labelled start, or it plus complex amplitudes on one to
+    three basis states of other S_z sectors, normalised."""
+    n_sites = cfg["model"]["n_sites"]
+    initial = cfg["initial"]
+    psi = encode_state(BasisLayout(n_sites), initial["site"], initial["e_spin"], initial["static"])
+    sz = sz_of_basis(BasisLayout(n_sites))
+    others = np.flatnonzero(sz != sz[np.flatnonzero(psi)[0]]).tolist()
+    extra = draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    moduli = st.floats(1e-3, 1.0)
+    phases = st.floats(0.0, 2.0 * math.pi)
+    psi = psi * draw(moduli) * np.exp(1j * draw(phases))
+    for i in extra:
+        psi[i] = draw(moduli) * np.exp(1j * draw(phases))
+    return psi / np.linalg.norm(psi)
+
+
+@st.composite
+def _runs(draw):
+    """A config of ``simulate_configs`` as a spec, kind and start, on a
+    41-point grid to its t_max."""
+    cfg = draw(simulate_configs())
+    model, run = dict(cfg["model"]), cfg["run"]
+    spec = ModelSpec.from_preset(model.pop("preset"), model.pop("n_sites"), **model)
+    grid = TimeGrid(t_max=run["t_max"], n_points=GRID.n_points)
+    return spec, run["hamiltonian"], draw(_starts(cfg)), grid
+
+
+# ~70 ms per example; the largest ratio read over 1500 examples is 0.59, in
+# the logneg of a three-site effective run at eta/J ~ 1 with j_xy = 1e-300
+@settings(max_examples=80, deadline=None)
+@given(_runs())
+@example((ModelSpec.xy(0.0), "effective", _LABELLED, GRID))  # no hopping
+@example((ModelSpec.xy(1e300, j=1e290), "exact", _LABELLED, TimeGrid(1e10, 41)))  # overflows
+def test_any_run_the_preconditions_accept_matches_the_mpmath_oracle(run):
+    # a run the preconditions refuse (effective at eta = 0, or phases that
+    # overflow) must raise, not be drawn past
+    spec, kind, psi, grid = run
     scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
-    bound = ORACLE_C * EPS * (scale * max(GRID.t_max, 1.0) + 4.0)
-    ratios = {k: np.abs(getattr(run, k) - value).max() / bound for k, value in want.items()}
+    if (kind == "effective" and spec.eta == 0.0) or math.isinf(2.0 * scale * max(grid.t_max, 1.0)):
+        with pytest.raises(ValueError, match=r"overflows$|^effective requires eta > 0"):
+            run_trajectory(spec, kind, psi, grid)
+        return
+    ratios = _oracle_ratios(spec, kind, psi, grid)
     assert max(ratios.values()) <= 1.0, {k: f"{v:.2g}" for k, v in ratios.items() if v > 1.0}
