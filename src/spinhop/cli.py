@@ -3,8 +3,8 @@
 Subcommands
 -----------
 ``simulate``  evolve one scenario and write the observable table
-``compare``   exact-vs-effective deviation table over a list of eta/J ratios
-              (``run.hamiltonian`` plays no part)
+``compare``   exact-vs-effective deviation table over a list of eta/J ratios,
+              each run at eta = ratio * |J| (``run.hamiltonian`` plays no part)
 ``analytic``  closed-form strong-hopping doublet populations for overlay plots
 
 Each subcommand takes a JSON config path and an optional ``--out`` path.
@@ -12,17 +12,20 @@ Config schema (unknown keys are rejected)::
 
     {
       "model":   {"n_sites": 2, "eta": 10.0, "preset": "xy",
-                  "j": 1.0, "j_xy": ..., "j_z": ...},
+                  "j": 1.0 (xy, heisenberg) | "j_xy": ..., "j_z": ... (custom)},
       "initial": {"site": 1, "e_spin": "up", "static": "down-down"},
       "run":     {"hamiltonian": "exact", "t_max": 30.0, "n_points": 2001},
       "output":  {"path": "out.csv", "columns": ["P_up", "F_plus"]},
       "compare": {"ratios": [1, 2, 10]}
     }
 
-Presets fix the couplings: ``xy`` means ``j_xy = j, j_z = 0`` and
-``heisenberg`` means ``j_z = j = 2 j_xy`` (``j`` defaults to 1, so ``eta``
-is the ratio eta/J).  Site labels are 1, 2 on two sites and 1, 0, 2 (left,
-middle, right) on three.
+Presets fix the couplings: ``xy`` takes ``j`` as ``j_xy = j, j_z = 0`` and
+``heisenberg`` takes it as ``j_z = j = 2 j_xy`` (``j`` defaults to 1, so
+``eta`` is the ratio eta/J); ``custom`` takes ``j_xy`` and ``j_z`` (default
+0).  A coupling the preset does not take is a config error.  Site labels are
+1, 2 on two sites and 1, 0, 2 (left, middle, right) on three.
+``output.columns`` picks the columns of ``simulate`` only; ``compare`` and
+``analytic`` write all of theirs.
 
 ``analytic`` takes any start and couplings; its ``alpha_up_sq`` and
 ``alpha_down_sq`` are the populations of |up>|down down> and |down>|psi+>,
@@ -58,7 +61,9 @@ import numpy as np
 
 from .analysis import compare_exact_effective
 from .dynamics import COLUMNS, TimeGrid, analytic, column_names, run_trajectory
-from .model import BasisLayout, ModelSpec, _check_kind, _finite, _read_only, encode_state
+from .model import (
+    _COUPLING_KEYS, BasisLayout, ModelSpec, _check_kind, _finite, _read_only, encode_state
+)
 
 PROBABILITY_TOL = 1e-9
 
@@ -72,7 +77,7 @@ class NumericalInvariantError(Exception):
 
 
 _TOP_KEYS = {"model", "initial", "run", "output", "compare"}
-_MODEL_KEYS = {"n_sites", "eta", "preset", "j", "j_xy", "j_z"}
+_MODEL_KEYS = {"n_sites", "eta", "preset", *_COUPLING_KEYS}
 _INITIAL_KEYS = {"site", "e_spin", "static"}
 _RUN_KEYS = {"hamiltonian", "t_max", "n_points"}
 _OUTPUT_KEYS = {"path", "columns"}
@@ -139,7 +144,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _check_keys(model, _MODEL_KEYS, "model")
     if "eta" not in model:
         raise ConfigError("missing required key 'eta' in model")
-    numbers = {key: _number(model, key, "model") for key in ("eta", "j", "j_xy", "j_z")}
+    numbers = {key: _number(model, key, "model") for key in ("eta", *_COUPLING_KEYS)}
 
     initial = raw.get("initial")
     if initial is None:
@@ -224,14 +229,6 @@ def _out_path(config: ScenarioConfig, out_path: str | None) -> str:
     return path
 
 
-def _coupling(config: ScenarioConfig, command: str) -> float:
-    """The energy unit J, which ``ModelSpec.j_ref`` finds only when nonzero."""
-    try:
-        return config.spec.j_ref
-    except ValueError:
-        raise ConfigError(f"{command} needs a nonzero coupling") from None
-
-
 def _validated_columns(trajectory, n_sites: int) -> dict:
     """Every simulate column as an array, probabilities clamped into [0, 1].
 
@@ -309,17 +306,16 @@ def cmd_compare(
     ratios = tuple(ratios) if ratios is not None else config.ratios
     if not ratios:
         raise ConfigError("no ratios: set compare.ratios or pass --ratios")
-    j = _coupling(config, "compare")
+    with _config_errors():
+        j = abs(config.spec.j_ref)
     rows = []
     for ratio in ratios:
-        with _config_errors(f"eta/J = {ratio}: "):  # ratio * J or the energy scale overflows
+        with _config_errors(f"eta/J = {ratio}: "):  # ratio * |J| or the energy scale overflows
             spec = dataclasses.replace(config.spec, eta=ratio * j)
             if spec.eta == 0.0:
                 raise ValueError("ratio * J underflows to 0")
             report = compare_exact_effective(spec, config.initial, config.grid)
-        rows.append(
-            [report.eta_over_j, report.max_state_infidelity, *report.max_observable_gap.values()]
-        )
+        rows.append([ratio, report.max_state_infidelity, *report.max_observable_gap.values()])
     gaps = ["gap_" + c for c in report.max_observable_gap]
     _write_csv(path, ["eta_over_j", "max_state_infidelity", *gaps], rows)
     for row in rows:
@@ -330,11 +326,10 @@ def cmd_compare(
 def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
     """Closed-form strong-hopping doublet populations on the configured grid."""
     path = _out_path(config, out_path)
-    j = _coupling(config, "analytic")
-    with _config_errors("model: "):  # an energy scale that overflows
+    with _config_errors("model: "):  # no coupling, or an energy scale that overflows
         solution = analytic(config.spec, config.initial, config.grid)
     if not math.isfinite(solution.period):
-        raise NumericalInvariantError(f"closed-form period overflows (J = {j!r})")
+        raise NumericalInvariantError(f"closed-form period overflows (J = {config.spec.j_ref!r})")
     table = np.column_stack((solution.times, solution.p_up, solution.p_down))
     _write_csv(path, ["t", "alpha_up_sq", "alpha_down_sq"], table)
     print(f"period={_fmt(solution.period)}")

@@ -86,13 +86,15 @@ def _known(label, table) -> bool:
     return isinstance(label, str) and label in table
 
 
-def _given(name, value, default):
-    """A preset coupling as a float, or ``default`` when it is not given."""
-    if value is None:
-        return default
-    if not _finite(value):
-        raise ValueError(f"model.{name} must be finite, got {value!r}")
-    return float(value)
+# coupling preset -> the config couplings it takes, and (j_xy, j_z) from
+# those of them given, as floats; the only table of which preset takes what
+_COUPLING_PRESETS = {
+    "xy": (("j",), lambda j=1.0: (j, 0.0)),
+    "heisenberg": (("j",), lambda j=1.0: (j / 2.0, j)),
+    "custom": (("j_xy", "j_z"), lambda j_xy=0.0, j_z=0.0: (j_xy, j_z)),
+}
+# every coupling some preset takes: j, j_xy, j_z
+_COUPLING_KEYS = sorted({key for taken, _ in _COUPLING_PRESETS.values() for key in taken})
 
 
 @dataclass(frozen=True)
@@ -127,36 +129,27 @@ class ModelSpec:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
-    def from_preset(cls, preset, n_sites, eta, j=None, j_xy=None, j_z=None):
-        """A spec from a coupling preset and the couplings given with it
-        (``None``: not given).  ``"xy"``: ``j_xy = j`` (default 1), ``j_z = 0``;
-        ``"heisenberg"``: ``j_z = j = 2 j_xy`` (default 1); ``"custom"``:
-        ``j_xy``, ``j_z`` as given (default 0) and no ``j``.  Two given
-        couplings that fix one value must agree.  Messages name config keys."""
-        if not _known(preset, ("xy", "heisenberg", "custom")):
-            raise ValueError(f"model.preset must be xy, heisenberg or custom, got {preset!r}")
-        if preset == "custom":
-            if j is not None:
-                raise ValueError("model.j is only meaningful with the xy/heisenberg presets")
-            j_xy, j_z = _given("j_xy", j_xy, 0.0), _given("j_z", j_z, 0.0)
-        elif preset == "xy":
-            if _given("j_z", j_z, 0.0) != 0.0:
-                raise ValueError("preset 'xy' requires j_z == 0")
-            scale = _given("j", j, 1.0)
-            value = _given("j_xy", j_xy, scale)
-            if j is not None and j_xy is not None and value != scale:
-                raise ValueError("preset 'xy': j and j_xy disagree; give one of them")
-            j_xy, j_z = value, 0.0
-        else:
-            z = _given("j_z", j_z, 1.0)
-            scale = _given("j", j, z)
-            if j is not None and j_z is not None and z != scale:
-                raise ValueError("preset 'heisenberg': j and j_z disagree; give one of them")
-            j_z = z if j_z is not None else scale
-            j_xy = _given("j_xy", j_xy, j_z / 2.0)
-            # to 1e-12 relative to j_z; the default j_z / 2 passes where it underflows
-            if not abs(j_xy - j_z / 2.0) <= 0.5e-12 * abs(j_z):
-                raise ValueError("preset 'heisenberg' requires j_z == 2 * j_xy")
+    def from_preset(cls, preset, n_sites, eta, **couplings):
+        """A spec from a coupling preset and the couplings given with it by
+        keyword (``None``: not given).  ``"xy"`` takes ``j`` (default 1) as
+        ``j_xy = j``, ``j_z = 0``; ``"heisenberg"`` takes ``j`` (default 1)
+        as ``j_z = j = 2 j_xy``; ``"custom"`` takes ``j_xy`` and ``j_z``
+        (default 0).  A coupling the preset does not take is refused.
+        Messages name config keys."""
+        if not _known(preset, _COUPLING_PRESETS):
+            *names, last = _COUPLING_PRESETS
+            raise ValueError(f"model.preset must be {', '.join(names)} or {last}, got {preset!r}")
+        taken, couplings_of = _COUPLING_PRESETS[preset]
+        given = {k: v for k, v in couplings.items() if v is not None}
+        refused = sorted(given.keys() - set(taken))
+        if refused:
+            raise ValueError(
+                f"preset {preset!r} takes {' and '.join(taken)}, not {' or '.join(refused)}"
+            )
+        for k, v in given.items():
+            if not _finite(v):
+                raise ValueError(f"model.{k} must be finite, got {v!r}")
+        j_xy, j_z = couplings_of(**{k: float(v) for k, v in given.items()})
         return cls(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
 
     @classmethod

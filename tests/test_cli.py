@@ -117,13 +117,14 @@ class TestParseConfig:
             parse_config(json.dumps(_config(model={"n_sites": 4})))
 
     def test_heisenberg_constraint_enforced(self):
+        # j alone fixes both couplings, so neither may be given
         bad = _config(model={"preset": "heisenberg", "j_z": 1.0, "j_xy": 0.9})
-        with pytest.raises(ConfigError, match="j_z == 2 \\* j_xy"):
+        with pytest.raises(ConfigError, match="^preset 'heisenberg' takes j, not j_xy or j_z$"):
             parse_config(json.dumps(bad))
 
     def test_xy_constraint_enforced(self):
         bad = _config(model={"preset": "xy", "j_z": 0.5})
-        with pytest.raises(ConfigError, match="j_z == 0"):
+        with pytest.raises(ConfigError, match="^preset 'xy' takes j, not j_z$"):
             parse_config(json.dumps(bad))
 
     def test_unknown_keys_rejected(self):
@@ -176,19 +177,33 @@ class TestParseConfig:
 
     def test_custom_preset_rejects_scale_key(self):
         bad = _config(model={"preset": "custom", "j": 1.0, "j_xy": 1.0})
-        with pytest.raises(ConfigError, match="only meaningful"):
+        with pytest.raises(ConfigError, match="^preset 'custom' takes j_xy and j_z, not j$"):
             parse_config(json.dumps(bad))
 
     def test_conflicting_scale_keys_rejected(self):
-        with pytest.raises(ConfigError, match="disagree"):
+        with pytest.raises(ConfigError, match="^preset 'xy' takes j, not j_xy$"):
             parse_config(json.dumps(_config(model={"j": 2.0, "j_xy": 1.0})))
         heis = _config(model={"preset": "heisenberg", "j": 2.0, "j_z": 1.0})
-        with pytest.raises(ConfigError, match="disagree"):
+        with pytest.raises(ConfigError, match="^preset 'heisenberg' takes j, not j_z$"):
             parse_config(json.dumps(heis))
 
-    def test_consistent_scale_keys_accepted(self):
-        cfg = parse_config(json.dumps(_config(model={"j": 2.0, "j_xy": 2.0})))
-        assert cfg.spec.j_xy == 2.0
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.floats(allow_nan=False, allow_infinity=False), n_sites=st.sampled_from([2, 3]))
+    @example(j=5e-324, n_sites=2)  # j / 2 underflows to 0
+    @example(j=-5e-324, n_sites=3)
+    @example(j=1e290, n_sites=2)
+    @example(j=-1e290, n_sites=3)
+    def test_a_preset_reads_only_the_couplings_it_takes(self, j, n_sites):
+        # the JSON text carries j to the spec bit for bit, on either lattice
+        for preset, couplings in (("xy", (j, 0.0)), ("heisenberg", (j / 2, j))):
+            cfg = parse_config(json.dumps(_config(model={"n_sites": n_sites, "preset": preset, "j": j})))
+            assert cfg.spec == ModelSpec(n_sites, 10.0, *couplings)
+        # a coupling the preset does not take is refused whatever its value
+        for preset, key in (("xy", "j_xy"), ("xy", "j_z"), ("heisenberg", "j_xy"),
+                            ("heisenberg", "j_z"), ("custom", "j")):
+            bad = _config(model={"n_sites": n_sites, "preset": preset, key: j})
+            with pytest.raises(ConfigError, match=f"^preset '{preset}' takes .*, not {key}$"):
+                parse_config(json.dumps(bad))
 
     @pytest.mark.parametrize(
         "overrides, library",
@@ -431,6 +446,36 @@ class TestCompareCommand:
         with pytest.raises(ConfigError, match="ratios"):
             cmd_compare(cfg, out_path=str(tmp_path / "x.csv"))
 
+    def test_writes_the_ratio_it_was_asked_for(self, tmp_path, capsys):
+        # eta = 3 * 0.1, and eta / J = 3.0000000000000004
+        cfg = parse_config(json.dumps(_config(model={"j": 0.1}, run={"n_points": 51})))
+        out = tmp_path / "cmp.csv"
+        cmd_compare(cfg, ratios=(3.0,), out_path=str(out))
+        assert out.read_text().split("\n")[1].startswith("3,")
+        assert capsys.readouterr().out.startswith("eta/J=3: ")
+
+    @pytest.mark.parametrize("preset", ["xy", "heisenberg"])
+    @pytest.mark.parametrize("n_sites, site", [(2, 1), (3, 0), (3, 1)])
+    def test_a_negative_coupling_reads_as_its_magnitude(
+        self, tmp_path, capsys, preset, n_sites, site
+    ):
+        # strong hopping is eta >> |J|, so each ratio runs at eta = ratio * |J|
+        tables = []
+        for j in (1.0, -1.0):
+            cfg = _config(
+                model={"n_sites": n_sites, "preset": preset, "j": j},
+                initial={"site": site},
+                run={"n_points": 201},
+            )
+            out = str(tmp_path / f"j{j}.csv")
+            assert main(["compare", _write(tmp_path, cfg), "--out", out, "--ratios", "1,10,100"]) == 0
+            tables.append(_read_csv(out))
+        (header, plus), (header_negative, minus) = tables
+        assert header_negative == header
+        assert list(minus["eta_over_j"]) == [1.0, 10.0, 100.0]
+        for c in header:
+            assert np.abs(minus[c] - plus[c]).max() <= 1e-12, c
+
 
 class TestAnalyticCommand:
     def test_xy_closed_form(self, tmp_path):
@@ -668,12 +713,34 @@ class TestEdgeInputs:
     def test_analytic_without_coupling_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "custom"}, run={"n_points": 11})
         assert self._main(tmp_path, "analytic", cfg) == 2
-        assert "analytic needs a nonzero coupling" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: model: the closed form needs a nonzero coupling; j_xy = j_z = 0\n"
+        )
 
     def test_compare_without_coupling_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "custom"}, run={"n_points": 11})
         assert self._main(tmp_path, "compare", cfg, "--ratios", "10") == 2
-        assert capsys.readouterr().err == "config error: compare needs a nonzero coupling\n"
+        assert capsys.readouterr().err == (
+            "config error: coupling scale is zero; eta/J is undefined\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    @pytest.mark.parametrize(
+        "preset, key, taken",
+        [("xy", "j_xy", "j"), ("xy", "j_z", "j"), ("heisenberg", "j_xy", "j"),
+         ("heisenberg", "j_z", "j"), ("custom", "j", "j_xy and j_z")],
+    )
+    def test_a_coupling_the_preset_does_not_take_is_a_config_error(
+        self, tmp_path, capsys, preset, key, taken, command
+    ):
+        message = f"preset {preset!r} takes {taken}, not {key}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelSpec.from_preset(preset, 2, 10.0, **{key: 1.0})
+        cfg = _config(model={"preset": preset, key: 1.0}, run={"n_points": 11})
+        flags = ["--ratios", "10"] if command == "compare" else []
+        assert self._main(tmp_path, command, cfg, *flags) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_overflowing_energy_scale_is_a_config_error(self, tmp_path, capsys):
         cfg = _config(model={"preset": "heisenberg", "j": -1e308}, run={"n_points": 11})
@@ -828,13 +895,6 @@ class TestEdgeInputs:
         assert not (tmp_path / "x.csv").exists()
 
     def test_simulate_and_analytic_read_heisenberg_alike(self, tmp_path, capsys):
-        # |j_z - 2 j_xy| = 1e-13 is no rounding error next to j_z = 1e-13
-        cfg = _config(model={"preset": "heisenberg", "j_z": 1e-13, "j_xy": 0.0})
-        for command in ("simulate", "analytic"):
-            assert self._main(tmp_path, command, cfg) == 2
-            assert capsys.readouterr().err == (
-                "config error: preset 'heisenberg' requires j_z == 2 * j_xy\n"
-            )
         # j_xy = j / 2 underflows to 0: both take the preset as Heisenberg
         cfg = _config(model={"preset": "heisenberg", "j": 5e-324}, run={"n_points": 11})
         assert self._main(tmp_path, "simulate", cfg) == 0

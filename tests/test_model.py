@@ -81,18 +81,6 @@ class TestModelSpec:
         custom = ModelSpec.from_preset("custom", 2, 1.0, j_xy=1.0, j_z=0.5)
         assert (custom.j_xy, custom.j_z) == (1.0, 0.5)
 
-    def test_heisenberg_preset_rule_is_relative_to_j_z(self):
-        # j_z == 2 j_xy to 1e-12 relative to j_z, however small j_z is
-        near = ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.5 + 4e-13, j_z=1.0)
-        assert (near.j_xy, near.j_z) == (0.5 + 4e-13, 1.0)
-        with pytest.raises(ValueError, match=r"requires j_z == 2 \* j_xy"):
-            ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.5 + 6e-13, j_z=1.0)
-        with pytest.raises(ValueError, match=r"requires j_z == 2 \* j_xy"):
-            ModelSpec.from_preset("heisenberg", 2, 1.0, j_xy=0.0, j_z=1e-13)
-        # j_xy = j / 2 underflows to 0, and the preset still takes it
-        tiny = ModelSpec.heisenberg(1.0, j=5e-324)
-        assert (tiny.j_xy, tiny.j_z) == (0.0, 5e-324)
-
     def test_stores_floats(self):
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
         assert all(type(x) is float for x in (spec.eta, spec.j_xy, spec.j_z))
@@ -109,14 +97,18 @@ class TestFromPreset:
         [
             ("xy", {}, (1.0, 0.0)),
             ("xy", {"j": 2}, (2.0, 0.0)),
-            ("xy", {"j_xy": 3.0, "j_z": 0}, (3.0, 0.0)),
-            ("xy", {"j": 2.0, "j_xy": 2.0}, (2.0, 0.0)),
+            ("xy", {"j": -3.0}, (-3.0, 0.0)),
+            ("xy", {"j": 0}, (0.0, 0.0)),
             ("heisenberg", {}, (0.5, 1.0)),
             ("heisenberg", {"j": 2.0}, (1.0, 2.0)),
-            ("heisenberg", {"j_z": 3.0}, (1.5, 3.0)),
-            ("heisenberg", {"j_xy": 0.25, "j_z": 0.5}, (0.25, 0.5)),
+            ("heisenberg", {"j": 3}, (1.5, 3.0)),
+            ("heisenberg", {"j": 0.5}, (0.25, 0.5)),
             ("custom", {}, (0.0, 0.0)),
             ("custom", {"j_xy": 1, "j_z": 0.7}, (1.0, 0.7)),
+            ("xy", {"j": 5e-324}, (5e-324, 0.0)),
+            ("xy", {"j": -1e290}, (-1e290, 0.0)),
+            ("heisenberg", {"j": -5e-324}, (-0.0, -5e-324)),  # j / 2 underflows to 0
+            ("heisenberg", {"j": 1e290}, (5e289, 1e290)),
         ],
     )
     def test_couplings(self, preset, couplings, expected):
@@ -136,16 +128,19 @@ class TestFromPreset:
         [
             ("ising", {}, "model.preset must be xy, heisenberg or custom, got 'ising'"),
             (["xy"], {}, "model.preset must be xy, heisenberg or custom, got ['xy']"),
-            ("custom", {"j": 1.0}, "model.j is only meaningful with the xy/heisenberg presets"),
+            ("custom", {"j": 1.0}, "preset 'custom' takes j_xy and j_z, not j"),
             ("custom", {"j_xy": math.inf}, "model.j_xy must be finite, got inf"),
-            ("xy", {"j_z": 0.5}, "preset 'xy' requires j_z == 0"),
-            ("xy", {"j": 2.0, "j_xy": 1.0}, "preset 'xy': j and j_xy disagree; give one of them"),
+            ("xy", {"j_z": 0.5}, "preset 'xy' takes j, not j_z"),
+            ("xy", {"j": 2.0, "j_xy": 2.0}, "preset 'xy' takes j, not j_xy"),
             ("xy", {"j": 10**400}, f"model.j must be finite, got {10**400!r}"),
-            ("heisenberg", {"j": 2.0, "j_z": 1.0},
-             "preset 'heisenberg': j and j_z disagree; give one of them"),
+            ("heisenberg", {"j": 2.0, "j_z": 1.0}, "preset 'heisenberg' takes j, not j_z"),
             ("heisenberg", {"j_z": 1.0, "j_xy": 0.9},
-             "preset 'heisenberg' requires j_z == 2 * j_xy"),
-            ("heisenberg", {"j": math.nan, "j_z": True}, "model.j_z must be finite, got True"),
+             "preset 'heisenberg' takes j, not j_xy or j_z"),
+            # a refused coupling is refused whatever its value
+            ("custom", {"j": math.nan, "j_z": True}, "preset 'custom' takes j_xy and j_z, not j"),
+            ("custom", {"j_z": True}, "model.j_z must be finite, got True"),
+            ("xy", {"j": True}, "model.j must be finite, got True"),
+            ("xy", {"j_q": 1.0}, "preset 'xy' takes j, not j_q"),
         ],
     )
     def test_messages_name_the_config_keys(self, preset, couplings, message):

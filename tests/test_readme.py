@@ -1,14 +1,24 @@
-"""The README's library quickstart runs, and prints what its comments say."""
+"""The README's examples run: the library quickstart prints what its
+comments say, every JSON config parses and every CLI line exits 0."""
 
 import contextlib
 import io
 import math
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from spinhop.cli import main, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def _blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 
 
 def test_quickstart_prints_what_its_comments_say():
@@ -21,3 +31,22 @@ def test_quickstart_prints_what_its_comments_say():
     assert float(f_plus_max) == pytest.approx(1.0, abs=0.01)
     assert float(period) == pytest.approx(2.0 * math.sqrt(2.0) * math.pi, rel=0.005)
     assert shape == "(2001, 2)"
+
+
+@pytest.mark.parametrize("block", _blocks("json"))
+def test_json_configs_parse(block):
+    parse_config(block)
+
+
+def _cli_lines():
+    (text,) = re.findall(r"## CLI\n\n```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [shlex.split(line, comments=True) for line in text.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _cli_lines(), ids=lambda argv: argv[1])
+def test_cli_lines_exit_0(tmp_path, monkeypatch, capsys, argv):
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    program, *args = argv
+    assert program == "spinhop"
+    assert main(args) == 0, capsys.readouterr().err
