@@ -31,8 +31,8 @@ Presets fix the couplings: ``xy`` takes ``j`` as ``j_xy = j, j_z = 0`` and
 ``alpha_down_sq`` are the populations of |up>|down down> and |down>|psi+>,
 which add up to the start's weight on that doublet.
 
-The CLI reads the JSON: it checks the blocks, the keys, the JSON type of
-each number, the column names and the eta/J ratios.  The library checks the
+The CLI reads the JSON: it checks the blocks and their keys, all before any
+value, then the column names and the eta/J ratios.  The library checks the
 values and the preconditions of a run (``ModelSpec.from_preset``,
 ``encode_state``, the kind check of ``build_hamiltonian``, ``TimeGrid``,
 ``run_trajectory``, ``compare_exact_effective``, ``analytic``,
@@ -76,12 +76,15 @@ class NumericalInvariantError(Exception):
     """A computed trajectory violated a numerical invariant."""
 
 
-_TOP_KEYS = {"model", "initial", "run", "output", "compare"}
-_MODEL_KEYS = {"n_sites", "eta", "preset", *_COUPLING_KEYS}
-_INITIAL_KEYS = {"site", "e_spin", "static"}
-_RUN_KEYS = {"hamiltonian", "t_max", "n_points"}
-_OUTPUT_KEYS = {"path", "columns"}
-_COMPARE_KEYS = {"ratios"}
+# block -> (its keys, whether a config must give it); the blocks are the
+# top-level keys
+_BLOCKS = {
+    "model": ({"n_sites", "eta", "preset", *_COUPLING_KEYS}, True),
+    "initial": ({"site", "e_spin", "static"}, True),
+    "run": ({"hamiltonian", "t_max", "n_points"}, False),
+    "output": ({"path", "columns"}, False),
+    "compare": ({"ratios"}, False),
+}
 # rows of a CSV formatted at a time, so no long table is held as one string
 _CSV_ROWS = 4096
 
@@ -100,20 +103,11 @@ class ScenarioConfig:
 def _check_keys(block, allowed, where):
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - allowed)
+    unknown = sorted(set(block).difference(allowed))
     if unknown:
         raise ConfigError(
             f"unknown key {unknown[0]!r} in {where} (expected one of {sorted(allowed)})"
         )
-
-
-def _number(block, key, where):
-    """``block[key]`` as given, or ``None`` if the key is absent;
-    ``ConfigError`` unless a given value is a JSON number."""
-    value = block.get(key)
-    if key in block and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return value
 
 
 def _ratios(values, where) -> tuple:
@@ -136,28 +130,21 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"unreadable JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "top level")
-
-    model = raw.get("model")
-    if model is None:
-        raise ConfigError("missing required block 'model'")
-    _check_keys(model, _MODEL_KEYS, "model")
+    _check_keys(raw, _BLOCKS, "top level")
+    for name, (keys, required) in _BLOCKS.items():
+        if required and raw.get(name) is None:
+            raise ConfigError(f"missing required block {name!r}")
+        _check_keys(raw.setdefault(name, {}), keys, name)
+    model, initial, run, output, compare = (raw[name] for name in _BLOCKS)
     if "eta" not in model:
         raise ConfigError("missing required key 'eta' in model")
-    numbers = {key: _number(model, key, "model") for key in ("eta", *_COUPLING_KEYS)}
-
-    initial = raw.get("initial")
-    if initial is None:
-        raise ConfigError("missing required block 'initial'")
-    _check_keys(initial, _INITIAL_KEYS, "initial")
-
-    run = raw.get("run", {})
-    _check_keys(run, _RUN_KEYS, "run")
     hamiltonian = run.get("hamiltonian", "exact")
-    _number(run, "t_max", "run")
 
     with _config_errors():  # the library checks every value
-        spec = ModelSpec.from_preset(model.get("preset", "custom"), model.get("n_sites"), **numbers)
+        given = {key: model[key] for key in _COUPLING_KEYS if key in model}
+        spec = ModelSpec.from_preset(
+            model.get("preset", "custom"), model.get("n_sites"), model["eta"], **given
+        )
         state = encode_state(
             BasisLayout(spec.n_sites),
             initial.get("site"),
@@ -167,15 +154,13 @@ def parse_config(text: str) -> ScenarioConfig:
         _check_kind(None, hamiltonian)
         grid = TimeGrid(**{key: run[key] for key in ("t_max", "n_points") if key in run})
 
-    output = raw.get("output", {})
-    _check_keys(output, _OUTPUT_KEYS, "output")
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError(f"output.path must be a string, got {out_path!r}")
     columns = output.get("columns")
     if columns is not None:
-        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
-            raise ConfigError("output.columns must be a list of column names")
+        if not (isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns)):
+            raise ConfigError("output.columns must be a non-empty list of column names")
         valid = set(column_names(spec.n_sites))
         for c in columns:
             if c not in valid:
@@ -184,8 +169,6 @@ def parse_config(text: str) -> ScenarioConfig:
                 )
         columns = tuple(columns)
 
-    compare = raw.get("compare", {})
-    _check_keys(compare, _COMPARE_KEYS, "compare")
     ratios = compare.get("ratios")
     if ratios is not None:
         if not isinstance(ratios, list) or not ratios:

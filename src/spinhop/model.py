@@ -131,25 +131,24 @@ class ModelSpec:
     @classmethod
     def from_preset(cls, preset, n_sites, eta, **couplings):
         """A spec from a coupling preset and the couplings given with it by
-        keyword (``None``: not given).  ``"xy"`` takes ``j`` (default 1) as
-        ``j_xy = j``, ``j_z = 0``; ``"heisenberg"`` takes ``j`` (default 1)
-        as ``j_z = j = 2 j_xy``; ``"custom"`` takes ``j_xy`` and ``j_z``
-        (default 0).  A coupling the preset does not take is refused.
-        Messages name config keys."""
+        keyword.  ``"xy"`` takes ``j`` (default 1) as ``j_xy = j``,
+        ``j_z = 0``; ``"heisenberg"`` takes ``j`` (default 1) as
+        ``j_z = j = 2 j_xy``; ``"custom"`` takes ``j_xy`` and ``j_z``
+        (default 0).  A coupling the preset does not take is refused, and
+        one it takes must be finite.  Messages name config keys."""
         if not _known(preset, _COUPLING_PRESETS):
             *names, last = _COUPLING_PRESETS
             raise ValueError(f"model.preset must be {', '.join(names)} or {last}, got {preset!r}")
         taken, couplings_of = _COUPLING_PRESETS[preset]
-        given = {k: v for k, v in couplings.items() if v is not None}
-        refused = sorted(given.keys() - set(taken))
+        refused = sorted(couplings.keys() - set(taken))
         if refused:
             raise ValueError(
                 f"preset {preset!r} takes {' and '.join(taken)}, not {' or '.join(refused)}"
             )
-        for k, v in given.items():
+        for k, v in couplings.items():
             if not _finite(v):
                 raise ValueError(f"model.{k} must be finite, got {v!r}")
-        j_xy, j_z = couplings_of(**{k: float(v) for k, v in given.items()})
+        j_xy, j_z = couplings_of(**{k: float(v) for k, v in couplings.items()})
         return cls(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z)
 
     @classmethod
@@ -164,9 +163,10 @@ class ModelSpec:
 
     @property
     def j_ref(self) -> float:
-        """Energy unit J: the Ising coupling when present, else the XY one.
-        ``ValueError`` when both are zero, for eta/J is then undefined."""
-        j = self.j_z if self.j_z != 0.0 else self.j_xy
+        """Energy unit J: the coupling of larger magnitude, signed, and the
+        Ising one on a tie.  ``ValueError`` when both are zero, for eta/J is
+        then undefined."""
+        j = self.j_z if abs(self.j_z) >= abs(self.j_xy) else self.j_xy
         if j == 0.0:
             raise ValueError("coupling scale is zero; eta/J is undefined")
         return j

@@ -172,7 +172,7 @@ class TestParseConfig:
     def test_numeric_type_checks(self):
         with pytest.raises(ConfigError, match="n_points"):
             parse_config(json.dumps(_config(run={"n_points": True})))
-        with pytest.raises(ConfigError, match="must be a number"):
+        with pytest.raises(ConfigError, match="^eta must be a finite number >= 0, got 'ten'$"):
             parse_config(json.dumps(_config(model={"eta": "ten"})))
 
     def test_custom_preset_rejects_scale_key(self):
@@ -475,6 +475,14 @@ class TestCompareCommand:
         assert list(minus["eta_over_j"]) == [1.0, 10.0, 100.0]
         for c in header:
             assert np.abs(minus[c] - plus[c]).max() <= 1e-12, c
+
+    def test_a_small_ising_coupling_leaves_the_xy_one_as_the_unit(self, tmp_path, capsys):
+        # J = j_xy = 1, so eta/J = 1000 runs at eta = 1000, deep in strong hopping
+        cfg = _config(model={"preset": "custom", "j_xy": 1.0, "j_z": 1e-6}, run={"n_points": 401})
+        out = str(tmp_path / "cmp.csv")
+        assert main(["compare", _write(tmp_path, cfg), "--out", out, "--ratios", "1000"]) == 0
+        _, data = _read_csv(out)
+        assert data["max_state_infidelity"][0] < 1e-4
 
 
 class TestAnalyticCommand:
@@ -831,13 +839,17 @@ class TestEdgeInputs:
             ({**_config(), "model": {"n_sites": 2}}, "missing required key 'eta' in model"),
             ({"model": _config()["model"]}, "missing required block 'initial'"),
             (_config(output={"path": 3}), "output.path must be a string, got 3"),
-            (_config(output={"columns": "P_up"}), "output.columns must be a list of column names"),
+            (_config(output={"columns": "P_up"}),
+             "output.columns must be a non-empty list of column names"),
+            (_config(output={"columns": []}),
+             "output.columns must be a non-empty list of column names"),
             (_config(compare={"ratios": []}), "compare.ratios must be a non-empty list of numbers"),
             (_config(compare={"ratios": 10}), "compare.ratios must be a non-empty list of numbers"),
         ],
         ids=[
             "block-not-object", "top-level-not-object", "missing-model", "missing-eta",
-            "missing-initial", "path-not-string", "columns-not-list", "ratios-empty",
+            "missing-initial", "path-not-string", "columns-not-list", "columns-empty",
+            "ratios-empty",
             "ratios-not-list",
         ],
     )
@@ -845,6 +857,62 @@ class TestEdgeInputs:
         assert self._main(tmp_path, "simulate", cfg) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["1", True, None, [1], {}], ids=repr)
+    @pytest.mark.parametrize(
+        "block, key, preset, library",
+        [
+            ("model", "eta", "xy", lambda v: ModelSpec.from_preset("xy", 2, v)),
+            ("model", "j", "xy", lambda v: ModelSpec.from_preset("xy", 2, 10.0, j=v)),
+            ("model", "j_xy", "custom",
+             lambda v: ModelSpec.from_preset("custom", 2, 10.0, j_xy=v)),
+            ("model", "j_z", "custom", lambda v: ModelSpec.from_preset("custom", 2, 10.0, j_z=v)),
+            ("run", "t_max", "xy", lambda v: TimeGrid(t_max=v, n_points=11)),
+        ],
+        ids=["eta", "j", "j_xy", "j_z", "t_max"],
+    )
+    def test_a_number_of_the_wrong_json_type_carries_the_library_message(
+        self, tmp_path, capsys, block, key, preset, library, value
+    ):
+        with pytest.raises(ValueError) as expected:
+            library(value)
+        cfg = _config(model={"preset": preset}, run={"n_points": 11})
+        cfg[block][key] = value
+        assert self._main(tmp_path, "simulate", cfg) == 2
+        assert capsys.readouterr().err == f"config error: {expected.value}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("shape", ["absent", "null", "list", "unknown-key"])
+    @pytest.mark.parametrize("block", ["model", "initial", "run", "output", "compare"])
+    def test_each_block_is_checked_for_its_shape(self, tmp_path, capsys, block, shape):
+        cfg = _config(run={"n_points": 11})
+        keys, required = cli._BLOCKS[block]
+        if shape == "absent":
+            cfg.pop(block, None)
+            message = f"missing required block {block!r}" if required else None
+        elif shape == "null":
+            cfg[block] = None
+            message = f"{block} must be a JSON object"
+            if required:
+                message = f"missing required block {block!r}"
+        elif shape == "list":
+            cfg[block] = []
+            message = f"{block} must be a JSON object"
+        else:
+            cfg[block] = {**cfg.get(block, {}), "bogus": 1}
+            message = f"unknown key 'bogus' in {block} (expected one of {sorted(keys)})"
+        code = self._main(tmp_path, "simulate", cfg)
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"config error: {message}\n")
+
+    @pytest.mark.parametrize("block", ["output", "compare"])
+    def test_shape_errors_come_before_value_errors(self, tmp_path, capsys, block):
+        cfg = _config(model={"eta": -1.0}, **{block: []})
+        assert self._main(tmp_path, "simulate", cfg) == 2
+        assert capsys.readouterr().err == f"config error: {block} must be a JSON object\n"
 
     @pytest.mark.parametrize(
         "name, reason, flag",

@@ -85,6 +85,14 @@ class TestModelSpec:
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
         assert all(type(x) is float for x in (spec.eta, spec.j_xy, spec.j_z))
 
+    @pytest.mark.parametrize(
+        "j_xy, j_z, j",
+        [(1.0, 1e-6, 1.0), (0.3, -0.7, -0.7), (0.5, 0.5, 0.5), (0.5, -0.5, -0.5),
+         (-2.0, 1.0, -2.0)],
+    )
+    def test_energy_unit_is_the_larger_coupling_ising_on_a_tie(self, j_xy, j_z, j):
+        assert ModelSpec(2, 1.0, j_xy=j_xy, j_z=j_z).j_ref == j
+
     def test_zero_coupling_has_no_energy_unit(self):
         assert ModelSpec(2, 1.0, j_xy=0.5).j_ref == 0.5
         with pytest.raises(ValueError, match="coupling scale is zero"):

@@ -1,5 +1,7 @@
 """The README's examples run: the library quickstart prints what its
-comments say, every JSON config parses and every CLI line exits 0."""
+comments say, every JSON config parses and every CLI line exits 0; and the
+config schema of the README and of the ``cli`` docstring names the keys
+``cli`` reads."""
 
 import contextlib
 import io
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from spinhop import cli
 from spinhop.cli import main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +53,34 @@ def test_cli_lines_exit_0(tmp_path, monkeypatch, capsys, argv):
     program, *args = argv
     assert program == "spinhop"
     assert main(args) == 0, capsys.readouterr().err
+
+
+def _schema_keys(schema):
+    """``{block: keys}`` of a schema that writes each block as
+    ``"block": {"key": ..., ...}``."""
+    return {
+        block: set(re.findall(r'"(\w+)":', body))
+        for block, body in re.findall(r'"(\w+)":\s*\{(.*?)\}', schema, re.S)
+    }
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        _blocks("json")[0],
+        cli.__doc__.split("Config schema")[1].split("Presets fix")[0],
+    ],
+    ids=["readme", "cli-docstring"],
+)
+def test_the_schema_names_only_keys_the_cli_reads(schema):
+    keys = _schema_keys(schema)
+    assert set(keys) == set(cli._BLOCKS)
+    for block, names in keys.items():
+        assert names <= cli._BLOCKS[block][0], block
+
+
+def test_the_cli_section_names_every_key_the_cli_reads():
+    (text,) = re.findall(r"## CLI\n(.*?)\n## ", README.read_text(encoding="utf-8"), re.S)
+    for block, (names, _) in cli._BLOCKS.items():
+        for name in (block, *names):
+            assert re.search(rf'[`"]{name}[`"]', text), name
