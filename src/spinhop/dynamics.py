@@ -174,7 +174,8 @@ def _trajectory(parts, t, energy, states=None) -> Trajectory:
     """The :class:`Trajectory` at the times ``t`` of a state given as its
     ``parts``, one ``(psi, tables)`` per S_z sector: ``psi`` its amplitudes
     there, ``(k,)`` or a stack ``(..., k)``, and ``tables`` its weights and
-    swap from ``model._sectors``; ``energy`` is passed in.
+    swap from ``model._sectors``; ``energy`` is passed in.  A state is read
+    as a stack of one.
 
     No observable but the log-negativity couples two sectors, so each is
     one weight product and one z term per sector, summed.  Without
@@ -190,9 +191,7 @@ def _trajectory(parts, t, energy, states=None) -> Trajectory:
     # sum over the pairs of psi_ud psi_du*
     z = functools.reduce(np.add, (np.vecdot(psi, psi @ swap) for psi, (_, swap) in parts))
     n = values.shape[-1] - 10
-    # one row per value over the grid; .T is that for a state or a (T, k)
-    # stack at a fraction of moveaxis' call cost
-    rows = values.T if values.ndim <= 2 else np.moveaxis(values, -1, 0)
+    rows = values.transpose(-1, *range(values.ndim - 1))  # one row per value over the grid
     pair = rows[n + 3 : n + 7] + np.multiply.outer(_X_FUNCTIONALS[4, :4], z.real)
     if states is None:
         # b + c and a + d are sums of squared moduli, so >= 0
@@ -224,15 +223,24 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     run, one slice of ``states`` per S_z sector (see :func:`_trajectory`).
     The log-negativity comes from the eigenvalues of the partial transpose
     of the static pair's reduced state, and the energy is the contraction
-    with ``hamiltonian``, any matrix (NaN without one).
+    with ``hamiltonian``, any ``D x D`` matrix (NaN without one).
+    ``ValueError`` unless ``times`` broadcast to the grid ``states.shape[:-1]``.
     """
+    d = layout.dim
     psi = np.asarray(states, dtype=complex)
-    if psi.shape[-1:] != (layout.dim,):
-        raise ValueError(f"state shape {psi.shape} does not match layout dim {layout.dim}")
+    if psi.shape[-1:] != (d,):
+        raise ValueError(f"state shape {psi.shape} does not match layout dim {d}")
     grid = psi.shape[:-1]
     t = np.asarray(times, dtype=float)
-    t = t if t.shape == grid and not t.flags.writeable else np.broadcast_to(t, grid)
+    if t.shape != grid or t.flags.writeable:  # a read-only grid of times is kept as given
+        try:
+            t = np.broadcast_to(t, grid)
+        except ValueError:
+            message = f"times shape {t.shape} does not broadcast to the grid shape {grid}"
+            raise ValueError(message) from None
     h = None if hamiltonian is None else np.asarray(hamiltonian)
+    if h is not None and h.shape != (d, d):
+        raise ValueError(f"hamiltonian shape {h.shape} does not match layout dim {d}: need {d}x{d}")
     energy = np.full(grid, math.nan) if h is None else _energy(psi, h)
     # C-ordered slices, as a run's amplitudes: numpy's sums follow the layout
     parts = [(psi.take(idx, axis=-1), tables) for idx, _, tables in _sectors(layout.n_sites)]

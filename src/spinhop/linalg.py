@@ -39,8 +39,8 @@ def _not_hermitian(where, defect, scale, e):
 def assert_hermitian(m):
     """Raise ``ValueError`` with the max-asymmetry diagnostic if a matrix, or
     any matrix of a stack ``(..., n, n)``, is not Hermitian or has a NaN or
-    infinite entry.  Each matrix is held to its own scale; an empty one
-    passes, and of a stack the first offender is reported.
+    infinite entry.  A matrix is checked as a stack of one, each matrix to
+    its own scale; an empty one passes, and the first offender is reported.
 
     Returns the complex matrix it checked and e: ``(m, None)`` when every
     matrix is at most :data:`_LARGEST_AS_GIVEN`, else each matrix M times
@@ -50,27 +50,21 @@ def assert_hermitian(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    axes = None if m.ndim == 2 else (-2, -1)
-    scale = np.maximum.reduce(np.abs(m), axis=axes, initial=0.0)
-    largest = scale if axes is None else np.maximum.reduce(scale, axis=None, initial=0.0)
+    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=0.0)  # NaN and inf survive the max
     e = None
-    if not largest <= _LARGEST_AS_GIVEN:  # NaN and inf survive abs and max
+    if not np.maximum.reduce(scale, axis=None, initial=0.0) <= _LARGEST_AS_GIVEN:
         if not np.isfinite(m).all():
             raise ValueError("matrix has NaN or infinite entries")
         parts = np.ascontiguousarray(m).view(float)  # real and imaginary, each scaled exactly
         exponent = np.frexp(np.maximum.reduce(np.abs(parts), axis=(-2, -1), initial=0.0))[1]
         e = np.where(scale > _LARGEST_AS_GIVEN, exponent, 0)
         m = np.ldexp(parts, -e[..., None, None]).view(complex)
-        scale = np.maximum.reduce(np.abs(m), axis=axes, initial=0.0)
-    defect = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2).conj()), axis=axes, initial=0.0)
-    if axes is None:
-        if defect > HERMITIAN_RTOL * max(scale, 1e-300):
-            raise _not_hermitian("", defect, scale, e)
-        return m, e
+        scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=0.0)
+    defect = np.maximum.reduce(np.abs(m - m.swapaxes(-1, -2).conj()), axis=(-2, -1), initial=0.0)
     bad = defect > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
-    if bad.any():
+    if np.count_nonzero(bad):
         k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender
-        where = f" at stack index {tuple(int(i) for i in k)}"
+        where = f" at stack index {tuple(int(i) for i in k)}" if k else ""
         raise _not_hermitian(where, defect[k], scale[k], None if e is None else e[k])
     return m, e
 

@@ -384,7 +384,7 @@ def _sector_blocks(spec: ModelSpec, kind, initial) -> list:
     return [
         (tables, idx, (coefficients @ terms[kind]).reshape(len(idx), len(idx)))
         for idx, terms, tables in _sectors(spec.n_sites)
-        if initial[idx].any()
+        if np.count_nonzero(initial[idx])
     ]
 
 

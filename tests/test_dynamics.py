@@ -153,6 +153,16 @@ class TestObservables:
         with pytest.raises(ValueError, match="layout dim"):
             observables(np.ones(16), BasisLayout(3))
 
+    def test_times_off_the_grid_are_named(self):
+        message = r"^times shape \(2,\) does not broadcast to the grid shape \(3,\)$"
+        with pytest.raises(ValueError, match=message):
+            observables(np.ones((3, 16)), BasisLayout(2), times=[0.0, 1.0])
+
+    def test_hamiltonian_of_another_dimension_is_named(self):
+        message = r"^hamiltonian shape \(3, 3\) does not match layout dim 16: need 16x16$"
+        with pytest.raises(ValueError, match=message):
+            observables(np.ones((3, 16)), BasisLayout(2), hamiltonian=np.eye(3))
+
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_stack_matches_single_states(self, n_sites):
         rng = np.random.default_rng(60 + n_sites)
@@ -162,13 +172,15 @@ class TestObservables:
         times = np.linspace(0.0, 2.5, len(states))
         stack = observables(states, layout, times, h)
         assert len(stack) == len(states)
+        # and the same states as a (2, 3, D) stack, with two grid axes
+        grid = observables(states.reshape(2, 3, -1), layout, times.reshape(2, 3), h)
         for i, psi in enumerate(states):
             single = observables(psi, layout, times[i], h)
             for field in dataclasses.fields(Trajectory):
-                a = getattr(stack, field.name)[i]
                 b = getattr(single, field.name)
-                assert np.shape(a) == np.shape(b)
-                assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+                for a in (getattr(stack, field.name)[i], getattr(grid, field.name)[divmod(i, 3)]):
+                    assert np.shape(a) == np.shape(b)
+                    assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_stack_matches_brute_force_static_pair_reduction(self, n_sites):

@@ -310,13 +310,14 @@ class TestStacks:
     @pytest.mark.parametrize(
         "entry,mirror",
         [
+            (0.5j, -0.5j),  # Hermitian, checked as given
             (np.nan, np.nan),
             (np.inf, np.inf),
             (complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308)),  # |entry| overflows
             (complex(1e308, 1e308), complex(1e308, 1e308)),  # M - M^H overflows
             (1.0, 0.5),  # asymmetric
         ],
-        ids=["nan", "inf", "overflowing-modulus", "overflowing-defect", "asymmetric"],
+        ids=["as-given", "nan", "inf", "overflowing-modulus", "overflowing-defect", "asymmetric"],
     )
     def test_assert_hermitian_of_a_matrix_and_of_it_as_a_stack_agree(self, entry, mirror):
         m = np.eye(3, dtype=complex)
@@ -326,13 +327,23 @@ class TestStacks:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    assert_hermitian(a)
+                    return assert_hermitian(a)
                 except ValueError as exc:
                     return str(exc).replace(" at stack index (0,)", "")
-            return None
 
-        assert outcome(m) == outcome(m[None])
-        assert (outcome(m) is None) == (entry == complex(1.5e308, 1.5e308))
+        single, stack = outcome(m), outcome(m[None])
+        passes = entry in (0.5j, complex(1.5e308, 1.5e308))
+        assert isinstance(single, tuple) == isinstance(stack, tuple) == passes
+        if not passes:
+            assert single == stack
+            return
+        (checked, e), (checked_stack, e_stack) = single, stack
+        assert checked.shape == (3, 3) and checked_stack.shape == (1, 3, 3)
+        assert checked.tobytes() == checked_stack[0].tobytes()
+        if entry == 0.5j:
+            assert e is None and e_stack is None
+        else:  # scaled: one exponent per matrix, with no stack axis for a matrix
+            assert e.shape == () and e_stack.shape == (1,) and e == e_stack[0] == 1024
 
     def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self):
         # the asymmetry of the second matrix is tiny next to the first

@@ -394,6 +394,30 @@ class TestSectors:
                 scattered[np.ix_(idx, idx)] = block
             assert np.array_equal(scattered, h), (spec, kind)
 
+    @pytest.mark.parametrize(
+        "amplitude,occupied",
+        [
+            (0.0, False),
+            (-0.0, False),
+            (complex(-0.0, -0.0), False),
+            (5e-324, True),  # the smallest subnormal
+            (complex(0.0, -5e-324), True),  # imaginary only
+            (np.nan, True),
+            (complex(0.0, np.nan), True),
+        ],
+    )
+    def test_a_sector_is_occupied_by_any_nonzero_amplitude(self, amplitude, occupied):
+        # a signed zero leaves its sector out; any other value, a subnormal,
+        # NaN or imaginary-only one too, brings it in
+        spec = ModelSpec.xy(1.0, n_sites=3)
+        layout = BasisLayout(3)
+        start = encode_state(layout, 1, "up", "down-down")  # S_z = -1/2
+        up = model._sectors(3)[3][0]  # S_z = +3/2
+        start[up[-1]] = amplitude
+        blocks = model._sector_blocks(spec, "exact", start)
+        sz = sz_of_basis(layout)
+        assert [sz[idx[0]] for _, idx, _ in blocks] == ([-0.5, 1.5] if occupied else [-0.5])
+
     def test_mirror_and_spin_flip_commute_with_every_kind(self):
         for spec, kind in _every_built_kind():
             layout = BasisLayout(spec.n_sites)
