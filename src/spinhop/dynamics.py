@@ -345,7 +345,9 @@ def analytic(spec: ModelSpec, initial, grid: TimeGrid | None = None) -> Analytic
     :func:`run_trajectory`, and a coupling must be nonzero.
 
     In each mode group of :data:`MODE_RATES` the spins turn as the collective
-    chain at the group's rate.  On the doublet that chain is
+    chain at the group's rate.  That table is the closed form's own: the
+    effective Hamiltonian, the exact one's band-diagonal part, is built
+    without it, so the two check each other.  On the doublet that chain is
     [[-j_z/2, sqrt(2) j_xy], [sqrt(2) j_xy, 0]]: one rotation at
     omega = hypot(sqrt(2) j_xy, j_z/4) for every coupling.
     """

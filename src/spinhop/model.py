@@ -8,15 +8,20 @@ part ``j_z``; ``j_z = 2 * j_xy`` gives the Heisenberg point and ``j_z = 0``
 the pure XY model.
 
 Besides the exact Hamiltonian there is one strong-hopping effective kind on
-either lattice, the paper's three-spin chain: the mobile spin couples to the
-*total* spin of the static pair at the rate :data:`MODE_RATES` gives each
-group of kinetic modes (1/2 on two sites; 1/4 in the +-eta modes and 1/2 in
-the zero mode on three).  :func:`build_hamiltonian` builds both kinds and
-``_check_kind`` is the one place that checks a kind.
+either lattice, the paper's three-spin chain.  It is the exact one's
+band-diagonal part, sum_b P_b H P_b over the kinetic modes b of the hopping
+(first-order degenerate perturbation theory), with every weight exact in
+floats: the mobile spin couples to the *total* spin of the static pair at a
+rate per group of kinetic modes, 1/2 on two sites, and 1/4 in the +-eta
+modes and 1/2 in the zero mode on three.  :data:`MODE_RATES` holds those
+rates and groups for the closed form of ``dynamics.analytic``, a source
+independent of the Hamiltonian that the tests check against it.
+:func:`build_hamiltonian` builds both kinds and ``_check_kind`` is the one
+place that checks a kind.
 
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed unit-coupling operators per lattice, built from Kronecker products
-and the closed-form normal modes of the hopping (no eigensolve).  Every
+and exact products with the hopping pattern (no eigensolve).  Every
 operator conserves total S_z, so every Hamiltonian is block-diagonal in the
 S_z sectors, of n_sites * (1, 3, 3, 1) states.  The one cache, ``_sectors``,
 holds one record per sector of each lattice: its basis indices, its block of
@@ -231,15 +236,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_PHI0 = np.array([1.0, 0.0, -1.0]) / SQRT2  # the zero mode of three sites, for every eta > 0
-_P0 = np.outer(_PHI0, _PHI0)
-# lattice size -> (rate, site projector) per group of kinetic modes; at strong
-# hopping the spins turn as the collective chain at that rate in those modes
+# lattice size -> (rate, site projector) per group of kinetic modes, the
+# closed form's table: at strong hopping the spins turn as the collective
+# chain at that rate in those modes.  On three sites the projectors are
+# A^2 = B^2 / 2 onto the +-eta modes and I - A^2 onto the zero mode, B the
+# 0/1 hopping pattern; every entry is exact.
 MODE_RATES = {
-    2: ((0.5, _read_only(np.eye(2, dtype=complex))),),
+    2: ((0.5, _read_only(np.eye(2))),),
     3: (
-        (0.25, _read_only(np.eye(3, dtype=complex) - _P0)),
-        (0.5, _read_only(_P0.astype(complex))),
+        (0.25, _read_only(np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]))),
+        (0.5, _read_only(np.array([[0.5, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.5]]))),
     ),
 }
 # (a, b, c, d, Re z) -> F+, F-, F2 and <(S1 + S2)^2> of the static pair's
@@ -258,8 +264,9 @@ _X_FUNCTIONALS = _read_only(
     )
 )
 # Largest weight |(P ⊗ I8) psi|^2 of a unit state on a mode group that counts
-# as empty: rounding in P leaves at most a few eps on each of the 24
-# amplitudes of a group the state does not occupy, a weight below ~1e-29
+# as empty: P is exact, but rounding in a float-built state leaves at most a
+# few eps on each of the 24 amplitudes of a group it does not occupy, a
+# weight below ~1e-29
 MODE_WEIGHT_FLOOR = 1e-26
 
 
@@ -277,23 +284,29 @@ def _lattice_terms(n_sites: int) -> dict:
 
     Each of :data:`HAMILTONIAN_KINDS` maps to the ``(3, D, D)`` stack of the
     operators that the hopping amplitude, ``j_xy`` and ``j_z`` multiply: the
-    0/1 hopping pattern ⊗ I8, then the (XY, Ising) pair.  For ``"exact"``
-    that pair is the contact terms of static spin 1 at site 0 and static
-    spin 2 at site ``n_sites - 1``, for ``"effective"`` the motional weight
-    sum of rate * projector over :data:`MODE_RATES` ⊗ the collective
+    0/1 hopping pattern B = adjacency ⊗ I8, then the (XY, Ising) contact
+    pair of static spin 1 at site 0 and static spin 2 at site
+    ``n_sites - 1``.  ``"exact"`` is that stack.  ``"effective"`` is its
+    band-diagonal part, sum_b P_b X P_b over the kinetic modes b of B
+    (first-order degenerate perturbation theory).  A = B / sqrt(n - 1) has
+    the modes at -1, 0 and +1, so A^2 projects onto the +-eta modes,
+    Q = I - A^2 onto the zero mode (0 on two sites) and P+- = (A^2 +- A) / 2:
+    the part is Q X Q + (A^2 X A^2 + A X A) / 2, with A^2 = B^2 / (n - 1)
+    and A X A = B X B / (n - 1).  Every factor is dyadic, so the products
+    are exact in floats: the hopping comes back unchanged, two sites give
+    1/2 and three [[3, 0, -1], [0, 2, 0], [-1, 0, 3]] / 8 of the collective
     coupling to the static pair.  No two operators of a stack share a
     nonzero entry.
     """
-    adjacency = np.eye(n_sites, k=1, dtype=complex) + np.eye(n_sites, k=-1, dtype=complex)
-    hop = np.kron(adjacency, np.eye(8, dtype=complex))
-    contact = [np.zeros((8 * n_sites, 8 * n_sites), dtype=complex) for _ in range(2)]
-    for total, one, two in zip(contact, _PAIR[1], _PAIR[2]):
-        total[:8, :8] += one  # site 0
-        total[-8:, -8:] += two  # site n_sites - 1
-    collective = [a + b for a, b in zip(_PAIR[1], _PAIR[2])]
-    mixture = sum(rate * p for rate, p in MODE_RATES[n_sites])
-    pairs = {"exact": contact, "effective": [np.kron(mixture, op) for op in collective]}
-    return {kind: np.stack([hop, *pair]) for kind, pair in pairs.items()}
+    exact = np.zeros((3, 8 * n_sites, 8 * n_sites), dtype=complex)
+    exact[0] = np.kron(np.eye(n_sites, k=1) + np.eye(n_sites, k=-1), np.eye(8))
+    exact[1:, :8, :8] += _PAIR[1]  # static spin 1 at site 0
+    exact[1:, -8:, -8:] += _PAIR[2]  # static spin 2 at site n_sites - 1
+    hop = exact[0]
+    outer = hop @ hop / (n_sites - 1)  # A^2
+    zero = np.eye(8 * n_sites) - outer  # Q
+    band = zero @ exact @ zero + (outer @ exact @ outer + hop @ exact @ hop / (n_sites - 1)) / 2
+    return {"exact": exact, "effective": band}
 
 
 def _check_kind(spec: ModelSpec | None, kind) -> str:
@@ -318,12 +331,13 @@ def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
     the site index).  Zero couplings give the hopping alone and ``eta = 0``
     the interaction alone.
 
-    ``effective``: hopping plus the strong-hopping chain, a purely spin-side
-    coupling of the mobile spin to the total static spin weighted by the
-    normal-mode projectors of the kinetic term, sum of rate * P over
-    :data:`MODE_RATES` (halved couplings on two sites; 1/4 (P+ + P-) + 1/2 P0
-    on three, so a middle start sees quartered couplings).  It needs
-    ``eta > 0``, for at ``eta = 0`` the kinetic modes do not separate.
+    ``effective``: the exact Hamiltonian's band-diagonal part over the
+    kinetic modes of the hopping, hopping plus the strong-hopping chain: the
+    mobile spin couples to the total static spin at the rate of each group
+    of modes (halved couplings on two sites; 1/4 (P+ + P-) + 1/2 P0 on
+    three, so a middle start sees quartered couplings).  The closed form
+    reads those rates from :data:`MODE_RATES`; this builder does not.  It
+    needs ``eta > 0``, for at ``eta = 0`` the kinetic modes do not separate.
 
     It is every S_z block of :func:`_sector_blocks`, the blocks that runs
     solve, scattered into zeros.

@@ -180,8 +180,8 @@ def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
             at_site[site, site] = 1.0
             h = h + np.kron(at_site, coupling(k))
         return h
-    zero_mode = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-    p0 = np.outer(zero_mode, zero_mode)
+    # onto the zero mode (|left> - |right>)/sqrt(2), every entry written exactly
+    p0 = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]) / 2.0
     weight = {
         ("effective", 2): 0.5 * np.eye(2),
         ("effective", 3): 0.25 * (np.eye(3) - p0) + 0.5 * p0,

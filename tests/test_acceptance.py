@@ -95,7 +95,7 @@ def test_criterion_4_quantum_state_transfer(traj):
 
 def test_criterion_5_effective_matches_analytic(traj):
     worst = 0.0
-    for name in ("xy10_eff", "heis10_eff"):
+    for name in ("xy10_eff", "heis10_eff", "mid3_eff"):
         run = traj(name)
         sol = analytic(run.spec, run.initial, run.grid)
         gap_up = np.abs(series(run.trajectory, "p_up") - sol.p_up).max()

@@ -7,7 +7,9 @@ eigenstates of band b, with |w - eta_b| < eta/2, lie close to
 |mode b> ⊗ spin.  Their projections onto that subspace, made orthonormal by
 the polar factor of an SVD (des Cloizeaux), give the band Hamiltonian
 h_b = U diag(w - eta_b) U^†.  The effective kind's block on mode b, less
-eta_b, is the chain: the mode's rate times the collective coupling.
+eta_b, is the chain: the mode's rate times the collective coupling.  The
+effective kind is the first-order term, the band-diagonal part
+sum_b P_b H P_b of the exact Hamiltonian, to rounding.
 
 Second-order Schrieffer-Wolff theory (Bravyi, DiVincenzo and Loss,
 arXiv:1105.0675) gives h_b - h_chain as the sum over the other bands b' of
@@ -19,6 +21,7 @@ eta/J = 10 higher orders still show: two-site Heisenberg reads 0.0961,
 2.5 % off its 3/32.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +29,7 @@ import pytest
 
 from spinhop.model import ModelSpec, build_hamiltonian
 
-from helpers import mode_lift, second_order_shift
+from helpers import KINETIC_MODES, mode_lift, second_order_shift
 
 SQRT2 = math.sqrt(2.0)
 RATIOS = (1e2, 1e3, 1e4)
@@ -40,6 +43,9 @@ CONSTANTS = {
 # what is left of h_b - h_chain after the second-order term, over J^3/eta^2;
 # it reads at most 0.047 on the +-eta bands
 THIRD_ORDER = 0.1
+EPS = np.finfo(float).eps
+# (j_xy, j_z): XY, Heisenberg and four seeded custom couplings in [-10, 10]
+COUPLINGS = [(1.0, 0.0), (0.5, 1.0), *np.random.default_rng(7).uniform(-10, 10, (4, 2)).tolist()]
 
 
 def _band_gap(spec, band):
@@ -70,3 +76,15 @@ def test_band_hamiltonian_is_the_chain_to_second_order(n_sites, coupling):
             assert np.abs(shift).max() <= 1e-15 / spec.eta
             c = np.linalg.norm(_band_gap(spec, 0), 2) * spec.eta**2
             assert c == pytest.approx(zero, rel=0.01), ratio
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_effective_is_the_band_diagonal_part_of_the_exact_hamiltonian(n_sites):
+    # the projectors P_b ⊗ I8 from the kinetic modes as written out, not from the library
+    projectors = [mode_lift(n_sites, b) @ mode_lift(n_sites, b).T for b in KINETIC_MODES[n_sites]]
+    for (j_xy, j_z), eta in itertools.product(COUPLINGS, (1e-3, 1.0, 10.0, 1e3, 1e6)):
+        spec = ModelSpec(n_sites, eta, j_xy, j_z)
+        exact = build_hamiltonian(spec)
+        part = sum(p @ exact @ p for p in projectors)
+        gap = np.abs(build_hamiltonian(spec, "effective") - part).max()
+        assert gap <= 8 * EPS * (eta + abs(j_xy) + abs(j_z)), spec

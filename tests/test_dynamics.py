@@ -603,11 +603,12 @@ class TestAnalyticPeriod:
         )
 
     def test_float_built_zero_mode_start_turns_at_the_zero_mode_rate(self):
-        # (|1> - |2>)/sqrt(2) is the zero mode; in floats the projector onto
-        # the +-eta modes leaves rounding on it, below the occupancy floor
+        # (|1> - |2>)/sqrt(2) is the zero mode; built with its two outer
+        # amplitudes one ulp apart, it leaves rounding on the +-eta modes,
+        # below the occupancy floor
         layout = BasisLayout(3)
         spin = encode_state(layout, 1, "up", "down-down")[:8]
-        psi = np.concatenate([spin, np.zeros(8), -spin]) / SQRT2
+        psi = np.concatenate([spin / SQRT2, np.zeros(8), -spin * math.sqrt(0.5)])
         rounding = model.MODE_RATES[3][0][1] @ psi.reshape(3, 8)
         assert 0.0 < np.vdot(rounding, rounding).real <= model.MODE_WEIGHT_FLOOR
         sol = analytic(ModelSpec.xy(10.0, n_sites=3), psi, TimeGrid(1.0, 2))

@@ -445,11 +445,11 @@ class TestEffectiveHamiltonian:
     def test_mode_rates_split_the_sites_into_kinetic_mode_groups(self, n_sites):
         hopping = build_hamiltonian(ModelSpec(n_sites, 1.0))[::8, ::8]
         projectors = [p for _, p in MODE_RATES[n_sites]]
-        assert np.allclose(sum(projectors), np.eye(n_sites), atol=1e-15)
+        assert np.array_equal(sum(projectors), np.eye(n_sites))
         for p, q in itertools.product(projectors, repeat=2):
-            assert np.allclose(p @ q, p if p is q else 0.0, atol=1e-15)
+            assert np.array_equal(p @ q, p if p is q else np.zeros_like(p))
         for p in projectors:
-            assert np.allclose(p, p.conj().T) and np.allclose(p @ hopping, hopping @ p)
+            assert np.array_equal(p, p.conj().T) and np.array_equal(p @ hopping, hopping @ p)
         rates = [rate for rate, _ in MODE_RATES[n_sites]]
         assert rates == ([0.5] if n_sites == 2 else [0.25, 0.5])
 
