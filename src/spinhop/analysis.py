@@ -16,22 +16,25 @@ from .dynamics import (
     _evolve_observed,
     column_names,
 )
-from .model import ModelSpec, _check_kind, _mode_parts
+from .model import ModelSpec, _mode_parts
 
 
 def log_negativity(rho12) -> float:
     """Logarithmic negativity (base 2) of a two-qubit density matrix,
     clamped at zero from below against numerical noise.  The matrix must be
-    Hermitian with unit trace and no eigenvalue below -1e-9."""
+    Hermitian with finite entries, then have unit trace, then no eigenvalue
+    below -1e-9; it and its partial transpose are checked and solved as one
+    stack by :func:`linalg.hermitian_eigensystem`, so a defect is reported
+    at stack index (0,)."""
     rho = np.asarray(rho12, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    checked, e = linalg.assert_hermitian(rho)
+    # the partial transpose moves rho's entries, so its defect is rho's, and
+    # rho, at index 0, is the one reported
+    w = linalg.hermitian_eigensystem(np.stack([rho, linalg.partial_transpose(rho)])).eigenvalues
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"density matrix trace is {trace}, expected 1")
-    # the partial transpose moves the checked entries, so it passes the check too
-    w = linalg._eigenvalues(np.stack([checked, linalg.partial_transpose(checked)]), e)
     smallest = float(w[0, 0])  # ascending; past the float range it reads -inf, not NaN
     if smallest < -1e-9:
         raise ValueError(f"density matrix has negative eigenvalue {smallest}")
@@ -88,12 +91,12 @@ def compare_exact_effective(
     """
     eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
     initial, grid = _checked_run(spec, initial, grid)
-    _check_kind(spec, "effective")  # eta > 0, before the exact run evolves
     times = grid.times()
     # every kind conserves S_z, so both runs give amplitudes on the same basis
-    # indices: the start's sector, site by site, or the whole space
-    exact, states_exact = _evolve_observed(spec, "exact", initial, times)
+    # indices: the start's sector, site by site, or the whole space; the
+    # effective run goes first, so its kind check (eta > 0) precedes any evolution
     eff, states_eff = _evolve_observed(spec, "effective", initial, times)
+    exact, states_exact = _evolve_observed(spec, "exact", initial, times)
 
     split = (len(times), spec.n_sites, -1)
     product = np.linalg.matrix_rank(initial.reshape(split[1:])) == 1  # site x spin

@@ -158,10 +158,12 @@ def column_names(n_sites: int) -> list:
 def _log_negativity(rho12):
     """Base-2 logarithmic negativity of a two-qubit operator, or of each of a
     stack of them, clamped at zero from below against numerical noise: log2
-    of the trace norm of the partial transpose, from its eigenvalues alone.
-    ``ValueError`` unless each is a 4x4 Hermitian matrix with finite
-    entries (the partial transpose keeps Hermiticity and the defect)."""
-    w = linalg._eigenvalues(*linalg.assert_hermitian(linalg.partial_transpose(rho12)))
+    of the trace norm of the partial transpose, from its eigenvalues alone,
+    taken from the one checked solve :func:`linalg.hermitian_eigensystem`
+    (its eigenvectors are dropped).  ``ValueError`` unless each is a 4x4
+    Hermitian matrix with finite entries (the partial transpose keeps
+    Hermiticity and the defect)."""
+    w = linalg.hermitian_eigensystem(linalg.partial_transpose(rho12)).eigenvalues
     return np.maximum(0.0, np.log2(np.abs(w).sum(axis=-1)))
 
 

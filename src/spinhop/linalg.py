@@ -1,16 +1,20 @@
 """Dense complex linear algebra sized for Hilbert dimensions up to a few dozen:
-the Hermitian check, the Hermitian eigensolver (LAPACK's ``eigh``, through
-``numpy.linalg``) and the two-qubit partial transpose, on ``complex128`` arrays.
+the Hermitian check, the Hermitian eigensolver and the two-qubit partial
+transpose, on ``complex128`` arrays.
 
-Every eigensolve is checked first, so a run pays the check once per S_z block
-it solves: one reduction for max|M|, which settles finiteness too, and one for
-max|M - M^H|, matrix by matrix in a stack; an empty matrix passes, as numpy's
-``eigh`` takes it.  One constant, :data:`_LARGEST_AS_GIVEN`, marks the float
-limit.  A matrix with a larger max|M| is checked and solved as M * 2^-e, e the
-binary exponent of its largest real or imaginary part, and its eigenvalues are
-scaled back by 2^e: exact but for entries below 2^-1021 max|M|, with no modulus
-or difference that overflows, and LAPACK never rescales by a factor that is not
-a power of two.
+:func:`hermitian_eigensystem` is the library's one eigensolver call (LAPACK's
+``eigh``, through ``numpy.linalg``): it solves every S_z block of a run and
+every stack of partial transposes of the static pair, whose callers keep the
+eigenvalues alone.  Every eigensolve is checked first, so a run pays the check
+once per S_z block it solves: one reduction for max|M|, which settles
+finiteness too, and one for max|M - M^H|, matrix by matrix in a stack; an
+empty matrix passes, as numpy's ``eigh`` takes it.  One constant,
+:data:`_LARGEST_AS_GIVEN`, marks the float limit.  A matrix with a larger
+max|M| is checked and solved as M * 2^-e, e the binary exponent of its
+largest real or imaginary part, and its eigenvalues are scaled back by 2^e:
+exact but for entries below 2^-1021 max|M|, with no modulus or difference
+that overflows, and LAPACK never rescales by a factor that is not a power of
+two.  The exponent e stays inside this module.
 """
 
 from __future__ import annotations
@@ -23,17 +27,6 @@ HERMITIAN_RTOL = 1e-12
 # point sqrt(1 / smlnum) ~ 1e146, where it scales by a factor that is not a
 # power of two, and far below the moduli and differences that overflow.
 _LARGEST_AS_GIVEN = 2.0**480
-
-
-def _not_hermitian(where, defect, scale, e):
-    if e is not None:  # back to the matrix as given; past the float range reads inf
-        with np.errstate(over="ignore"):
-            defect, scale = np.ldexp([defect, scale], e)
-    defect, scale = float(defect), float(scale)
-    return ValueError(
-        f"matrix{where} is not Hermitian: max|M - M^H| = {defect:.3e} "
-        f"exceeds {HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale:.3e}"
-    )
 
 
 def assert_hermitian(m):
@@ -65,17 +58,15 @@ def assert_hermitian(m):
     if np.count_nonzero(bad):
         k = np.unravel_index(np.argmax(bad), bad.shape)  # the first offender
         where = f" at stack index {tuple(int(i) for i in k)}" if k else ""
-        raise _not_hermitian(where, defect[k], scale[k], None if e is None else e[k])
+        defect, scale = defect[k], scale[k]
+        if e is not None:  # back to the matrix as given; past the float range reads inf
+            with np.errstate(over="ignore"):
+                defect, scale = np.ldexp([defect, scale], e[k])
+        raise ValueError(
+            f"matrix{where} is not Hermitian: max|M - M^H| = {float(defect):.3e} exceeds "
+            f"{HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * float(scale):.3e}"
+        )
     return m, e
-
-
-def _scaled_back(w, e):
-    """The eigenvalues ``w`` of the matrices :func:`assert_hermitian`
-    returned with ``e``, in place, as those of the matrices it was given."""
-    if e is not None:
-        with np.errstate(over="ignore"):  # an eigenvalue past the float range reads inf, as eigh's
-            np.ldexp(w, e[..., None], out=w)
-    return w
 
 
 def hermitian_eigensystem(m):
@@ -87,20 +78,18 @@ def hermitian_eigensystem(m):
 
     Degenerate eigenvalues come with an arbitrary orthonormal basis of the
     eigenspace; callers must not rely on any particular choice.  A matrix
-    past :data:`_LARGEST_AS_GIVEN` is solved as the check scaled it, so for
-    M and M * 2^k both past it the eigenvalues differ by 2^k, bit for bit.
+    past :data:`_LARGEST_AS_GIVEN` is solved as the check scaled it, and its
+    eigenvalues are scaled back here, so for M and M * 2^k both past it the
+    eigenvalues differ by 2^k, bit for bit; its eigenvectors are those of the
+    scaled matrix.  This is the only eigensolver call in the library, so a
+    caller that needs the eigenvalues alone takes ``.eigenvalues``.
     """
     m, e = assert_hermitian(m)
     result = np.linalg.eigh(m)
-    _scaled_back(result.eigenvalues, e)
+    if e is not None:
+        with np.errstate(over="ignore"):  # an eigenvalue past the float range reads inf, as eigh's
+            np.ldexp(result.eigenvalues, e[..., None], out=result.eigenvalues)
     return result
-
-
-def _eigenvalues(m, e):
-    """The eigenvalues alone, ascending, of the matrix or stack ``m`` that
-    :func:`assert_hermitian` returned with ``e``, as those of the matrices
-    it was given."""
-    return _scaled_back(np.linalg.eigvalsh(m), e)
 
 
 def partial_transpose(rho) -> np.ndarray:

@@ -91,7 +91,7 @@ class TestLogNegativity:
         check = linalg.assert_hermitian
         monkeypatch.setattr(linalg, "assert_hermitian", counted)
         assert log_negativity(np.eye(4) / 4) == 0.0
-        assert shapes == [(4, 4)]
+        assert shapes == [(2, 4, 4)]  # the matrix and its partial transpose, one stack
 
 
 class TestConservationMonitor:
@@ -200,7 +200,7 @@ class TestCompareExactEffective:
                     del built[:]
                     psi = encode_state(layout, site, e_spin, static)
                     compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, grid)
-                    assert built == ["exact", "effective"]
+                    assert built == ["effective", "exact"]
 
     def test_three_site_side_start_converges(self):
         # the paper's effective model for a start at an outer site: the state

@@ -577,6 +577,17 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "config error: bad --ratios value ''\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_flags_override_the_config_and_its_values_stand_without_them(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = _config(run={"n_points": 11}, output={"path": str(a)}, compare={"ratios": [10]})
+        path = _write(tmp_path, cfg)
+        assert main(["compare", path, "--out", str(b), "--ratios", "1,3"]) == 0
+        assert list(_read_csv(b)[1]["eta_over_j"]) == [1.0, 3.0]
+        assert not a.exists()
+        assert main(["compare", path]) == 0
+        assert list(_read_csv(a)[1]["eta_over_j"]) == [10.0]
+        capsys.readouterr()
+
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 4
         assert "i/o error" in capsys.readouterr().err

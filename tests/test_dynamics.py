@@ -271,7 +271,7 @@ class TestLogNegativity:
         values = dynamics._log_negativity(rho)
         for k in range(len(rho)):
             assert abs(values[k] - log_negativity_oracle(rho[k])) <= 1e-14
-        solved = np.abs(np.linalg.eigvalsh(linalg.partial_transpose(rho))).sum(axis=-1)
+        solved = np.abs(np.linalg.eigh(linalg.partial_transpose(rho)).eigenvalues).sum(axis=-1)
         assert np.array_equal(values, np.maximum(0.0, np.log2(solved)))
 
     def test_rejects_non_hermitian_and_non_finite_input(self):

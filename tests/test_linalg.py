@@ -1,6 +1,8 @@
 """Linear-algebra core: Hermitian check, eigensolver, propagation, two-qubit
 partial transpose and the trace norm behind the log-negativity."""
 
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhop import model
-from spinhop.dynamics import _log_negativity, evolve_on_grid
+from spinhop import linalg, model
+from spinhop.analysis import compare_exact_effective, log_negativity
+from spinhop.dynamics import TimeGrid, _log_negativity, evolve_on_grid, observables, run_trajectory
 from spinhop.linalg import (
     assert_hermitian,
     hermitian_eigensystem,
@@ -23,6 +26,7 @@ from helpers import (
     random_density_matrix,
     random_hermitian,
     random_state,
+    two_sector_start,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -231,17 +235,27 @@ class TestPartialTransposeTraceNorm:
         with pytest.raises(ValueError, match="NaN or infinite"):
             _log_negativity(np.diag([1.0, 1.0, 1.0, np.inf]))
 
-    def test_computes_no_eigenvectors(self, monkeypatch):
-        def no_vectors(*args, **kwargs):
-            raise AssertionError("eigenvectors requested")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
-        rng = np.random.default_rng(42)
-        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
-        values = _log_negativity(stack)
-        for k in range(len(stack)):
-            norm = np.abs(np.linalg.eigvalsh(partial_transpose(stack[k]))).sum()
-            assert values[k] == pytest.approx(max(0.0, np.log2(norm)), abs=1e-12)
+def test_every_eigenvalue_comes_from_the_one_eigensolver_call(monkeypatch):
+    source = pathlib.Path(linalg.__file__).read_text()
+    assert len(re.findall(r"np\.linalg\.eig\w*\(", source)) == 1
+
+    def no_values_only_solve(*args, **kwargs):
+        raise AssertionError("values-only eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_values_only_solve)
+    grid = TimeGrid(t_max=1.0, n_points=5)
+    for n_sites in (2, 3):
+        layout = BasisLayout(n_sites)
+        spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
+        psi = two_sector_start(layout)
+        run = run_trajectory(spec, "exact", psi, grid)
+        assert run.logneg.shape == (5,)
+        assert compare_exact_effective(spec, psi, grid).max_state_infidelity >= 0.0
+        rng = np.random.default_rng(n_sites)
+        stack = np.array([random_state(rng, layout.dim) for _ in range(3)])
+        assert observables(stack, layout).logneg.shape == (3,)
+    assert log_negativity(np.outer(BELL_PLUS, BELL_PLUS.conj())) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStacks:
