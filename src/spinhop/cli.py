@@ -7,8 +7,11 @@ Subcommands
               each run at eta = ratio * |J| (``run.hamiltonian`` plays no part)
 ``analytic``  closed-form strong-hopping doublet populations for overlay plots
 
-Each subcommand takes a JSON config path and an optional ``--out`` path.
-Config schema (unknown keys are rejected)::
+Each subcommand takes a JSON config path and an optional ``--out`` path;
+``compare`` also takes an optional ``--ratios`` list.  The flags are config
+values: when given, they replace ``output.path`` and ``compare.ratios``
+before the command runs, so the config a command receives describes the
+run.  Config schema (unknown keys are rejected)::
 
     {
       "model":   {"n_sites": 2, "eta": 10.0, "preset": "xy",
@@ -202,16 +205,6 @@ def _config_errors(prefix: str = ""):
         raise ConfigError(prefix + str(exc)) from None
 
 
-def _out_path(config: ScenarioConfig, out_path: str | None) -> str:
-    """``--out`` when given, else ``output.path``; neither may be empty."""
-    path = config.out_path if out_path is None else out_path
-    if path is None:
-        raise ConfigError("no output path: set output.path or pass --out")
-    if not path:
-        raise ConfigError("empty output path: output.path and --out must name a file")
-    return path
-
-
 def _validated_columns(trajectory, n_sites: int) -> dict:
     """Every simulate column as an array, probabilities clamped into [0, 1].
 
@@ -261,11 +254,11 @@ def _write_csv(path: str, header, table):
             fh.write("".join(line % tuple(row) for row in table[i : i + _CSV_ROWS].tolist()))
 
 
-def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
-    """Run one scenario, write the observable CSV, print per-column extrema."""
+def cmd_simulate(config: ScenarioConfig) -> str:
+    """Run one scenario, write the observable CSV to ``config.out_path``,
+    print per-column extrema and return the path."""
     with _config_errors():  # the kind for the spec, which parse_config left
         _check_kind(config.spec, config.hamiltonian)
-    path = _out_path(config, out_path)
     with _config_errors("model: "):  # an energy scale that overflows
         trajectory = run_trajectory(
             config.spec, config.hamiltonian, config.initial, config.grid
@@ -274,25 +267,22 @@ def cmd_simulate(config: ScenarioConfig, out_path: str | None = None) -> str:
     columns = list(values)
     if config.columns is not None:
         columns = ["t"] + [c for c in columns if c != "t" and c in config.columns]
-    _write_csv(path, columns, np.column_stack([values[c] for c in columns]))
+    _write_csv(config.out_path, columns, np.column_stack([values[c] for c in columns]))
     for name in columns[1:]:
         print(f"{name}: min={_fmt(values[name].min())} max={_fmt(values[name].max())}")
-    return path
+    return config.out_path
 
 
-def cmd_compare(
-    config: ScenarioConfig, ratios=None, out_path: str | None = None
-) -> str:
-    """Exact-vs-effective deviation table, one row per eta/J ratio; the
-    config's ``run.hamiltonian`` plays no part."""
-    path = _out_path(config, out_path)
-    ratios = tuple(ratios) if ratios is not None else config.ratios
-    if not ratios:
+def cmd_compare(config: ScenarioConfig) -> str:
+    """Exact-vs-effective deviation table, one row per eta/J ratio of
+    ``config.ratios``, written to ``config.out_path``; the config's
+    ``run.hamiltonian`` plays no part."""
+    if not config.ratios:
         raise ConfigError("no ratios: set compare.ratios or pass --ratios")
     with _config_errors():
         j = abs(config.spec.j_ref)
     rows = []
-    for ratio in ratios:
+    for ratio in config.ratios:
         with _config_errors(f"eta/J = {ratio}: "):  # ratio * |J| or the energy scale overflows
             spec = dataclasses.replace(config.spec, eta=ratio * j)
             if spec.eta == 0.0:
@@ -300,23 +290,23 @@ def cmd_compare(
             report = compare_exact_effective(spec, config.initial, config.grid)
         rows.append([ratio, report.max_state_infidelity, *report.max_observable_gap.values()])
     gaps = ["gap_" + c for c in report.max_observable_gap]
-    _write_csv(path, ["eta_over_j", "max_state_infidelity", *gaps], rows)
+    _write_csv(config.out_path, ["eta_over_j", "max_state_infidelity", *gaps], rows)
     for row in rows:
         print(f"eta/J={_fmt(row[0])}: max_state_infidelity={_fmt(row[1])}")
-    return path
+    return config.out_path
 
 
-def cmd_analytic(config: ScenarioConfig, out_path: str | None = None) -> str:
-    """Closed-form strong-hopping doublet populations on the configured grid."""
-    path = _out_path(config, out_path)
+def cmd_analytic(config: ScenarioConfig) -> str:
+    """Closed-form strong-hopping doublet populations on the configured grid,
+    written to ``config.out_path``."""
     with _config_errors("model: "):  # no coupling, or an energy scale that overflows
         solution = analytic(config.spec, config.initial, config.grid)
     if not math.isfinite(solution.period):
         raise NumericalInvariantError(f"closed-form period overflows (J = {config.spec.j_ref!r})")
     table = np.column_stack((solution.times, solution.p_up, solution.p_down))
-    _write_csv(path, ["t", "alpha_up_sq", "alpha_down_sq"], table)
+    _write_csv(config.out_path, ["t", "alpha_up_sq", "alpha_down_sq"], table)
     print(f"period={_fmt(solution.period)}")
-    return path
+    return config.out_path
 
 
 def _read_text(path: str) -> str:
@@ -353,22 +343,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the flags replace their config values, and the
+    output path is checked once, before any command runs."""
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config(_read_text(args.config))
+        if args.out is not None:
+            config = dataclasses.replace(config, out_path=args.out)
+        if vars(args).get("ratios") is not None:
+            try:
+                ratios = [float(r) for r in args.ratios.split(",")]
+            except ValueError:
+                raise ConfigError(f"bad --ratios value {args.ratios!r}") from None
+            config = dataclasses.replace(config, ratios=_ratios(ratios, "--ratios"))
+        if config.out_path is None:
+            raise ConfigError("no output path: set output.path or pass --out")
+        if not config.out_path:
+            raise ConfigError("empty output path: output.path and --out must name a file")
         if args.command == "simulate":
-            cmd_simulate(config, out_path=args.out)
+            cmd_simulate(config)
         elif args.command == "compare":
-            ratios = None
-            if args.ratios is not None:
-                try:
-                    ratios = [float(r) for r in args.ratios.split(",")]
-                except ValueError:
-                    raise ConfigError(f"bad --ratios value {args.ratios!r}") from None
-                ratios = _ratios(ratios, "--ratios")
-            cmd_compare(config, ratios=ratios, out_path=args.out)
-        elif args.command == "analytic":
-            cmd_analytic(config, out_path=args.out)
+            cmd_compare(config)
+        else:
+            cmd_analytic(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,9 @@ from .model import (
 _DOUBLET = np.zeros((2, 8), dtype=complex)
 _DOUBLET[0, :4], _DOUBLET[1, 4:] = _STATIC_PRESETS["down-down"], _STATIC_PRESETS["psi-plus"]
 _read_only(_DOUBLET)
+# the most points a grid may have: every run holds its amplitudes as
+# complex128 over the grid, so no longer grid fits in an array
+_MAX_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,10 @@ class TimeGrid:
 
     ``t_max`` must be a positive finite real number (an int within the float
     range, a float or a numpy real scalar, not a bool; stored as a float) and
-    ``n_points`` an integer from 2 up to the largest array size (a Python or
-    numpy int, not a bool; stored as an int).  :meth:`times`
-    builds its array once per grid and returns it read-only on every call.
+    ``n_points`` an integer from 2 up to the length of the largest complex128
+    array, 2**59 - 1 on a 64-bit platform (a Python or numpy int, not a bool;
+    stored as an int).  :meth:`times` builds its array once per grid and
+    returns it read-only on every call.
     """
 
     t_max: float = 30.0
@@ -72,10 +76,10 @@ class TimeGrid:
         if not (_finite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be a positive finite number, got {self.t_max!r}")
         object.__setattr__(self, "t_max", float(self.t_max))
-        # an int no larger than an array size, so times() can build its array
-        if not (_is_int(self.n_points) and 2 <= self.n_points <= np.iinfo(np.intp).max):
+        # an int no longer than the largest array of amplitudes a run can hold
+        if not (_is_int(self.n_points) and 2 <= self.n_points <= _MAX_POINTS):
             raise ValueError(
-                f"n_points must be an integer in [2, {np.iinfo(np.intp).max}], "
+                f"n_points must be an integer in [2, {_MAX_POINTS}], "
                 f"got {self.n_points!r}"
             )
         object.__setattr__(self, "n_points", int(self.n_points))

@@ -252,7 +252,8 @@ class TestParseConfig:
         with pytest.raises(ValueError) as expected:
             library()
         with pytest.raises(ConfigError) as got:
-            cmd_simulate(parse_config(json.dumps(_config(**overrides))), str(tmp_path / "x.csv"))
+            cfg = parse_config(json.dumps(_config(**overrides)))
+            cmd_simulate(dataclasses.replace(cfg, out_path=str(tmp_path / "x.csv")))
         assert str(got.value) == str(expected.value)
         assert not (tmp_path / "x.csv").exists()
 
@@ -261,7 +262,7 @@ class TestSimulate:
     def test_strong_hopping_scenario_csv(self, tmp_path, capsys):
         cfg = parse_config(json.dumps(_config()))
         out = str(tmp_path / "strong.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         header, data = _read_csv(out)
         assert header == [
             "t", "P1", "P2", "P_up", "F_plus", "F_minus", "logneg", "F2",
@@ -279,7 +280,7 @@ class TestSimulate:
     def test_summary_matches_column_extrema(self, tmp_path, capsys):
         cfg = parse_config(json.dumps(_config(run={"n_points": 201})))
         out = str(tmp_path / "sum.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         header, data = _read_csv(out)
         summary = dict(
             line.split(": ", 1) for line in capsys.readouterr().out.strip().split("\n")
@@ -294,7 +295,7 @@ class TestSimulate:
             json.dumps(_config(model={"preset": "heisenberg"}, run={"n_points": 1501}))
         )
         out = str(tmp_path / "heis.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         _, data = _read_csv(out)
         assert data["F_plus"].max() == pytest.approx(8.0 / 9.0, abs=0.02)
 
@@ -309,7 +310,7 @@ class TestSimulate:
             )
         )
         out = str(tmp_path / "qst.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         _, data = _read_csv(out)
         assert data["F2"].max() >= 0.99
 
@@ -320,7 +321,7 @@ class TestSimulate:
             )
         )
         out = str(tmp_path / "three.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         header, data = _read_csv(out)
         assert header[:5] == ["t", "P1", "P2", "P0", "P_up"]
         assert data["P0"][0] == 1.0
@@ -332,21 +333,21 @@ class TestSimulate:
             )
         )
         out = str(tmp_path / "sel.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         header, _ = _read_csv(out)
         assert header == ["t", "F_plus", "norm"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(json.dumps(_config(run={"n_points": 301})))
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        cmd_simulate(cfg, out_path=out1)
-        cmd_simulate(cfg, out_path=out2)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out1))
+        cmd_simulate(dataclasses.replace(cfg, out_path=out2))
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     def test_lf_line_endings_and_single_header(self, tmp_path):
         cfg = parse_config(json.dumps(_config(run={"n_points": 11})))
         out = str(tmp_path / "lf.csv")
-        cmd_simulate(cfg, out_path=out)
+        cmd_simulate(dataclasses.replace(cfg, out_path=out))
         blob = open(out, "rb").read()
         assert b"\r" not in blob
         assert blob.count(b"t,P1") == 1
@@ -384,17 +385,13 @@ class TestSimulate:
         # the header, then one write per chunk of rows
         assert writes == [1, cli._CSV_ROWS, cli._CSV_ROWS, cli._CSV_ROWS, 17]
 
-    def test_missing_output_path(self):
-        cfg = parse_config(json.dumps(_config()))
-        with pytest.raises(ConfigError, match="output path"):
-            cmd_simulate(cfg)
 
 
 class TestCompareCommand:
     def test_ratio_table(self, tmp_path):
         cfg = parse_config(json.dumps(_config(run={"n_points": 2001})))
         out = str(tmp_path / "cmp.csv")
-        cmd_compare(cfg, ratios=(1.0, 2.0, 10.0), out_path=out)
+        cmd_compare(dataclasses.replace(cfg, ratios=(1.0, 2.0, 10.0), out_path=out))
         header, data = _read_csv(out)
         assert header[:2] == ["eta_over_j", "max_state_infidelity"]
         assert list(data["eta_over_j"]) == [1.0, 2.0, 10.0]
@@ -406,7 +403,7 @@ class TestCompareCommand:
     def test_asymptotic_ratio(self, tmp_path):
         cfg = parse_config(json.dumps(_config()))
         out = str(tmp_path / "asym.csv")
-        cmd_compare(cfg, ratios=(1000.0,), out_path=out)
+        cmd_compare(dataclasses.replace(cfg, ratios=(1000.0,), out_path=out))
         _, data = _read_csv(out)
         assert data["max_state_infidelity"][0] <= 1e-3
 
@@ -415,14 +412,14 @@ class TestCompareCommand:
             json.dumps(_config(model={"n_sites": 3}, initial={"site": 0}))
         )
         out = str(tmp_path / "mid.csv")
-        cmd_compare(middle, ratios=(10.0,), out_path=out)
+        cmd_compare(dataclasses.replace(middle, ratios=(10.0,), out_path=out))
         _, data = _read_csv(out)
         assert data["gap_F_plus"][0] <= 0.05
         side = parse_config(
             json.dumps(_config(model={"n_sites": 3}, initial={"site": 1}))
         )
         out = str(tmp_path / "side.csv")
-        cmd_compare(side, ratios=(10.0,), out_path=out)
+        cmd_compare(dataclasses.replace(side, ratios=(10.0,), out_path=out))
         _, data = _read_csv(out)
         # measured against the effective chain of its modes
         assert data["gap_F_plus"][0] <= 0.05
@@ -433,7 +430,7 @@ class TestCompareCommand:
             model={"n_sites": n_sites}, initial={"site": 1}, run={"n_points": 51}
         )))
         out = str(tmp_path / "gaps.csv")
-        cmd_compare(cfg, ratios=(10.0,), out_path=out)
+        cmd_compare(dataclasses.replace(cfg, ratios=(10.0,), out_path=out))
         header, data = _read_csv(out)
         sites = ["P1", "P2", "P0"] if n_sites == 3 else ["P1", "P2"]
         compared = sites + ["P_up", "F_plus", "F_minus", "logneg", "F2"]
@@ -444,13 +441,13 @@ class TestCompareCommand:
     def test_ratios_required(self, tmp_path):
         cfg = parse_config(json.dumps(_config()))
         with pytest.raises(ConfigError, match="ratios"):
-            cmd_compare(cfg, out_path=str(tmp_path / "x.csv"))
+            cmd_compare(dataclasses.replace(cfg, out_path=str(tmp_path / "x.csv")))
 
     def test_writes_the_ratio_it_was_asked_for(self, tmp_path, capsys):
         # eta = 3 * 0.1, and eta / J = 3.0000000000000004
         cfg = parse_config(json.dumps(_config(model={"j": 0.1}, run={"n_points": 51})))
         out = tmp_path / "cmp.csv"
-        cmd_compare(cfg, ratios=(3.0,), out_path=str(out))
+        cmd_compare(dataclasses.replace(cfg, ratios=(3.0,), out_path=str(out)))
         assert out.read_text().split("\n")[1].startswith("3,")
         assert capsys.readouterr().out.startswith("eta/J=3: ")
 
@@ -489,7 +486,7 @@ class TestAnalyticCommand:
     def test_xy_closed_form(self, tmp_path):
         cfg = parse_config(json.dumps(_config(run={"n_points": 2001})))
         out = str(tmp_path / "xy.csv")
-        cmd_analytic(cfg, out_path=out)
+        cmd_analytic(dataclasses.replace(cfg, out_path=out))
         header, data = _read_csv(out)
         assert header == ["t", "alpha_up_sq", "alpha_down_sq"]
         assert data["alpha_up_sq"][0] == 1.0
@@ -503,7 +500,7 @@ class TestAnalyticCommand:
             json.dumps(_config(model={"preset": "heisenberg"}, run={"n_points": 2001}))
         )
         out = str(tmp_path / "heis.csv")
-        cmd_analytic(cfg, out_path=out)
+        cmd_analytic(dataclasses.replace(cfg, out_path=out))
         _, data = _read_csv(out)
         assert data["alpha_down_sq"].max() == pytest.approx(8.0 / 9.0, abs=1e-3)
 
@@ -514,7 +511,7 @@ class TestAnalyticCommand:
             )
         )
         out = str(tmp_path / "three.csv")
-        cmd_analytic(cfg, out_path=out)
+        cmd_analytic(dataclasses.replace(cfg, out_path=out))
         _, data = _read_csv(out)
         expected = np.sin(data["t"] / (2 * SQRT2)) ** 2
         assert np.abs(data["alpha_down_sq"] - expected).max() <= 1e-12
@@ -524,7 +521,7 @@ class TestAnalyticCommand:
             model={"preset": "custom", "j_xy": 1.0, "j_z": 0.7}, run={"hamiltonian": "effective"}
         )))
         out = str(tmp_path / "custom.csv")
-        cmd_analytic(cfg, out_path=out)
+        cmd_analytic(dataclasses.replace(cfg, out_path=out))
         _, data = _read_csv(out)
         run = run_trajectory(cfg.spec, cfg.hamiltonian, cfg.initial, cfg.grid)
         assert np.abs(data["alpha_up_sq"] - run.p_up).max() <= 1e-12
@@ -537,13 +534,16 @@ def test_bundled_config_analytic_follows_the_effective_run(tmp_path, capsys, nam
     # doublet populations; the lattice's effective kind is right for any start
     cfg = parse_config((CONFIGS / name).read_text())
     closed, effective = str(tmp_path / "closed.csv"), str(tmp_path / "effective.csv")
-    cmd_analytic(cfg, out_path=closed)
-    cmd_simulate(dataclasses.replace(cfg, hamiltonian="effective"), out_path=effective)
+    cmd_analytic(dataclasses.replace(cfg, out_path=closed))
+    cmd_simulate(dataclasses.replace(cfg, hamiltonian="effective", out_path=effective))
     capsys.readouterr()
     _, expected = _read_csv(effective)
     _, got = _read_csv(closed)
     assert np.abs(got["alpha_up_sq"] - expected["P_up"]).max() <= 1e-12
     assert np.abs(got["alpha_down_sq"] - expected["F_plus"]).max() <= 1e-12
+
+
+_EMPTY_PATH = "empty output path: output.path and --out must name a file"
 
 
 class TestMainExitCodes:
@@ -587,6 +587,42 @@ class TestMainExitCodes:
         assert main(["compare", path]) == 0
         assert list(_read_csv(a)[1]["eta_over_j"]) == [10.0]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    @pytest.mark.parametrize(
+        "output, flags, message",
+        [
+            ({}, [], "no output path: set output.path or pass --out"),
+            ({"path": ""}, [], _EMPTY_PATH),
+            ({"path": "x.csv"}, ["--out", ""], _EMPTY_PATH),
+        ],
+        ids=["missing", "empty-output-path", "empty-out-flag"],
+    )
+    def test_a_missing_or_empty_output_path_is_2(
+        self, tmp_path, capsys, monkeypatch, command, output, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = _config(run={"n_points": 11}, output=output, compare={"ratios": [10]})
+        assert main([command, _write(tmp_path, cfg), *flags]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_out_flag_beats_output_path(self, tmp_path, capsys, command):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        path = _write(tmp_path, _config(run={"n_points": 11}, output={"path": str(a)}))
+        assert main([command, path, "--out", str(b)]) == 0
+        assert b.exists() and not a.exists()
+        assert main([command, path]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+
+    def test_ratios_flag_beats_compare_ratios(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cfg = _config(run={"n_points": 11}, output={"path": str(out)}, compare={"ratios": [10]})
+        assert main(["compare", _write(tmp_path, cfg), "--ratios", "2,20"]) == 0
+        assert list(_read_csv(out)[1]["eta_over_j"]) == [2.0, 20.0]
+        assert capsys.readouterr().out.startswith("eta/J=2: ")
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 4
@@ -810,6 +846,20 @@ class TestEdgeInputs:
         assert self._main(tmp_path, "simulate", _config(run={"n_points": 10**30})) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: n_points must be an integer in [2, ")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    @pytest.mark.parametrize("n_points", [2**59, 2**63 - 1], ids=["2^59", "2^63-1"])
+    def test_a_grid_longer_than_the_largest_amplitude_array_is_a_config_error(
+        self, tmp_path, capsys, command, n_points
+    ):
+        # the grid is rejected when the config is read, before any array is sized
+        flags = ("--ratios", "10") if command == "compare" else ()
+        assert self._main(tmp_path, command, _config(run={"n_points": n_points}), *flags) == 2
+        bound = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        assert capsys.readouterr().err == (
+            f"config error: n_points must be an integer in [2, {bound}], got {n_points}\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
     def test_running_out_of_memory_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):

@@ -63,9 +63,10 @@ class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="t_max"):
             TimeGrid(t_max=0.0)
-        # a float, a bool or more points than an array can hold would fail
-        # only later, when times() sizes its array
-        for n_points in (1, 3.0, True, np.True_, 10**30, int(np.iinfo(np.intp).max) + 1):
+        # a float, a bool or more points than an array of amplitudes can hold
+        # would fail only later, when a run sizes its arrays
+        intp_max = int(np.iinfo(np.intp).max)
+        for n_points in (1, 3.0, True, np.True_, 10**30, intp_max + 1, intp_max, 2**59):
             with pytest.raises(ValueError, match="n_points must be an integer"):
                 TimeGrid(t_max=30.0, n_points=n_points)
 
