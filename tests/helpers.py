@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from spinhop.model import _STATIC_PRESETS, HAMILTONIAN_KINDS, BasisLayout
+from spinhop.model import _STATIC_PRESETS, HAMILTONIAN_KINDS, BasisLayout, ModelSpec, encode_state
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -39,6 +39,33 @@ def decode(layout, index):
 def sz_of_basis(layout):
     """Total S_z of each basis state of ``layout``, from its decoded spins."""
     return np.array([sum(0.5 - s for s in decode(layout, i)[1:]) for i in range(layout.dim)])
+
+
+# the run matrix: a preset's or a custom coupling (j_xy, j_z), each lattice
+# with each kind, and every labelled start
+COUPLINGS = {"xy": (1.0, 0.0), "heisenberg": (0.5, 1.0), "custom": (0.7, -0.3)}
+LATTICE_KINDS = [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
+
+
+def coupling_specs(n_sites, coupling, kind, ratios):
+    """One spec of ``COUPLINGS[coupling]`` per eta/J of ``ratios``, J the
+    Ising coupling or else the XY one, and eta = 0 for the exact kind."""
+    j_xy, j_z = COUPLINGS[coupling]
+    j = abs(j_z if j_z != 0.0 else j_xy)
+    etas = [ratio * j for ratio in ratios] + ([0.0] if kind == "exact" else [])
+    return [ModelSpec(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z) for eta in etas]
+
+
+def labelled_starts(n_sites):
+    """All 12 start labels, the mobile spin up or down with each static
+    preset, at every site: site by site, in ``site_labels`` order."""
+    layout = BasisLayout(n_sites)
+    return [
+        encode_state(layout, site, e_spin, static)
+        for site in layout.site_labels()
+        for e_spin in ("up", "down")
+        for static in _STATIC_PRESETS
+    ]
 
 
 def sector_evolution(layout, h, psi, times):
@@ -153,10 +180,10 @@ def collective_spin_oracle(n_sites):
     return on(e=sz) + on(s1=sz) + on(s2=sz), sum(s @ s for s in static_total)
 
 
-def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
+def hamiltonian_oracle(n_sites, eta, j_xy, j_z, kind):
     """Hamiltonian of one kind by explicit Kronecker products, written out from
     the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2), with
-    static spin k at site s for each item s: k of ``attachments``."""
+    static spin 1 at the left and static spin 2 at the right site."""
     i2 = np.eye(2)
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])
     sm = sp.T
@@ -175,7 +202,7 @@ def hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind):
         motion[x, x + 1] = motion[x + 1, x] = amp
     h = np.kron(motion, np.eye(8)).astype(complex)
     if kind == "exact":
-        for site, k in attachments.items():
+        for site, k in ((0, 1), (n_sites - 1, 2)):
             at_site = np.zeros((n_sites, n_sites))
             at_site[site, site] = 1.0
             h = h + np.kron(at_site, coupling(k))
@@ -210,9 +237,8 @@ def second_order_shift(n_sites, eta, j_xy, j_z, band):
     """The second-order Schrieffer-Wolff term of the band at eta_b = band * eta
     on |mode b> ⊗ spin: the sum over the other bands b' of
     P_b V P_b' V P_b / (eta_b - eta_b'), V the contact coupling of
-    :func:`hamiltonian_oracle` with spin 1 at the left and spin 2 at the
-    right site, an ``(8, 8)`` matrix in closed form."""
-    contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, {0: 1, n_sites - 1: 2}, "exact")
+    :func:`hamiltonian_oracle`, an ``(8, 8)`` matrix in closed form."""
+    contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, "exact")
     lift = mode_lift(n_sites, band)
     return sum(
         lift.T @ contact @ mode_lift(n_sites, other) @ mode_lift(n_sites, other).T

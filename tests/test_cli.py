@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -39,6 +42,7 @@ from helpers import simulate_configs
 
 SQRT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def _config(**overrides):
@@ -718,6 +722,37 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+
+def _spinhop_process(*args):
+    """``python -m spinhop.cli`` with ``args``, run as its own process on the
+    sources of this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "spinhop.cli", *args]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestProcessExitStatus:
+    """The process exits with the code ``main`` returns."""
+
+    def test_simulate_exits_0_and_writes_what_main_writes(self, tmp_path, capsys):
+        path = _write(tmp_path, _config(run={"n_points": 11}))
+        child, parent = tmp_path / "child.csv", tmp_path / "parent.csv"
+        done = _spinhop_process("simulate", path, "--out", str(child))
+        assert done.returncode == 0, done.stderr
+        assert main(["simulate", path, "--out", str(parent)]) == 0
+        assert child.read_bytes() == parent.read_bytes()
+        assert done.stdout == capsys.readouterr().out
+
+    def test_a_config_error_exits_2_without_a_traceback(self, tmp_path):
+        path = _write(tmp_path, _config(model={"n_sites": 4}))
+        done = _spinhop_process("simulate", path, "--out", str(tmp_path / "x.csv"))
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error:") and "Traceback" not in done.stderr
+
+    def test_a_missing_config_file_exits_4(self, tmp_path):
+        done = _spinhop_process("simulate", str(tmp_path / "nope.json"))
+        assert done.returncode == 4, done.stderr
 
 
 class TestEdgeInputs:

@@ -23,7 +23,6 @@ from spinhop.dynamics import (
     run_trajectory,
 )
 from spinhop.model import (
-    _STATIC_PRESETS,
     HAMILTONIAN_KINDS,
     BasisLayout,
     ModelSpec,
@@ -35,16 +34,18 @@ from spinhop.linalg import hermitian_eigensystem
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
+    COUPLINGS,
+    LATTICE_KINDS,
     collective_spin_oracle,
     decode,
     doublet_populations,
     encode,
     expm_series,
+    labelled_starts,
     log_negativity_oracle,
     partial_trace_oracle_keep_last_two,
     random_hermitian,
     random_state,
-    series,
     static_pair_stack,
     sz_of_basis,
 )
@@ -288,29 +289,20 @@ class TestLogNegativity:
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_every_preset_start_stays_an_x_state(self, n_sites):
-        layout = BasisLayout(n_sites)
         times = TimeGrid(t_max=30.0, n_points=201).times()
         worst = 0.0
-        for make in (ModelSpec.xy, ModelSpec.heisenberg):
-            for eta in (1.0, 1e3):
-                spec = make(eta, n_sites=n_sites)
-                for kind in HAMILTONIAN_KINDS:
-                    for site in layout.site_labels():
-                        for e_spin in ("up", "down"):
-                            for static in _STATIC_PRESETS:
-                                psi0 = encode_state(layout, site, e_spin, static)
-                                states = _run_states(spec, kind, psi0, times)
-                                worst = max(worst, _residue(static_pair_stack(states, n_sites)).max())
+        for make, eta, kind in itertools.product(
+            (ModelSpec.xy, ModelSpec.heisenberg), (1.0, 1e3), HAMILTONIAN_KINDS
+        ):
+            for psi0 in labelled_starts(n_sites):
+                states = _run_states(make(eta, n_sites=n_sites), kind, psi0, times)
+                worst = max(worst, _residue(static_pair_stack(states, n_sites)).max())
         # every other sector of a one-sector start stays exactly zero
         assert worst == 0.0
 
 
 def test_hamiltonian_kinds_are_exact_and_effective():
     assert HAMILTONIAN_KINDS == ("exact", "effective")
-
-
-def _every_lattice_and_kind():
-    return [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
 
 
 def _whole_matrix_evolution(h, psi, times):
@@ -346,7 +338,7 @@ class TestEvolveOnGrid:
     """The whole-matrix reference propagator, and the run's sector solves
     against it."""
 
-    @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
+    @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
     def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind, eigh_sizes):
         rng = np.random.default_rng(90 + n_sites)
         spec = ModelSpec(n_sites=n_sites, eta=3.1, j_xy=0.7, j_z=-1.3)
@@ -391,20 +383,18 @@ class TestEvolveOnGrid:
         with pytest.raises(ValueError, match="NaN" if bad == "nan" else "not Hermitian"):
             evolve_on_grid(h, psi, [0.0, 1.0])
 
-    @pytest.mark.parametrize("n_sites,kind", _every_lattice_and_kind())
+    @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
     def test_definite_sz_start_solves_only_its_sector(self, n_sites, kind, eigh_sizes):
         layout = BasisLayout(n_sites)
         spec = ModelSpec.heisenberg(4.0, n_sites=n_sites)
         h = build_hamiltonian(spec, kind)
         times = np.linspace(0.0, 5.0, 11)
-        for e_spin in ("up", "down"):
-            for static in _STATIC_PRESETS:
-                psi = encode_state(layout, layout.site_labels()[0], e_spin, static)
-                (sz,) = set(sz_of_basis(layout)[psi != 0])
-                del eigh_sizes[:]
-                states = _run_states(spec, kind, psi, times)
-                assert eigh_sizes == [n_sites if abs(sz) == 1.5 else 3 * n_sites]
-                assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
+        for psi in labelled_starts(n_sites)[:12]:  # the 12 at the first site
+            (sz,) = set(sz_of_basis(layout)[psi != 0])
+            del eigh_sizes[:]
+            states = _run_states(spec, kind, psi, times)
+            assert eigh_sizes == [n_sites if abs(sz) == 1.5 else 3 * n_sites]
+            assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
 
 
 class TestRunTrajectory:
@@ -417,19 +407,6 @@ class TestRunTrajectory:
         assert trajectory.p_site[0] == pytest.approx(direct.p_site, abs=1e-12)
         assert trajectory.f_plus[0] == pytest.approx(direct.f_plus, abs=1e-12)
         assert trajectory.norm[0] == pytest.approx(direct.norm, abs=1e-12)
-
-    def test_intermediate_regime_builds_singlet_weight(self, traj):
-        fm = series(traj("xy1_exact").trajectory, "f_minus")
-        assert fm.max() > 0.3
-
-    def test_strong_hopping_stays_in_triplet_sector(self, traj):
-        trajectory = traj("xy10_exact").trajectory
-        assert series(trajectory, "f_plus").max() >= 0.98
-        assert series(trajectory, "f_minus").max() <= 0.02
-
-    def test_heisenberg_strong_hopping_max_transfer(self, traj):
-        fp = series(traj("heis10_exact").trajectory, "f_plus")
-        assert fp.max() == pytest.approx(8.0 / 9.0, abs=0.02)
 
     def test_rejects_unnormalized_initial(self):
         spec = ModelSpec.xy(1.0)
@@ -516,8 +493,8 @@ class TestColumns:
         assert compared == ["P1", "P2", "P0", "P_up", "F_plus", "F_minus", "logneg", "F2"]
 
 
-def _start(n_sites, site, e_spin="up", static="down-down"):
-    return encode_state(BasisLayout(n_sites), site, e_spin, static)
+def _start(n_sites, site):
+    return encode_state(BasisLayout(n_sites), site, "up", "down-down")
 
 
 def _analytic_at(spec, site, t_max, n_points=2):
@@ -622,13 +599,9 @@ class TestAnalyticPeriod:
         spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
         omega = math.hypot(SQRT2 * 0.7, -0.3 / 4.0)
         rate = 0.5 if n_sites == 2 else 0.25
-        layout = BasisLayout(n_sites)
-        for site in layout.site_labels():
-            for e_spin in ("up", "down"):
-                for static in _STATIC_PRESETS:
-                    psi = encode_state(layout, site, e_spin, static)
-                    period = analytic(spec, psi, TimeGrid(1.0, 2)).period
-                    assert period == pytest.approx(2 * math.pi / (rate * omega), rel=1e-15)
+        for psi in labelled_starts(n_sites):
+            period = analytic(spec, psi, TimeGrid(1.0, 2)).period
+            assert period == pytest.approx(2 * math.pi / (rate * omega), rel=1e-15)
 
     def test_scales_inversely_with_coupling(self):
         assert _analytic_at(ModelSpec.xy(10.0, j=2.0), 1, 1.0).period == pytest.approx(
@@ -690,28 +663,16 @@ def test_analytic_table_is_finite_on_every_accepted_run():
     assert accepted >= 3000 and extremes == {5.9e306, 2.9e306, 1e300}
 
 
-_COUPLINGS = {
-    "xy": dict(j_xy=1.0, j_z=0.0),
-    "heisenberg": dict(j_xy=0.5, j_z=1.0),
-    "custom": dict(j_xy=0.7, j_z=-0.3),
-}
-
-
 @pytest.mark.parametrize("eta", [10.0, 50.0])
-@pytest.mark.parametrize("coupling", list(_COUPLINGS))
+@pytest.mark.parametrize("coupling", list(COUPLINGS))
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_analytic_is_the_effective_kinds_doublet_populations(n_sites, coupling, eta):
     # every site and all 12 start labels, then complex superpositions of
     # them; each effective run's doublet populations, by brute projection
-    spec = ModelSpec(n_sites, eta, **_COUPLINGS[coupling])
+    spec = ModelSpec(n_sites, eta, *COUPLINGS[coupling])
     grid = TimeGrid(t_max=30.0, n_points=301)
     h = build_hamiltonian(spec, "effective")
-    starts = [
-        _start(n_sites, site, e_spin, static)
-        for site in BasisLayout(n_sites).site_labels()
-        for e_spin in ("up", "down")
-        for static in _STATIC_PRESETS
-    ]
+    starts = labelled_starts(n_sites)
     rng = np.random.default_rng(7)
     for _ in range(4):
         psi = np.array(starts).T @ random_state(rng, len(starts))
@@ -724,59 +685,13 @@ def test_analytic_is_the_effective_kinds_doublet_populations(n_sites, coupling, 
     assert worst <= 1e-12
 
 
-class TestQstTrajectory:
-    def test_starts_with_zero_transfer(self, traj):
-        assert traj("qst_xy20").trajectory.f2[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_xy_transfer_is_nearly_perfect(self, traj):
-        trajectory = traj("qst_xy20").trajectory
-        f2 = series(trajectory, "f2")
-        assert f2.max() >= 0.99
-        t_peak = trajectory.t[int(f2.argmax())]
-        assert abs(t_peak - SQRT2 * math.pi) <= 0.2
-
-    def test_heisenberg_transfer_is_capped(self, traj):
-        assert series(traj("qst_heis20").trajectory, "f2").max() <= 0.77
-
-
 class TestInvariants:
-    @pytest.mark.parametrize("name", ["xy1_exact", "xy10_exact", "heis10_exact", "mid3_exact"])
-    def test_norm_energy_sz_conserved(self, traj, name):
-        trajectory = traj(name).trajectory
-        norm = series(trajectory, "norm")
-        assert np.abs(norm - 1.0).max() <= 1e-9
-        energy = series(trajectory, "energy")
-        scale = max(1.0, np.abs(energy[0]))
-        assert np.abs(energy - energy[0]).max() <= 1e-9 * scale
-        sz = series(trajectory, "sz_total")
-        assert np.abs(sz - sz[0]).max() <= 1e-9
-
     def test_effective_trajectory_stays_in_doublet(self, traj):
         run = traj("xy10_eff")
         h = build_hamiltonian(run.spec, run.kind)
         states = evolve_on_grid(h, run.initial, run.times)
         leakage = 1.0 - doublet_populations(states, run.layout.n_sites).sum(axis=1)
         assert np.abs(leakage).max() <= 1e-9
-
-    @pytest.mark.parametrize(
-        "name", ["xy10_eff", "heis10_eff"], ids=["xy10_eff-xy", "heis10_eff-heisenberg"]
-    )
-    def test_effective_dynamics_reproduces_analytic(self, traj, name):
-        run = traj(name)
-        sol = analytic(run.spec, run.initial, run.grid)
-        assert np.abs(series(run.trajectory, "p_up") - sol.p_up).max() <= 1e-9
-        assert np.abs(series(run.trajectory, "f_plus") - sol.p_down).max() <= 1e-9
-
-    def test_motional_decoupling_over_ten_hop_periods(self):
-        # the return probability tracks the free-hopping law pointwise on a
-        # window of ten hop cycles; over much longer windows a second-order
-        # frequency shift of order (J/eta)^2 * eta accumulates visible phase
-        spec = ModelSpec.xy(10.0)
-        grid = TimeGrid(t_max=math.pi, n_points=2001)
-        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
-        p1 = run_trajectory(spec, "exact", psi, grid).p_site[:, 0]
-        free = np.cos(spec.eta * grid.times()) ** 2
-        assert np.abs(p1 - free).max() <= 0.05
 
     def test_effective_middle_start_never_populates_antisymmetric_mode(self, traj):
         run = traj("mid3_eff")

@@ -20,7 +20,14 @@ from spinhop.model import (
     encode_state,
 )
 
-from helpers import collective_spin_oracle, decode, encode, hamiltonian_oracle, sz_of_basis
+from helpers import (
+    COUPLINGS,
+    collective_spin_oracle,
+    decode,
+    encode,
+    hamiltonian_oracle,
+    sz_of_basis,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -287,22 +294,12 @@ class TestBuildHamiltonian:
         )
 
 
-def _every_placement():
-    """Every (n_sites, {site: static spin}) that puts the two static spins on
-    two distinct sites of the lattice."""
-    for n_sites in (2, 3):
-        for one, two in itertools.permutations(range(n_sites), 2):
-            yield n_sites, {one: 1, two: 2}
-
-
 class TestBuilderOracle:
-    @pytest.mark.parametrize("n_sites,attachments", list(_every_placement()))
+    @pytest.mark.parametrize("n_sites", [2, 3])
     @pytest.mark.parametrize("j_xy,j_z", [(1.0, 0.0), (0.5, 1.0), (0.3, -0.7)])
-    def test_builders_match_kron_oracle(self, n_sites, attachments, j_xy, j_z):
-        # spin 1 sits at site 0 and spin 2 at the last site: the exact
-        # Hamiltonian is the oracle's at that placement and at no other; the
-        # effective ones couple to the whole static pair wherever it sits
-        pinned = attachments == {0: 1, n_sites - 1: 2}
+    def test_builders_match_kron_oracle(self, n_sites, j_xy, j_z):
+        # the oracle pins spin 1 at site 0 and spin 2 at the last site, so
+        # bit-equality also fixes where the builders put the static spins;
         # entries between two S_z sectors are exact zeros in every oracle, so
         # build_hamiltonian's S_z blocks and zeros make up the whole matrix
         sz = sz_of_basis(BasisLayout(n_sites))
@@ -312,12 +309,12 @@ class TestBuilderOracle:
                 if kind == "effective" and eta == 0.0:
                     continue  # rejected, see test_effective_needs_hopping
                 h = build_hamiltonian(spec, kind)
-                ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, attachments, kind)
+                ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, kind)
                 assert np.all(ref[sz[:, None] != sz] == 0.0), (eta, kind)
-                assert np.array_equal(h, ref) == (pinned or kind != "exact"), (eta, kind)
-            contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, attachments, "exact")
+                assert np.array_equal(h, ref), (eta, kind)
+            contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, "exact")
             interaction = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
-            assert np.array_equal(interaction, contact) == pinned
+            assert np.array_equal(interaction, contact)
 
     def test_returned_matrices_are_fresh(self):
         for n_sites in (2, 3):
@@ -364,7 +361,7 @@ def _every_built_kind():
     """(spec, kind) for every kind on both lattices, the xy, Heisenberg and
     one custom coupling, at eta = 0 where the kind allows it, 1 and 1e3."""
     for n_sites in (2, 3):
-        for j_xy, j_z in ((1.0, 0.0), (0.5, 1.0), (0.7, -0.3)):
+        for j_xy, j_z in COUPLINGS.values():
             for eta in (0.0, 1.0, 1e3):
                 for kind in HAMILTONIAN_KINDS:
                     if not (kind == "effective" and eta == 0.0):
@@ -380,8 +377,7 @@ class TestSectors:
         # the oracle's entries between sectors are zeros (TestBuilderOracle)
         for spec, kind in _every_built_kind():
             layout = BasisLayout(spec.n_sites)
-            pinned = {0: 1, spec.n_sites - 1: 2}
-            h = hamiltonian_oracle(spec.n_sites, spec.eta, spec.j_xy, spec.j_z, pinned, kind)
+            h = hamiltonian_oracle(spec.n_sites, spec.eta, spec.j_xy, spec.j_z, kind)
             sz = sz_of_basis(layout)
             blocks = model._sector_blocks(spec, kind, np.ones(layout.dim))
             n = spec.n_sites

@@ -28,44 +28,25 @@ from spinhop.dynamics import (
     observables,
     run_trajectory,
 )
-from spinhop.model import (
-    _STATIC_PRESETS,
-    HAMILTONIAN_KINDS,
-    BasisLayout,
-    ModelSpec,
-    build_hamiltonian,
-    encode_state,
-)
+from spinhop.model import BasisLayout, ModelSpec, build_hamiltonian
 
-from helpers import random_state, sector_evolution, two_sector_start
+from helpers import (
+    COUPLINGS,
+    LATTICE_KINDS,
+    coupling_specs,
+    labelled_starts,
+    random_state,
+    sector_evolution,
+    two_sector_start,
+)
 
 TOL = 1e-13
 EPS = np.finfo(float).eps
 GRID = TimeGrid(t_max=30.0, n_points=41)
-COUPLINGS = {"xy": (1.0, 0.0), "heisenberg": (0.5, 1.0), "custom": (0.7, -0.3)}
 RATIOS = (1.0, 10.0, 1e3)
 FIELDS = (
     "p_site", "p_up", "f_plus", "f_minus", "logneg", "f2", "sz_total", "s12_sq", "norm", "energy"
 )
-
-
-def _specs(n_sites, coupling, kind):
-    """One spec per eta/J of RATIOS, and eta = 0 for the exact kind."""
-    j_xy, j_z = COUPLINGS[coupling]
-    j = abs(j_z if j_z != 0.0 else j_xy)
-    etas = [ratio * j for ratio in RATIOS] + ([0.0] if kind == "exact" else [])
-    return [ModelSpec(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z) for eta in etas]
-
-
-def _one_sector_starts(n_sites):
-    """All 12 start labels at every site."""
-    layout = BasisLayout(n_sites)
-    return [
-        encode_state(layout, site, e_spin, static)
-        for site in layout.site_labels()
-        for e_spin in ("up", "down")
-        for static in _STATIC_PRESETS
-    ]
 
 
 def _whole_space_trajectory(spec, kind, psi):
@@ -119,16 +100,12 @@ def pair_stacks(monkeypatch):
     return calls
 
 
-def _lattice_kinds():
-    return [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
-
-
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
-@pytest.mark.parametrize("n_sites,kind", _lattice_kinds())
+@pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
 def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pair_stacks):
     worst = dict.fromkeys((*FIELDS, "report"), 0.0)
-    for spec in _specs(n_sites, coupling, kind):
-        for psi in _one_sector_starts(n_sites):
+    for spec in coupling_specs(n_sites, coupling, kind, RATIOS):
+        for psi in labelled_starts(n_sites):
             pair_stacks.clear()
             got = run_trajectory(spec, kind, psi, GRID)
             assert pair_stacks == {}  # no pair stack is formed
@@ -145,8 +122,8 @@ def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pa
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_compare_matches_the_whole_space_path(n_sites, coupling, pair_stacks):
-    for spec in _specs(n_sites, coupling, "effective"):
-        for psi in _one_sector_starts(n_sites):
+    for spec in coupling_specs(n_sites, coupling, "effective", RATIOS):
+        for psi in labelled_starts(n_sites):
             pair_stacks.clear()
             report = compare_exact_effective(spec, psi, GRID)
             assert pair_stacks == {}
@@ -158,7 +135,7 @@ def test_compare_matches_the_whole_space_path(n_sites, coupling, pair_stacks):
                 assert abs(report.max_observable_gap[name] - gap) <= TOL, name
 
 
-@pytest.mark.parametrize("n_sites,kind", _lattice_kinds())
+@pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
 def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, pair_stacks):
     spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
     rng = np.random.default_rng(5)

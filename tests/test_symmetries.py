@@ -30,45 +30,27 @@ import pytest
 
 from spinhop.analysis import conservation_monitor
 from spinhop.dynamics import TimeGrid, column_names, run_trajectory
-from spinhop.model import (
-    _STATIC_PRESETS,
-    HAMILTONIAN_KINDS,
-    BasisLayout,
-    ModelSpec,
-    encode_state,
+from spinhop.model import BasisLayout
+
+from helpers import (
+    COUPLINGS,
+    LATTICE_KINDS,
+    coupling_specs,
+    decode,
+    encode,
+    labelled_starts,
+    random_state,
 )
 
-from helpers import decode, encode, random_state
-
 GRIDS = (TimeGrid(t_max=30.0, n_points=41), TimeGrid(t_max=1e10, n_points=41))
-COUPLINGS = {"xy": (1.0, 0.0), "heisenberg": (0.5, 1.0), "custom": (0.7, -0.3)}
 RATIOS = (1.0, 1e3, 1e10)
 EPS = np.finfo(float).eps
 
 
-def _lattice_kinds():
-    return [(n_sites, kind) for n_sites in (2, 3) for kind in HAMILTONIAN_KINDS]
-
-
-def _specs(n_sites, coupling, kind):
-    """One spec per eta/J of RATIOS, and eta = 0 for the exact kind."""
-    j_xy, j_z = COUPLINGS[coupling]
-    j = abs(j_z if j_z != 0.0 else j_xy)
-    etas = ([0.0] if kind == "exact" else []) + [ratio * j for ratio in RATIOS]
-    return [ModelSpec(n_sites=n_sites, eta=eta, j_xy=j_xy, j_z=j_z) for eta in etas]
-
-
 def _starts(n_sites):
     """All 12 start labels at every site, then three random superpositions."""
-    layout = BasisLayout(n_sites)
-    labelled = [
-        encode_state(layout, site, e_spin, static)
-        for site in layout.site_labels()
-        for e_spin in ("up", "down")
-        for static in _STATIC_PRESETS
-    ]
     rng = np.random.default_rng(23)
-    return labelled + [random_state(rng, layout.dim) for _ in range(3)]
+    return labelled_starts(n_sites) + [random_state(rng, 8 * n_sites) for _ in range(3)]
 
 
 def _maps(n_sites):
@@ -85,13 +67,13 @@ def _maps(n_sites):
 
 
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
-@pytest.mark.parametrize("n_sites,kind", _lattice_kinds())
+@pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
 def test_mirror_and_flip_map_every_run(n_sites, kind, coupling):
     names = [name for name in column_names(n_sites) if name != "F2"]
     maps = _maps(n_sites)
     laws = ["norm", "energy", "sz"] + ([] if kind == "exact" else ["s12_sq"])
     worst = defaultdict(float)  # (map or drift, column) -> largest gap over the bound
-    for grid, spec in itertools.product(GRIDS, _specs(n_sites, coupling, kind)):
+    for grid, spec in itertools.product(GRIDS, coupling_specs(n_sites, coupling, kind, RATIOS)):
         scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
         bound = 16.0 * EPS * scale * max(grid.t_max, 1.0)
         for psi in _starts(n_sites):
