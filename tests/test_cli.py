@@ -732,27 +732,67 @@ def _spinhop_process(*args):
     return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
 
 
+def _bundled_runs():
+    """(config name, command) for every bundled config: simulate and analytic
+    on each, and compare on each that lists its ratios."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        commands = ["simulate", "analytic"]
+        commands += ["compare"] if "compare" in json.loads(path.read_text()) else []
+        for command in commands:
+            yield path.name, command
+
+
 class TestProcessExitStatus:
     """The process exits with the code ``main`` returns."""
 
-    def test_simulate_exits_0_and_writes_what_main_writes(self, tmp_path, capsys):
-        path = _write(tmp_path, _config(run={"n_points": 11}))
+    @pytest.mark.parametrize("name,command", list(_bundled_runs()))
+    def test_a_bundled_config_exits_0_and_writes_what_main_writes(
+        self, tmp_path, capsys, name, command
+    ):
+        path = str(CONFIGS / name)
         child, parent = tmp_path / "child.csv", tmp_path / "parent.csv"
-        done = _spinhop_process("simulate", path, "--out", str(child))
+        done = _spinhop_process(command, path, "--out", str(child))
         assert done.returncode == 0, done.stderr
-        assert main(["simulate", path, "--out", str(parent)]) == 0
+        assert main([command, path, "--out", str(parent)]) == 0
         assert child.read_bytes() == parent.read_bytes()
         assert done.stdout == capsys.readouterr().out
 
-    def test_a_config_error_exits_2_without_a_traceback(self, tmp_path):
-        path = _write(tmp_path, _config(model={"n_sites": 4}))
-        done = _spinhop_process("simulate", path, "--out", str(tmp_path / "x.csv"))
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    def test_a_config_error_exits_2_without_a_traceback(self, tmp_path, command):
+        path = _write(tmp_path, _config(model={"n_sites": 4}, compare={"ratios": [10]}))
+        done = _spinhop_process(command, path, "--out", str(tmp_path / "x.csv"))
         assert done.returncode == 2
         assert done.stderr.startswith("config error:") and "Traceback" not in done.stderr
+        assert not (tmp_path / "x.csv").exists()
 
-    def test_a_missing_config_file_exits_4(self, tmp_path):
-        done = _spinhop_process("simulate", str(tmp_path / "nope.json"))
+    def test_a_usage_error_exits_2_with_the_usage(self, tmp_path):
+        done = _spinhop_process("bogus", _write(tmp_path, _config()))
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
+
+    def test_help_exits_0(self):
+        done = _spinhop_process("--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage:")
+
+    def test_a_non_finite_closed_form_exits_3(self, tmp_path):
+        path = _write(tmp_path, _config(model={"j": 5e-324}, run={"n_points": 11}))
+        done = _spinhop_process("analytic", path, "--out", str(tmp_path / "x.csv"))
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("numerical invariant violated:")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    def test_a_missing_config_file_exits_4(self, tmp_path, command):
+        done = _spinhop_process(command, str(tmp_path / "nope.json"))
         assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith("i/o error:")
+
+    def test_an_unwritable_output_exits_4(self, tmp_path):
+        path = _write(tmp_path, _config(run={"n_points": 11}))
+        done = _spinhop_process("simulate", path, "--out", str(tmp_path / "no_such_dir" / "x.csv"))
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith("i/o error:")
 
 
 class TestEdgeInputs:

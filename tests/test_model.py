@@ -297,24 +297,22 @@ class TestBuildHamiltonian:
 class TestBuilderOracle:
     @pytest.mark.parametrize("n_sites", [2, 3])
     @pytest.mark.parametrize("j_xy,j_z", [(1.0, 0.0), (0.5, 1.0), (0.3, -0.7)])
-    def test_builders_match_kron_oracle(self, n_sites, j_xy, j_z):
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 1e3])
+    def test_builders_match_kron_oracle(self, n_sites, j_xy, j_z, eta):
         # the oracle pins spin 1 at site 0 and spin 2 at the last site, so
         # bit-equality also fixes where the builders put the static spins;
         # entries between two S_z sectors are exact zeros in every oracle, so
-        # build_hamiltonian's S_z blocks and zeros make up the whole matrix
+        # build_hamiltonian's S_z blocks and zeros make up the whole matrix;
+        # at eta = 0 the exact kind is the contact term alone
         sz = sz_of_basis(BasisLayout(n_sites))
-        for eta in (0.0, 1.0, 1e3):
-            spec = ModelSpec(n_sites, eta, j_xy, j_z)
-            for kind in HAMILTONIAN_KINDS:
-                if kind == "effective" and eta == 0.0:
-                    continue  # rejected, see test_effective_needs_hopping
-                h = build_hamiltonian(spec, kind)
-                ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, kind)
-                assert np.all(ref[sz[:, None] != sz] == 0.0), (eta, kind)
-                assert np.array_equal(h, ref), (eta, kind)
-            contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, "exact")
-            interaction = build_hamiltonian(dataclasses.replace(spec, eta=0.0))
-            assert np.array_equal(interaction, contact)
+        spec = ModelSpec(n_sites, eta, j_xy, j_z)
+        for kind in HAMILTONIAN_KINDS:
+            if kind == "effective" and eta == 0.0:
+                continue  # rejected, see test_effective_needs_hopping
+            h = build_hamiltonian(spec, kind)
+            ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, kind)
+            assert np.all(ref[sz[:, None] != sz] == 0.0), kind
+            assert np.array_equal(h, ref), kind
 
     def test_returned_matrices_are_fresh(self):
         for n_sites in (2, 3):
