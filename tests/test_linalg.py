@@ -1,5 +1,8 @@
-"""Linear-algebra core: Hermitian check, eigensolver, propagation, two-qubit
-partial transpose and the trace norm behind the log-negativity."""
+"""Linear-algebra core: the Hermitian check, the eigensolver and the
+two-qubit partial transpose, each on a matrix and on a stack.
+
+Propagation is checked in ``test_dynamics.TestEvolveOnGrid`` and the
+log-negativity in ``test_analysis.TestLogNegativity``."""
 
 import pathlib
 import re
@@ -11,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinhop import linalg, model
-from spinhop.analysis import compare_exact_effective, log_negativity
-from spinhop.dynamics import TimeGrid, _log_negativity, evolve_on_grid, observables, run_trajectory
+from spinhop.analysis import compare_exact_effective
+from spinhop.dynamics import TimeGrid, evolve_on_grid, observables, run_trajectory
 from spinhop.linalg import (
     assert_hermitian,
     hermitian_eigensystem,
@@ -22,37 +25,15 @@ from spinhop.model import BasisLayout, ModelSpec, encode_state
 
 from helpers import (
     BELL_PLUS,
-    expm_series,
     random_density_matrix,
     random_hermitian,
     random_state,
     two_sector_start,
 )
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestHermitianEigensystem:
-    def test_sigma_x_spectrum(self):
-        eig = hermitian_eigensystem(SIGMA_X)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-
-    def test_two_site_hopping_modes(self):
-        hop = np.array([[0, 1], [1, 0]], dtype=complex)
-        eig = hermitian_eigensystem(hop)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-        # eigenvectors are (|1> -+ |2>)/sqrt(2) up to phase
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(abs(minus @ eig.eigenvectors[:, 0]) - 1) < 1e-10
-        assert abs(abs(plus @ eig.eigenvectors[:, 1]) - 1) < 1e-10
-
-    def test_three_site_hopping_spectrum(self):
-        a = 1.0 / np.sqrt(2)
-        chain = np.array([[0, a, 0], [a, 0, a], [0, a, 0]], dtype=complex)
-        eig = hermitian_eigensystem(chain)
-        assert np.allclose(eig.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-12)
-
     def test_rejects_non_hermitian_with_diagnostic(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match=r"max\|M - M\^H\|"):
@@ -72,21 +53,19 @@ class TestHermitianEigensystem:
         assert np.all(eig.eigenvalues == 0.0)
         assert np.allclose(eig.eigenvectors, np.eye(5))
 
-    def test_empty_matrices(self):
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+    def test_empty_matrices(self, shape):
         # numpy's eigh takes them, so the check in front of it must too
-        for shape in ((0, 0), (3, 0, 0), (0, 2, 2)):
-            assert_hermitian(np.zeros(shape))
-            w, v = hermitian_eigensystem(np.zeros(shape))
-            assert w.shape == shape[:-1] and v.shape == shape
+        assert_hermitian(np.zeros(shape))
+        w, v = hermitian_eigensystem(np.zeros(shape))
+        assert w.shape == shape[:-1] and v.shape == shape
         states = evolve_on_grid(np.zeros((0, 0)), np.zeros(0), [0.0, 1.0])
         assert states.shape == (2, 0)
 
-    def test_eigenvalues_match_lapack(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 16, 24):
-            m = random_hermitian(rng, n)
-            eig = hermitian_eigensystem(m)
-            assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(m), atol=1e-11)
+    @pytest.mark.parametrize("n", [2, 5, 16, 24])
+    def test_eigenvalues_match_lapack(self, n):
+        m = random_hermitian(np.random.default_rng(3 + n), n)
+        assert np.allclose(hermitian_eigensystem(m).eigenvalues, np.linalg.eigvalsh(m), atol=1e-11)
 
     def test_blocks_lapack_gives_up_on_are_solved_scaled(self):
         # LAPACK's complex eigh does not converge on this three-site block at
@@ -104,12 +83,6 @@ class TestHermitianEigensystem:
         assert np.array_equal(w[1], w[0] * 2.0**-600) and np.array_equal(v[1], v[0])
         assert np.allclose(w[2], np.linalg.eigvalsh(small), atol=1e-12)
 
-    def test_degenerate_spectrum_reconstructs(self):
-        hop = np.kron(SIGMA_X, np.eye(8))  # two eigenvalues, 8-fold degenerate
-        eig = hermitian_eigensystem(hop)
-        recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.conj().T
-        assert np.abs(recon - hop).max() < 1e-12
-
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**31))
     def test_reconstruction_unitarity_and_residual(self, n, seed):
@@ -124,57 +97,6 @@ class TestHermitianEigensystem:
         residual = m @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues
         assert np.abs(residual).max() <= 1e-10 * h_norm
         assert np.all(np.diff(eig.eigenvalues) >= 0.0)
-
-
-class TestPropagate:
-    """Spectral propagation, through the library's one path: evolve_on_grid."""
-
-    def test_time_zero_is_identity(self):
-        rng = np.random.default_rng(11)
-        m = random_hermitian(rng, 6)
-        psi = random_state(rng, 6)
-        assert np.allclose(evolve_on_grid(m, psi, [0.0])[0], psi, atol=1e-12)
-
-    def test_eigenstate_picks_up_phase(self):
-        rng = np.random.default_rng(12)
-        m = random_hermitian(rng, 5)
-        w, v = np.linalg.eigh(m)
-        k, t = 2, 0.77
-        out = evolve_on_grid(m, v[:, k], [t])[0]
-        assert np.allclose(out, np.exp(-1j * w[k] * t) * v[:, k], atol=1e-12)
-
-    def test_two_site_rabi_oscillation(self):
-        # free hopping from |x=1>: return probability cos^2(eta t)
-        eta = 1.0
-        hop = eta * np.array([[0, 1], [1, 0]], dtype=complex)
-        start = np.array([1, 0], dtype=complex)
-        times = [0.3, 1.0, 2.5]
-        for t, psi in zip(times, evolve_on_grid(hop, start, times)):
-            assert abs(abs(psi[0]) ** 2 - np.cos(eta * t) ** 2) < 1e-12
-            # cross-check against the power series of exp(-iHt)
-            assert np.allclose(psi, expm_series(hop, t) @ start, atol=1e-12)
-
-    def test_series_oracle_on_random_hamiltonian(self):
-        rng = np.random.default_rng(13)
-        m = random_hermitian(rng, 8)
-        psi = random_state(rng, 8)
-        t = 0.9
-        assert np.allclose(evolve_on_grid(m, psi, [t])[0], expm_series(m, t) @ psi, atol=1e-10)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31), t1=st.floats(-5, 5), t2=st.floats(-5, 5))
-    def test_norm_preserved_and_composition(self, seed, t1, t2):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, 7)
-        psi = random_state(rng, 7)
-        once = evolve_on_grid(m, psi, [t1])[0]
-        assert abs(np.linalg.norm(once) - 1.0) <= 1e-10
-        twice = evolve_on_grid(m, once, [t2])[0]
-        assert np.abs(twice - evolve_on_grid(m, psi, [t1 + t2])[0]).max() <= 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            evolve_on_grid(np.eye(4), np.ones(3), [1.0])
 
 
 class TestPartialTranspose:
@@ -200,40 +122,10 @@ class TestPartialTranspose:
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-14
         assert np.abs(pt - pt.conj().T).max() < 1e-14
 
-    def test_bad_inputs(self):
-        for bad in (np.eye(5), np.eye(6), np.ones(4)):
-            with pytest.raises(ValueError, match="4x4"):
-                partial_transpose(bad)
-
-
-class TestPartialTransposeTraceNorm:
-    """The trace norm of the partial transpose, through the log-negativity
-    that reads it: log2 of the sum of the absolute eigenvalues."""
-
-    def test_identity(self):
-        # the partial transpose of the identity is itself: trace norm 4
-        assert _log_negativity(np.eye(4)) == pytest.approx(2.0, abs=1e-12)
-
-    def test_product_states_have_unit_trace_norm(self):
-        # rho_A (x) rho_B transposes to rho_A^T (x) rho_B, a density matrix
-        rng = np.random.default_rng(41)
-        for _ in range(3):
-            rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-            assert _log_negativity(rho) == pytest.approx(0.0, abs=1e-10)
-
-    def test_partial_transpose_of_bell_state(self):
-        rho = np.outer(BELL_PLUS, BELL_PLUS.conj())
-        assert _log_negativity(rho) == pytest.approx(1.0, abs=1e-10)  # trace norm 2
-
-    def test_rejects_non_hermitian(self):
-        rho = np.eye(4, dtype=complex)
-        rho[0, 1] = 1.0
-        with pytest.raises(ValueError, match="not Hermitian"):
-            _log_negativity(rho)
-
-    def test_rejects_non_finite_entries(self):
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            _log_negativity(np.diag([1.0, 1.0, 1.0, np.inf]))
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 6), (4,), (3, 4, 5)])
+    def test_rejects_anything_but_4x4_operators(self, shape):
+        with pytest.raises(ValueError, match="4x4"):
+            partial_transpose(np.ones(shape))
 
 
 def test_every_eigenvalue_comes_from_the_one_eigensolver_call(monkeypatch):
@@ -255,7 +147,6 @@ def test_every_eigenvalue_comes_from_the_one_eigensolver_call(monkeypatch):
         rng = np.random.default_rng(n_sites)
         stack = np.array([random_state(rng, layout.dim) for _ in range(3)])
         assert observables(stack, layout).logneg.shape == (3,)
-    assert log_negativity(np.outer(BELL_PLUS, BELL_PLUS.conj())) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStacks:
@@ -269,16 +160,16 @@ class TestStacks:
         for k in range(len(stack)):
             assert np.allclose(eig.eigenvalues[k], np.linalg.eigvalsh(stack[k]), atol=1e-12)
 
-    def test_partial_transpose_and_log_negativity_of_a_stack(self):
+    def test_partial_transpose_of_a_stack(self):
         rng = np.random.default_rng(51)
         stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
         pts = partial_transpose(stack)
         assert pts.shape == stack.shape
-        values = _log_negativity(stack)
-        assert values.shape == (len(stack),)
+        # over the first qubit: <a b|rho^T_A|c d> = <c b|rho|a d>
+        transposed = stack.reshape(5, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4).reshape(stack.shape)
+        assert np.array_equal(pts, transposed)
         for k in range(len(stack)):
             assert np.array_equal(pts[k], partial_transpose(stack[k]))
-            assert values[k] == pytest.approx(_log_negativity(stack[k]), abs=1e-14)
 
     def test_assert_hermitian_flags_the_one_bad_matrix(self):
         stack = np.array([np.eye(4, dtype=complex)] * 4)
@@ -292,34 +183,16 @@ class TestStacks:
         [complex(0.0, np.nan), np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, 0.0)],
         ids=["nan-imag", "inf", "-inf", "inf-nan", "nan-real"],
     )
-    def test_assert_hermitian_reports_any_non_finite_entry(self, bad):
-        m = np.eye(3, dtype=complex)
-        m[0, 1] = bad  # also not Hermitian: the non-finite message wins
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_assert_hermitian_reports_any_non_finite_entry(self, bad, stacked):
+        m = np.array([np.eye(3, dtype=complex)] * 4)
+        if stacked:
+            m[2, 1, 1] = bad
+        else:
+            m = m[0]
+            m[0, 1] = bad  # also not Hermitian: the non-finite message wins
         with pytest.raises(ValueError, match="NaN or infinite"):
             assert_hermitian(m)
-        stack = np.array([np.eye(3, dtype=complex)] * 4)
-        stack[2, 1, 1] = bad
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            assert_hermitian(stack)
-
-    def test_assert_hermitian_accepts_finite_entries_whose_modulus_overflows(self):
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 1] = complex(1.5e308, 1.5e308)  # |m[0, 1]| is inf, its parts are finite
-        m[1, 0] = m[0, 1].conjugate()
-        with np.errstate(over="ignore"):
-            assert_hermitian(m)
-            assert_hermitian(np.array([np.eye(2), m]))
-
-    def test_assert_hermitian_rejects_an_overflowing_defect_without_a_warning(self):
-        # M - M^H overflows at the diagonal entry; its parts, and |M|, are finite
-        m = np.array([[complex(1e308, 1e308), 0.0], [0.0, 1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            message = r"^matrix is not Hermitian: max\|M - M\^H\| = inf"
-            with pytest.raises(ValueError, match=message):
-                assert_hermitian(m)
-            with pytest.raises(ValueError, match=r"stack index \(1,\) is not Hermitian"):
-                assert_hermitian(np.array([np.eye(2), m]))
 
     @pytest.mark.parametrize(
         "entry,mirror",
@@ -350,8 +223,15 @@ class TestStacks:
         assert isinstance(single, tuple) == isinstance(stack, tuple) == passes
         if not passes:
             assert single == stack
+            # M - M^H overflows at the diagonal entry; its parts, and |M|, are finite
+            assert entry != complex(1e308, 1e308) or single.startswith(
+                "matrix is not Hermitian: max|M - M^H| = inf"
+            )
+            third = outcome(np.array([np.eye(3), np.eye(3), m]))
+            assert third == single.replace("matrix is", "matrix at stack index (2,) is")
             return
         (checked, e), (checked_stack, e_stack) = single, stack
+        assert isinstance(outcome(np.array([np.eye(3), m])), tuple)  # next to a small matrix
         assert checked.shape == (3, 3) and checked_stack.shape == (1, 3, 3)
         assert checked.tobytes() == checked_stack[0].tobytes()
         if entry == 0.5j:
@@ -359,23 +239,15 @@ class TestStacks:
         else:  # scaled: one exponent per matrix, with no stack axis for a matrix
             assert e.shape == () and e_stack.shape == (1,) and e == e_stack[0] == 1024
 
-    def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self):
+    @pytest.mark.parametrize("small", [1.0, 1e-6])
+    def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self, small):
         # the asymmetry of the second matrix is tiny next to the first
-        # matrix's entries, but not next to its own
-        stack = np.array([1e6 * np.eye(2), np.eye(2)], dtype=complex)
-        stack[1, 0, 1] = 1e-8
+        # matrix's entries, and next to 1, but not next to its own
+        stack = np.array([1e6 * np.eye(2), small * np.eye(2)], dtype=complex)
+        stack[1, 0, 1] = 1e-8 * small
         with pytest.raises(ValueError, match=r"stack index \(1,\)"):
             assert_hermitian(stack)
 
     def test_rejects_non_square_trailing_axes(self):
         with pytest.raises(ValueError, match="square"):
             assert_hermitian(np.zeros((3, 2, 4)))
-        with pytest.raises(ValueError, match="4x4"):
-            partial_transpose(np.zeros((3, 4, 5)))
-
-
-def test_eigensystem_dataclass_dim():
-    eig = hermitian_eigensystem(np.eye(3))
-    w, v = eig
-    assert w.shape == (3,) and v.shape == (3, 3)
-    assert eig.eigenvalues.shape == w.shape and eig.eigenvectors.shape == v.shape

@@ -135,22 +135,24 @@ def test_compare_matches_the_whole_space_path(n_sites, coupling, pair_stacks):
                 assert abs(report.max_observable_gap[name] - gap) <= TOL, name
 
 
+@pytest.mark.parametrize("start", ["two-sector", "random"])
 @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
-def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, pair_stacks):
+def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, start, pair_stacks):
     spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
-    rng = np.random.default_rng(5)
-    for psi in (two_sector_start(BasisLayout(n_sites)), random_state(rng, 8 * n_sites)):
-        pair_stacks.clear()
-        got = run_trajectory(spec, kind, psi, GRID)
-        # the pair stack is formed and, its blocks coupled, solved in general
-        assert pair_stacks == {"_log_negativity": 1, "hermitian_eigensystem": 1}
-        want = _whole_space_trajectory(spec, kind, psi)
-        for field in (f for f in FIELDS if f != "energy"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        # the run adds each block's <psi_s|H_s|psi_s>, the reference contracts
-        # the whole matrix: the same terms, summed in another order
-        gap = np.abs(got.energy - want.energy).max()
-        assert gap <= 16 * EPS * (spec.eta + abs(spec.j_xy) + abs(spec.j_z)), gap
+    if start == "two-sector":
+        psi = two_sector_start(BasisLayout(n_sites))
+    else:
+        psi = random_state(np.random.default_rng(5), 8 * n_sites)
+    got = run_trajectory(spec, kind, psi, GRID)
+    # the pair stack is formed and, its blocks coupled, solved in general
+    assert pair_stacks == {"_log_negativity": 1, "hermitian_eigensystem": 1}
+    want = _whole_space_trajectory(spec, kind, psi)
+    for field in (f for f in FIELDS if f != "energy"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    # the run adds each block's <psi_s|H_s|psi_s>, the reference contracts
+    # the whole matrix: the same terms, summed in another order
+    gap = np.abs(got.energy - want.energy).max()
+    assert gap <= 16 * EPS * (spec.eta + abs(spec.j_xy) + abs(spec.j_z)), gap
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
