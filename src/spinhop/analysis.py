@@ -67,11 +67,9 @@ def conservation_monitor(trajectory: Trajectory) -> ConservationReport:
 @dataclass(frozen=True)
 class DeviationReport:
     """Worst-case discrepancy between exact and effective evolution over the
-    time grid of the run, at the spec's ``eta_over_j``.
-    ``max_observable_gap`` maps each compared column of ``COLUMNS`` to its
-    gap, by CSV column name and in table order."""
+    time grid of the run.  ``max_observable_gap`` maps each compared column
+    of ``COLUMNS`` to its gap, by CSV column name and in table order."""
 
-    eta_over_j: float
     max_state_infidelity: float
     max_observable_gap: dict
 
@@ -87,9 +85,10 @@ def compare_exact_effective(
     three-site middle start): the chain turns its spins at the one rate 1/4
     on every site, so its spin state stays pure, and Tr[rho rho'] of the
     spin-reduced states is their fidelity.  The effective kind needs
-    ``eta > 0``.
+    ``eta > 0``; a spec without a coupling, whose eta/J is undefined, is
+    rejected.
     """
-    eta_over_j = spec.eta / spec.j_ref  # J = 0 fails here, before any evolution
+    spec.j_ref  # J = 0 fails here (eta/J is undefined), before any evolution
     initial, grid = _checked_run(spec, initial, grid)
     times = grid.times()
     # every kind conserves S_z, so both runs give amplitudes on the same basis
@@ -116,7 +115,6 @@ def compare_exact_effective(
     }
 
     return DeviationReport(
-        eta_over_j=eta_over_j,
         max_state_infidelity=float((1.0 - fidelity).max()),
         max_observable_gap=gaps,
     )

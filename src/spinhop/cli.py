@@ -37,12 +37,12 @@ which add up to the start's weight on that doublet.
 The CLI reads the JSON: it checks the blocks and their keys, all before any
 value, then the column names and the eta/J ratios.  The library checks the
 values and the preconditions of a run (``ModelSpec.from_preset``,
-``encode_state``, the kind check of ``build_hamiltonian``, ``TimeGrid``,
-``run_trajectory``, ``compare_exact_effective``, ``analytic``,
-``ModelSpec.j_ref``), and a value or a run it rejects is a config error that
-carries the library's message.  ``run.hamiltonian`` is checked as a name
-when the config is read, and against the spec (``effective`` needs
-``eta > 0``) only by ``simulate``, the one command that runs it.
+``encode_state``, ``TimeGrid``, ``run_trajectory`` and its kind check,
+``compare_exact_effective``, ``analytic``, ``ModelSpec.j_ref``), and a
+value or a run it rejects is a config error that carries the library's
+message.  ``run.hamiltonian`` is checked as a name when the config is read,
+and against the spec (``effective`` needs ``eta > 0``) only by
+``simulate``, the one command that runs it.
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 4 i/o failure.  A run whose energies or phases would overflow, or that does

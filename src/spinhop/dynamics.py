@@ -229,8 +229,9 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
     run, one slice of ``states`` per S_z sector (see :func:`_trajectory`).
     The log-negativity comes from the eigenvalues of the partial transpose
     of the static pair's reduced state, and the energy is the contraction
-    with ``hamiltonian``, any ``D x D`` matrix (NaN without one).
-    ``ValueError`` unless ``times`` broadcast to the grid ``states.shape[:-1]``.
+    with ``hamiltonian``, any ``D x D`` matrix (NaN without one).  The
+    ``t`` field is a read-only view of ``times`` broadcast to the grid
+    ``states.shape[:-1]``; ``ValueError`` unless they broadcast.
     """
     d = layout.dim
     psi = np.asarray(states, dtype=complex)
@@ -238,12 +239,11 @@ def observables(states, layout: BasisLayout, times=0.0, hamiltonian=None) -> Tra
         raise ValueError(f"state shape {psi.shape} does not match layout dim {d}")
     grid = psi.shape[:-1]
     t = np.asarray(times, dtype=float)
-    if t.shape != grid or t.flags.writeable:  # a read-only grid of times is kept as given
-        try:
-            t = np.broadcast_to(t, grid)
-        except ValueError:
-            message = f"times shape {t.shape} does not broadcast to the grid shape {grid}"
-            raise ValueError(message) from None
+    try:
+        t = np.broadcast_to(t, grid)  # a read-only view
+    except ValueError:
+        message = f"times shape {t.shape} does not broadcast to the grid shape {grid}"
+        raise ValueError(message) from None
     h = None if hamiltonian is None else np.asarray(hamiltonian)
     if h is not None and h.shape != (d, d):
         raise ValueError(f"hamiltonian shape {h.shape} does not match layout dim {d}: need {d}x{d}")

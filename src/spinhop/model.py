@@ -16,8 +16,8 @@ rate per group of kinetic modes, 1/2 on two sites, and 1/4 in the +-eta
 modes and 1/2 in the zero mode on three.  :data:`MODE_RATES` holds those
 rates and groups for the closed form of ``dynamics.analytic``, a source
 independent of the Hamiltonian that the tests check against it.
-:func:`build_hamiltonian` builds both kinds and ``_check_kind`` is the one
-place that checks a kind.
+``_check_kind`` is the one place that checks a kind; the effective kind
+needs ``eta > 0``, for at ``eta = 0`` the kinetic modes do not separate.
 
 Every one of these Hamiltonians is ``amp * hopping + j_xy * XY + j_z * Ising``
 with fixed unit-coupling operators per lattice, built from Kronecker products
@@ -27,8 +27,8 @@ S_z sectors, of n_sites * (1, 3, 3, 1) states.  The one cache, ``_sectors``,
 holds one record per sector of each lattice: its basis indices, its block of
 every kind's operators and the tables through which ``dynamics`` reads its
 observables.  ``_sector_blocks`` builds the blocks of the sectors a state
-occupies, one product each, with their tables, and :func:`build_hamiltonian`
-is all of them scattered into zeros.
+occupies, one product each, with their tables; no run forms the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ _SZ = np.array([0.5, -0.5])  # up, down
 # total S_z of each spin basis state |e, s1, s2>, at index e*4 + s1*2 + s2
 _SZ_SPIN = np.add.outer(np.add.outer(_SZ, _SZ), _SZ).ravel()
 
-# every kind build_hamiltonian takes
+# every kind a run takes
 HAMILTONIAN_KINDS = ("exact", "effective")
 # former names of the effective kind, which the benchmark's parameter scan
 # still passes; each reads as "effective" on either lattice
@@ -312,7 +312,7 @@ def _lattice_terms(n_sites: int) -> dict:
 def _check_kind(spec: ModelSpec | None, kind) -> str:
     """The kind of :data:`HAMILTONIAN_KINDS` that ``kind`` names, a former
     effective name read as ``"effective"``; ``ValueError`` unless it names
-    one that :func:`build_hamiltonian` can build for ``spec``, if given."""
+    one that can be built for ``spec``, if given."""
     if _known(kind, _OLD_EFFECTIVE_NAMES):
         kind = "effective"
     if not _known(kind, HAMILTONIAN_KINDS):
@@ -320,33 +320,6 @@ def _check_kind(spec: ModelSpec | None, kind) -> str:
     if kind == "effective" and spec is not None and spec.eta <= 0.0:
         raise ValueError("effective requires eta > 0, which separates the kinetic modes")
     return kind
-
-
-def build_hamiltonian(spec: ModelSpec, kind: str = "exact") -> np.ndarray:
-    """The Hamiltonian of one of :data:`HAMILTONIAN_KINDS`, a fresh matrix.
-
-    ``exact``: hopping (identity on every spin factor) plus the contact
-    interaction, through which the mobile spin exchanges with the static spin
-    pinned at an outer site whenever it visits that site (block diagonal in
-    the site index).  Zero couplings give the hopping alone and ``eta = 0``
-    the interaction alone.
-
-    ``effective``: the exact Hamiltonian's band-diagonal part over the
-    kinetic modes of the hopping, hopping plus the strong-hopping chain: the
-    mobile spin couples to the total static spin at the rate of each group
-    of modes (halved couplings on two sites; 1/4 (P+ + P-) + 1/2 P0 on
-    three, so a middle start sees quartered couplings).  The closed form
-    reads those rates from :data:`MODE_RATES`; this builder does not.  It
-    needs ``eta > 0``, for at ``eta = 0`` the kinetic modes do not separate.
-
-    It is every S_z block of :func:`_sector_blocks`, the blocks that runs
-    solve, scattered into zeros.
-    """
-    dim = 8 * spec.n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for _, idx, block in _sector_blocks(spec, kind, np.ones(dim)):
-        h[np.ix_(idx, idx)] = block
-    return h
 
 
 @functools.lru_cache(maxsize=None)

@@ -174,10 +174,12 @@ def collective_spin_oracle(n_sites):
     return on(e=sz) + on(s1=sz) + on(s2=sz), sum(s @ s for s in static_total)
 
 
-def hamiltonian_oracle(n_sites, eta, j_xy, j_z, kind):
-    """Hamiltonian of one kind by explicit Kronecker products, written out from
-    the operator definitions (site ⊗ mobile ⊗ static 1 ⊗ static 2), with
-    static spin 1 at the left and static spin 2 at the right site."""
+def hamiltonian_oracle(spec, kind="exact"):
+    """Whole Hamiltonian of one kind for the numbers of ``spec``, by explicit
+    Kronecker products, written out from the operator definitions (site ⊗
+    mobile ⊗ static 1 ⊗ static 2), with static spin 1 at the left and static
+    spin 2 at the right site."""
+    n_sites, eta, j_xy, j_z = spec.n_sites, spec.eta, spec.j_xy, spec.j_z
     i2 = np.eye(2)
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])
     sm = sp.T
@@ -232,7 +234,7 @@ def second_order_shift(n_sites, eta, j_xy, j_z, band):
     on |mode b> ⊗ spin: the sum over the other bands b' of
     P_b V P_b' V P_b / (eta_b - eta_b'), V the contact coupling of
     :func:`hamiltonian_oracle`, an ``(8, 8)`` matrix in closed form."""
-    contact = hamiltonian_oracle(n_sites, 0.0, j_xy, j_z, "exact")
+    contact = hamiltonian_oracle(ModelSpec(n_sites, 0.0, j_xy, j_z))
     lift = mode_lift(n_sites, band)
     return sum(
         lift.T @ contact @ mode_lift(n_sites, other) @ mode_lift(n_sites, other).T

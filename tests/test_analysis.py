@@ -204,7 +204,6 @@ class TestCompareExactEffective:
     def test_bounds(self, spec, site, name, low, high):
         psi = encode_state(BasisLayout(spec.n_sites), site, "up", "down-down")
         report = compare_exact_effective(spec, psi)
-        assert report.eta_over_j == spec.eta
         values = {"infidelity": report.max_state_infidelity, **report.max_observable_gap}
         assert low <= values[name] <= high
 

@@ -9,7 +9,9 @@ the polar factor of an SVD (des Cloizeaux), give the band Hamiltonian
 h_b = U diag(w - eta_b) U^†.  The effective kind's block on mode b, less
 eta_b, is the chain: the mode's rate times the collective coupling.  The
 effective kind is the first-order term, the band-diagonal part
-sum_b P_b H P_b of the exact Hamiltonian, to rounding.
+sum_b P_b H P_b of the exact Hamiltonian, to rounding.  Both kinds' whole
+matrices are ``helpers.hamiltonian_oracle``'s, which
+``test_model.TestBuilderOracle`` holds bit for bit to the blocks runs solve.
 
 Second-order Schrieffer-Wolff theory (Bravyi, DiVincenzo and Loss,
 arXiv:1105.0675) gives h_b - h_chain as the sum over the other bands b' of
@@ -27,9 +29,9 @@ import math
 import numpy as np
 import pytest
 
-from spinhop.model import ModelSpec, build_hamiltonian
+from spinhop.model import ModelSpec
 
-from helpers import KINETIC_MODES, mode_lift, second_order_shift
+from helpers import KINETIC_MODES, hamiltonian_oracle, mode_lift, second_order_shift
 
 SQRT2 = math.sqrt(2.0)
 RATIOS = (1e2, 1e3, 1e4)
@@ -50,14 +52,14 @@ COUPLINGS = [(1.0, 0.0), (0.5, 1.0), *np.random.default_rng(7).uniform(-10, 10, 
 
 def _band_gap(spec, band):
     """h_b - h_chain of the band at eta_b = band * eta."""
-    w, v = np.linalg.eigh(build_hamiltonian(spec))
+    w, v = np.linalg.eigh(hamiltonian_oracle(spec))
     lift, shift = mode_lift(spec.n_sites, band), band * spec.eta
     inside = np.abs(w - shift) < spec.eta / 2.0
     assert inside.sum() == 8
     u, _, vh = np.linalg.svd(lift.T @ v[:, inside])
     polar = u @ vh
     h_band = polar @ np.diag(w[inside] - shift) @ polar.conj().T
-    chain = lift.T @ build_hamiltonian(spec, "effective") @ lift - shift * np.eye(8)
+    chain = lift.T @ hamiltonian_oracle(spec, "effective") @ lift - shift * np.eye(8)
     return h_band - chain
 
 
@@ -84,7 +86,7 @@ def test_effective_is_the_band_diagonal_part_of_the_exact_hamiltonian(n_sites):
     projectors = [mode_lift(n_sites, b) @ mode_lift(n_sites, b).T for b in KINETIC_MODES[n_sites]]
     for (j_xy, j_z), eta in itertools.product(COUPLINGS, (1e-3, 1.0, 10.0, 1e3, 1e6)):
         spec = ModelSpec(n_sites, eta, j_xy, j_z)
-        exact = build_hamiltonian(spec)
+        exact = hamiltonian_oracle(spec)
         part = sum(p @ exact @ p for p in projectors)
-        gap = np.abs(build_hamiltonian(spec, "effective") - part).max()
+        gap = np.abs(hamiltonian_oracle(spec, "effective") - part).max()
         assert gap <= 8 * EPS * (eta + abs(j_xy) + abs(j_z)), spec

@@ -3,8 +3,8 @@
 ``perfbench/`` checks every benchmark operation against stored references;
 these tests apply the same checks to the seed-1 ``param_scan`` specs and to
 every CLI run, so an output change that would fail the benchmark fails here
-first.  A guard also checks what the benchmark's inputs solve: no run builds
-or checks a whole Hamiltonian; each builds, checks and solves only the block
+first.  A guard also checks what the benchmark's inputs solve: no run checks
+or solves a whole Hamiltonian; each builds, checks and solves only the block
 of each total-S_z sector its start occupies, each through the one
 propagator, ``evolve_on_grid``, and no static-pair state needs a 4x4
 eigensolve.  Every benchmark start has one S_z, so each run reads its
@@ -13,7 +13,7 @@ form, and no run forms the static pair's (T, 4, 4) stack.  A count guard
 checks that the scan samples its grid once, builds and checks one block per
 run, and that a start spanning two sectors builds, checks and solves one
 block per sector and forms and solves the static pair's stack for the
-log-negativity alone: no run builds the whole matrix, not even for its
+log-negativity alone: no run solves the whole matrix, not even for its
 energy, which is the sum of the blocks' energies.  A cache guard checks
 that the scan builds each cached table once per key, and that it lists
 every cache of every ``spinhop`` module: the one left is the sector records
@@ -87,15 +87,13 @@ def test_cli_output_matches_stored_reference(tmp_path, capsys, op):
 
 
 class _Counts:
-    """Calls made through the library's block and whole-matrix builders, its
-    check, its eigensolvers, its propagator and the static pair's
-    log-negativity, installed with ``monkeypatch``; ``blocks`` holds the
-    shape of each block built and ``evolved`` that of each matrix
-    propagated."""
+    """Calls made through the library's block builder, its check, its
+    eigensolvers, its propagator and the static pair's log-negativity,
+    installed with ``monkeypatch``; ``blocks`` holds the shape of each block
+    built and ``evolved`` that of each matrix propagated."""
 
     def __init__(self, monkeypatch):
-        self.blocks, self.built, self.checked, self.solved, self.pair = [], [], [], [], []
-        self.evolved = []
+        self.blocks, self.checked, self.solved, self.pair, self.evolved = [], [], [], [], []
 
         def count(module, name, log, key):
             fn = getattr(module, name)
@@ -110,9 +108,6 @@ class _Counts:
             count(np.linalg, name, self.solved, lambda m, *_: np.shape(m)[-1])
         count(linalg, "assert_hermitian", self.checked, lambda m, *_: np.shape(m))
         count(dynamics, "evolve_on_grid", self.evolved, lambda m, *_: np.shape(m))
-        for module in (model, dynamics):  # the whole-matrix builder, where it is bound
-            if hasattr(module, "build_hamiltonian"):
-                count(module, "build_hamiltonian", self.built, lambda spec, *_: spec)
         count(dynamics, "_log_negativity", self.pair, lambda *_: "_log_negativity")
         sector_blocks = dynamics._sector_blocks
 
@@ -124,7 +119,7 @@ class _Counts:
         monkeypatch.setattr(dynamics, "_sector_blocks", counted_blocks)
 
     def clear(self):
-        for log in (self.blocks, self.built, self.checked, self.solved, self.pair, self.evolved):
+        for log in (self.blocks, self.checked, self.solved, self.pair, self.evolved):
             del log[:]
 
 
@@ -141,9 +136,8 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
     # the Hamiltonians' sector solves, n_sites * {1, 3}, are seen; none is whole
     assert {2, 6, 3, 9} <= set(counts.solved)
     assert not {4, 16, 24} & set(counts.solved)
-    # no whole matrix is built; each block is built, checked and solved once,
-    # and nothing else is checked or solved
-    assert counts.built == []
+    # each block is built, checked and solved once, and nothing else is
+    # checked or solved
     assert len(counts.blocks) > 304
     assert counts.checked == counts.blocks
     assert counts.solved == [k for k, _ in counts.blocks]
@@ -155,10 +149,11 @@ def test_benchmark_inputs_need_no_4x4_eigensolve(tmp_path, capsys, monkeypatch):
 
 def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
     # counts calls, no timing: the scan's fixed per-run cost must not come
-    # back through resampling the grid, building the whole Hamiltonian or
-    # solving it whole, nor go by dropping the block check.  A one-sector run
-    # builds, checks and solves one block: the static pair's (T, 4, 4) stack,
-    # and its check, exist only on runs that span several S_z sectors.
+    # back through resampling the grid or building or solving a block
+    # larger than the start's sector, nor go by dropping the block check.
+    # A one-sector run builds, checks and solves one block: the static
+    # pair's (T, 4, 4) stack, and its check, exist only on runs that span
+    # several S_z sectors.
     linspace = []
     sample = np.linspace
 
@@ -175,7 +170,6 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         counts.clear()
         scan.run_op(spinhop, grid, spec, kind, psi0)
         n = spec.n_sites
-        assert counts.built == []
         assert len(counts.blocks) == 1 and counts.blocks[0] in {(n, n), (3 * n, 3 * n)}
         assert counts.checked == counts.blocks
         assert counts.solved == [counts.blocks[0][0]]
@@ -193,7 +187,6 @@ def test_scan_runs_sample_the_grid_once_and_check_twice_each(monkeypatch):
         # its two blocks, then the static pair's stack
         assert counts.checked == [*counts.blocks, (scan.N_POINTS, 4, 4)]
         assert counts.solved == [3 * n, n, 4]
-        assert counts.built == []
         assert counts.pair == ["_log_negativity"]
 
 
@@ -257,12 +250,14 @@ def test_harness_runs_each_workload_in_quick_mode(workload):
     assert result["attempted"] >= 1
 
 
-# traced targets whose code is gone; the benchmark still lists them
+# traced targets whose code is gone; the benchmark still lists them.  Runs
+# build each kind's S_z blocks through model._sector_blocks, which no target
+# wraps, so "model.build" names two deleted whole-matrix builders
 RETIRED_TARGETS = {
     "spinhop.backend.jacobi_sweeps",
     "spinhop.linalg.partial_trace",
-    # every kind is built by build_hamiltonian, which "model.build" still wraps
     "spinhop.model.build_effective_hamiltonian",
+    "spinhop.model.build_hamiltonian",
 }
 
 

@@ -30,7 +30,6 @@ from spinhop.dynamics import (
 from spinhop.model import (
     BasisLayout,
     ModelSpec,
-    build_hamiltonian,
     encode_state,
 )
 
@@ -44,6 +43,7 @@ from helpers import (
     doublet_populations,
     encode,
     expm_series,
+    hamiltonian_oracle,
     labelled_starts,
     log_negativity_oracle,
     partial_trace_oracle_keep_last_two,
@@ -263,7 +263,7 @@ class TestEvolveOnGrid:
 
     def test_a_cross_sector_entry_is_evolved_with_the_whole_matrix(self):
         layout = BasisLayout(2)
-        h = build_hamiltonian(ModelSpec.xy(2.0))
+        h = hamiltonian_oracle(ModelSpec.xy(2.0))
         i, j = encode(layout, 0, 0, 1, 1), encode(layout, 1, 0, 0, 1)  # S_z = -1/2 and +1/2
         h[i, j] = h[j, i] = 0.3
         psi = encode_state(layout, 1, "up", "down-down")
@@ -278,7 +278,7 @@ class TestEvolveOnGrid:
     def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind, eigh_sizes):
         rng = np.random.default_rng(90 + n_sites)
         spec = ModelSpec(n_sites=n_sites, eta=3.1, j_xy=0.7, j_z=-1.3)
-        h = build_hamiltonian(spec, kind)
+        h = hamiltonian_oracle(spec, kind)
         psi = random_state(rng, 8 * n_sites)
         times = np.linspace(0.0, 5.0, 41)
         states = _run_states(spec, kind, psi, times)
@@ -292,7 +292,7 @@ class TestEvolveOnGrid:
     @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
     def test_bad_entry_in_an_unoccupied_sector_raises(self, bad):
         layout = BasisLayout(3)
-        h = build_hamiltonian(ModelSpec.heisenberg(5.0, n_sites=3))
+        h = hamiltonian_oracle(ModelSpec.heisenberg(5.0, n_sites=3))
         k = encode(layout, 2, 0, 0, 0)  # |up>|uu>, S_z = +3/2
         psi = encode_state(layout, 0, "down", "down-down")  # S_z = -3/2
         assert psi[k] == 0
@@ -313,7 +313,7 @@ class TestEvolveOnGrid:
     def test_definite_sz_start_solves_only_its_sector(self, n_sites, kind, eigh_sizes):
         layout = BasisLayout(n_sites)
         spec = ModelSpec.heisenberg(4.0, n_sites=n_sites)
-        h = build_hamiltonian(spec, kind)
+        h = hamiltonian_oracle(spec, kind)
         times = np.linspace(0.0, 5.0, 11)
         for psi in labelled_starts(n_sites)[:12]:  # the 12 at the first site
             (sz,) = set(sz_of_basis(layout)[psi != 0])
@@ -474,7 +474,7 @@ def test_analytic_is_the_effective_kinds_doublet_populations(n_sites, coupling, 
     # them; each effective run's doublet populations, by brute projection
     spec = ModelSpec(n_sites, eta, *COUPLINGS[coupling])
     grid = TimeGrid(t_max=30.0, n_points=301)
-    h = build_hamiltonian(spec, "effective")
+    h = hamiltonian_oracle(spec, "effective")
     starts = labelled_starts(n_sites)
     rng = np.random.default_rng(7)
     for _ in range(4):

@@ -2,12 +2,15 @@
 builders and their S_z sectors, the closed form's mode table and the start
 states.
 
-``TestBuilderOracle`` holds every built Hamiltonian, of both kinds on both
-lattices, bit for bit to ``helpers.hamiltonian_oracle``, written out from
-the operator definitions; ``TestSectors`` checks the S_z blocks against it
-and that the mirror and the spin flip commute with every kind.  The
-effective kind's physics is checked on the spectrum in
-``test_band_hamiltonian`` and through runs in ``test_acceptance``."""
+``TestBuilderOracle`` holds every S_z block that runs solve, of both kinds
+on both lattices, bit for bit to the same block of
+``helpers.hamiltonian_oracle``, written out from the operator definitions,
+and the oracle to exact zeros between sectors; so the other tests may use
+the oracle's whole matrix as the library's.  ``TestSectors`` checks that
+the blocks partition the basis by S_z and that the mirror and the spin flip
+commute with every kind.  The effective kind's physics is checked on the
+spectrum in ``test_band_hamiltonian`` and through runs in
+``test_acceptance``."""
 
 import dataclasses
 import itertools
@@ -24,7 +27,6 @@ from spinhop.model import (
     MODE_RATES,
     BasisLayout,
     ModelSpec,
-    build_hamiltonian,
     encode_state,
 )
 
@@ -146,6 +148,12 @@ class TestBasisLayout:
             BasisLayout(n_sites)
 
 
+def _blocks(spec, kind="exact"):
+    """The S_z blocks of every sector, as a run of a start occupying all of
+    them builds them."""
+    return model._sector_blocks(spec, kind, np.ones(8 * spec.n_sites))
+
+
 class TestBuilderOracle:
     @pytest.mark.parametrize("n_sites", [2, 3])
     @pytest.mark.parametrize("j_xy,j_z", [(1.0, 0.0), (0.5, 1.0), (0.3, -0.7)])
@@ -154,32 +162,34 @@ class TestBuilderOracle:
         # the oracle pins spin 1 at site 0 and spin 2 at the last site, so
         # bit-equality also fixes where the builders put the static spins;
         # entries between two S_z sectors are exact zeros in every oracle, so
-        # build_hamiltonian's S_z blocks and zeros make up the whole matrix;
-        # at eta = 0 the exact kind is the contact term alone
+        # its S_z blocks and zeros make up its whole matrix; at eta = 0 the
+        # exact kind is the contact term alone
         sz = sz_of_basis(BasisLayout(n_sites))
         spec = ModelSpec(n_sites, eta, j_xy, j_z)
         for kind in HAMILTONIAN_KINDS:
             if kind == "effective" and eta == 0.0:
                 continue  # rejected, see test_effective_needs_hopping
-            h = build_hamiltonian(spec, kind)
-            ref = hamiltonian_oracle(n_sites, eta, j_xy, j_z, kind)
+            ref = hamiltonian_oracle(spec, kind)
             assert np.all(ref[sz[:, None] != sz] == 0.0), kind
-            assert np.array_equal(h, ref), kind
+            for _, idx, block in _blocks(spec, kind):
+                assert np.array_equal(block, ref[np.ix_(idx, idx)]), (kind, idx[0])
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_returned_matrices_are_fresh(self, n_sites):
         spec = ModelSpec(n_sites, 2.0, 0.5, 1.0)
         builders = [
-            lambda s: build_hamiltonian(ModelSpec(s.n_sites, s.eta)),  # hopping alone
-            lambda s: build_hamiltonian(dataclasses.replace(s, eta=0.0)),  # contact alone
+            lambda s: _blocks(ModelSpec(s.n_sites, s.eta)),  # hopping alone
+            lambda s: _blocks(dataclasses.replace(s, eta=0.0)),  # contact alone
         ]
-        builders += [lambda s, k=k: build_hamiltonian(s, k) for k in HAMILTONIAN_KINDS]
+        builders += [lambda s, k=k: _blocks(s, k) for k in HAMILTONIAN_KINDS]
         for build in builders:
-            h = build(spec)
-            assert h.flags.writeable
-            before = h.copy()
-            h[:] = 7.0
-            assert np.array_equal(build(spec), before)
+            blocks = [block for _, _, block in build(spec)]
+            before = [block.copy() for block in blocks]
+            for block in blocks:
+                assert block.flags.writeable
+                block[:] = 7.0
+            again = [block for _, _, block in build(spec)]
+            assert all(map(np.array_equal, again, before))
 
     def test_builds_reuse_cached_terms(self, monkeypatch):
         specs = [ModelSpec(n, 2.0, 0.5, 1.0) for n in (2, 3)]
@@ -187,9 +197,9 @@ class TestBuilderOracle:
         def build_every_kind():
             for spec in specs:
                 for kind in HAMILTONIAN_KINDS:
-                    build_hamiltonian(spec, kind)
-                build_hamiltonian(ModelSpec(spec.n_sites, spec.eta))
-                build_hamiltonian(dataclasses.replace(spec, eta=0.0))
+                    _blocks(spec, kind)
+                _blocks(ModelSpec(spec.n_sites, spec.eta))
+                _blocks(dataclasses.replace(spec, eta=0.0))
 
         build_every_kind()  # fills the cache for every lattice
         calls = []
@@ -223,22 +233,20 @@ class TestSectors:
     that every kind conserves S_z; these check that ground exactly."""
 
     def test_sector_blocks_make_up_the_whole_matrix(self):
-        # against the Kronecker oracle: build_hamiltonian is these blocks, and
-        # the oracle's entries between sectors are zeros (TestBuilderOracle)
+        # the blocks cover every basis state once, each sector of one S_z;
+        # with their values, and the oracle's zeros between sectors
+        # (TestBuilderOracle), they and zeros make up the oracle's whole matrix
         for spec, kind in _every_built_kind():
-            layout = BasisLayout(spec.n_sites)
-            h = hamiltonian_oracle(spec.n_sites, spec.eta, spec.j_xy, spec.j_z, kind)
-            sz = sz_of_basis(layout)
-            blocks = model._sector_blocks(spec, kind, np.ones(layout.dim))
+            sz = sz_of_basis(BasisLayout(spec.n_sites))
+            blocks = _blocks(spec, kind)
             n = spec.n_sites
             assert [len(idx) for _, idx, _ in blocks] == [n, 3 * n, 3 * n, n]
             # every sector, S_z ascending from -3/2
             assert [sz[idx[0]] for _, idx, _ in blocks] == [-1.5, -0.5, 0.5, 1.5]
-            scattered = np.zeros_like(h)
             for _, idx, block in blocks:
-                assert np.all(sz[idx] == sz[idx[0]])
-                scattered[np.ix_(idx, idx)] = block
-            assert np.array_equal(scattered, h), (spec, kind)
+                assert np.all(sz[idx] == sz[idx[0]]) and block.shape == (len(idx), len(idx))
+            covered = np.sort(np.concatenate([idx for _, idx, _ in blocks]))
+            assert np.array_equal(covered, np.arange(8 * n)), (spec, kind)
 
     @pytest.mark.parametrize(
         "amplitude,occupied",
@@ -272,7 +280,7 @@ class TestSectors:
             # site x -> last - x with the static spins swapped; I ⊗ X ⊗ X ⊗ X
             mirror = [encode(layout, last - x, e, s2, s1) for x, e, s1, s2 in labels]
             flip = [encode(layout, x, 1 - e, 1 - s1, 1 - s2) for x, e, s1, s2 in labels]
-            h = build_hamiltonian(spec, kind)
+            h = hamiltonian_oracle(spec, kind)
             for permutation in (mirror, flip):
                 p = np.eye(layout.dim)[permutation]
                 assert np.array_equal(p @ h, h @ p), (spec, kind)
@@ -281,7 +289,7 @@ class TestSectors:
 class TestEffectiveHamiltonian:
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_mode_rates_split_the_sites_into_kinetic_mode_groups(self, n_sites):
-        hopping = build_hamiltonian(ModelSpec(n_sites, 1.0))[::8, ::8]
+        hopping = hamiltonian_oracle(ModelSpec(n_sites, 1.0))[::8, ::8]
         projectors = [p for _, p in MODE_RATES[n_sites]]
         assert np.array_equal(sum(projectors), np.eye(n_sites))
         for p, q in itertools.product(projectors, repeat=2):
@@ -294,7 +302,7 @@ class TestEffectiveHamiltonian:
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_effective_needs_hopping(self, n_sites):
         with pytest.raises(ValueError, match="eta > 0"):
-            build_hamiltonian(ModelSpec(n_sites, 0.0), "effective")
+            _blocks(ModelSpec(n_sites, 0.0), "effective")
 
 
 class TestEncodeState:
@@ -326,7 +334,7 @@ class TestEncodeState:
                 (lambda x: encode_state(BasisLayout(2), 1, x, "down-down"), "mobile-spin"),
                 (lambda x: encode_state(BasisLayout(2), 1, "up", x), "static-pair preset"),
                 (lambda x: encode_state(BasisLayout(2), x, "up", "down-down"), "site label"),
-                (lambda x: build_hamiltonian(ModelSpec.xy(1.0), x), "unknown hamiltonian kind"),
+                (lambda x: _blocks(ModelSpec.xy(1.0), x), "unknown hamiltonian kind"),
             ]
         ],
         ids=["e_spin-sideways", "static-down", "site-3"]

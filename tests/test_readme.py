@@ -1,9 +1,12 @@
 """The README's examples run: the library quickstart prints what its
-comments say, every JSON config parses and every CLI line exits 0; and the
+comments say, every JSON config parses and every CLI line exits 0; the
 config schema of the README and of the ``cli`` docstring names the keys
-``cli`` reads."""
+``cli`` reads; every name of the module table and the quickstart resolves
+where the README puts it, and the package exports exactly the names the
+README lists."""
 
 import contextlib
+import importlib
 import io
 import math
 import re
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import spinhop
 from spinhop import cli
 from spinhop.cli import main, parse_config
 
@@ -20,8 +24,46 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
+# what the CLI, the acceptance criteria, the quickstart and the benchmark's
+# scan import from the package, and nothing else
+EXPORTS = {
+    "ModelSpec", "BasisLayout", "TimeGrid", "encode_state", "run_trajectory",
+    "compare_exact_effective", "analytic", "conservation_monitor", "estimate_period",
+    "log_negativity", "observables", "hermitian_eigensystem",
+}
+
+
 def _blocks(language):
     return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def _identifiers(text):
+    """Every name written as `name` in ``text``; `"exact"`, `a / b` and
+    `spinhop simulate` are no names."""
+    return re.findall(r"`([A-Za-z_]\w*)`", text)
+
+
+def test_the_package_exports_exactly_the_names_the_readme_lists():
+    assert len(spinhop.__all__) == len(set(spinhop.__all__)) == 12
+    assert set(spinhop.__all__) == EXPORTS
+    text = README.read_text(encoding="utf-8")
+    (listed,) = re.findall(r"The package itself exports the 12 names.*?:(.*?)\.  ", text, re.S)
+    assert set(_identifiers(listed)) == EXPORTS
+    (imported,) = re.findall(r"from spinhop import \((.*?)\)", _blocks("python")[0], re.S)
+    assert set(re.findall(r"\w+", imported)) <= EXPORTS  # the quickstart's
+
+
+# module -> the contents cell of its row in the README's module table
+TABLE = dict(
+    re.findall(r"^\| `(spinhop\.\w+)` *\|(.*)\|$", README.read_text(encoding="utf-8"), re.M)
+)
+
+
+@pytest.mark.parametrize("module", TABLE)
+def test_every_name_of_the_module_table_is_in_its_module(module):
+    names = _identifiers(TABLE[module])
+    assert names
+    assert [name for name in names if not hasattr(importlib.import_module(module), name)] == []
 
 
 def test_quickstart_prints_what_its_comments_say():

@@ -53,7 +53,7 @@ def _oracle_run(spec, kind, psi, times):
     """The ``(T, D)`` states exp(-i H t) psi, rounded to floats, and the
     energy, from an mpmath solve of each S_z block ``psi`` occupies."""
     n_sites = spec.n_sites
-    h = hamiltonian_oracle(n_sites, spec.eta, spec.j_xy, spec.j_z, kind)
+    h = hamiltonian_oracle(spec, kind)
     sz = sz_of_basis(BasisLayout(n_sites))
     scale = spec.eta + abs(spec.j_xy) + abs(spec.j_z)
     digits = 30 + math.ceil(math.log10(max(1.0, scale * times[-1])))
