@@ -57,6 +57,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -366,6 +367,7 @@ def main(argv=None) -> int:
             cmd_compare(config)
         else:
             cmd_analytic(config)
+        sys.stdout.flush()  # a closed pipe fails here, as an i/o error, not at exit
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -376,6 +378,11 @@ def main(argv=None) -> int:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            try:  # if stdout's reader is gone, the interpreter's last flush writes nowhere
+                sys.stdout.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -7,10 +7,19 @@ power series, reduced density matrices through brute-force index loops.
 
 from __future__ import annotations
 
+import functools
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
 from spinhop.model import _STATIC_PRESETS, HAMILTONIAN_KINDS, BasisLayout, ModelSpec, encode_state
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+PERFBENCH = ROOT / "perfbench"
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -285,3 +294,15 @@ def simulate_configs(draw):
         "n_points": draw(st.integers(2, 11)),
     }
     return {"model": model, "initial": initial, "run": run}
+
+
+@functools.cache
+def bench_modules():
+    """perfbench's scan, tracing and workloads modules, imported read-only."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return tuple(importlib.import_module(name) for name in ("scan", "tracing", "workloads"))
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))

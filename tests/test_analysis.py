@@ -1,23 +1,21 @@
 """Entanglement measure, conservation reports, deviation metrics, periods.
 
-``TestLogNegativity`` is the one home of the log-negativity: its values
+``TestLogNegativity`` is the one home of the log-negativity's values
 (Bell states, product and mixed states, an eigenvalue oracle on X states
-and on states spanning several S_z sectors), its invariance, and the input
-checks of both entry points, ``analysis.log_negativity`` on one density
-matrix and ``dynamics._log_negativity`` on any stack of two-qubit operators.
+and on states spanning several S_z sectors) and its invariance.  The input
+checks of ``analysis.log_negativity``, ``dynamics._log_negativity`` and the
+other functions here are rows of ``test_library_contract``.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from spinhop import dynamics, linalg
-from spinhop import observables, run_trajectory
+from spinhop import run_trajectory
 from spinhop.analysis import (
     compare_exact_effective,
-    conservation_monitor,
     estimate_period,
     log_negativity,
 )
@@ -25,13 +23,13 @@ from spinhop.dynamics import TimeGrid
 from spinhop.model import BasisLayout, ModelSpec, encode_state
 
 from helpers import (
-    labelled_starts,
     log_negativity_oracle,
     random_density_matrix,
     random_state,
     random_unitary,
     static_pair_stack,
 )
+from test_library_contract import collected
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,13 +53,6 @@ def _random_x_states(rng, n):
 
 
 _RNG = np.random.default_rng(41)
-_SKEWED = _pure(0, 1, 1, 0) + 0.1j * np.diag([1, 0, 0, -1])
-_NOT_HERMITIAN = np.eye(4, dtype=complex)
-_NOT_HERMITIAN[0, 1] = 1.0
-_STACK = np.array([np.eye(4) / 4] * 3, dtype=complex)
-_STACK[1, 0, 1] = 0.1
-_STACK_NAN = _STACK.copy()
-_STACK_NAN[1, 0, 1] = math.nan
 
 
 class TestLogNegativity:
@@ -85,10 +76,8 @@ class TestLogNegativity:
         ids=["phi-plus", "phi-minus", "psi-plus", "psi-minus", "product", "mixed",
              "half-bell", "identity", "product-1", "product-2", "product-3"],
     )
-    def test_values(self, monkeypatch, rho, value, tol):
-        # alone, in a stack and, at unit trace, through analysis; never
-        # through a values-only eigensolve
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    def test_values(self, rho, value, tol):
+        # alone, in a stack and, at unit trace, through analysis
         assert abs(dynamics._log_negativity(rho) - value) <= tol
         assert np.abs(dynamics._log_negativity(np.stack([rho, rho])) - value).max() <= tol
         if np.trace(rho) == 1.0:
@@ -126,62 +115,12 @@ class TestLogNegativity:
             rho += 0.25 * np.outer(a, a.conj())
         assert 0.0 <= log_negativity(rho) <= 1e-12
 
-    # (analysis.log_negativity on one matrix, or the stack form) -> message
-    @pytest.mark.parametrize(
-        "one, rho, message",
-        [
-            (True, np.eye(2), r"^expected a 4x4 density matrix, got shape \(2, 2\)$"),
-            (True, np.eye(4), "^density matrix trace is 4.0, expected 1$"),
-            # the trace is checked after the value is taken: a zero matrix has
-            # trace norm 0, whose log2 must not warn
-            (True, np.zeros((4, 4)), "^density matrix trace is 0.0, expected 1$"),
-            (True, (1 + 1e-6) * np.eye(4) / 4, "^density matrix trace is 1.000001, "),
-            (True, _SKEWED, r"^matrix at stack index \(0,\) is not Hermitian"),
-            (True, np.diag([1.5, -0.5, 0.0, 0.0]), "^density matrix has negative eigenvalue"),
-            # held to -1e-9
-            (True, np.diag([0.5 + 1e-6, 0.5, 0.0, -1e-6]),
-             "^density matrix has negative eigenvalue -1e-06$"),
-            (True, np.diag([1.0, 0.0, 0.0, math.nan]), "^matrix has NaN or infinite entries$"),
-            (False, np.eye(8), "^expected a 4x4 operator or a stack of them"),
-            (False, _NOT_HERMITIAN, "^matrix is not Hermitian"),
-            (False, _STACK, r"^matrix at stack index \(1,\) is not Hermitian"),
-            (False, _STACK_NAN, "^matrix has NaN or infinite entries$"),
-            (False, np.diag([1.0, 1.0, 1.0, np.inf]), "^matrix has NaN or infinite entries$"),
-        ],
-        ids=["shape", "trace", "zero", "trace-1e-6", "not-hermitian", "negative",
-             "negative-1e-6", "nan", "stack-shape", "stack-not-hermitian", "stack-index",
-             "stack-nan", "stack-inf"],
-    )
-    def test_rejects(self, one, rho, message):
-        with pytest.raises(ValueError, match=message):
-            (log_negativity if one else dynamics._log_negativity)(rho)
-
-    def test_hermiticity_is_checked_once(self, monkeypatch):
-        shapes = []
-
-        def counted(m, *args, **kwargs):
-            shapes.append(np.shape(m))
-            return check(m, *args, **kwargs)
-
-        check = linalg.assert_hermitian
-        monkeypatch.setattr(linalg, "assert_hermitian", counted)
-        assert log_negativity(np.eye(4) / 4) == 0.0
-        assert shapes == [(2, 4, 4)]  # the matrix and its partial transpose, one stack
+    test_rejects = collected("log-negativity")
+    test_hermiticity_is_checked_once = collected("log-negativity-checks")
 
 
 class TestConservationMonitor:
-    @pytest.mark.parametrize(
-        "trajectory, message",
-        [
-            ([], "empty"),
-            (observables(encode_state(BasisLayout(2), 1, "up", "down-down"), BasisLayout(2)),
-             "no time axis"),
-        ],
-        ids=["empty", "single-state"],
-    )
-    def test_rejects(self, trajectory, message):
-        with pytest.raises(ValueError, match=message):
-            conservation_monitor(trajectory)
+    test_rejects = collected("conservation-monitor")
 
 
 class TestCompareExactEffective:
@@ -239,23 +178,7 @@ class TestCompareExactEffective:
         report = compare_exact_effective(ModelSpec.xy(1e4, n_sites=3), psi, grid)
         assert report.max_state_infidelity <= 1e-12
 
-    @pytest.mark.parametrize("n_sites, site", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
-    def test_every_one_site_start_is_compared_with_the_effective_kind(
-        self, n_sites, site, monkeypatch
-    ):
-        built = []
-        build = dynamics._sector_blocks
-
-        def recorded(spec, kind, initial):
-            built.append(kind)
-            return build(spec, kind, initial)
-
-        monkeypatch.setattr(dynamics, "_sector_blocks", recorded)
-        grid = TimeGrid(t_max=1.0, n_points=3)
-        for psi in labelled_starts(n_sites)[12 * site : 12 * site + 12]:  # left to right
-            del built[:]
-            compare_exact_effective(ModelSpec.xy(10.0, n_sites=n_sites), psi, grid)
-            assert built == ["effective", "exact"]
+    test_every_one_site_start_is_compared_with_the_effective_kind = collected("compared-kinds")
 
     def test_three_site_side_start_converges(self):
         # the paper's effective model for a start at an outer site: the state
@@ -269,33 +192,8 @@ class TestCompareExactEffective:
         for a, b in zip(infidelities, infidelities[1:]):
             assert b <= a / 50.0
 
-    @pytest.mark.parametrize(
-        "psi, message",
-        [
-            (2 * encode_state(BasisLayout(2), 1, "up", "down-down"), "not normalized"),
-            (encode_state(BasisLayout(3), 1, "up", "down-down"), "does not match layout dim 16"),
-        ]
-        + [
-            (np.where(np.arange(16) == 0, bad, encode_state(BasisLayout(2), 1, "up", "down-down")),
-             "^initial state has NaN or infinite entries$")
-            for bad in (math.nan, math.inf)
-        ],
-        ids=["unnormalized", "three-site", "nan", "inf"],
-    )
-    def test_rejects_a_start(self, psi, message):
-        with pytest.raises(ValueError, match=message):
-            compare_exact_effective(ModelSpec.xy(10.0), psi)
-
-    def test_rejects_an_overflowing_energy_scale_before_building(self, monkeypatch):
-        def build(*args):
-            raise AssertionError("built a Hamiltonian before checking the energy scale")
-
-        monkeypatch.setattr(dynamics, "_sector_blocks", build)
-        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy overflow warning on the way
-            with pytest.raises(ValueError, match=r"^energy scale .* = inf with t_max = 30\.0"):
-                compare_exact_effective(ModelSpec.xy(1e308, j=1e308), psi)
+    test_rejects_a_start = collected("compare-starts")
+    test_rejects_an_overflowing_energy_scale_before_building = collected("compare-overflow")
 
     def test_gaps_follow_the_compared_columns(self):
         psi = encode_state(BasisLayout(3), 0, "up", "down-down")
@@ -305,24 +203,8 @@ class TestCompareExactEffective:
             "P1", "P2", "P0", "P_up", "F_plus", "F_minus", "logneg", "F2"
         ]
 
-    def test_zero_coupling_rejected_before_evolving(self, monkeypatch):
-        def evolve(*args):
-            raise AssertionError("evolved before checking the coupling scale")
-
-        monkeypatch.setattr(dynamics, "evolve_on_grid", evolve)
-        psi = encode_state(BasisLayout(2), 1, "up", "down-down")
-        with pytest.raises(ValueError, match="coupling scale is zero"):
-            compare_exact_effective(ModelSpec(n_sites=2, eta=10.0), psi)
-
-    @pytest.mark.parametrize("n_sites", [2, 3])
-    def test_zero_hopping_rejected_before_evolving(self, n_sites, monkeypatch):
-        def evolve(*args):
-            raise AssertionError("evolved before checking the effective kind")
-
-        monkeypatch.setattr(dynamics, "evolve_on_grid", evolve)
-        psi = encode_state(BasisLayout(n_sites), 1, "up", "down-down")
-        with pytest.raises(ValueError, match="^effective requires eta > 0"):
-            compare_exact_effective(ModelSpec.xy(0.0, n_sites=n_sites), psi)
+    test_zero_coupling_rejected_before_evolving = collected("compare-no-coupling")
+    test_zero_hopping_rejected_before_evolving = collected("compare-no-hopping")
 
 
 class TestEstimatePeriod:
@@ -332,28 +214,7 @@ class TestEstimatePeriod:
         target = 2.0 * SQRT2 * math.pi
         assert abs(period - target) / target <= 0.005
 
-    @pytest.mark.parametrize(
-        "times, values, message",
-        [
-            ([0, 1], [1, 0], "1-d"),
-            ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], "increasing"),
-            ([0.0, 1.0, math.nan, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0], "increasing"),
-            (np.linspace(0, 10, 100), np.full(100, 0.25), "noise floor"),
-            (np.linspace(0, 2.0, 200), np.sin(np.linspace(0, 2.0, 200)) ** 2, "insufficient"),
-            # a peak, then one whose two highs a dip to 0.3 splits: its fit is convex
-            (np.arange(15.0), [0, 0.5, 1, 0.5, 0, 0.7, 1, 0.3, 1, 0.7, 0, 0.5, 1, 0.5, 0],
-             "no single maximum in the peak near t = 6"),
-        ]
-        + [
-            (np.arange(9.0), np.where(np.arange(9) == 4, bad, 0.5), "^values must be finite$")
-            for bad in (math.nan, math.inf, -math.inf)
-        ],
-        ids=["short", "decreasing", "nan-time", "flat", "one-maximum", "double-humped",
-             "nan", "inf", "-inf"],
-    )
-    def test_rejects(self, times, values, message):
-        with pytest.raises(ValueError, match=message):
-            estimate_period(times, values)
+    test_rejects = collected("estimate-period")
 
     def test_ripple_split_peak_counted_once(self):
         t = np.linspace(0.0, 40.0, 4001)

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinhop import cli, model
+from spinhop import cli
 from spinhop.analysis import compare_exact_effective
 from spinhop.cli import NumericalInvariantError, main, parse_config
 from spinhop.dynamics import COLUMNS, TimeGrid, Trajectory, run_trajectory
@@ -335,6 +335,12 @@ CONTRACT = (
         for c in ("simulate", "analytic")
     ]
     + [
+        # a t_max below 1 scales no phase down past the float range
+        ("energy-scale-overflows-short-run", "simulate",
+         {"model": {"preset": "custom", "eta": 1e308}, "run": {"t_max": 0.5, "n_points": 3}}, [],
+         2, "model: energy scale eta + |j_xy| + |j_z| = 1e+308 with t_max = 0.5 overflows"),
+    ]
+    + [
         ("energy-scale-overflows-compare", "compare", {"model": {"j": 1e300}},
          ["--ratios", "1,1e7"], 2,
          "eta/J = 10000000.0: energy scale eta + |j_xy| + |j_z| = 1.0000001000000001e+307 "
@@ -418,22 +424,28 @@ PROCESS = [
     ("io-4", ["simulate", "nope.json"], 4,
      "i/o error: [Errno 2] No such file or directory: 'nope.json'\n"),
     ("help", ["--help"], 0, ""),
+    # stdout a pipe whose reader is gone, block-buffered as it is by default
+    ("closed-stdout-4", ["simulate", str(CONFIGS / "xy_strong_hopping.json"), "--out", "x.csv"],
+     4, "i/o error: [Errno 32] Broken pipe\n"),
 ]
 
 
-@pytest.mark.parametrize("args, code, stderr", [row[1:] for row in PROCESS],
-                         ids=[row[0] for row in PROCESS])
+@pytest.mark.parametrize("name, args, code, stderr", PROCESS, ids=[row[0] for row in PROCESS])
 def test_the_process_exits_with_the_code_main_returns(
-    tmp_path, monkeypatch, capsys, args, code, stderr
+    tmp_path, monkeypatch, capsys, name, args, code, stderr
 ):
     monkeypatch.chdir(tmp_path)
     _write_config({"model": {"n_sites": 4}})
     Path("period.json").write_text(json.dumps(_config({"model": {"j": 5e-324}})))
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+    read, write = os.pipe()
+    os.close(read)  # the closed-stdout row writes to a pipe that no one reads
     done = subprocess.run(
-        [sys.executable, "-m", "spinhop.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "spinhop.cli", *args], env=env, text=True, timeout=120,
+        stdout=write if name == "closed-stdout-4" else subprocess.PIPE, stderr=subprocess.PIPE,
     )
+    os.close(write)
     assert done.returncode == code, done.stderr
     assert done.stderr.startswith(stderr) if isinstance(stderr, Prefix) else done.stderr == stderr
     if args == ["--help"]:
@@ -486,9 +498,8 @@ def test_probabilities_within_tolerance_are_clamped():
     ],
     ids=["base", "grid-defaults", "heisenberg-columns", "three-site-middle-effective"],
 )
-def test_parse_config_reads_each_block(monkeypatch, patch, spec, kind, grid, start, columns):
-    # the kind is checked as a name, without building a Hamiltonian
-    monkeypatch.setattr(model, "_sectors", _raise(AssertionError("built a Hamiltonian")))
+def test_parse_config_reads_each_block(patch, spec, kind, grid, start, columns):
+    # the kind is checked as a name (a row of test_library_contract: nothing is built)
     cfg = parse_config(json.dumps(_config(patch)))
     assert (cfg.spec, cfg.hamiltonian, cfg.grid) == (spec, kind, grid)
     assert (cfg.columns, cfg.ratios, cfg.out_path) == (columns, (10.0,), "x.csv")

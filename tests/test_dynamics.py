@@ -8,7 +8,6 @@ import dataclasses
 import itertools
 import math
 import pickle
-import re
 import warnings
 
 import numpy as np
@@ -16,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhop import dynamics, model
+from spinhop import model
 from spinhop.dynamics import (
     AnalyticSolution,
     TimeGrid,
     Trajectory,
     analytic,
-    column_names,
     evolve_on_grid,
     observables,
     run_trajectory,
@@ -51,6 +49,7 @@ from helpers import (
     random_state,
     sz_of_basis,
 )
+from test_library_contract import collected
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,39 +58,13 @@ def _start(n_sites, site):
     return encode_state(BasisLayout(n_sites), site, "up", "down-down")
 
 
-def _spoiled(value):
-    """The two-site start |up>|down down> with ``value`` at index 5."""
-    psi = _start(2, 1)
-    psi[5] = value
-    return psi
-
-
 def _analytic_at(spec, site, t_max, n_points=2):
     """analytic from |up>|down down> at ``site``, on a grid ending at ``t_max``."""
     return analytic(spec, _start(spec.n_sites, site), TimeGrid(t_max, n_points))
 
 
-_INTP_MAX = int(np.iinfo(np.intp).max)
-_SHORT = TimeGrid(1.0, 2)
-
-
 class TestTimeGrid:
-    # a float, a bool or more points than an array of amplitudes can hold
-    # would fail only later, when a run sizes its arrays
-    @pytest.mark.parametrize(
-        "grid",
-        [{"t_max": t_max} for t_max in (0.0, math.inf, math.nan, True, 10**400, "1", [1.0])]
-        + [
-            {"n_points": n}
-            for n in (1, 3.0, True, np.True_, 10**30, _INTP_MAX + 1, _INTP_MAX, 2**59)
-        ],
-        ids=repr,
-    )
-    def test_rejects(self, grid):
-        message = ("t_max must be a positive finite number" if "t_max" in grid
-                   else "n_points must be an integer")
-        with pytest.raises(ValueError, match=message):
-            TimeGrid(**grid)
+    test_rejects = collected("time-grid")
 
     def test_accepts_ints_and_numpy_reals(self):
         assert TimeGrid(t_max=3, n_points=4).times()[-1] == 3.0
@@ -123,21 +96,7 @@ class TestTimeGrid:
 
 
 class TestObservables:
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"states": np.ones(16), "layout": BasisLayout(3)},
-             r"^state shape \(16,\) does not match layout dim 24$"),
-            ({"states": np.ones((3, 16)), "layout": BasisLayout(2), "times": [0.0, 1.0]},
-             r"^times shape \(2,\) does not broadcast to the grid shape \(3,\)$"),
-            ({"states": np.ones((3, 16)), "layout": BasisLayout(2), "hamiltonian": np.eye(3)},
-             r"^hamiltonian shape \(3, 3\) does not match layout dim 16: need 16x16$"),
-        ],
-        ids=["state", "times", "hamiltonian"],
-    )
-    def test_rejects(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            observables(**kwargs)
+    test_rejects = collected("observables")
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_stack_matches_single_states(self, n_sites):
@@ -207,29 +166,6 @@ def _whole_matrix_evolution(h, psi, times):
     return (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)) @ v.T
 
 
-def _run_states(spec, kind, psi, times):
-    """The ``(T, D)`` states of a run: the amplitudes it evolves on each S_z
-    sector the start occupies, and zero on every other sector."""
-    states = np.zeros((len(times), len(psi)), dtype=complex)
-    for _, idx, block in model._sector_blocks(spec, kind, psi):
-        states[:, idx] = dynamics.evolve_on_grid(block, psi[idx], times)
-    return states
-
-
-@pytest.fixture
-def eigh_sizes(monkeypatch):
-    """Dimension of every matrix handed to LAPACK's eigh."""
-    sizes = []
-    solve = np.linalg.eigh
-
-    def counted(m, *args, **kwargs):
-        sizes.append(np.shape(m)[-1])
-        return solve(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return sizes
-
-
 class TestEvolveOnGrid:
     """The one propagator against closed forms, the power series of
     exp(-i H t) and a whole-matrix eigensolve, its input checks, and a
@@ -275,62 +211,28 @@ class TestEvolveOnGrid:
         assert (np.abs(states[:, sz != sz[i]]) ** 2).sum(axis=1).max() > 1e-3
 
     @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
-    def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind, eigh_sizes):
+    def test_superposition_of_every_sector_matches_whole_matrix(self, n_sites, kind):
         rng = np.random.default_rng(90 + n_sites)
         spec = ModelSpec(n_sites=n_sites, eta=3.1, j_xy=0.7, j_z=-1.3)
         h = hamiltonian_oracle(spec, kind)
         psi = random_state(rng, 8 * n_sites)
         times = np.linspace(0.0, 5.0, 41)
-        states = _run_states(spec, kind, psi, times)
-        # every sector is occupied, and the run solves each on its own
-        assert sorted(eigh_sizes) == [n_sites, n_sites, 3 * n_sites, 3 * n_sites]
+        # a run's states: each S_z block it builds, through the one propagator
+        states = np.zeros((len(times), len(psi)), dtype=complex)
+        for _, idx, block in model._sector_blocks(spec, kind, psi):
+            states[:, idx] = evolve_on_grid(block, psi[idx], times)
         assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
         # the series loses digits to cancellation as |H t| grows: check it at t = 1
         assert times[8] == 1.0
         assert np.abs(states[8] - expm_series(h, 1.0) @ psi).max() <= 1e-10
 
-    @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
-    def test_bad_entry_in_an_unoccupied_sector_raises(self, bad):
-        layout = BasisLayout(3)
-        h = hamiltonian_oracle(ModelSpec.heisenberg(5.0, n_sites=3))
-        k = encode(layout, 2, 0, 0, 0)  # |up>|uu>, S_z = +3/2
-        psi = encode_state(layout, 0, "down", "down-down")  # S_z = -3/2
-        assert psi[k] == 0
-        if bad == "nan":
-            h[k, k] = math.nan
-        else:
-            h[k, encode(layout, 1, 0, 0, 0)] += 0.5
-        with pytest.raises(ValueError, match="NaN" if bad == "nan" else "not Hermitian"):
-            evolve_on_grid(h, psi, [0.0, 1.0])
-
-    def test_rejects_a_start_of_another_dimension(self):
-        message = r"^initial state shape \(3,\) does not match the dimension of the matrix of "
-        message += r"shape \(4, 4\)$"
-        with pytest.raises(ValueError, match=message):
-            evolve_on_grid(np.eye(4), np.ones(3), [1.0])
-
-    @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
-    def test_definite_sz_start_solves_only_its_sector(self, n_sites, kind, eigh_sizes):
-        layout = BasisLayout(n_sites)
-        spec = ModelSpec.heisenberg(4.0, n_sites=n_sites)
-        h = hamiltonian_oracle(spec, kind)
-        times = np.linspace(0.0, 5.0, 11)
-        for psi in labelled_starts(n_sites)[:12]:  # the 12 at the first site
-            (sz,) = set(sz_of_basis(layout)[psi != 0])
-            del eigh_sizes[:]
-            states = _run_states(spec, kind, psi, times)
-            assert eigh_sizes == [n_sites if abs(sz) == 1.5 else 3 * n_sites]
-            assert np.abs(states - _whole_matrix_evolution(h, psi, times)).max() <= 1e-10
+    test_bad_entry_in_an_unoccupied_sector_raises = collected("unoccupied-sector")
+    test_rejects_a_start_of_another_dimension = collected("start-dimension")
+    test_definite_sz_start_solves_only_its_sector = collected("definite-starts")
 
 
 class TestRunTrajectory:
-    def test_rejects_an_overflowing_energy_scale_before_building(self, monkeypatch):
-        def build(*args):
-            raise AssertionError("built a Hamiltonian before checking the energy scale")
-
-        monkeypatch.setattr(dynamics, "_sector_blocks", build)
-        with pytest.raises(ValueError, match="overflows"):
-            run_trajectory(ModelSpec.xy(1.0), "exact", _start(2, 1), TimeGrid(t_max=1e308))
+    test_rejects_an_overflowing_energy_scale_before_building = collected("run-overflow")
 
     def test_times_are_read_only(self):
         grid = TimeGrid(t_max=1.0, n_points=5)
@@ -353,16 +255,11 @@ class TestColumns:
         assert np.array_equal(two_sites.column("P2"), two_sites.p_site[:, 1])
         assert trajectory.column("F_plus") is trajectory.f_plus
         assert trajectory.column("Sz") is trajectory.sz_total
-
-    @pytest.mark.parametrize("name", ["P0", "P3", "energy"])
-    def test_a_column_off_the_lattice_raises(self, traj, name):
-        # position 1 is the last site of two, so P0 would read P2's values
-        with pytest.raises(ValueError, match=re.escape(str(column_names(2)))):
-            traj("xy10_exact").trajectory.column(name)
-        layout = BasisLayout(3)
-        state = observables(encode_state(layout, 0, "up", "down-down"), layout)
+        state = observables(_start(3, 0), BasisLayout(3))
         assert state.column("P0") == 1.0 and state.column("P1") == 0.0
         assert math.isnan(state.energy)  # no Hamiltonian was given
+
+    test_a_column_off_the_lattice_raises = collected("columns")
 
 class TestAnalyticThreeSite:
     def test_smallest_coupling_keeps_an_infinite_period(self):
@@ -495,54 +392,4 @@ def test_trajectory_is_frozen():
         trajectory.t = 1.0
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: encode_state(BasisLayout(2), True, "up", "down-down"), "site label"),
-        (lambda: encode_state(BasisLayout(3), 1.0, "up", "down-down"), "site label"),
-        (lambda: analytic(ModelSpec(2, 10.0), _start(2, 1)), "nonzero coupling"),
-        (
-            lambda: analytic(ModelSpec.heisenberg(10.0, j=0, n_sites=3), _start(3, 0)),
-            "nonzero coupling",
-        ),
-        (lambda: analytic(ModelSpec.xy(10.0, j=math.nan), _start(2, 1)), "must be finite"),
-        (
-            lambda: analytic(ModelSpec.xy(10.0, j=0.0), _start(2, 1), TimeGrid(1.0, 2)),
-            "nonzero coupling",
-        ),
-        (
-            lambda: analytic(ModelSpec.heisenberg(10.0, j=math.inf), _start(2, 1)),
-            "must be finite",
-        ),
-        (lambda: analytic(ModelSpec.xy(10.0), _start(3, 0)), "does not match layout dim 16"),
-        (lambda: analytic(ModelSpec.xy(10.0), 2.0 * _start(2, 1)), "not normalized"),
-        (lambda: _analytic_at(ModelSpec.heisenberg(10.0, j=-1e308), 1, 30.0),
-         "energy scale .* overflows"),
-        (lambda: run_trajectory(ModelSpec.xy(1.0), "exact", np.ones(16), _SHORT), "not normalized"),
-        # the norm is held to 1e-10
-        (lambda: run_trajectory(ModelSpec.xy(1.0), "exact", (1 + 1e-8) * _start(2, 1), _SHORT),
-         r"^initial state is not normalized: \|norm - 1\| = 1\.000e-08$"),
-        (lambda: run_trajectory(ModelSpec.xy(1.0), "trotter", _start(2, 1), TimeGrid(1.0, 2)),
-         "hamiltonian kind"),
-        (lambda: run_trajectory(ModelSpec.xy(1e308, j=1e308), "exact", _start(2, 1)),
-         r"^energy scale eta \+ \|j_xy\| \+ \|j_z\| = inf with t_max = 30\.0 overflows$"),
-    ]
-    # abs(nan - 1) > tol is False: the norm test alone let a NaN through
-    + [
-        (lambda bad=bad: run_trajectory(ModelSpec.xy(1.0), "exact", _spoiled(bad), _SHORT),
-         "^initial state has NaN or infinite entries$")
-        for bad in (math.nan, complex(0.0, math.nan), math.inf)
-    ],
-    ids=[
-        "bool-site", "float-site", "xy-period-j0", "heisenberg-period-j0", "period-j-nan",
-        "two-site-j0", "two-site-j-inf", "analytic-lattice", "analytic-norm", "analytic-overflow",
-        "run-norm", "run-norm-1e-8", "run-kind", "run-overflow", "run-nan",
-        "run-nan-imag", "run-inf",
-    ],
-)
-def test_library_edge_inputs_raise_value_error(call, message):
-    # True == 1 and 1.0 == 1 would pass as site label 1; a chain without a
-    # coupling has no period, and no spec carries a non-finite coupling; no
-    # numpy warning is raised on the way (warnings are errors)
-    with pytest.raises(ValueError, match=message):
-        call()
+test_library_edge_inputs_raise_value_error = collected("edge-inputs")

@@ -2,8 +2,6 @@
 power-of-two scaling past the one threshold, and eigenvalues that overflow
 to +-inf, never to NaN."""
 
-import pathlib
-import re
 import warnings
 
 import mpmath
@@ -12,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinhop
 from spinhop import model
 from spinhop.linalg import _LARGEST_AS_GIVEN, hermitian_eigensystem
 from spinhop.model import ModelSpec
 
 from helpers import random_hermitian
+from test_library_contract import collected
 
 EPS = np.finfo(float).eps
 # |w - w_50 digits| <= ORACLE_C * eps * max|H|, eigenvalue by eigenvalue
@@ -74,18 +72,5 @@ def test_eigenvalues_past_the_float_range_read_inf_not_nan():
         assert stack.tolist() == [[-np.inf, np.inf], [1.0, 1.0]]
 
 
-def test_log_negativity_rejects_a_matrix_whose_eigenvalues_overflow():
-    # Hermitian with trace 1; its eigenvalues are 0, 0 and 0.5 -+ 2.1e308
-    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    rho[0, 3], rho[3, 0] = OVERFLOWING[0, 1], OVERFLOWING[1, 0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="negative eigenvalue -inf"):
-            spinhop.log_negativity(rho)
-
-
-def test_no_eigensolver_is_called_outside_linalg():
-    source = pathlib.Path(spinhop.__file__).parent
-    for path in source.glob("*.py"):
-        if path.name != "linalg.py":
-            assert not re.search(r"linalg\.eig", path.read_text()), path.name
+test_log_negativity_rejects_a_matrix_whose_eigenvalues_overflow = collected("eigenvalues-overflow")
+test_no_eigensolver_is_called_outside_linalg = collected("eigensolver-call-sites")

@@ -1,11 +1,10 @@
 """Linear-algebra core: the Hermitian check, the eigensolver and the
 two-qubit partial transpose, each on a matrix and on a stack.
 
-Propagation is checked in ``test_dynamics.TestEvolveOnGrid`` and the
-log-negativity in ``test_analysis.TestLogNegativity``."""
+Propagation is checked in ``test_dynamics.TestEvolveOnGrid``, the
+log-negativity in ``test_analysis.TestLogNegativity`` and the refusals
+here in ``test_library_contract``."""
 
-import pathlib
-import re
 import warnings
 
 import numpy as np
@@ -13,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhop import linalg, model
-from spinhop.analysis import compare_exact_effective
-from spinhop.dynamics import TimeGrid, evolve_on_grid, observables, run_trajectory
+from spinhop import model
+from spinhop.dynamics import evolve_on_grid
 from spinhop.linalg import (
     assert_hermitian,
     hermitian_eigensystem,
@@ -27,26 +25,13 @@ from helpers import (
     BELL_PLUS,
     random_density_matrix,
     random_hermitian,
-    random_state,
-    two_sector_start,
 )
-
+from test_library_contract import collected
 
 
 class TestHermitianEigensystem:
-    def test_rejects_non_hermitian_with_diagnostic(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match=r"max\|M - M\^H\|"):
-            hermitian_eigensystem(m)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_entries(self, bad):
-        # inf - inf is NaN and NaN compares false, so the asymmetry test
-        # alone would let these through
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = m[1, 0] = bad
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            hermitian_eigensystem(m)
+    test_rejects_non_hermitian_with_diagnostic = collected("not-hermitian")
+    test_rejects_non_finite_entries = collected("eigensystem-non-finite")
 
     def test_zero_matrix(self):
         eig = hermitian_eigensystem(np.zeros((5, 5)))
@@ -122,31 +107,10 @@ class TestPartialTranspose:
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-14
         assert np.abs(pt - pt.conj().T).max() < 1e-14
 
-    @pytest.mark.parametrize("shape", [(5, 5), (6, 6), (4,), (3, 4, 5)])
-    def test_rejects_anything_but_4x4_operators(self, shape):
-        with pytest.raises(ValueError, match="4x4"):
-            partial_transpose(np.ones(shape))
+    test_rejects_anything_but_4x4_operators = collected("partial-transpose")
 
 
-def test_every_eigenvalue_comes_from_the_one_eigensolver_call(monkeypatch):
-    source = pathlib.Path(linalg.__file__).read_text()
-    assert len(re.findall(r"np\.linalg\.eig\w*\(", source)) == 1
-
-    def no_values_only_solve(*args, **kwargs):
-        raise AssertionError("values-only eigensolve called")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_values_only_solve)
-    grid = TimeGrid(t_max=1.0, n_points=5)
-    for n_sites in (2, 3):
-        layout = BasisLayout(n_sites)
-        spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
-        psi = two_sector_start(layout)
-        run = run_trajectory(spec, "exact", psi, grid)
-        assert run.logneg.shape == (5,)
-        assert compare_exact_effective(spec, psi, grid).max_state_infidelity >= 0.0
-        rng = np.random.default_rng(n_sites)
-        stack = np.array([random_state(rng, layout.dim) for _ in range(3)])
-        assert observables(stack, layout).logneg.shape == (3,)
+test_every_eigenvalue_comes_from_the_one_eigensolver_call = collected("no-values-only-solve")
 
 
 class TestStacks:
@@ -171,28 +135,8 @@ class TestStacks:
         for k in range(len(stack)):
             assert np.array_equal(pts[k], partial_transpose(stack[k]))
 
-    def test_assert_hermitian_flags_the_one_bad_matrix(self):
-        stack = np.array([np.eye(4, dtype=complex)] * 4)
-        assert_hermitian(stack)
-        stack[2, 0, 1] = 1.0
-        with pytest.raises(ValueError, match=r"stack index \(2,\) is not Hermitian"):
-            assert_hermitian(stack)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [complex(0.0, np.nan), np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, 0.0)],
-        ids=["nan-imag", "inf", "-inf", "inf-nan", "nan-real"],
-    )
-    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
-    def test_assert_hermitian_reports_any_non_finite_entry(self, bad, stacked):
-        m = np.array([np.eye(3, dtype=complex)] * 4)
-        if stacked:
-            m[2, 1, 1] = bad
-        else:
-            m = m[0]
-            m[0, 1] = bad  # also not Hermitian: the non-finite message wins
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            assert_hermitian(m)
+    test_assert_hermitian_flags_the_one_bad_matrix = collected("one-bad-matrix")
+    test_assert_hermitian_reports_any_non_finite_entry = collected("non-finite-entry")
 
     @pytest.mark.parametrize(
         "entry,mirror",
@@ -239,15 +183,5 @@ class TestStacks:
         else:  # scaled: one exponent per matrix, with no stack axis for a matrix
             assert e.shape == () and e_stack.shape == (1,) and e == e_stack[0] == 1024
 
-    @pytest.mark.parametrize("small", [1.0, 1e-6])
-    def test_assert_hermitian_holds_each_matrix_to_its_own_scale(self, small):
-        # the asymmetry of the second matrix is tiny next to the first
-        # matrix's entries, and next to 1, but not next to its own
-        stack = np.array([1e6 * np.eye(2), small * np.eye(2)], dtype=complex)
-        stack[1, 0, 1] = 1e-8 * small
-        with pytest.raises(ValueError, match=r"stack index \(1,\)"):
-            assert_hermitian(stack)
-
-    def test_rejects_non_square_trailing_axes(self):
-        with pytest.raises(ValueError, match="square"):
-            assert_hermitian(np.zeros((3, 2, 4)))
+    test_assert_hermitian_holds_each_matrix_to_its_own_scale = collected("own-scale")
+    test_rejects_non_square_trailing_axes = collected("non-square")

@@ -14,8 +14,6 @@ spectrum in ``test_band_hamiltonian`` and through runs in
 
 import dataclasses
 import itertools
-import math
-import re
 
 import numpy as np
 import pytest
@@ -37,19 +35,10 @@ from helpers import (
     hamiltonian_oracle,
     sz_of_basis,
 )
+from test_library_contract import collected
 
 class TestModelSpec:
-    @pytest.mark.parametrize(
-        "numbers",
-        [{"eta": np.nan}, {"eta": np.inf}, {"j_xy": np.nan}, {"j_z": -np.inf},
-         # no finite real number either: a bool is an int, an int beyond
-         # the float range has no float value
-         {"eta": True}, {"j_xy": True}, {"eta": 10**400}, {"j_xy": 10**400},
-         {"j_z": -(10**400)}, {"eta": "1"}, {"j_z": "1"}, {"eta": None}],
-    )
-    def test_rejects_non_finite_numbers(self, numbers):
-        with pytest.raises(ValueError, match="finite"):
-            ModelSpec(**{"n_sites": 2, "eta": 1.0, **numbers})
+    test_rejects_non_finite_numbers = collected("model-spec")
 
     def test_accepts_ints_and_numpy_reals(self):
         spec = ModelSpec(2, 10, j_xy=np.float32(0.5), j_z=np.int64(1))
@@ -102,30 +91,7 @@ class TestFromPreset:
         assert (spec.n_sites, spec.eta, spec.j_xy, spec.j_z) == (3, 10.0, *expected)
         assert all(type(x) is float for x in (spec.j_xy, spec.j_z))
 
-    @pytest.mark.parametrize(
-        "preset, couplings, message",
-        [
-            ("ising", {}, "model.preset must be xy, heisenberg or custom, got 'ising'"),
-            (["xy"], {}, "model.preset must be xy, heisenberg or custom, got ['xy']"),
-            ("custom", {"j": 1.0}, "preset 'custom' takes j_xy and j_z, not j"),
-            ("custom", {"j_xy": math.inf}, "model.j_xy must be finite, got inf"),
-            ("xy", {"j_z": 0.5}, "preset 'xy' takes j, not j_z"),
-            ("xy", {"j": 2.0, "j_xy": 2.0}, "preset 'xy' takes j, not j_xy"),
-            ("xy", {"j": 10**400}, f"model.j must be finite, got {10**400!r}"),
-            ("heisenberg", {"j": 2.0, "j_z": 1.0}, "preset 'heisenberg' takes j, not j_z"),
-            ("heisenberg", {"j_z": 1.0, "j_xy": 0.9},
-             "preset 'heisenberg' takes j, not j_xy or j_z"),
-            # a refused coupling is refused whatever its value
-            ("custom", {"j": math.nan, "j_z": True}, "preset 'custom' takes j_xy and j_z, not j"),
-            ("custom", {"j_z": True}, "model.j_z must be finite, got True"),
-            ("xy", {"j": True}, "model.j must be finite, got True"),
-            ("xy", {"j_q": 1.0}, "preset 'xy' takes j, not j_q"),
-        ],
-    )
-    def test_messages_name_the_config_keys(self, preset, couplings, message):
-        with pytest.raises(ValueError) as raised:
-            ModelSpec.from_preset(preset, 2, 10.0, **couplings)
-        assert str(raised.value) == message
+    test_messages_name_the_config_keys = collected("presets")
 
 
 class TestBasisLayout:
@@ -133,19 +99,8 @@ class TestBasisLayout:
         assert BasisLayout(2).site_labels() == (1, 2)
         assert BasisLayout(3).site_labels() == (1, 0, 2)
         assert BasisLayout(3).site_index(0) == 1  # middle site sits at index 1
-        with pytest.raises(ValueError, match="site label"):
-            BasisLayout(2).site_index(0)
-        with pytest.raises(ValueError, match="site label"):
-            BasisLayout(2).site_index(np.True_)
 
-    @pytest.mark.parametrize(
-        "n_sites", [4, 5, 3.0, 2.0, True, pytest.param(np.True_, id="numpy-bool"), "3", "2"]
-    )
-    def test_rejects_any_lattice_size_but_the_integers_2_and_3(self, n_sites):
-        # the value is quoted as given: "2" is not 2
-        message = f"^n_sites must be 2 or 3, got {re.escape(repr(n_sites))}$"
-        with pytest.raises(ValueError, match=message):
-            BasisLayout(n_sites)
+    test_rejects_any_lattice_size_but_the_integers_2_and_3 = collected("lattice-sizes")
 
 
 def _blocks(spec, kind="exact"):
@@ -191,30 +146,7 @@ class TestBuilderOracle:
             again = [block for _, _, block in build(spec)]
             assert all(map(np.array_equal, again, before))
 
-    def test_builds_reuse_cached_terms(self, monkeypatch):
-        specs = [ModelSpec(n, 2.0, 0.5, 1.0) for n in (2, 3)]
-
-        def build_every_kind():
-            for spec in specs:
-                for kind in HAMILTONIAN_KINDS:
-                    _blocks(spec, kind)
-                _blocks(ModelSpec(spec.n_sites, spec.eta))
-                _blocks(dataclasses.replace(spec, eta=0.0))
-
-        build_every_kind()  # fills the cache for every lattice
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(np, "kron", counted(np.kron))
-        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-        build_every_kind()
-        assert calls == []
+    test_builds_reuse_cached_terms = collected("cached-terms")
 
 
 def _every_built_kind():
@@ -299,10 +231,7 @@ class TestEffectiveHamiltonian:
         rates = [rate for rate, _ in MODE_RATES[n_sites]]
         assert rates == ([0.5] if n_sites == 2 else [0.25, 0.5])
 
-    @pytest.mark.parametrize("n_sites", [2, 3])
-    def test_effective_needs_hopping(self, n_sites):
-        with pytest.raises(ValueError, match="eta > 0"):
-            _blocks(ModelSpec(n_sites, 0.0), "effective")
+    test_effective_needs_hopping = collected("effective-needs-hopping")
 
 
 class TestEncodeState:
@@ -318,29 +247,4 @@ class TestEncodeState:
             assert psi.dtype == complex and np.array_equal(psi, expected)  # -0.0 == 0.0
         assert len(starts) == 12  # the mobile spin and the six static presets
 
-    # an unknown, unhashable or non-string label is a ValueError, never a
-    # TypeError from the lookup
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (lambda: encode_state(BasisLayout(2), 1, "sideways", "down-down"), "mobile-spin"),
-            (lambda: encode_state(BasisLayout(2), 1, "up", "down"), "static-pair preset"),
-            (lambda: encode_state(BasisLayout(2), 3, "up", "down-down"), "site label"),
-        ]
-        + [
-            (lambda label=label, call=call: call(label), message)
-            for label in (["up-up"], {}, None, True)
-            for call, message in [
-                (lambda x: encode_state(BasisLayout(2), 1, x, "down-down"), "mobile-spin"),
-                (lambda x: encode_state(BasisLayout(2), 1, "up", x), "static-pair preset"),
-                (lambda x: encode_state(BasisLayout(2), x, "up", "down-down"), "site label"),
-                (lambda x: _blocks(ModelSpec.xy(1.0), x), "unknown hamiltonian kind"),
-            ]
-        ],
-        ids=["e_spin-sideways", "static-down", "site-3"]
-        + [f"{kind}-{label!r}" for label in (["up-up"], {}, None, True)
-           for kind in ("e_spin", "static", "site", "kind")],
-    )
-    def test_labels_are_checked(self, call, message):
-        with pytest.raises(ValueError, match=message):
-            call()
+    test_labels_are_checked = collected("labels")

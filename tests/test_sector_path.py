@@ -12,7 +12,8 @@ with the energy contracted with the whole matrix of
 for ``compare`` the state fidelities taken on the whole space, or on the
 spin-reduced state of a start with no weight on the zero kinetic mode.  The
 reference solves each sector of that matrix on its own, as the run does: a
-solve of the whole matrix differs from it by eps * eta * t.
+solve of the whole matrix differs from it by eps * eta * t.  Which blocks a
+run forms is held by rows of ``test_library_contract``.
 """
 
 from dataclasses import astuple
@@ -20,7 +21,6 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from spinhop import dynamics, linalg
 from spinhop.analysis import compare_exact_effective, conservation_monitor
 from spinhop.dynamics import (
     COLUMNS,
@@ -79,38 +79,13 @@ def _whole_space_report(spec, psi):
     return float((1.0 - fidelity).max()), gaps
 
 
-@pytest.fixture
-def pair_stacks(monkeypatch):
-    """Calls, by name, to the static pair's stack log-negativity and to the
-    4x4 solves behind it; a name is missing until it is called.  No S_z
-    block is 4x4 (the blocks are n_sites * {1, 3} states), so every 4x4
-    solve is a pair stack's."""
-    calls = {}
-
-    def counting(module, name, counts=lambda *_: True):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            if counts(*args):
-                calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    counting(dynamics, "_log_negativity")
-    counting(linalg, "hermitian_eigensystem", lambda m: np.shape(m)[-2:] == (4, 4))
-    return calls
-
-
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
 @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
-def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pair_stacks):
+def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling):
     worst = dict.fromkeys((*FIELDS, "report"), 0.0)
     for spec in coupling_specs(n_sites, coupling, kind, RATIOS):
         for psi in labelled_starts(n_sites):
-            pair_stacks.clear()
             got = run_trajectory(spec, kind, psi, GRID)
-            assert pair_stacks == {}  # no pair stack is formed
             want = _whole_space_trajectory(spec, kind, psi)
             assert got.t is GRID.times() and np.array_equal(want.t, got.t)
             for field in FIELDS:
@@ -123,12 +98,10 @@ def test_run_trajectory_matches_the_whole_space_path(n_sites, kind, coupling, pa
 
 @pytest.mark.parametrize("coupling", list(COUPLINGS))
 @pytest.mark.parametrize("n_sites", [2, 3])
-def test_compare_matches_the_whole_space_path(n_sites, coupling, pair_stacks):
+def test_compare_matches_the_whole_space_path(n_sites, coupling):
     for spec in coupling_specs(n_sites, coupling, "effective", RATIOS):
         for psi in labelled_starts(n_sites):
-            pair_stacks.clear()
             report = compare_exact_effective(spec, psi, GRID)
-            assert pair_stacks == {}
             infidelity, gaps = _whole_space_report(spec, psi)
             assert abs(report.max_state_infidelity - infidelity) <= TOL
             assert list(report.max_observable_gap) == list(gaps)
@@ -138,15 +111,13 @@ def test_compare_matches_the_whole_space_path(n_sites, coupling, pair_stacks):
 
 @pytest.mark.parametrize("start", ["two-sector", "random"])
 @pytest.mark.parametrize("n_sites,kind", LATTICE_KINDS)
-def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, start, pair_stacks):
+def test_a_start_spanning_two_sectors_takes_the_whole_space_path(n_sites, kind, start):
     spec = ModelSpec(n_sites=n_sites, eta=10.0, j_xy=0.7, j_z=-0.3)
     if start == "two-sector":
         psi = two_sector_start(BasisLayout(n_sites))
     else:
         psi = random_state(np.random.default_rng(5), 8 * n_sites)
     got = run_trajectory(spec, kind, psi, GRID)
-    # the pair stack is formed and, its blocks coupled, solved in general
-    assert pair_stacks == {"_log_negativity": 1, "hermitian_eigensystem": 1}
     want = _whole_space_trajectory(spec, kind, psi)
     for field in (f for f in FIELDS if f != "energy"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
